@@ -30,10 +30,6 @@ using GpuId = Id<struct GpuTag>;
 using NodeId = Id<struct NodeTag>;
 /// A rail index == the local rank of the GPUs it connects (0 .. k-1).
 using RailId = Id<struct RailTag>;
-/// A pod: one rail-optimized cluster inside a multi-pod fabric. Pod-local
-/// ids (GpuId, NodeId, PortId) are scoped to their pod; cross-pod addressing
-/// is always the (PodId, pod-local id) pair.
-using PodId = Id<struct PodTag>;
 /// A physical port on an OCS or electrical switch.
 using PortId = Id<struct PortTag>;
 /// Generation-stamped identifier for entities whose storage slots are

@@ -16,9 +16,12 @@
 //    (double), *_bytes (integer). Enums are strings ("opus", "1f1b",
 //    "rail_aware"). ModelConfig/GpuSpec accept a preset string (or a
 //    "preset" key inside the object, applied first) in place of fields.
-//  - Every serializer sits next to a compile-time field-count
-//    static_assert (serde.cpp): adding a struct field without wiring its
-//    serde fails the build, so no knob can silently go orphan.
+//  - Each config struct's serde is ONE field table in serde.cpp ({JSON key,
+//    member, codec} in key order) walked by a generic reader and writer.
+//    The table is the pin: a static_assert checks table size plus the
+//    deliberately unexposed members against field_count<T>, so adding a
+//    struct field without a table entry fails the build and no knob can
+//    silently go orphan.
 #pragma once
 
 #include <stdexcept>
@@ -47,7 +50,8 @@ class SerdeError : public std::runtime_error {
 // ---- compile-time field counting -------------------------------------------
 // Counts the direct members of an aggregate by probing the largest braced
 // initializer it accepts (the Boost.PFR idiom). serde.cpp static_asserts
-// the count next to each serializer; tests pin it too.
+// each config field table and each result writer against it; tests pin it
+// too.
 namespace detail {
 
 struct AnyField {

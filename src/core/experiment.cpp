@@ -46,7 +46,6 @@ net::ClusterConfig cluster_config_for(const ExperimentConfig& config,
   ncfg.ocs_reconfig_delay = config.ocs_reconfig_delay;
   ncfg.mgmt_bw = config.mgmt_bw;
   ncfg.rotor_port_spread = config.rotor_port_spread;
-  ncfg.defer_fabric_wiring = !config.eager_fabric_wiring;
   return ncfg;
 }
 

@@ -64,12 +64,6 @@ struct ExperimentConfig {
   int iterations = 3;
   /// Drop per-compute-span records (saves memory on large runs).
   bool record_compute_trace = true;
-  /// Compat flag: force the cluster's legacy eager pre-job fabric wiring
-  /// (net::ClusterConfig::defer_fabric_wiring = false) instead of the
-  /// default lazy wiring where each transport wires its own span. Results
-  /// are bit-identical either way (pinned by the regression tests); eager
-  /// wiring just materializes whole-fabric state up front.
-  bool eager_fabric_wiring = false;
 
   /// Mid-run failure/repair churn. Disabled (zero overhead, legacy
   /// semantics) unless faults.enabled is set; then run_experiment schedules

@@ -12,9 +12,8 @@ RotorTransport::RotorTransport(sim::Simulator& sim, net::Cluster& cluster,
   ensure(options_.slot_time > 0, "rotor slot time must be positive");
   ensure(span_.count >= 2, "a rotor span needs at least two nodes");
   n_rounds_ = net::rotor_rounds_for(span_.count);
-  // A whole-cluster rotor finds round 0 pre-wired by the cluster; a tenant
-  // sub-rotor (or any rotor on a cluster with deferred fabric wiring) wires
-  // its own span's round-0 matchings here, instantly — pre-job setup.
+  // The cluster performs no pre-job wiring: each rotor wires its own span's
+  // round-0 matchings here, instantly — pre-job setup.
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
     const auto circuits =
         cluster_.rotor_matching_circuits(RailId{rail}, 0, span_);

@@ -29,17 +29,9 @@ int rotor_rounds_for(int n_nodes) {
 }
 
 Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
-    : Cluster(sim, nullptr, std::move(cfg)) {}
-
-Cluster::Cluster(sim::Simulator& sim, FluidNetwork& net, ClusterConfig cfg)
-    : Cluster(sim, &net, std::move(cfg)) {}
-
-Cluster::Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg)
     : sim_(sim),
       cfg_(cfg),
-      owned_net_(net == nullptr ? std::make_unique<FluidNetwork>(sim)
-                                : nullptr),
-      net_(net == nullptr ? *owned_net_ : *net),
+      net_(sim),
       route_bytes_(6, 0) {
   ensure(cfg_.n_nodes > 0, "cluster requires nodes");
   ensure(cfg_.gpus_per_node > 0, "cluster requires GPUs per node");
@@ -90,20 +82,6 @@ Cluster::Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg)
       OpticalCircuitSwitch* sw = rail_ocs_.back().get();
       sw->set_flow_rescuer([this](FlowId f) { rescue_flow(f); });
       sw->set_topology_listener([this] { retry_parked(); });
-    }
-    if (cfg_.fabric == FabricKind::kRotor) {
-      ensure(cfg_.n_nodes >= 2, "a rotor fabric needs at least two nodes");
-      if (!cfg_.defer_fabric_wiring) {
-        // Legacy eager pre-wiring (compat flag): every rail starts on
-        // rotation round 0 before any transport exists. The default lazy
-        // path skips this — the RotorTransport wires its own span's round-0
-        // matchings at construction (and skips the force when they are
-        // already live), so eager and lazy runs are bit-identical.
-        for (int r = 0; r < rails; ++r) {
-          rail_ocs_[static_cast<std::size_t>(r)]->force_circuits(
-              rotor_matching_circuits(RailId{r}, 0));
-        }
-      }
     }
   } else {
     rail_electrical_.reserve(static_cast<std::size_t>(rails));
@@ -771,8 +749,7 @@ void Cluster::fail_nic_port(NodeId node, int rail, int slot) {
   ensure(slot >= 0 && slot < cfg_.nic_ports, "invalid NIC port slot");
   if (nic_port_failed(node, rail, slot)) return;  // idempotent
   if (photonic()) {
-    ocs(RailId{rail}).fail_port(PortId{node.value() * cfg_.nic_ports + slot},
-                                /*force=*/true);
+    ocs(RailId{rail}).fail_port(PortId{node.value() * cfg_.nic_ports + slot});
   } else {
     const auto key =
         static_cast<std::int64_t>(node.value()) * n_rails() + rail;

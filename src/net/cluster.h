@@ -13,11 +13,12 @@
 // share the same OCS hardware but differ in who reconfigures it and when:
 // Opus reconfigures on demand (the control plane in src/core), a static ring
 // is wired once pre-job and never again, and a rotor cycles through the
-// round-robin matchings obliviously. The Cluster wires any pre-job topology
-// the fabric requires (rotor round-0 matchings here; the static ring's
-// circuits are wired by core::StaticRingTransport) and normalizes the
-// multi-hop forwarding settings each fabric depends on — callers select a
-// FabricKind and get a consistent cluster.
+// round-robin matchings obliviously. The Cluster performs no pre-job wiring
+// (each transport wires its own node span: core::RotorTransport the rotor's
+// round-0 matchings, core::StaticRingTransport the ring's circuits), so
+// rails light up on first traffic; it normalizes the multi-hop forwarding
+// settings each fabric depends on — callers select a FabricKind and get a
+// consistent cluster.
 #pragma once
 
 #include <array>
@@ -138,16 +139,6 @@ struct ClusterConfig {
   /// static ring forwards arbitrarily far around the ring.
   int max_multihop_hops = 0;
 
-  /// Lazy fabric wiring (the default): the constructor performs no pre-job
-  /// wiring — each transport wires its own node span when it is built (the
-  /// rotor's round-0 matchings, the static ring's circuits), so rails light
-  /// up on first traffic and a whole-fabric matching never pre-connects
-  /// ports across future tenant boundaries. Set to false to restore the
-  /// legacy eager pre-wiring (the rotor's round-0 matchings forced at
-  /// construction) — a compat flag kept so tests can pin lazy == eager.
-  /// Fabric normalization (multi-hop settings) happens either way.
-  bool defer_fabric_wiring = true;
-
   /// kRotor only: how many consecutive round-robin matchings are striped
   /// across the NIC ports. 1 (classic) points every port of a node at the
   /// same peer, so the live topology is a perfect matching and traffic
@@ -170,12 +161,7 @@ struct ClusterConfig {
 ///                                   the destination's local rank, then rail
 class Cluster {
  public:
-  /// Owns its FluidNetwork (the single-pod case).
   Cluster(sim::Simulator& sim, ClusterConfig cfg);
-  /// Shares an externally owned FluidNetwork — the multi-pod case: several
-  /// pod Clusters plus inter-pod trunks live on one data plane so cross-pod
-  /// and intra-pod traffic genuinely contend (see net::MultiPodFabric).
-  Cluster(sim::Simulator& sim, FluidNetwork& net, ClusterConfig cfg);
   Cluster(const Cluster&) = delete;
   Cluster& operator=(const Cluster&) = delete;
 
@@ -221,8 +207,8 @@ class Cluster {
   /// kRotor: the circuit layout of rotation round `round` on `rail`. NIC
   /// port p carries matching `round + (p % rotor_port_spread)`, so a spread
   /// of 1 reproduces the classic single-matching rotor and a spread of 2+
-  /// keeps the rail connected for bounded multi-hop forwarding. The Cluster
-  /// constructor wires round 0; the RotorTransport drives the rotation.
+  /// keeps the rail connected for bounded multi-hop forwarding. The
+  /// RotorTransport wires round 0 over its span and drives the rotation.
   std::vector<CircuitRequest> rotor_matching_circuits(RailId rail,
                                                       int round) const;
   /// Span-scoped variant: the matchings of rotation round `round` over just
@@ -351,10 +337,8 @@ class Cluster {
   void abort_span_traffic(NodeSpan span);
 
  private:
-  Cluster(sim::Simulator& sim, FluidNetwork* net, ClusterConfig cfg);
-
   /// Lazy scale-up plumbing: the fluid link behind a GPU's NVSwitch
-  /// injection/ejection port, created on first use. A 4096-node pod whose
+  /// injection/ejection port, created on first use. A 4096-node cluster whose
   /// only tenant spans 64 nodes materializes 128 nodes' worth of NVLink
   /// state, not 4096 (the id tables stay dense — 4 bytes per GPU — but the
   /// heavy per-link solver state lives in the FluidNetwork and is
@@ -436,11 +420,7 @@ class Cluster {
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
-  // Data plane: owned in the single-pod case, external when several pod
-  // Clusters share one network. owned_net_ must precede net_ so the
-  // reference can bind to it.
-  std::unique_ptr<FluidNetwork> owned_net_;
-  FluidNetwork& net_;
+  FluidNetwork net_;
   // Scale-up: per-GPU injection/ejection links into the node's NVSwitch,
   // invalid until first use (see nvl_in/nvl_out).
   std::vector<LinkId> nvl_in_;

@@ -170,52 +170,35 @@ bool OpticalCircuitSwitch::failed(PortId p) const {
 
 int OpticalCircuitSwitch::failed_port_count() const { return failed_ports_; }
 
-void OpticalCircuitSwitch::fail_port(PortId p, bool force) {
+void OpticalCircuitSwitch::fail_port(PortId p) {
   check_port(p);
   const auto i = static_cast<std::size_t>(p.value());
   if (failed_[i]) return;  // idempotent: a double fault changes nothing
-  if (!force) {
-    // Legacy between-kernels injection: the port must be quiescent.
-    ensure(!dark(p), "fail_port: port is mid-reconfiguration");
-    const auto q = peer_[i];
-    if (q >= 0) {
-      for (auto j : {p.value(), q}) {
-        const LinkId l = port_tx_link_[static_cast<std::size_t>(j)];
-        ensure(!l.valid() || net_.active_flows_on(l) == 0,
-               "fail_port: circuit still carrying traffic");
-      }
-    }
-  } else {
-    // Mid-run failure. A port failing while dark holds no circuit — it was
-    // torn down when its reconfiguration began and its dark time charged up
-    // front — so marking it failed suffices and sum(port_dark_time) is
-    // unaffected; the reconfiguration's completion skips re-establishing
-    // any circuit with a failed endpoint. A live circuit's traffic is
-    // handed to the rescuer (re-route or park) or aborted outright. The
-    // port is marked failed BEFORE the rescuer runs: a rescue resend that
-    // consults connectivity must not route back onto the dying circuit.
-    failed_[i] = true;
-    ++failed_ports_;
-    const auto q = peer_[i];
-    if (q >= 0) {
-      for (auto j : {p.value(), q}) {
-        const LinkId l = port_tx_link_[static_cast<std::size_t>(j)];
-        if (!l.valid()) continue;
-        if (flow_rescuer_) {
-          for (const FlowId f : net_.flows_on(l)) flow_rescuer_(f);
-          ensure(net_.active_flows_on(l) == 0,
-                 "fail_port: flow rescuer left traffic on a failed circuit");
-        } else {
-          net_.abort_flows_on(l);
-        }
-      }
-    }
-    tear_down(p);
-    return;
-  }
-  tear_down(p);
+  // A port failing while dark holds no circuit — it was torn down when its
+  // reconfiguration began and its dark time charged up front — so marking
+  // it failed suffices and sum(port_dark_time) is unaffected; the
+  // reconfiguration's completion skips re-establishing any circuit with a
+  // failed endpoint. A live circuit's traffic is handed to the rescuer
+  // (re-route or park) or aborted outright. The port is marked failed
+  // BEFORE the rescuer runs: a rescue resend that consults connectivity
+  // must not route back onto the dying circuit.
   failed_[i] = true;
   ++failed_ports_;
+  const auto q = peer_[i];
+  if (q >= 0) {
+    for (auto j : {p.value(), q}) {
+      const LinkId l = port_tx_link_[static_cast<std::size_t>(j)];
+      if (!l.valid()) continue;
+      if (flow_rescuer_) {
+        for (const FlowId f : net_.flows_on(l)) flow_rescuer_(f);
+        ensure(net_.active_flows_on(l) == 0,
+               "fail_port: flow rescuer left traffic on a failed circuit");
+      } else {
+        net_.abort_flows_on(l);
+      }
+    }
+  }
+  tear_down(p);
 }
 
 void OpticalCircuitSwitch::repair_port(PortId p) {
@@ -307,19 +290,10 @@ void OpticalCircuitSwitch::tear_down(PortId p) {
   }
 }
 
-void OpticalCircuitSwitch::set_dead_circuit_cache(std::size_t circuits) {
-  dead_cache_circuits_ = circuits;
-  prune_dead_circuits();
-}
-
 void OpticalCircuitSwitch::prune_dead_circuits() {
-  // Keep a bounded number of dead circuits cached: by default 2x the switch
-  // radix — bounded by hardware, never by the number of reconfigurations
-  // performed — unless a fabric with a known circuit working set (the
-  // rotor's full rotation cycle) raised the bound.
-  const auto cap = dead_cache_circuits_ != 0
-                       ? dead_cache_circuits_
-                       : static_cast<std::size_t>(2 * n_ports());
+  // Keep a bounded number of dead circuits cached: 2x the switch radix —
+  // bounded by hardware, never by the number of reconfigurations performed.
+  const auto cap = static_cast<std::size_t>(2 * n_ports());
   std::size_t attempts = dead_pairs_.size();
   while (dead_pairs_.size() > cap && attempts-- > 0) {
     const auto pair = dead_pairs_.front();

@@ -148,16 +148,13 @@ class OpticalCircuitSwitch {
     return port_tx_link_[static_cast<std::size_t>(port)];
   }
 
-  /// Fails a port (fiber cut / transceiver death): its circuit is torn down
-  /// and no future circuit may use it until repair_port. The default
-  /// (`force = true`) models a mid-run failure — traffic on the dying
-  /// circuit is handed to the flow rescuer (set_flow_rescuer) or aborted
-  /// outright, and a failure mid-reconfiguration simply marks the port so
-  /// the completion skips re-establishing its circuit. `force = false`
-  /// keeps the legacy between-kernels precondition (quiescent, not dark) —
-  /// the recovery model of LUMION, the paper's fault-recovery companion
-  /// work. Idempotent on an already-failed port.
-  void fail_port(PortId p, bool force = true);
+  /// Fails a port mid-run (fiber cut / transceiver death): its circuit is
+  /// torn down and no future circuit may use it until repair_port. Traffic
+  /// on the dying circuit is handed to the flow rescuer (set_flow_rescuer)
+  /// or aborted outright, and a failure mid-reconfiguration simply marks
+  /// the port so the completion skips re-establishing its circuit.
+  /// Idempotent on an already-failed port.
+  void fail_port(PortId p);
   /// Repairs a failed port: future circuits may use it again. The old
   /// circuit is NOT restored — owners re-wire on their own schedule (rotor
   /// next rotation, ring re-splice, Opus next plan); the topology listener
@@ -189,7 +186,7 @@ class OpticalCircuitSwitch {
   void set_topology_listener(std::function<void()> cb) {
     topology_listener_ = std::move(cb);
   }
-  /// When set, a forced fail_port hands each flow on the dying circuit to
+  /// When set, fail_port hands each flow on the dying circuit to
   /// this callback (which must abort and re-route or park it) instead of
   /// aborting it silently.
   void set_flow_rescuer(std::function<void(FlowId)> cb) {
@@ -243,15 +240,6 @@ class OpticalCircuitSwitch {
   /// Instantly establishes circuits with no dark period. Intended for t=0
   /// initial topology (e.g. a pre-job configuration); counts no stats.
   void force_circuits(const std::vector<CircuitRequest>& circuits);
-
-  /// Overrides the dead-circuit cache bound (in circuits; 0 restores the
-  /// default of 2x the port count). A rotor fabric sets this to its whole
-  /// rotation cycle so every matching's fluid links are created exactly
-  /// once and reused each cycle — with the default bound, every rotation
-  /// would retire and recreate ~n_ports links, which profiling shows
-  /// dominates large-rotor runs. The active-state fluid solver's cost is
-  /// unaffected by cached-but-idle links; only memory is spent.
-  void set_dead_circuit_cache(std::size_t circuits);
 
   /// Set of ports a reconfiguration request would touch (new + old peers).
   std::vector<PortId> touched_ports(
@@ -366,8 +354,6 @@ class OpticalCircuitSwitch {
   // their fluid links to FluidNetwork's free list.
   std::deque<std::pair<std::int32_t, std::int32_t>> dead_pairs_;
   std::unordered_set<std::uint64_t> queued_dead_;
-  /// Cache bound override in circuits (0 = default 2x n_ports).
-  std::size_t dead_cache_circuits_ = 0;
   Stats stats_;
 };
 

@@ -123,22 +123,6 @@ TEST(Determinism, RotorExperimentIsBitIdentical) {
   EXPECT_GT(a.rotor_rotations, 0) << "the workload must exercise rotation";
 }
 
-TEST(Determinism, LazyWiringMatchesEagerWiringOnEveryFabric) {
-  // Lazy fabric wiring (the default) permutes LinkId allocation order
-  // relative to the legacy eager pre-wiring, but the fluid solver never
-  // orders by id value — flows iterate in start order and links in touch
-  // order — so the full trace must be bit-identical either way. This pins
-  // the defer_fabric_wiring default flip as a pure representation change.
-  for (net::FabricKind kind : net::kAllFabrics) {
-    SCOPED_TRACE(net::fabric_name(kind));
-    core::ExperimentConfig lazy = tiny_config(kind);
-    core::ExperimentConfig eager = tiny_config(kind);
-    eager.eager_fabric_wiring = true;
-    expect_bit_identical(core::run_experiment(lazy),
-                         core::run_experiment(eager));
-  }
-}
-
 TEST(Determinism, TelemetryOnMatchesTelemetryOff) {
   // The obs subsystem's core contract: full telemetry (metrics gauges, the
   // periodic probe, chrome tracing, self-profiling) is pure observation —

@@ -44,20 +44,9 @@ TEST(FaultRecovery, FailPortTearsCircuitAndBlocksReuse) {
   EXPECT_TRUE(sw.connected(PortId{1}, PortId{3}));
 }
 
-TEST(FaultRecovery, FailBusyPortRequiresForce) {
-  // force=false keeps the legacy LUMION-style contract: failure injection
-  // between kernels only, so a busy port trips the precondition.
-  sim::Simulator sim;
-  net::Cluster c(sim, photonic_cfg(2, 2));
-  auto& sw = c.ocs(RailId{0});
-  sw.force_circuits({{PortId{0}, PortId{2}}});
-  c.network().start_flow({sw.link(PortId{0}, PortId{2})}, gib(1), 0, nullptr);
-  EXPECT_THROW(sw.fail_port(PortId{0}, /*force=*/false), InvariantError);
-}
-
 TEST(FaultRecovery, ForcedFailAbortsLiveTrafficAndTearsCircuit) {
-  // The (default) forced path models a mid-run failure: without a rescuer
-  // installed the circuit's flows are aborted outright and the circuit torn.
+  // A mid-run failure without a rescuer installed aborts the circuit's flows
+  // outright and tears the circuit.
   sim::Simulator sim;
   net::Cluster c(sim, photonic_cfg(2, 2));
   auto& sw = c.ocs(RailId{0});

@@ -1,7 +1,7 @@
 // Scale-independent state: a 4096-node cluster hosting one 64-node tenant
 // must allocate solver-visible state proportional to the tenant's span, not
-// the cluster — the refactor that makes multi-pod 4096-node fabrics cheap
-// to instantiate. Pinned via the instrumented allocation counters:
+// the cluster — the refactor that makes 4096-node fabrics cheap to
+// instantiate. Pinned via the instrumented allocation counters:
 // FluidNetwork::link_count() (every materialized link), the cluster's
 // span-indexed tenant store, and the placement engine's extent counters.
 #include <gtest/gtest.h>
