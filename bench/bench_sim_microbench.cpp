@@ -96,7 +96,8 @@ void BM_FluidMaxMinResolve(benchmark::State& state) {
     std::vector<LinkId> links;
     for (int i = 0; i < 64; ++i) links.push_back(net.add_link(Bandwidth::gbps(400)));
     for (int f = 0; f < flows; ++f) {
-      // Each start_flow re-solves max-min over all active flows.
+      // The starts coalesce into one max-min solve at the end of the
+      // instant; completions then re-solve once per completion instant.
       net.start_flow({links[static_cast<std::size_t>(f % 64)],
                       links[static_cast<std::size_t>((f + 7) % 64)]},
                      mib(1), 0, nullptr);
@@ -109,12 +110,14 @@ void BM_FluidMaxMinResolve(benchmark::State& state) {
 BENCHMARK(BM_FluidMaxMinResolve)->Arg(16)->Arg(64)->Arg(256);
 
 // Flow-registry iteration cost: N long-lived flows held active while a
-// link's capacity flaps, so every tick is one full max-min re-solve over the
-// registry (the static-ring hot path in miniature: the 512-node cell does
-// 2.87M such solves). With the hash-map registry each re-solve iterated an
-// unordered_map and hashed a FlowId per per-link lookup; the dense
-// slot-indexed registry walks a contiguous active-slot index and resolves
-// every id with an array index. items/s = flow re-rates per second.
+// link's capacity flaps, and every tick forces the pending solve with an
+// allocated_bps read (set_capacity alone only marks the network dirty), so
+// each tick is one full max-min re-solve over the registry (the static-ring
+// hot path in miniature: the 512-node cell does 2.87M such solves). With the
+// hash-map registry each re-solve iterated an unordered_map and hashed a
+// FlowId per per-link lookup; the dense slot-indexed registry walks a
+// contiguous active-slot index and resolves every id with an array index.
+// items/s = flow re-rates per second.
 void BM_FluidRegistryIteration(benchmark::State& state) {
   const auto flows = static_cast<int>(state.range(0));
   sim::Simulator sim;
@@ -134,7 +137,7 @@ void BM_FluidRegistryIteration(benchmark::State& state) {
     wide = !wide;
     net.set_capacity(links[0],
                      wide ? Bandwidth::gbps(800) : Bandwidth::gbps(400));
-    benchmark::DoNotOptimize(net.active_flow_count());
+    benchmark::DoNotOptimize(net.allocated_bps(links[0]));
   }
   state.SetItemsProcessed(state.iterations() * flows);
 }

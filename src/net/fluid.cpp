@@ -29,6 +29,14 @@ constexpr TimeNs kMaxSchedulableNs =
     2 * static_cast<TimeNs>(kMaxCompletionHorizonNs);
 }  // namespace
 
+FluidNetwork::FluidNetwork(sim::Simulator& sim)
+    : sim_(sim), flush_hook_(sim.add_instant_hook([this] { flush(); })) {}
+
+FluidNetwork::~FluidNetwork() {
+  sim_.remove_instant_hook(flush_hook_);
+  if (completion_event_.valid()) sim_.cancel(completion_event_);
+}
+
 LinkId FluidNetwork::add_link(Bandwidth capacity, std::string name) {
   ensure(capacity.bits_per_sec >= 0.0, "link capacity must be non-negative");
   if (!free_.empty()) {
@@ -83,7 +91,7 @@ void FluidNetwork::set_capacity(LinkId link, Bandwidth capacity) {
   const auto li = static_cast<std::size_t>(link.value());
   links_[li].capacity = capacity;
   cap_bytes_per_ns_[li] = capacity.bytes_per_ns();
-  recompute();
+  mark_dirty();
 }
 
 FluidNetwork::Flow* FluidNetwork::find_flow(FlowId flow) {
@@ -171,7 +179,7 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Bytes bytes,
   attach_to_links(id, f);
   f.draining_pos = static_cast<std::uint32_t>(draining_.size());
   draining_.push_back(slot);
-  recompute();
+  mark_dirty();
   return id;
 }
 
@@ -188,7 +196,7 @@ bool FluidNetwork::abort_flow(FlowId flow) {
   detach_from_links(flow, *f);
   remove_from_draining(*f);
   release_slot(flow.slot());
-  recompute();
+  mark_dirty();
   return true;
 }
 
@@ -218,7 +226,8 @@ bool FluidNetwork::flow_active(FlowId flow) const {
   return find_flow(flow) != nullptr;
 }
 
-double FluidNetwork::flow_rate_bps(FlowId flow) const {
+double FluidNetwork::flow_rate_bps(FlowId flow) {
+  flush();
   const Flow* f = find_flow(flow);
   ensure(f != nullptr, "flow_rate_bps: flow not active");
   return f->rate_bytes_per_ns * 8e9;
@@ -227,14 +236,17 @@ double FluidNetwork::flow_rate_bps(FlowId flow) const {
 Bytes FluidNetwork::flow_remaining(FlowId flow) const {
   const Flow* f = find_flow(flow);
   ensure(f != nullptr, "flow_remaining: flow not active");
-  // Progress is charged lazily; account for time since the last charge.
+  // Progress is charged lazily; account for time since the last charge. A
+  // pending solve does not matter: it changes rates from now on, and no time
+  // passes within an instant.
   const double elapsed = static_cast<double>(sim_.now() - f->last_charged);
   const double rem = f->remaining_bytes - f->rate_bytes_per_ns * elapsed;
   return static_cast<Bytes>(std::max(rem, 0.0));
 }
 
-double FluidNetwork::allocated_bps(LinkId link) const {
+double FluidNetwork::allocated_bps(LinkId link) {
   check_live_link(link);
+  flush();
   const auto li = static_cast<std::size_t>(link.value());
   double bps = 0.0;
   for (FlowId id : link_state_[li].flows) {
@@ -418,7 +430,17 @@ void FluidNetwork::reschedule_completion_event() {
       sim_.schedule_at(earliest, [this] { on_completion_event(); });
 }
 
-void FluidNetwork::recompute() {
+void FluidNetwork::mark_dirty() {
+  if (dirty_) return;
+  dirty_ = true;
+  sim_.request_instant_hook(flush_hook_);
+}
+
+void FluidNetwork::flush() {
+  // An on-demand settle leaves the hook request queued; it finds the rates
+  // clean and returns.
+  if (!dirty_) return;
+  dirty_ = false;
   ProfileScope prof(profile_sink_, profile_phase_recompute_);
   ++solve_count_;
   solve_max_min();
@@ -465,7 +487,7 @@ void FluidNetwork::on_completion_event() {
       }
     }
   }
-  recompute();
+  mark_dirty();
   // completed_flow_count() counts at delivery (drain + extra_latency), like
   // the zero-byte path — never ahead of the observable callbacks.
   for (auto& [latency, cb] : done) {
@@ -476,7 +498,7 @@ void FluidNetwork::on_completion_event() {
       });
     } else {
       ++completed_;
-      if (cb) cb();  // may start new flows; recompute happens in start_flow
+      if (cb) cb();  // may start new flows; they join this instant's solve
     }
   }
 }

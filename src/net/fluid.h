@@ -1,12 +1,22 @@
 // Flow-level ("fluid") network model.
 //
 // Long-lived transfers are modelled as fluid flows over paths of
-// capacity-limited unidirectional links. Whenever the set of flows (or a link
-// capacity) changes, rates are re-solved with progressive filling (max-min
-// fairness) and the single earliest-completion event is rescheduled. This is
-// the standard first-order approximation used by flow-level datacenter
-// simulators and is exact for the dedicated point-to-point circuits of a
-// photonic rail.
+// capacity-limited unidirectional links. Rates are solved with progressive
+// filling (max-min fairness) and the single earliest-completion event is
+// rescheduled once per simulated instant in which the set of flows (or a
+// link capacity) changed. This is the standard first-order approximation
+// used by flow-level datacenter simulators and is exact for the dedicated
+// point-to-point circuits of a photonic rail.
+//
+// The solve is deferred to the end of the instant: start_flow, abort_flow,
+// set_capacity and the completion handler only mark the network dirty, and
+// a Simulator end-of-instant hook solves once after the instant's last
+// event. A collective step that launches hundreds of flows at one timestamp
+// thus pays for one solve, not one per flow. No simulated time passes inside
+// an instant, so the answer equals the last of the per-call solves it
+// replaces. flow_rate_bps and allocated_bps settle a pending solve on
+// demand (they are non-const, so observers holding a const FluidNetwork&
+// cannot perturb the solve count); flow_remaining needs no solve.
 //
 // The solver scales with *active* state, not lifetime state: each re-solve
 // touches only the links crossed by at least one active flow (epoch-stamped
@@ -55,7 +65,10 @@ struct Link {
 /// The fluid-flow engine. One instance models the whole cluster's data plane.
 class FluidNetwork {
  public:
-  explicit FluidNetwork(sim::Simulator& sim) : sim_(sim) {}
+  explicit FluidNetwork(sim::Simulator& sim);
+  /// Unregisters the flush hook and cancels the completion event, so the
+  /// simulator may keep running after the network is gone.
+  ~FluidNetwork();
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
@@ -81,7 +94,7 @@ class FluidNetwork {
   bool link_retired(LinkId link) const;
 
   /// Changes a link's capacity (used for failure injection / degradation
-  /// tests). Active flows immediately re-share.
+  /// tests). Active flows re-share at the end of the current instant.
   void set_capacity(LinkId link, Bandwidth capacity);
 
   /// Starts a flow of `bytes` over `path` (ordered, duplicate-free link ids).
@@ -114,8 +127,8 @@ class FluidNetwork {
   }
 
   /// Current rate of an active flow in bits/sec (0 for stalled flows and
-  /// pending zero-byte flows).
-  double flow_rate_bps(FlowId flow) const;
+  /// pending zero-byte flows). Settles a pending solve first.
+  double flow_rate_bps(FlowId flow);
   /// Bytes not yet drained for an active flow.
   Bytes flow_remaining(FlowId flow) const;
   /// True while the flow occupies a registry slot: draining, or a zero-byte
@@ -135,13 +148,15 @@ class FluidNetwork {
   /// Sum of the current rates (bits/sec) of the flows crossing `link`.
   /// Never exceeds the link capacity (a max-min allocation invariant; the
   /// sum is clamped so bottleneck-set freezing cannot overshoot by
-  /// floating-point slack). O(flows on the link).
-  double allocated_bps(LinkId link) const;
+  /// floating-point slack). O(flows on the link). Settles a pending solve
+  /// first.
+  double allocated_bps(LinkId link);
   /// Flows whose drain completed *and* whose completion was delivered
   /// (zero-byte flows count when their latency elapses, not at start_flow).
   std::uint64_t completed_flow_count() const { return completed_; }
 
-  /// Max-min re-solves performed (recompute calls). Telemetry gauge.
+  /// Max-min solves performed (at most one per dirty instant, plus on-demand
+  /// settles). Telemetry gauge.
   std::int64_t solve_count() const { return solve_count_; }
   /// Progressive-filling rounds across all solves: each round freezes one
   /// bottleneck set. Telemetry gauge.
@@ -151,8 +166,8 @@ class FluidNetwork {
     return frozen_bottleneck_links_;
   }
 
-  /// Opt-in wall-clock sink timing each re-solve (obs self-profiling).
-  /// Null (the default) costs one branch per recompute.
+  /// Opt-in wall-clock sink timing each solve (obs self-profiling).
+  /// Null (the default) costs one branch per solve.
   void set_profile_sink(ProfileSink* sink);
 
  private:
@@ -238,8 +253,11 @@ class FluidNetwork {
   void push_completion(TimeNs time, std::uint32_t slot,
                        std::uint32_t generation);
   void pop_completion_top();
-  /// Re-solves max-min fair rates and reschedules the completion event.
-  void recompute();
+  /// Marks the rates stale and requests the end-of-instant flush.
+  void mark_dirty();
+  /// If the rates are stale: re-solves max-min fair rates and reschedules
+  /// the completion event (the end-of-instant hook, and on-demand reads).
+  void flush();
   void solve_max_min();
   /// Drops stale heap entries, compacts a bloated heap, and (re)schedules
   /// the single completion event at the heap's earliest valid instant.
@@ -250,6 +268,9 @@ class FluidNetwork {
   void remove_from_draining(Flow& f);
 
   sim::Simulator& sim_;
+  sim::Simulator::HookId flush_hook_;
+  /// True while a flow-set or capacity change awaits its solve.
+  bool dirty_ = false;
   std::vector<Link> links_;
   std::vector<LinkState> link_state_;
   /// links_[i].capacity.bytes_per_ns(), cached so the solve's per-touched-
@@ -292,7 +313,7 @@ class FluidNetwork {
   std::int64_t solve_rounds_ = 0;
   std::int64_t frozen_bottleneck_links_ = 0;
 
-  // Opt-in wall-clock profiling of the re-solve (null = off).
+  // Opt-in wall-clock profiling of the solve (null = off).
   ProfileSink* profile_sink_ = nullptr;
   int profile_phase_recompute_ = -1;
 };

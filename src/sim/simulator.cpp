@@ -28,6 +28,30 @@ EventId Simulator::schedule_at(TimeNs t, Callback cb) {
   return id;
 }
 
+Simulator::HookId Simulator::add_instant_hook(Callback cb) {
+  ensure(static_cast<bool>(cb), "Simulator::add_instant_hook: empty callback");
+  hooks_.push_back(InstantHook{std::move(cb), false});
+  return static_cast<HookId>(hooks_.size() - 1);
+}
+
+void Simulator::remove_instant_hook(HookId hook) {
+  ensure(hook < hooks_.size(), "Simulator::remove_instant_hook: unknown hook");
+  // The slot stays (ids are never reused); a queued request is skipped.
+  hooks_[hook] = InstantHook{};
+}
+
+void Simulator::run_instant_hooks() {
+  // Request order is run order, so runs are deterministic. Indexing (not
+  // iterators) lets a hook append a fresh request to the queue mid-loop.
+  for (std::size_t i = 0; i < hook_queue_.size(); ++i) {
+    InstantHook& h = hooks_[hook_queue_[i]];
+    if (!h.requested) continue;  // removed since the request
+    h.requested = false;
+    h.cb();
+  }
+  hook_queue_.clear();
+}
+
 bool Simulator::cancel(EventId id) {
   return callbacks_.erase(id) > 0;  // calendar entry becomes a tombstone
 }
@@ -148,7 +172,11 @@ bool Simulator::position() {
   for (;;) {
     if (drain_idx_ < 0) {
       const int idx = settle();
-      if (idx < 0) return false;
+      if (idx < 0) {
+        if (hook_queue_.empty()) return false;
+        run_instant_hooks();  // the queue drained: close the last instant
+        continue;
+      }
       drain_idx_ = idx;
       drain_pos_ = 0;
       drain_time_ = static_cast<TimeNs>(
@@ -167,12 +195,28 @@ bool Simulator::position() {
     auto& v = wheels_[0].bucket[static_cast<std::size_t>(drain_idx_)];
     while (drain_pos_ < v.size()) {
       const Entry& e = v[drain_pos_];
-      if (e.time == drain_time_ && callbacks_.contains(e.id)) return true;
+      if (e.time == drain_time_ && callbacks_.contains(e.id)) break;
       ++drain_pos_;  // dead lap straggler or tombstone
+    }
+    if (drain_pos_ < v.size()) {
+      // The cursor sits past now_ when hooks were requested between run
+      // calls (after a run_until peek, or before the first event): they
+      // close the instant at now_ before this later entry fires. They may
+      // cancel it or rebase the calendar, so re-position afterwards.
+      if (drain_time_ > now_ && !hook_queue_.empty()) {
+        run_instant_hooks();
+        continue;
+      }
+      return true;
     }
     v.clear();
     wheels_[0].occupied &= ~bit(drain_idx_);
     drain_idx_ = -1;
+    // With the origin at now_, every entry at now_ files into the bucket
+    // just drained, so the instant is over. Run its hooks now, before
+    // settle() advances the origin: an event a hook schedules at or near
+    // now_ then files without a rebase (it would land below base_ after).
+    if (base_ == now_ && !hook_queue_.empty()) run_instant_hooks();
   }
 }
 

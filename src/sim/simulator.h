@@ -19,10 +19,23 @@
 // bucket holds exactly one timestamp, and its entries are sorted by
 // sequence number before delivery, so the total order is (time, seq) —
 // bit-identical to the binary heap it replaced.
+//
+// End-of-instant hooks let a component batch work per simulated instant. A
+// component registers a hook once and requests it whenever its state goes
+// stale; every request made during an instant coalesces into one run, after
+// the last event at now() has fired and before time advances (or, if no
+// event is left, before the drain loop returns). Events a hook schedules at
+// now() still fire within the same instant. Hooks requested outside any
+// event (between run calls, e.g. after a run_until peek) run on the next
+// run call, once no event at now() is left and before any later one fires.
+// Hooks are not events: they neither count in events_fired() nor carry a
+// sequence number. The fluid network uses one to re-solve rates once per
+// instant instead of once per flow start.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <limits>
 #include <unordered_map>
@@ -71,15 +84,37 @@ class Simulator {
   /// Returns true if `id` is scheduled and not yet fired or cancelled.
   bool pending(EventId id) const { return callbacks_.contains(id); }
 
-  /// Runs until the event queue is empty. Returns the number of events fired.
+  /// Runs until the event queue is empty and no hook is pending. Returns the
+  /// number of events fired.
   std::uint64_t run();
 
-  /// Runs events with time <= `limit`. Afterwards now() == min(limit, last
-  /// event time) if events fired, else now() is advanced to `limit`.
+  /// Runs events with time <= `limit`, then advances now() to `limit`. The
+  /// instant of the last fired event is closed (its hooks have run); hooks
+  /// requested after the call returns run on the next run call.
   std::uint64_t run_until(TimeNs limit);
 
   /// Executes at most `max_events` events. Returns the number fired.
+  /// Stopping mid-instant leaves requested hooks pending for the next run.
   std::uint64_t run_steps(std::uint64_t max_events);
+
+  /// Handle of a registered end-of-instant hook.
+  using HookId = std::uint32_t;
+
+  /// Registers `cb` as an end-of-instant hook. It runs only when requested.
+  HookId add_instant_hook(Callback cb);
+
+  /// Unregisters a hook, dropping any pending request. Its owner must call
+  /// this before it is destroyed if the simulator may run again.
+  void remove_instant_hook(HookId hook);
+
+  /// Requests one run of `hook` at the end of the current instant. Repeated
+  /// requests before that run coalesce; a hook may re-request itself.
+  void request_instant_hook(HookId hook) {
+    InstantHook& h = hooks_[hook];
+    if (h.requested || !h.cb) return;
+    h.requested = true;
+    hook_queue_.push_back(hook);
+  }
 
   /// Number of pending (non-cancelled) events.
   std::size_t pending_events() const { return callbacks_.size(); }
@@ -102,6 +137,11 @@ class Simulator {
   /// timestamp maps to some wheel and no overflow list is needed.
   static constexpr int kLevels = 11;
 
+  struct InstantHook {
+    Callback cb;  ///< null once removed
+    bool requested = false;
+  };
+
   struct Wheel {
     std::array<std::vector<Entry>, 64> bucket;
     std::uint64_t occupied = 0;  ///< bit i set iff bucket[i] is non-empty
@@ -118,8 +158,12 @@ class Simulator {
   /// bucket, cascading higher wheels as needed. Returns the bucket index,
   /// or -1 if no live entries remain (all-tombstone state is purged).
   int settle();
+  /// Runs requested hooks in request order until none is pending.
+  void run_instant_hooks();
   /// Parks the drain cursor (drain_idx_/drain_pos_/drain_time_) on the next
-  /// live entry without firing it. Returns false if the queue is empty.
+  /// live entry without firing it, running pending hooks first once no
+  /// entry at now_ is left. Returns false if the queue is empty and no hook
+  /// is pending.
   bool position();
   /// Fires the next live event, if any. Returns false if the queue is empty.
   bool fire_next();
@@ -139,6 +183,10 @@ class Simulator {
   std::array<Wheel, kLevels> wheels_;
   std::vector<Entry> cascade_scratch_;
   std::unordered_map<EventId, Callback> callbacks_;
+  /// Registered hooks (a deque: registering one never moves the callback
+  /// of a hook that is running) and the pending requests in request order.
+  std::deque<InstantHook> hooks_;
+  std::vector<HookId> hook_queue_;
   ProfileSink* profile_sink_ = nullptr;
   int profile_phase_run_ = -1;
 };

@@ -1,7 +1,14 @@
-// Unit tests for the max-min fair fluid flow network.
+// Unit tests for the max-min fair fluid flow network, including the
+// once-per-instant solve batching.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "common/error.h"
+#include "config/presets.h"
+#include "core/experiment.h"
+#include "net/cluster.h"
 #include "net/fluid.h"
 #include "sim/simulator.h"
 
@@ -162,6 +169,94 @@ TEST_F(FluidTest, ActiveFlowsOnCountsPathMembership) {
   net.start_flow({l1}, 1'000'000'000, 0, nullptr);
   EXPECT_EQ(net.active_flows_on(l1), 2);
   EXPECT_EQ(net.active_flows_on(l2), 1);
+}
+
+// ---------------------------------------------------------------------------
+// Batched solving: one max-min solve per simulated instant.
+// ---------------------------------------------------------------------------
+
+TEST_F(FluidTest, FlowStartsAtOneInstantCostOneSolve) {
+  // A fan-out at t=1us: 8 flows on 4 links, two per link, plus one flow
+  // crossing links 0 and 1. Max-min: link 0 and 1 carry three flows each
+  // (100/3 G); links 2 and 3 carry two (50 G).
+  std::vector<LinkId> links;
+  for (int i = 0; i < 4; ++i) links.push_back(net.add_link(k100G));
+  std::vector<FlowId> flows;
+  sim.schedule_at(usecs(1), [&] {
+    for (int i = 0; i < 8; ++i) {
+      flows.push_back(net.start_flow({links[static_cast<std::size_t>(i % 4)]},
+                                     1'000'000'000, 0, nullptr));
+    }
+    flows.push_back(net.start_flow({links[0], links[1]}, 1'000'000'000, 0,
+                                   nullptr));
+  });
+  const std::int64_t before = net.solve_count();
+  sim.run_until(usecs(1));
+  EXPECT_EQ(net.solve_count(), before + 1) << "one solve for nine flow starts";
+  for (int i = 0; i < 8; ++i) {
+    EXPECT_NEAR(net.flow_rate_bps(flows[static_cast<std::size_t>(i)]),
+                i % 4 < 2 ? 100e9 / 3 : 50e9, 1e6)
+        << "flow " << i;
+  }
+  EXPECT_NEAR(net.flow_rate_bps(flows[8]), 100e9 / 3, 1e6);
+  EXPECT_EQ(net.solve_count(), before + 1) << "reads after the flush are free";
+}
+
+TEST_F(FluidTest, MidInstantReadsReturnSettledRates) {
+  const LinkId l = net.add_link(k100G);
+  double first_alone = -1.0;
+  double first_shared = -1.0;
+  double link_bps = -1.0;
+  sim.schedule_at(usecs(3), [&] {
+    const FlowId a = net.start_flow({l}, 1'000'000'000, 0, nullptr);
+    first_alone = net.flow_rate_bps(a);
+    net.start_flow({l}, 1'000'000'000, 0, nullptr);
+    first_shared = net.flow_rate_bps(a);
+    link_bps = net.allocated_bps(l);
+  });
+  sim.run_until(usecs(3));
+  EXPECT_NEAR(first_alone, 100e9, 1e6);
+  EXPECT_NEAR(first_shared, 50e9, 1e6);
+  EXPECT_NEAR(link_bps, 100e9, 1e6);
+}
+
+TEST(FluidLifetime, DestroyWithPendingFlushThenRunSimulator) {
+  sim::Simulator sim;
+  bool fired = false;
+  {
+    FluidNetwork net(sim);
+    const LinkId l = net.add_link(k100G);
+    net.start_flow({l}, 125'000'000, 0, [&] { fired = true; });
+    sim.run_until(usecs(1));  // a solve schedules the completion event
+    net.start_flow({l}, 125'000'000, 0, [&] { fired = true; });
+  }  // destroyed with the second flow's flush still pending
+  sim.schedule_at(usecs(5), [] {});
+  EXPECT_EQ(sim.run(), 1u) << "the network's completion event died with it";
+  EXPECT_FALSE(fired);
+}
+
+TEST(FluidBatching, Table3OpusPresetSolvesFarFewerTimesThanFlowsComplete) {
+  // Regression guard for batching on the paper's system: each collective
+  // step launches its fan-out at one instant, so solves must track
+  // instants, not flows (one solve per flow start gives a ratio above 1).
+  // A step solves twice (at launch and at drain), so the 10x bar needs a
+  // fan-out above 20 flows: the 8-node preset (2-8 flows per step) sits
+  // near 1 solve per 2 flows; the 64-node one (32-way data parallel) is the
+  // smallest Table-3 preset that clears it.
+  const core::ExperimentConfig* cfg =
+      config::find_experiment_preset("table3_opus_64");
+  ASSERT_NE(cfg, nullptr);
+  sim::Simulator sim;
+  Cluster cluster(sim, core::cluster_config_for(*cfg));
+  core::Tenant tenant = core::build_tenant(
+      sim, cluster, *cfg, NodeSpan{0, cluster.n_nodes()});
+  tenant.engine->run_to_completion(tenant.dag, cfg->iterations);
+  const FluidNetwork& net = cluster.network();
+  ASSERT_GT(net.completed_flow_count(), 0u);
+  EXPECT_LT(static_cast<std::uint64_t>(net.solve_count()),
+            net.completed_flow_count() / 10)
+      << net.solve_count() << " solves for " << net.completed_flow_count()
+      << " flows";
 }
 
 // Property sweep: N equal flows on one link each get capacity/N and all

@@ -33,6 +33,7 @@ TEST_F(FluidEdgeTest, NearStalledFlowClampsCompletionEvent) {
   const LinkId slow = net.add_link(Bandwidth::bps(1.0));
   TimeNs done = -1;
   net.start_flow({slow}, gib(2), 0, [&] { done = sim.now(); });
+  sim.run_until(sim.now());  // the completion event is scheduled at instant end
   EXPECT_GT(sim.pending_events(), 0u)
       << "a positive-rate flow must keep a (clamped) completion event";
   sim.run_until(msecs(1));

@@ -1,7 +1,9 @@
 // Unit tests for the discrete-event engine: ordering, determinism,
-// cancellation, and the run_until / run_steps contracts.
+// cancellation, the run_until / run_steps contracts, and end-of-instant
+// hooks.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -263,6 +265,123 @@ TEST(Simulator, MidDrainSameInstantAppendFiresLast) {
   sim.schedule_at(5, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+// ---------------------------------------------------------------------------
+// End-of-instant hooks.
+// ---------------------------------------------------------------------------
+
+TEST(Simulator, ManyRequestsInOneInstantRunTheHookOnce) {
+  Simulator sim;
+  int runs = 0;
+  const Simulator::HookId hook = sim.add_instant_hook([&] { ++runs; });
+  for (int i = 0; i < 5; ++i) {
+    sim.schedule_at(10, [&] {
+      sim.request_instant_hook(hook);
+      sim.request_instant_hook(hook);
+    });
+  }
+  sim.schedule_at(20, [&] { sim.request_instant_hook(hook); });
+  EXPECT_EQ(sim.run(), 6u);
+  EXPECT_EQ(runs, 2) << "one run per requesting instant";
+  EXPECT_EQ(sim.events_fired(), 6u) << "hooks are not events";
+}
+
+TEST(Simulator, HookRunsBeforeTimeAdvancesAndWhenTheQueueDrains) {
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> log;  // (0 = event, 1 = hook, now)
+  const Simulator::HookId hook =
+      sim.add_instant_hook([&] { log.emplace_back(1, sim.now()); });
+  auto event = [&] {
+    log.emplace_back(0, sim.now());
+    sim.request_instant_hook(hook);
+  };
+  sim.schedule_at(5, event);
+  sim.schedule_at(5, event);
+  sim.schedule_at(9, event);
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {0, 5}, {0, 5}, {1, 5}, {0, 9}, {1, 9}}));
+}
+
+TEST(Simulator, EventsAHookSchedulesAtNowFireWithinTheInstant) {
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> log;
+  bool rescheduled = false;
+  Simulator::HookId hook{};
+  hook = sim.add_instant_hook([&] {
+    log.emplace_back(1, sim.now());
+    if (rescheduled) return;
+    rescheduled = true;
+    sim.schedule_at(sim.now(), [&] {
+      log.emplace_back(2, sim.now());
+      sim.request_instant_hook(hook);  // closes the instant once more
+    });
+  });
+  sim.schedule_at(5, [&] {
+    log.emplace_back(0, sim.now());
+    sim.request_instant_hook(hook);
+  });
+  sim.schedule_at(6, [&] { log.emplace_back(0, sim.now()); });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {0, 5}, {1, 5}, {2, 5}, {1, 5}, {0, 6}}));
+}
+
+TEST(Simulator, RequestAfterRunUntilPeekFlushesBeforeTheLaterEvent) {
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> log;
+  const Simulator::HookId hook = sim.add_instant_hook([&] {
+    log.emplace_back(1, sim.now());
+    sim.schedule_at(sim.now() + 10, [&] { log.emplace_back(2, sim.now()); });
+  });
+  sim.schedule_at(1'000'000, [&] { log.emplace_back(0, sim.now()); });
+  // The peek parks the drain cursor on the far event, past now().
+  EXPECT_EQ(sim.run_until(50), 0u);
+  sim.request_instant_hook(hook);  // a mutation between run calls
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {1, 50}, {2, 60}, {0, 1'000'000}}));
+}
+
+TEST(Simulator, RunUntilNowFlushesARequestMadeBetweenRuns) {
+  Simulator sim;
+  int runs = 0;
+  const Simulator::HookId hook = sim.add_instant_hook([&] { ++runs; });
+  sim.request_instant_hook(hook);  // empty queue, nothing to peek at
+  EXPECT_EQ(sim.run_until(sim.now()), 0u);
+  EXPECT_EQ(runs, 1);
+}
+
+TEST(Simulator, RunStepsStoppingMidInstantKeepsTheHookPending) {
+  Simulator sim;
+  std::vector<std::pair<int, TimeNs>> log;
+  const Simulator::HookId hook =
+      sim.add_instant_hook([&] { log.emplace_back(1, sim.now()); });
+  for (int i = 0; i < 3; ++i) {
+    sim.schedule_at(5, [&] {
+      log.emplace_back(0, sim.now());
+      sim.request_instant_hook(hook);
+    });
+  }
+  sim.schedule_at(8, [&] { log.emplace_back(0, sim.now()); });
+  EXPECT_EQ(sim.run_steps(2), 2u);
+  EXPECT_EQ(log.size(), 2u) << "the instant at 5 is not over yet";
+  sim.run();
+  EXPECT_EQ(log, (std::vector<std::pair<int, TimeNs>>{
+                     {0, 5}, {0, 5}, {0, 5}, {1, 5}, {0, 8}}));
+}
+
+TEST(Simulator, RemovedHookNeverRuns) {
+  Simulator sim;
+  int runs = 0;
+  const Simulator::HookId hook = sim.add_instant_hook([&] { ++runs; });
+  sim.request_instant_hook(hook);
+  sim.remove_instant_hook(hook);
+  sim.request_instant_hook(hook);  // ignored once removed
+  sim.schedule_at(3, [] {});
+  sim.run();
+  EXPECT_EQ(runs, 0);
 }
 
 TEST(Simulator, DeterministicAcrossRuns) {
