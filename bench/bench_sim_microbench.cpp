@@ -225,12 +225,13 @@ void BM_EngineEventScaling(benchmark::State& state) {
 BENCHMARK(BM_EngineEventScaling)->Arg(64)->Arg(256)->Arg(512);
 
 // Batched rotor rotation on a 512-port OCS: every iteration replays a
-// pre-registered perfect matching as one transaction — one dark interval,
-// one completion event, O(ports) array work on pinned fluid links, no
-// per-port hash-map churn and no link retirement. Per-rotation cost must
-// stay flat however many rotations have already run (the rotor perf
-// ceiling: the generic per-port path made the 512-node matrix cell scale
-// with lifetime circuit churn). items/s = circuits established.
+// pre-registered perfect matching through the switch's one reconfiguration
+// transaction — one dark interval, one completion event, O(ports) array
+// work on pinned fluid links, no sort, hash or list copy per rotation and
+// no link retirement. Per-rotation cost must stay flat however many
+// rotations have already run (the rotor perf ceiling: re-resolving and
+// retiring links per rotation made the 512-node matrix cell scale with
+// lifetime circuit churn). items/s = circuits established.
 void BM_OcsBatchRotation(benchmark::State& state) {
   constexpr int kPorts = 512;
   constexpr int kRounds = 64;

@@ -1,8 +1,6 @@
 #include "core/controller.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "common/error.h"
 
@@ -96,11 +94,6 @@ void OpusController::execute(Job job) {
 
   for (const RailCircuits& rc : job.layout) {
     auto& owners = owner_[static_cast<std::size_t>(rc.rail.value())];
-    if (getenv("OPUS_DEBUG")) {
-      std::fprintf(stderr, "[ctrl t=%lld] exec group=%d rail=%d circuits:", (long long)sim_.now(), job.group.value(), rc.rail.value());
-      for (auto& c : rc.circuits) std::fprintf(stderr, " %d<->%d(own %d/%d)", c.a.value(), c.b.value(), owners[c.a.value()].value(), owners[c.b.value()].value());
-      std::fprintf(stderr, "\n");
-    }
     for (PortId p : CircuitPlanner::ports_of(rc)) {
       owners[static_cast<std::size_t>(p.value())] = job.group;
     }
@@ -214,10 +207,6 @@ void OpusController::pump() {
       if (!it->counted_queued) {
         it->counted_queued = true;
         ++stats_.queued;
-      }
-      if (getenv("OPUS_DEBUG")) {
-        std::fprintf(stderr, "[ctrl t=%lld] blocked group=%d (conflict_earlier=%d)\n",
-                     (long long)sim_.now(), it->group.value(), conflicts_earlier ? 1 : 0);
       }
       for (const RailCircuits& rc : it->layout) {
         for (PortId p : CircuitPlanner::ports_of(rc)) {

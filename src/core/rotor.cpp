@@ -12,18 +12,19 @@ RotorTransport::RotorTransport(sim::Simulator& sim, net::Cluster& cluster,
   ensure(options_.slot_time > 0, "rotor slot time must be positive");
   ensure(span_.count >= 2, "a rotor span needs at least two nodes");
   n_rounds_ = net::rotor_rounds_for(span_.count);
+  rails_.resize(static_cast<std::size_t>(cluster_.n_rails()));
   // The cluster performs no pre-job wiring: each rotor wires its own span's
-  // round-0 matchings here, instantly — pre-job setup.
+  // round-0 matchings here, instantly — pre-job setup. Round 0's batch is
+  // registered first so its circuits come up over pinned links and the
+  // first rotation's teardown never queues them for retirement.
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
+    RailState& state = rails_[static_cast<std::size_t>(rail)];
+    state.round_batch.assign(static_cast<std::size_t>(n_rounds_), -1);
+    auto& sw = cluster_.ocs(RailId{rail});
     const auto circuits =
         cluster_.rotor_matching_circuits(RailId{rail}, 0, span_);
-    if (!cluster_.ocs(RailId{rail}).satisfied(circuits)) {
-      cluster_.ocs(RailId{rail}).force_circuits(circuits);
-    }
-  }
-  rails_.resize(static_cast<std::size_t>(cluster_.n_rails()));
-  for (RailState& state : rails_) {
-    state.round_batch.assign(static_cast<std::size_t>(n_rounds_), -1);
+    state.round_batch[0] = sw.register_batch(circuits);
+    if (!sw.satisfied(circuits)) sw.force_circuits(circuits);
   }
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
     start_round(rail);
@@ -105,10 +106,10 @@ void RotorTransport::rotate(int rail) {
   }
   state.rotating = true;
   ++rotations_;
-  // Rotations ride the OCS batch path: each round's matching is registered
-  // once (its fluid links pinned for cycle-long reuse) and every replay is
-  // one transaction — one dark interval, one completion event, O(ports)
-  // array work instead of per-port map churn.
+  // Each round's matching is registered with the rail OCS once (its fluid
+  // links pinned for cycle-long reuse); every replay then runs the OCS's
+  // one reconfiguration transaction over the pre-resolved circuit list —
+  // one dark interval, one completion event, no per-rotation copy or hash.
   auto& sw = cluster_.ocs(RailId{rail});
   auto& slot = state.round_batch[static_cast<std::size_t>(next)];
   if (slot < 0) {

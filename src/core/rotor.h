@@ -120,8 +120,9 @@ class RotorTransport final : public collective::Transport {
     std::deque<PendingSend> waiting;
     /// Per-round OCS batch handles (-1 = not yet registered). A rotation
     /// replays the same matching every cycle, so each round's circuit set is
-    /// registered with the rail OCS once — on its first rotation — and
-    /// applied as a single batched transaction from then on.
+    /// registered with the rail OCS once — round 0 at construction, before
+    /// it is wired, the others on their first rotation — and every rotation
+    /// replays it through reconfigure_batch.
     std::vector<net::OpticalCircuitSwitch::BatchId> round_batch;
   };
 

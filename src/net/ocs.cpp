@@ -1,7 +1,6 @@
 #include "net/ocs.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/error.h"
 
@@ -54,7 +53,8 @@ OpticalCircuitSwitch::OpticalCircuitSwitch(sim::Simulator& sim,
       owner_(static_cast<std::size_t>(n_ports), kUnowned),
       port_dark_ns_(static_cast<std::size_t>(n_ports), 0),
       port_tx_link_(static_cast<std::size_t>(n_ports)),
-      port_dark_group_(static_cast<std::size_t>(n_ports), -1) {
+      port_pinned_(static_cast<std::size_t>(n_ports), false),
+      stamp_(static_cast<std::size_t>(n_ports), 0) {
   ensure(n_ports > 0, "OCS requires at least one port");
   ensure(port_bw.positive(), "OCS port bandwidth must be positive");
   ensure(reconfig_delay >= 0, "OCS reconfig delay must be non-negative");
@@ -96,10 +96,7 @@ int OpticalCircuitSwitch::port_owner(PortId p) const {
 
 TimeNs OpticalCircuitSwitch::port_dark_time(PortId p) const {
   check_port(p);
-  const auto i = static_cast<std::size_t>(p.value());
-  const auto g = port_dark_group_[i];
-  return port_dark_ns_[i] +
-         (g >= 0 ? dark_groups_[static_cast<std::size_t>(g)].accrued : 0);
+  return port_dark_ns_[static_cast<std::size_t>(p.value())];
 }
 
 void OpticalCircuitSwitch::clear_circuits_on(const std::vector<PortId>& ports) {
@@ -115,7 +112,7 @@ void OpticalCircuitSwitch::clear_circuits_on(const std::vector<PortId>& ports) {
       ensure(!l.valid() || net_.active_flows_on(l) == 0,
              "OCS clear_circuits_on: circuit still carrying traffic");
     }
-    tear_down(p);
+    tear_down(p.value());
   }
 }
 
@@ -198,7 +195,7 @@ void OpticalCircuitSwitch::fail_port(PortId p) {
       }
     }
   }
-  tear_down(p);
+  tear_down(p.value());
 }
 
 void OpticalCircuitSwitch::repair_port(PortId p) {
@@ -222,33 +219,52 @@ bool OpticalCircuitSwitch::satisfied(
 
 std::vector<PortId> OpticalCircuitSwitch::touched_ports(
     const std::vector<CircuitRequest>& circuits) const {
-  std::unordered_set<std::int32_t> touched;
+  std::vector<Circuit> list;
+  list.reserve(circuits.size());
   for (const CircuitRequest& c : circuits) {
-    if (connected(c.a, c.b)) continue;  // already live: untouched
-    for (PortId p : {c.a, c.b}) {
-      check_port(p);
-      touched.insert(p.value());
-      const auto old = peer_[static_cast<std::size_t>(p.value())];
-      if (old >= 0) touched.insert(old);
-    }
+    check_port(c.a);
+    check_port(c.b);
+    list.push_back({c.a.value(), c.b.value(), LinkId{}, LinkId{}});
   }
   std::vector<PortId> out;
-  out.reserve(touched.size());
-  for (auto v : touched) out.push_back(PortId{v});
-  std::sort(out.begin(), out.end());
+  for (const std::int32_t p : touched_by(list)) out.push_back(PortId{p});
   return out;
 }
 
-std::pair<LinkId, LinkId> OpticalCircuitSwitch::link_pair(PortId a, PortId b) {
-  const std::int32_t lo = std::min(a.value(), b.value());
-  const std::int32_t hi = std::max(a.value(), b.value());
+std::vector<std::int32_t> OpticalCircuitSwitch::touched_by(
+    const std::vector<Circuit>& circuits) const {
+  const std::uint64_t stamp = ++epoch_;
+  std::vector<std::int32_t> out;
+  out.reserve(2 * circuits.size());
+  const auto touch = [&](std::int32_t p) {
+    auto& s = stamp_[static_cast<std::size_t>(p)];
+    if (s != stamp) {
+      s = stamp;
+      out.push_back(p);
+    }
+  };
+  for (const Circuit& c : circuits) {
+    if (live_peer(c.a) == c.b) continue;  // already live: untouched
+    for (const std::int32_t p : {c.a, c.b}) {
+      touch(p);
+      const auto old = peer_[static_cast<std::size_t>(p)];
+      if (old >= 0) touch(old);
+    }
+  }
+  return out;
+}
+
+OpticalCircuitSwitch::PairLinks& OpticalCircuitSwitch::link_pair(
+    std::int32_t a, std::int32_t b) {
+  const std::int32_t lo = std::min(a, b);
+  const std::int32_t hi = std::max(a, b);
   auto it = links_.find(pair_key(lo, hi));
   if (it == links_.end()) {
     const std::string base =
         name_ + ":p" + std::to_string(lo) + "-p" + std::to_string(hi);
     const LinkId fwd = net_.add_link(port_bw_, base + ":fwd");
     const LinkId rev = net_.add_link(port_bw_, base + ":rev");
-    it = links_.emplace(pair_key(lo, hi), std::make_pair(fwd, rev)).first;
+    it = links_.emplace(pair_key(lo, hi), PairLinks{fwd, rev}).first;
   }
   return it->second;
 }
@@ -262,28 +278,45 @@ LinkId OpticalCircuitSwitch::link(PortId from, PortId to) const {
   return l;
 }
 
-void OpticalCircuitSwitch::establish(PortId a, PortId b) {
-  peer_[static_cast<std::size_t>(a.value())] = b.value();
-  peer_[static_cast<std::size_t>(b.value())] = a.value();
-  const auto [fwd, rev] = link_pair(a, b);  // lo -> hi, hi -> lo
-  const bool a_is_lo = a.value() < b.value();
-  port_tx_link_[static_cast<std::size_t>(a.value())] = a_is_lo ? fwd : rev;
-  port_tx_link_[static_cast<std::size_t>(b.value())] = a_is_lo ? rev : fwd;
-  if (observer_ != nullptr) observer_->on_circuit_up(a, b, sim_.now());
+void OpticalCircuitSwitch::establish(std::int32_t a, std::int32_t b) {
+  const PairLinks& l = link_pair(a, b);
+  if (a < b) {
+    connect(a, b, l.fwd, l.rev, l.pinned);
+  } else {
+    connect(a, b, l.rev, l.fwd, l.pinned);
+  }
 }
 
-void OpticalCircuitSwitch::tear_down(PortId p) {
-  const auto q = peer_[static_cast<std::size_t>(p.value())];
+void OpticalCircuitSwitch::connect(std::int32_t a, std::int32_t b, LinkId ab,
+                                   LinkId ba, bool pinned) {
+  const auto i = static_cast<std::size_t>(a);
+  const auto j = static_cast<std::size_t>(b);
+  peer_[i] = b;
+  peer_[j] = a;
+  port_tx_link_[i] = ab;
+  port_tx_link_[j] = ba;
+  port_pinned_[i] = pinned;
+  port_pinned_[j] = pinned;
+  if (observer_ != nullptr) {
+    observer_->on_circuit_up(PortId{a}, PortId{b}, sim_.now());
+  }
+}
+
+void OpticalCircuitSwitch::tear_down(std::int32_t p) {
+  const auto i = static_cast<std::size_t>(p);
+  const auto q = peer_[i];
   if (q < 0) return;
-  peer_[static_cast<std::size_t>(p.value())] = -1;
+  peer_[i] = -1;
   peer_[static_cast<std::size_t>(q)] = -1;
-  port_tx_link_[static_cast<std::size_t>(p.value())] = LinkId{};
+  port_tx_link_[i] = LinkId{};
   port_tx_link_[static_cast<std::size_t>(q)] = LinkId{};
-  if (observer_ != nullptr) observer_->on_circuit_down(p, PortId{q}, sim_.now());
-  const std::int32_t lo = std::min(p.value(), q);
-  const std::int32_t hi = std::max(p.value(), q);
+  if (observer_ != nullptr) {
+    observer_->on_circuit_down(PortId{p}, PortId{q}, sim_.now());
+  }
+  if (port_pinned_[i]) return;  // batch-owned links never retire
+  const std::int32_t lo = std::min(p, q);
+  const std::int32_t hi = std::max(p, q);
   const std::uint64_t key = pair_key(lo, hi);
-  if (pinned_pairs_.contains(key)) return;  // batch-owned links never retire
   if (queued_dead_.insert(key).second) {
     dead_pairs_.push_back({lo, hi});
     prune_dead_circuits();
@@ -305,8 +338,10 @@ void OpticalCircuitSwitch::prune_dead_circuits() {
     }
     const auto it = links_.find(key);
     if (it == links_.end()) continue;  // already retired via an older entry
-    if (net_.active_flows_on(it->second.first) > 0 ||
-        net_.active_flows_on(it->second.second) > 0) {
+    // Pinned by a batch registered after this pair was queued.
+    if (it->second.pinned) continue;
+    if (net_.active_flows_on(it->second.fwd) > 0 ||
+        net_.active_flows_on(it->second.rev) > 0) {
       // Still draining (a force_circuits teardown has no quiescence check):
       // never retire under traffic, but keep the entry queued so the links
       // are reclaimed once the flows finish rather than leaked.
@@ -314,8 +349,8 @@ void OpticalCircuitSwitch::prune_dead_circuits() {
       queued_dead_.insert(key);
       continue;
     }
-    net_.retire_link(it->second.first);
-    net_.retire_link(it->second.second);
+    net_.retire_link(it->second.fwd);
+    net_.retire_link(it->second.rev);
     stats_.links_retired += 2;
     links_.erase(it);
   }
@@ -330,167 +365,145 @@ void OpticalCircuitSwitch::force_circuits(
     ensure(port_owner(c.a) == port_owner(c.b),
            "OCS circuit may not cross port ownership (tenant isolation)");
     if (failed(c.a) || failed(c.b)) continue;  // failed endpoints stay down
-    tear_down(c.a);
-    tear_down(c.b);
-    establish(c.a, c.b);
+    tear_down(c.a.value());
+    tear_down(c.b.value());
+    establish(c.a.value(), c.b.value());
   }
   if (topology_listener_) topology_listener_();
+}
+
+std::vector<OpticalCircuitSwitch::Circuit> OpticalCircuitSwitch::validated(
+    const std::vector<CircuitRequest>& circuits, const char* op) {
+  const std::uint64_t stamp = ++epoch_;
+  std::vector<Circuit> out;
+  out.reserve(circuits.size());
+  for (const CircuitRequest& c : circuits) {
+    check_port(c.a);
+    check_port(c.b);
+    ensure(c.a != c.b, "OCS circuit cannot loop a port to itself");
+    ensure(port_owner(c.a) == port_owner(c.b),
+           "OCS circuit may not cross port ownership (tenant isolation)");
+    for (const PortId p : {c.a, c.b}) {
+      auto& s = stamp_[static_cast<std::size_t>(p.value())];
+      if (s == stamp) {
+        ensure(false, std::string(op) + ": port appears in two circuits");
+      }
+      s = stamp;
+    }
+    out.push_back({c.a.value(), c.b.value(), LinkId{}, LinkId{}});
+  }
+  return out;
 }
 
 void OpticalCircuitSwitch::reconfigure(
     const std::vector<CircuitRequest>& circuits,
     std::function<void()> on_done) {
-  // Validate: no port may appear twice among the requested circuits.
-  std::unordered_set<std::int32_t> seen;
-  for (const CircuitRequest& c : circuits) {
-    check_port(c.a);
-    check_port(c.b);
-    ensure(c.a != c.b, "OCS circuit cannot loop a port to itself");
-    ensure(!failed(c.a) && !failed(c.b),
+  auto list = std::make_shared<std::vector<Circuit>>(
+      validated(circuits, "OCS reconfigure"));
+  for (const Circuit& c : *list) {
+    ensure(!failed_[static_cast<std::size_t>(c.a)] &&
+               !failed_[static_cast<std::size_t>(c.b)],
            "OCS reconfigure: circuit requests a failed port");
-    ensure(port_owner(c.a) == port_owner(c.b),
-           "OCS circuit may not cross port ownership (tenant isolation)");
-    ensure(seen.insert(c.a.value()).second,
-           "OCS reconfigure: port appears in two circuits");
-    ensure(seen.insert(c.b.value()).second,
-           "OCS reconfigure: port appears in two circuits");
   }
+  transact(std::move(list), std::move(on_done));
+}
 
-  if (satisfied(circuits)) {
+void OpticalCircuitSwitch::transact(CircuitList circuits,
+                                    std::function<void()> on_done) {
+  std::vector<std::int32_t> touched = touched_by(*circuits);
+  if (touched.empty()) {  // every circuit already live
     if (on_done) on_done();
     return;
   }
-
-  const std::vector<PortId> touched = touched_ports(circuits);
-  for (PortId p : touched) {
-    ensure(!dark(p),
-           "OCS reconfigure: port is mid-reconfiguration; serialize requests");
+  // Ascending port order, which the observer's teardown order and the
+  // dead-circuit queue depend on: rewrite the set from the stamps it just
+  // received rather than sorting it, which rotor-sized sets (every port,
+  // every rotation) cannot afford.
+  const std::uint64_t stamp = epoch_;
+  for (std::size_t i = 0, k = 0; k < touched.size(); ++i) {
+    if (stamp_[i] == stamp) touched[k++] = static_cast<std::int32_t>(i);
   }
   // Refuse to retarget a circuit that is actively carrying traffic; the Opus
   // controller guarantees quiescence (reconfigure only after the previous
-  // communication kernel finishes). The diagnostic string is built only on
-  // failure. The cached per-port transmit link covers both directions of a
-  // touched circuit because a circuit's two endpoints are always touched
-  // together.
-  for (PortId p : touched) {
-    const LinkId l = port_tx_link_[static_cast<std::size_t>(p.value())];
+  // communication kernel finishes) and the rotor drains before rotating.
+  // The diagnostic string is built only on failure. The cached per-port
+  // transmit link covers both directions of a touched circuit because a
+  // circuit's two endpoints are always touched together.
+  for (const std::int32_t p : touched) {
+    const auto i = static_cast<std::size_t>(p);
+    ensure(!dark_[i],
+           "OCS reconfigure: port is mid-reconfiguration; serialize requests");
+    const LinkId l = port_tx_link_[i];
     if (l.valid() && net_.active_flows_on(l) != 0) {
       ensure(false,
              "OCS reconfigure: circuit still carrying traffic (switch " +
-                 name_ + ", port " + std::to_string(p.value()) + ")");
+                 name_ + ", port " + std::to_string(p) + ")");
     }
   }
 
-  // Tear down old circuits on the touched ports and go dark.
-  for (PortId p : touched) tear_down(p);
-  for (PortId p : touched) dark_[static_cast<std::size_t>(p.value())] = true;
-  dark_ports_ += static_cast<int>(touched.size());
-
-  ++stats_.reconfigurations;
-  stats_.circuits_established += static_cast<std::int64_t>(circuits.size());
   // Capture the delay once and use it for both the dark-time charge and the
   // port-up event: a set_reconfig_delay while this request is in flight must
   // not desynchronize Fig. 8 accounting from the actual dark period.
   const TimeNs delay = reconfig_delay_;
-  stats_.cumulative_port_dark_ns += delay * static_cast<TimeNs>(touched.size());
-  for (PortId p : touched) {
-    port_dark_ns_[static_cast<std::size_t>(p.value())] += delay;
+  for (const std::int32_t p : touched) {
+    tear_down(p);
+    dark_[static_cast<std::size_t>(p)] = true;
+    port_dark_ns_[static_cast<std::size_t>(p)] += delay;
   }
+  const auto n_touched = static_cast<int>(touched.size());
+  dark_ports_ += n_touched;
+  ++stats_.reconfigurations;
+  stats_.circuits_established += static_cast<std::int64_t>(circuits->size());
+  stats_.cumulative_port_dark_ns += delay * n_touched;
   if (observer_ != nullptr) {
-    observer_->on_dark_interval(static_cast<int>(touched.size()), sim_.now(),
-                                delay);
+    observer_->on_dark_interval(n_touched, sim_.now(), delay);
   }
 
-  // Copy the request; the new circuits come up together after the delay.
-  sim_.schedule_after(
-      delay,
-      [this, circuits, touched, cb = std::move(on_done)]() mutable {
-        for (PortId p : touched) {
-          dark_[static_cast<std::size_t>(p.value())] = false;
-        }
-        dark_ports_ -= static_cast<int>(touched.size());
-        for (const CircuitRequest& c : circuits) {
-          // A port that failed during the dark window stays down: its
-          // circuit is skipped (the peer comes up unconnected and re-wires
-          // on the owner's next request).
-          if (failed_[static_cast<std::size_t>(c.a.value())] ||
-              failed_[static_cast<std::size_t>(c.b.value())]) {
-            continue;
-          }
-          establish(c.a, c.b);
-        }
-        if (cb) cb();
-        if (topology_listener_) topology_listener_();
-        pump_undark_waiters();
-      });
+  sim_.schedule_after(delay, [this, circuits = std::move(circuits),
+                              touched = std::move(touched),
+                              cb = std::move(on_done)]() mutable {
+    for (const std::int32_t p : touched) {
+      dark_[static_cast<std::size_t>(p)] = false;
+    }
+    dark_ports_ -= static_cast<int>(touched.size());
+    for (const Circuit& c : *circuits) {
+      // A port that failed during the dark window stays down: its circuit
+      // is skipped (the peer comes up unconnected and re-wires on the
+      // owner's next request).
+      if (failed_[static_cast<std::size_t>(c.a)] ||
+          failed_[static_cast<std::size_t>(c.b)]) {
+        continue;
+      }
+      if (c.ab.valid()) {
+        connect(c.a, c.b, c.ab, c.ba, true);
+      } else {
+        establish(c.a, c.b);
+      }
+    }
+    if (cb) cb();
+    if (topology_listener_) topology_listener_();
+    pump_undark_waiters();
+  });
 }
 
 OpticalCircuitSwitch::BatchId OpticalCircuitSwitch::register_batch(
     const std::vector<CircuitRequest>& circuits) {
   ensure(!circuits.empty(), "OCS register_batch: empty circuit set");
-  Batch batch;
-  batch.circuits.reserve(circuits.size());
-  batch.ports.reserve(2 * circuits.size());
-  std::unordered_set<std::int32_t> seen;
-  for (const CircuitRequest& c : circuits) {
-    check_port(c.a);
-    check_port(c.b);
-    ensure(c.a != c.b, "OCS circuit cannot loop a port to itself");
-    ensure(port_owner(c.a) == port_owner(c.b),
-           "OCS circuit may not cross port ownership (tenant isolation)");
-    ensure(seen.insert(c.a.value()).second,
-           "OCS register_batch: port appears in two circuits");
-    ensure(seen.insert(c.b.value()).second,
-           "OCS register_batch: port appears in two circuits");
-    const auto [fwd, rev] = link_pair(c.a, c.b);  // lo -> hi, hi -> lo
-    const bool a_is_lo = c.a.value() < c.b.value();
-    batch.circuits.push_back({c.a.value(), c.b.value(), a_is_lo ? fwd : rev,
-                              a_is_lo ? rev : fwd});
-    batch.ports.push_back(c.a.value());
-    batch.ports.push_back(c.b.value());
-    pinned_pairs_.insert(pair_key(std::min(c.a.value(), c.b.value()),
-                                  std::max(c.a.value(), c.b.value())));
-  }
-  std::sort(batch.ports.begin(), batch.ports.end());
-  batch.group = dark_group_for(batch.ports);
-  batches_.push_back(std::move(batch));
-  return static_cast<BatchId>(batches_.size()) - 1;
-}
-
-int OpticalCircuitSwitch::dark_group_for(
-    const std::vector<std::int32_t>& ports) {
-  // Reuse: every port already belongs to one group whose membership count
-  // matches — since membership is exclusive and the ports are distinct, the
-  // group is exactly this set (the common case: all rounds of one rotor
-  // rail share the full port set).
-  const auto first = port_dark_group_[static_cast<std::size_t>(ports[0])];
-  if (first >= 0 &&
-      dark_groups_[static_cast<std::size_t>(first)].members ==
-          static_cast<std::int32_t>(ports.size()) &&
-      std::all_of(ports.begin(), ports.end(), [&](std::int32_t p) {
-        return port_dark_group_[static_cast<std::size_t>(p)] == first;
-      })) {
-    return first;
-  }
-  // Otherwise migrate every port into a fresh group. Leaving an old group
-  // (a released tenant's sub-rotor) bakes its accrued time into the port's
-  // own counter, so port_dark_time is unchanged by the move.
-  const int g = static_cast<int>(dark_groups_.size());
-  dark_groups_.push_back({0, false, static_cast<std::int32_t>(ports.size())});
-  for (const std::int32_t p : ports) {
-    const auto i = static_cast<std::size_t>(p);
-    const auto old = port_dark_group_[i];
-    if (old >= 0) {
-      DarkGroup& og = dark_groups_[static_cast<std::size_t>(old)];
-      ensure(!og.dark,
-             "OCS register_batch: port is mid-reconfiguration in another "
-             "batch group");
-      port_dark_ns_[i] += og.accrued;
-      --og.members;
+  std::vector<Circuit> batch = validated(circuits, "OCS register_batch");
+  for (Circuit& c : batch) {
+    PairLinks& l = link_pair(c.a, c.b);
+    l.pinned = true;
+    c.ab = c.a < c.b ? l.fwd : l.rev;
+    c.ba = c.a < c.b ? l.rev : l.fwd;
+    // A circuit already up over these links is now pinned too.
+    if (peer_[static_cast<std::size_t>(c.a)] == c.b) {
+      port_pinned_[static_cast<std::size_t>(c.a)] = true;
+      port_pinned_[static_cast<std::size_t>(c.b)] = true;
     }
-    port_dark_group_[i] = g;
   }
-  return g;
+  batches_.push_back(
+      std::make_shared<const std::vector<Circuit>>(std::move(batch)));
+  return static_cast<BatchId>(batches_.size()) - 1;
 }
 
 void OpticalCircuitSwitch::set_profile_sink(ProfileSink* sink) {
@@ -505,150 +518,24 @@ void OpticalCircuitSwitch::reconfigure_batch(BatchId batch,
   ProfileScope prof(profile_sink_, profile_phase_batch_);
   ensure(batch >= 0 && batch < static_cast<BatchId>(batches_.size()),
          "OCS reconfigure_batch: unknown batch");
-  // References into batches_/dark_groups_ are not held across the fallback
-  // call (which may register further batches through reentrant callers).
-  {
-    const Batch& b = batches_[static_cast<std::size_t>(batch)];
-    // Fall back to the generic path when some batch port's current circuit
-    // reaches outside the batch's port set (possible after force_circuits
-    // or a generic reconfigure rewired ports since registration): the
-    // touched set is then wider than the batch and needs the full
-    // old-peer expansion.
-    for (const std::int32_t p : b.ports) {
-      const auto q = peer_[static_cast<std::size_t>(p)];
-      if (q >= 0 && port_dark_group_[static_cast<std::size_t>(q)] != b.group) {
-        std::vector<CircuitRequest> requests;
-        requests.reserve(b.circuits.size());
-        for (const BatchCircuit& c : b.circuits) {
-          requests.push_back({PortId{c.a}, PortId{c.b}});
-        }
-        ++stats_.batch_fallbacks;
-        reconfigure(requests, std::move(on_done));
-        return;
-      }
-    }
-  }
-  Batch& b = batches_[static_cast<std::size_t>(batch)];
-  DarkGroup& g = dark_groups_[static_cast<std::size_t>(b.group)];
-  ensure(!g.dark,
-         "OCS reconfigure_batch: batch ports are mid-reconfiguration; "
-         "serialize requests");
-
-  // Idempotence fast-path, as in reconfigure(): an already-live batch acks
-  // without counting anything.
-  const bool already_live =
-      !g.dark && std::all_of(b.circuits.begin(), b.circuits.end(),
-                             [&](const BatchCircuit& c) {
-                               return connected(PortId{c.a}, PortId{c.b});
-                             });
-  if (already_live) {
-    if (on_done) on_done();
-    return;
-  }
-
-  // Rare-state guards, each skipped entirely in the steady rotor state.
-  if (dark_ports_ > 0) {
-    for (const std::int32_t p : b.ports) {
-      ensure(!dark_[static_cast<std::size_t>(p)],
-             "OCS reconfigure_batch: port is mid-reconfiguration; serialize "
-             "requests");
-    }
-  }
-  if (failed_ports_ > 0) {
-    // Fallback widening: a batch whose port set lost members to failure
-    // drops the dead circuits and applies the survivors through the generic
-    // path (the pinned batch transaction assumes the full matching). The
-    // refs above are not held across the call — reconfigure neither
-    // registers batches nor runs callbacks synchronously past its
-    // satisfied fast-path.
-    bool any_failed = false;
-    for (const std::int32_t p : b.ports) {
-      if (failed_[static_cast<std::size_t>(p)]) {
-        any_failed = true;
-        break;
-      }
-    }
-    if (any_failed) {
-      std::vector<CircuitRequest> survivors;
-      survivors.reserve(b.circuits.size());
-      for (const BatchCircuit& c : b.circuits) {
-        if (failed_[static_cast<std::size_t>(c.a)] ||
-            failed_[static_cast<std::size_t>(c.b)]) {
-          continue;
-        }
-        survivors.push_back({PortId{c.a}, PortId{c.b}});
-      }
-      if (survivors.empty()) {
-        if (on_done) on_done();
-        return;
-      }
-      ++stats_.batch_fallbacks;
-      reconfigure(survivors, std::move(on_done));
-      return;
-    }
-  }
+  CircuitList circuits = batches_[static_cast<std::size_t>(batch)];
+  // Ownership may have been reassigned since registration (fleet tenants).
   if (owned_ports_ > 0) {
-    for (const BatchCircuit& c : b.circuits) {
-      ensure(port_owner(PortId{c.a}) == port_owner(PortId{c.b}),
+    for (const Circuit& c : *circuits) {
+      ensure(owner_[static_cast<std::size_t>(c.a)] ==
+                 owner_[static_cast<std::size_t>(c.b)],
              "OCS circuit may not cross port ownership (tenant isolation)");
     }
   }
-  for (const std::int32_t p : b.ports) {
-    const LinkId l = port_tx_link_[static_cast<std::size_t>(p)];
-    if (l.valid() && net_.active_flows_on(l) != 0) {
-      ensure(false,
-             "OCS reconfigure_batch: circuit still carrying traffic (switch " +
-                 name_ + ", port " + std::to_string(p) + ")");
-    }
+  if (failed_ports_ > 0) {
+    auto survivors = std::make_shared<std::vector<Circuit>>(*circuits);
+    std::erase_if(*survivors, [this](const Circuit& c) {
+      return failed_[static_cast<std::size_t>(c.a)] ||
+             failed_[static_cast<std::size_t>(c.b)];
+    });
+    circuits = std::move(survivors);
   }
-
-  // The transaction: tear down every batch port's circuit (peers are all
-  // in-set, links are pinned — plain array writes, no retirement queue),
-  // darken the whole group, charge the dark delta once, and schedule the
-  // single completion event. The direct writes bypass tear_down, so the
-  // observer emit happens here (once per pair, via the p < q endpoint).
-  if (observer_ != nullptr) {
-    for (const std::int32_t p : b.ports) {
-      const auto q = peer_[static_cast<std::size_t>(p)];
-      if (q > p) observer_->on_circuit_down(PortId{p}, PortId{q}, sim_.now());
-    }
-  }
-  for (const std::int32_t p : b.ports) {
-    peer_[static_cast<std::size_t>(p)] = -1;
-    port_tx_link_[static_cast<std::size_t>(p)] = LinkId{};
-  }
-  g.dark = true;
-  ++stats_.reconfigurations;
-  stats_.circuits_established += static_cast<std::int64_t>(b.circuits.size());
-  const TimeNs delay = reconfig_delay_;
-  stats_.cumulative_port_dark_ns += delay * static_cast<TimeNs>(b.ports.size());
-  g.accrued += delay;  // the O(1) per-rotation delta for every member port
-  if (observer_ != nullptr) {
-    observer_->on_dark_interval(static_cast<int>(b.ports.size()), sim_.now(),
-                                delay);
-  }
-
-  sim_.schedule_after(delay, [this, batch, cb = std::move(on_done)]() mutable {
-    Batch& bb = batches_[static_cast<std::size_t>(batch)];
-    dark_groups_[static_cast<std::size_t>(bb.group)].dark = false;
-    for (const BatchCircuit& c : bb.circuits) {
-      // Endpoints that failed during the dark window stay down.
-      if (failed_ports_ > 0 && (failed_[static_cast<std::size_t>(c.a)] ||
-                                failed_[static_cast<std::size_t>(c.b)])) {
-        continue;
-      }
-      peer_[static_cast<std::size_t>(c.a)] = c.b;
-      peer_[static_cast<std::size_t>(c.b)] = c.a;
-      port_tx_link_[static_cast<std::size_t>(c.a)] = c.ab;
-      port_tx_link_[static_cast<std::size_t>(c.b)] = c.ba;
-      if (observer_ != nullptr) {
-        observer_->on_circuit_up(PortId{c.a}, PortId{c.b}, sim_.now());
-      }
-    }
-    if (cb) cb();
-    if (topology_listener_) topology_listener_();
-    pump_undark_waiters();
-  });
+  transact(std::move(circuits), std::move(on_done));
 }
 
 }  // namespace opus::net

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -45,10 +46,12 @@ std::vector<CircuitRequest> round_robin_circuits(int n_ports, int round);
 
 /// Observer of circuit lifecycle and dark intervals (telemetry's
 /// chrome-trace tracks). Notifications are read-only and fire on the cold
-/// reconfiguration paths; a null observer costs one branch per event. Both
-/// the generic and the batched reconfiguration paths emit: circuit up/down
-/// once per unordered port pair, and one dark interval per reconfiguration
-/// with its full touched-port count.
+/// reconfiguration paths; a null observer costs one branch per event. Every
+/// reconfiguration, generic or batched, emits circuit down once per
+/// torn-down unordered port pair (ascending port order), one dark interval
+/// with its full touched-port count, and circuit up once per requested
+/// circuit at completion (request order; a requested circuit that stayed
+/// live is reported up again).
 class OcsObserver {
  public:
   virtual ~OcsObserver() = default;
@@ -64,19 +67,21 @@ class OcsObserver {
 class OpticalCircuitSwitch {
  public:
   struct Stats {
-    /// Number of reconfigure() operations that actually changed state.
+    /// reconfigure() and reconfigure_batch() calls that changed state.
     /// 64-bit: a 4k-node rotor performs enough rotations that the derived
     /// counters (circuits_established grows ~2k per rotation) overflow 32
     /// bits well inside one run.
     std::int64_t reconfigurations = 0;
-    /// Circuits established across all reconfigurations.
+    /// Circuits requested by those reconfigurations, counting any that were
+    /// already live.
     std::int64_t circuits_established = 0;
     /// Sum over ports of time spent dark.
     TimeNs cumulative_port_dark_ns = 0;
     /// Fluid links retired because their circuit stayed dead (churn cleanup).
     std::int64_t links_retired = 0;
-    /// reconfigure_batch calls that fell back to the generic path (an
-    /// out-of-set peer after a rewire, or batch ports lost to failure).
+    /// Never incremented: batched and generic reconfigurations share one
+    /// transaction, so nothing falls back. Kept only because the benchmark
+    /// harness still reads it.
     std::int64_t batch_fallbacks = 0;
   };
 
@@ -163,16 +168,8 @@ class OpticalCircuitSwitch {
   bool failed(PortId p) const;
   int failed_port_count() const;
 
-  /// Ports currently dark (generic per-port flags plus the members of any
-  /// mid-transaction batch group) — the telemetry probe's dark-port gauge.
-  /// O(dark groups), which is O(registered batches), not O(ports).
-  int dark_port_count() const {
-    int n = dark_ports_;
-    for (const DarkGroup& g : dark_groups_) {
-      if (g.dark) n += g.members;
-    }
-    return n;
-  }
+  /// Ports currently dark — the telemetry probe's dark-port gauge.
+  int dark_port_count() const { return dark_ports_; }
 
   /// Telemetry observer (null = disabled, the default).
   void set_observer(OcsObserver* observer) { observer_ = observer; }
@@ -198,9 +195,11 @@ class OpticalCircuitSwitch {
   bool satisfied(const std::vector<CircuitRequest>& circuits) const;
 
   /// Requests a reconfiguration establishing every circuit in `circuits`.
-  /// Existing circuits on touched ports are torn down; the touched port set
-  /// (new ports plus their old peers) is dark for reconfig_delay, after which
-  /// the new circuits are live and `on_done` fires.
+  /// Requested circuits that are already live are untouched and keep
+  /// carrying traffic. Existing circuits on the other requested ports are
+  /// torn down; the touched port set (those ports plus their old peers) is
+  /// dark for reconfig_delay, after which the new circuits are live and
+  /// `on_done` fires.
   ///
   /// Preconditions (enforced): no touched port is already dark (callers must
   /// serialize overlapping requests — the Opus controller does), no port
@@ -215,33 +214,29 @@ class OpticalCircuitSwitch {
   /// never returned.
   using BatchId = int;
 
-  /// Pre-validates `circuits` (same rules as reconfigure) and pins their
-  /// fluid link pairs: the links are created now, kept for the switch's
-  /// lifetime, and never retired by the dead-circuit cache — a rotor replays
-  /// each matching every cycle, so retiring its links only to recreate them
-  /// one rotation later dominated large runs. All endpoints of the batch
-  /// join one *dark group* (shared with any other batch over the identical
-  /// port set), which carries the per-rotation delta dark accounting.
+  /// Validates `circuits` (same rules as reconfigure, except that failed
+  /// ports are allowed) and pins their fluid link pairs: the links are
+  /// created now, kept for the switch's lifetime, and never retired by the
+  /// dead-circuit cache — a rotor replays each matching every cycle, so
+  /// retiring its links only to recreate them one rotation later dominated
+  /// large runs. The batch is just this pre-resolved circuit list.
   BatchId register_batch(const std::vector<CircuitRequest>& circuits);
 
-  /// Applies a registered batch as one transaction: tears down the current
-  /// circuits of every batch port, darkens the whole port set for
-  /// reconfig_delay (one dark interval, one completion event), then brings
-  /// all circuits up together and fires `on_done`. Dark time is charged as
-  /// a single O(1) delta on the batch's dark group instead of per port.
-  /// Equivalent to reconfigure(...) whenever every batch port's current
-  /// peer lies inside the batch's port set (a rotor rotation by
-  /// construction); otherwise it falls back to the generic path, whose
-  /// touched set may be wider. Same preconditions as reconfigure; if the
-  /// batch is already satisfied, `on_done` fires immediately and nothing is
-  /// counted.
+  /// reconfigure() over a registered batch's circuits, minus any circuit
+  /// with a failed endpoint (those stay down until the owner re-wires).
+  /// The same transaction runs: only the ports the batch retargets go
+  /// dark, and circuits of the batch that are already live keep carrying
+  /// traffic. The batch's circuit list is shared with the completion event
+  /// and its links are pre-resolved, so a replay copies and hashes nothing.
   void reconfigure_batch(BatchId batch, std::function<void()> on_done);
 
   /// Instantly establishes circuits with no dark period. Intended for t=0
   /// initial topology (e.g. a pre-job configuration); counts no stats.
   void force_circuits(const std::vector<CircuitRequest>& circuits);
 
-  /// Set of ports a reconfiguration request would touch (new + old peers).
+  /// Ports a reconfiguration request would touch (both endpoints of every
+  /// circuit not already live, plus their current peers), in no particular
+  /// order.
   std::vector<PortId> touched_ports(
       const std::vector<CircuitRequest>& circuits) const;
 
@@ -252,49 +247,53 @@ class OpticalCircuitSwitch {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One pre-resolved cross-connect of a registered batch: the port pair and
-  /// the directional fluid links carrying it (a -> b, b -> a).
-  struct BatchCircuit {
+  /// One requested cross-connect: the port pair and, for a registered
+  /// batch, its pinned fluid links (a -> b, b -> a). A generic request
+  /// leaves the links invalid; they are resolved when the circuit comes up.
+  struct Circuit {
     std::int32_t a;
     std::int32_t b;
     LinkId ab;
     LinkId ba;
   };
-  struct Batch {
-    std::vector<BatchCircuit> circuits;
-    std::vector<std::int32_t> ports;  ///< all endpoints, sorted
-    int group = -1;                   ///< index into dark_groups_
-  };
-  /// Shared dark-accounting bucket for every batch over one port set. A
-  /// member port's dark time is port_dark_ns_[p] + accrued: a batch
-  /// transaction charges its delay once here (O(1)) instead of walking the
-  /// ports, and `dark` flags the whole set mid-transaction.
-  struct DarkGroup {
-    TimeNs accrued = 0;
-    bool dark = false;
-    std::int32_t members = 0;
+  using CircuitList = std::shared_ptr<const std::vector<Circuit>>;
+  /// The fluid links of one unordered port pair (low -> high, high -> low).
+  struct PairLinks {
+    LinkId fwd;
+    LinkId rev;
+    bool pinned = false;  ///< owned by a registered batch: never retired
   };
 
   void check_port(PortId p) const;
   /// dark(p) without the port-validity check (hot paths index directly).
-  bool is_dark(std::size_t i) const {
-    if (dark_[i]) return true;
-    const auto g = port_dark_group_[i];
-    return g >= 0 && dark_groups_[static_cast<std::size_t>(g)].dark;
-  }
-  /// Finds the dark group covering exactly `ports`, migrating ports out of
-  /// stale groups (their accrued time is baked into port_dark_ns_) when the
-  /// set does not match an existing group verbatim.
-  int dark_group_for(const std::vector<std::int32_t>& ports);
+  bool is_dark(std::size_t i) const { return dark_[i]; }
+  /// Checks ports, self-loops, ownership and duplicate ports (`op` names
+  /// the caller in the error) and returns the circuits unresolved.
+  std::vector<Circuit> validated(const std::vector<CircuitRequest>& circuits,
+                                 const char* op);
+  /// The ports a transaction over `circuits` touches, in first-touch order,
+  /// deduplicated by stamping them with a fresh epoch (no hash or sort).
+  std::vector<std::int32_t> touched_by(
+      const std::vector<Circuit>& circuits) const;
+  /// The one reconfiguration transaction: checks that no touched port is
+  /// dark or carrying traffic, tears the touched circuits down, darkens the
+  /// touched ports for reconfig_delay and charges their dark time, then
+  /// (re-)establishes every circuit without a failed endpoint in one
+  /// completion event. Acks at once, counting nothing, when every circuit
+  /// is already live.
+  void transact(CircuitList circuits, std::function<void()> on_done);
   /// Fires every registered waiter whose port set is now fully undark.
   void pump_undark_waiters();
-  /// Cross-connects a<->b in the state tables (no timing).
-  void establish(PortId a, PortId b);
+  /// Cross-connects a<->b over its (lazily created) fluid links.
+  void establish(std::int32_t a, std::int32_t b);
+  /// Cross-connects a<->b in the state tables over the given links.
+  void connect(std::int32_t a, std::int32_t b, LinkId ab, LinkId ba,
+               bool pinned);
   /// Clears the circuit on `p` (and its peer), if any, and queues the pair's
   /// fluid links for retirement once the dead-circuit cache overflows.
-  void tear_down(PortId p);
+  void tear_down(std::int32_t p);
   /// Lazily creates (or fetches) the fluid link pair for an unordered pair.
-  std::pair<LinkId, LinkId> link_pair(PortId a, PortId b);
+  PairLinks& link_pair(std::int32_t a, std::int32_t b);
   /// Retires the fluid links of the oldest dead circuits beyond the cache
   /// bound, so rotor-style reconfiguration churn cannot grow the fluid
   /// network's solve set (or this switch's pair map) without bound.
@@ -313,23 +312,24 @@ class OpticalCircuitSwitch {
   TimeNs reconfig_delay_;
   std::string name_;
   std::vector<std::int32_t> peer_;  // -1 = unconnected
-  std::vector<bool> dark_;
-  std::vector<bool> failed_;
+  // Per-port flags are bytes, not std::vector<bool>: the transaction writes
+  // them for every touched port and bit access doubled a rotation's cost.
+  std::vector<std::uint8_t> dark_;
+  std::vector<std::uint8_t> failed_;
   std::vector<std::int32_t> owner_;     // kUnowned = free
   std::vector<TimeNs> port_dark_ns_;    // per-port share of the Stats sum
-                                        // (plus the port's group accrual)
   /// Fluid link carrying traffic from port i to its current peer (invalid
   /// when unconnected) — the allocation- and hash-free way to answer the
   /// per-port traffic and link() queries on the reconfiguration hot path.
   std::vector<LinkId> port_tx_link_;
-  std::vector<std::int32_t> port_dark_group_;  // -1 = no group
-  std::vector<DarkGroup> dark_groups_;
-  std::vector<Batch> batches_;
-  /// Pair keys whose fluid links are pinned by a registered batch (exempt
-  /// from dead-circuit retirement).
-  std::unordered_set<std::uint64_t> pinned_pairs_;
-  /// Ports with dark_ set (the generic path's flags; group darkness is not
-  /// counted here). Zero lets reconfigure_batch skip the per-port scan.
+  /// Whether port i's current circuit runs over pinned links, so tear_down
+  /// skips the dead-circuit queue without a pair-map lookup.
+  std::vector<std::uint8_t> port_pinned_;
+  /// Per-port epoch stamps: touched-set and duplicate-port membership
+  /// without hashing or sorting.
+  mutable std::vector<std::uint64_t> stamp_;
+  mutable std::uint64_t epoch_ = 0;
+  std::vector<CircuitList> batches_;
   int dark_ports_ = 0;
   int failed_ports_ = 0;
   int owned_ports_ = 0;
@@ -344,7 +344,7 @@ class OpticalCircuitSwitch {
   // Unordered port pair -> (link low->high, link high->low). Hashed on the
   // packed pair: whole-rail reconfiguration (the rotor) performs ~1e8
   // lookups per large run, where an ordered map's log-factor dominated.
-  std::unordered_map<std::uint64_t, std::pair<LinkId, LinkId>> links_;
+  std::unordered_map<std::uint64_t, PairLinks> links_;
   // Recently torn-down pairs, oldest first, at most one entry per pair
   // (queued_dead_ is the membership index — duplicate entries would let a
   // pair be retired by its stalest entry while a fresher one still queues).

@@ -140,13 +140,6 @@ void Telemetry::attach_fabric(sim::Simulator& sim, net::Cluster& cluster) {
   metrics_.add_gauge("ocs.dark_ns", [&cluster] {
     return static_cast<double>(cluster.total_ocs_dark_time());
   });
-  metrics_.add_gauge("ocs.batch_fallbacks", [&cluster] {
-    std::int64_t total = 0;
-    for (int r = 0; r < cluster.n_rails(); ++r) {
-      total += cluster.ocs(RailId{r}).stats().batch_fallbacks;
-    }
-    return static_cast<double>(total);
-  });
   metrics_.add_gauge("fabric.dark_ports", [&cluster] {
     int total = 0;
     for (int r = 0; r < cluster.n_rails(); ++r) {

@@ -140,10 +140,10 @@ TEST(FaultRecovery, FailureMidReconfigurationSkipsTheDeadEstablish) {
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
 }
 
-TEST(FaultRecovery, BatchRotationWithFailedPortFallsBackToSurvivors) {
+TEST(FaultRecovery, BatchRotationWithFailedPortBringsUpOnlySurvivors) {
   // A pinned (batched) rotor matching whose port died since registration
-  // must widen to the generic reconfigure path and bring up the surviving
-  // circuits only; once the port is repaired the same batch applies whole.
+  // must bring up the surviving circuits only; once the port is repaired
+  // the same batch applies whole.
   sim::Simulator sim;
   net::Cluster c(sim, photonic_cfg(2, 2));
   auto& sw = c.ocs(RailId{0});

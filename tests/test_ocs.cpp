@@ -283,6 +283,31 @@ TEST_F(OcsTest, BatchReplayKeepsLinkIdentity) {
       << "replayed matchings reuse their pinned fluid links";
 }
 
+TEST_F(OcsTest, BatchPinsLinksOfAPairAlreadyQueuedAsDead) {
+  // 0<->1 dies before any batch names it, so it waits in the dead-circuit
+  // queue. Registering a batch over it must protect its links from the
+  // churn that later overflows the queue (2x n_ports = 16 pairs), or the
+  // batch would replay onto retired link ids.
+  sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr);
+  sim.run();
+  const LinkId first = sw.link(PortId{0}, PortId{1});
+  sw.reconfigure({{PortId{0}, PortId{2}}}, nullptr);
+  sim.run();
+  const auto batch = sw.register_batch({{PortId{0}, PortId{1}}});
+  // Round 4 of the 8-port schedule re-forms 0<->1; skip it so the pair
+  // stays dead while 20 more pairs are torn down behind it.
+  for (int r : {0, 1, 2, 3, 5, 6}) {
+    sw.reconfigure(round_robin_circuits(8, r), nullptr);
+    sim.run();
+  }
+  ASSERT_GT(sw.stats().links_retired, 0) << "churn must overflow the queue";
+  EXPECT_FALSE(net.link_retired(first));
+  sw.reconfigure_batch(batch, nullptr);
+  sim.run();
+  EXPECT_EQ(sw.link(PortId{0}, PortId{1}), first);
+  EXPECT_FALSE(net.link_retired(sw.link(PortId{0}, PortId{1})));
+}
+
 TEST_F(OcsTest, BatchAlreadySatisfiedAcksWithoutCounting) {
   const auto a = sw.register_batch({{PortId{0}, PortId{1}}});
   sw.reconfigure_batch(a, nullptr);
@@ -294,9 +319,9 @@ TEST_F(OcsTest, BatchAlreadySatisfiedAcksWithoutCounting) {
   EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 2 * msecs(15));
 }
 
-TEST_F(OcsTest, BatchFallsBackWhenCurrentPeerLiesOutsideTheBatch) {
-  // Port 0 currently pairs with port 4; a batch over {0,1,2,3} must widen
-  // its touched set to the displaced peer — the generic-path fallback.
+TEST_F(OcsTest, BatchDarkensDisplacedPeerOutsideTheBatch) {
+  // Port 0 currently pairs with port 4; a batch over {0,1,2,3} touches the
+  // displaced peer too, exactly as reconfigure() would.
   sw.reconfigure({{PortId{0}, PortId{4}}}, nullptr);
   sim.run();
   const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
@@ -308,15 +333,15 @@ TEST_F(OcsTest, BatchFallsBackWhenCurrentPeerLiesOutsideTheBatch) {
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
   EXPECT_EQ(sw.stats().reconfigurations, 2);
   // 2 ports dark in the first reconfig, 5 (batch's four + port 4) in the
-  // fallback.
+  // batch.
   EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 7 * msecs(15));
   EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
 }
 
-TEST_F(OcsTest, BatchRegistrationMigratesDarkGroupsWithoutLosingTime) {
-  // A second batch over a *subset* of an existing group's ports forces the
-  // subset into a fresh dark group; the accrued group time must be baked
-  // into the per-port tallies, leaving every port_dark_time unchanged.
+TEST_F(OcsTest, BatchOverPortSubsetKeepsPerPortDarkTime) {
+  // Registering a second batch over a *subset* of an earlier batch's ports
+  // must leave every port_dark_time unchanged, and the subset batch charges
+  // only its own ports from then on.
   const auto a = sw.register_batch({{PortId{0}, PortId{1}},
                                     {PortId{2}, PortId{3}}});
   sw.reconfigure_batch(a, nullptr);
@@ -324,10 +349,10 @@ TEST_F(OcsTest, BatchRegistrationMigratesDarkGroupsWithoutLosingTime) {
   const auto b = sw.register_batch({{PortId{0}, PortId{1}}});
   for (int p : {0, 1, 2, 3}) {
     EXPECT_EQ(sw.port_dark_time(PortId{p}), msecs(15))
-        << "group migration must not change accrued dark time";
+        << "registration must not change accrued dark time";
   }
   EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
-  // The migrated group keeps accounting correctly on its next transaction.
+  // The subset batch keeps accounting correctly on its next transaction.
   sw.clear_circuits_on({PortId{0}, PortId{1}});
   sw.reconfigure_batch(b, nullptr);
   sim.run();
@@ -344,10 +369,40 @@ TEST_F(OcsTest, BatchRefusesToDarkenTrafficAndInvalidRequests) {
   EXPECT_THROW(sw.register_batch({{PortId{0}, PortId{99}}}), InvariantError);
   const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
                                         {PortId{2}, PortId{3}}});
-  sw.force_circuits({{PortId{0}, PortId{1}}});
-  net.start_flow({sw.link(PortId{0}, PortId{1})}, 25'000'000, 0, nullptr);
+  // 0<->2 is a circuit the batch retargets: its traffic blocks the batch.
+  sw.force_circuits({{PortId{0}, PortId{2}}});
+  net.start_flow({sw.link(PortId{0}, PortId{2})}, 25'000'000, 0, nullptr);
   EXPECT_THROW(sw.reconfigure_batch(batch, nullptr), InvariantError);
   EXPECT_THROW(sw.reconfigure_batch(batch + 99, nullptr), InvariantError);
+}
+
+TEST_F(OcsTest, BatchLeavesItsLiveCircuitsLitAndDarkensOnlyRetargetedPorts) {
+  // A batch whose circuit 0<->1 is already live retargets only 2 and 3: the
+  // live circuit keeps carrying traffic and is charged no dark time.
+  const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
+                                        {PortId{2}, PortId{3}}});
+  sw.force_circuits({{PortId{0}, PortId{1}}});
+  TimeNs flow_done = -1;
+  // 25 MB at 200 Gb/s = 1 ms, well inside the 15 ms dark window.
+  net.start_flow({sw.link(PortId{0}, PortId{1})}, 25'000'000, 0,
+                 [&] { flow_done = sim.now(); });
+  bool done = false;
+  sw.reconfigure_batch(batch, [&] { done = true; });
+  EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
+  EXPECT_TRUE(sw.dark(PortId{2}));
+  EXPECT_TRUE(sw.dark(PortId{3}));
+  EXPECT_EQ(sw.dark_port_count(), 2);
+  sim.run();
+  EXPECT_TRUE(done);
+  EXPECT_EQ(flow_done, msecs(1)) << "the live circuit must not be disturbed";
+  EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
+  EXPECT_TRUE(sw.connected(PortId{2}, PortId{3}));
+  EXPECT_EQ(sw.port_dark_time(PortId{0}), 0);
+  EXPECT_EQ(sw.port_dark_time(PortId{1}), 0);
+  EXPECT_EQ(sw.port_dark_time(PortId{2}), msecs(15));
+  EXPECT_EQ(sw.port_dark_time(PortId{3}), msecs(15));
+  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 2 * msecs(15));
+  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
 }
 
 TEST_F(OcsTest, DarkAccountingInvariantHoldsAcrossMixedOperations) {
@@ -363,12 +418,12 @@ TEST_F(OcsTest, DarkAccountingInvariantHoldsAcrossMixedOperations) {
   check();
   const auto a = sw.register_batch({{PortId{0}, PortId{1}},
                                     {PortId{2}, PortId{3}}});
-  sw.reconfigure_batch(a, nullptr);  // fallback: peer 4 outside the batch
+  sw.reconfigure_batch(a, nullptr);  // also darkens displaced peer 4
   sim.run();
   check();
   const auto b = sw.register_batch({{PortId{0}, PortId{2}},
                                     {PortId{1}, PortId{3}}});
-  sw.reconfigure_batch(b, nullptr);  // transaction path
+  sw.reconfigure_batch(b, nullptr);  // a rotation within the batch ports
   sim.run();
   check();
   sw.reconfigure({{PortId{4}, PortId{5}}}, nullptr);  // generic, disjoint

@@ -307,9 +307,8 @@ TEST(Rotor, EveryQueuedSendEventuallyLaunches) {
 }
 
 TEST(Rotor, RailDarkAccountingInvariantHoldsAfterRotations) {
-  // After a real rotor workload (batched rotations with delta dark
-  // accounting), each rail switch's per-port dark tallies must still sum
-  // to its aggregate counter.
+  // After a real rotor workload (batched rotations), each rail switch's
+  // per-port dark tallies must still sum to its aggregate counter.
   sim::Simulator sim;
   net::Cluster cluster(sim, rotor_cfg(6));
   RotorTransport::Options opts;
