@@ -49,7 +49,6 @@ struct Bandwidth {
 
   static constexpr Bandwidth bps(double b) { return Bandwidth{b}; }
   static constexpr Bandwidth gbps(double g) { return Bandwidth{g * 1e9}; }
-  static constexpr Bandwidth tbps(double t) { return Bandwidth{t * 1e12}; }
 
   constexpr double gbps_value() const { return bits_per_sec / 1e9; }
   constexpr double bytes_per_ns() const { return bits_per_sec / 8e9; }

@@ -653,7 +653,7 @@ Value times_to_json(const std::vector<TimeNs>& times) {
 // iteration_times, steady_iteration_time, ocs_reconfigurations,
 // ocs_dark_time, rotor_rotations, rotor_deferred_sends, controller,
 // shim_speculative_requests, shim_mispredictions, recorder (not serialized:
-// the trace is its own export format, trace/export), rail_bytes,
+// telemetry mirrors it into the chrome trace, obs/chrome_trace), rail_bytes,
 // scale_up_bytes, pxn_bytes, mgmt_bytes, multihop_bytes, fault_stats,
 // fault_trace_size, telemetry (serialized as the finalized metrics snapshot
 // only when the hub exists AND asked for metrics — series/trace are file

@@ -130,8 +130,4 @@ std::int64_t OpusTransport::total_ocs_reconfigurations() const {
   return cluster_.total_ocs_reconfigurations();
 }
 
-TimeNs OpusTransport::total_dark_time() const {
-  return cluster_.total_ocs_dark_time();
-}
-
 }  // namespace opus::core

@@ -76,11 +76,8 @@ class OpusTransport final : public collective::Transport {
   // ---- introspection ---------------------------------------------------------
   const OpusController& controller() const { return *controller_; }
   const OpusShim& shim() const { return *shim_; }
-  const CircuitPlanner& planner() const { return planner_; }
   /// Total OCS reconfigurations across all rails.
   std::int64_t total_ocs_reconfigurations() const;
-  /// Total port-darkness time across all rails.
-  TimeNs total_dark_time() const;
 
  private:
   bool needs_circuits(const collective::CommGroup& group) const;

@@ -54,11 +54,6 @@ void RotorTransport::poke() {
   }
 }
 
-int RotorTransport::current_round(RailId rail) const {
-  ensure(rail.valid() && rail.value() < cluster_.n_rails(), "invalid rail");
-  return rails_[static_cast<std::size_t>(rail.value())].round;
-}
-
 void RotorTransport::start_round(int rail) {
   RailState& state = rails_[static_cast<std::size_t>(rail)];
   // Idempotent: both the rotation-completion chain and the send() wake-up

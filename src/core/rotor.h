@@ -85,7 +85,6 @@ class RotorTransport final : public collective::Transport {
   std::int64_t rotations() const { return rotations_; }
   /// Sends that had to wait for their matching.
   std::int64_t deferred_sends() const { return deferred_; }
-  int current_round(RailId rail) const;
   net::NodeSpan span() const { return span_; }
 
   /// Permanently stops the rotation schedule (tenant teardown): no further

@@ -46,7 +46,6 @@ class OpusShim {
       : provisioning_(provisioning_enabled) {}
 
   void set_speculate(SpeculateFn fn) { speculate_ = std::move(fn); }
-  bool provisioning_enabled() const { return provisioning_; }
   bool profiling() const { return iteration_ == 0; }
 
   void iteration_started(int index);

@@ -6,14 +6,6 @@
 
 namespace opus::fleet {
 
-const char* placement_policy_name(PlacementPolicy p) {
-  switch (p) {
-    case PlacementPolicy::kFirstFit: return "FirstFit";
-    case PlacementPolicy::kRailAware: return "RailAware";
-  }
-  return "?";
-}
-
 PlacementEngine::PlacementEngine(int n_nodes, PlacementPolicy policy)
     : n_nodes_(n_nodes), policy_(policy) {
   ensure(n_nodes >= 1, "placement: cluster needs at least one node");

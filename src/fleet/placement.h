@@ -27,8 +27,6 @@ namespace opus::fleet {
 
 enum class PlacementPolicy { kFirstFit, kRailAware };
 
-const char* placement_policy_name(PlacementPolicy p);
-
 class PlacementEngine {
  public:
   PlacementEngine(int n_nodes, PlacementPolicy policy);

@@ -485,137 +485,115 @@ std::vector<GpuId> Cluster::rail_multihop_path(GpuId src, GpuId dst) const {
   return path;
 }
 
+struct Cluster::HopCursor {
+  std::vector<GpuId> path;
+  std::size_t hop = 0;  ///< path index the next hop starts from
+  Bytes bytes = 0;
+  bool charged = false;
+  std::function<void()> done;
+};
+
 void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
                             std::function<void()> on_complete) {
-  if (photonic() && cfg_.allow_rail_multihop &&
-      live_circuit_links(src, dst).empty()) {
+  if (photonic() && cfg_.allow_rail_multihop && !has_live_circuit(src, dst)) {
     // No direct circuit: forward store-and-forward through intermediate
-    // same-rail GPUs over live circuits (§5). The per-hop accounting below
+    // same-rail GPUs over live circuits (§5). Every hop charges kRail, which
     // exposes the bandwidth tax.
-    const std::vector<GpuId> path = rail_multihop_path(src, dst);
+    std::vector<GpuId> path = rail_multihop_path(src, dst);
     if (path.size() < 2) {
-      if (fault_tolerant_) {
-        // Destination currently unreachable (failure cut every live path):
-        // charge the logical payload once and park — a repair or the next
-        // reconfiguration retries it.
-        account(Route::kRailMultiHop, src, bytes);
-        account(Route::kRail, src, bytes);
-        parked_.push_back({src, dst, bytes,
-                           std::make_shared<std::function<void()>>(
-                               std::move(on_complete))});
-        return;
-      }
-      ensure(false,
+      ensure(fault_tolerant_,
              "photonic rail transfer: destination unreachable through live "
              "circuits even with multi-hop forwarding");
+      // Failure cut every live path: charge the logical payload once and
+      // park — a repair or the next reconfiguration retries it.
+      account(Route::kRailMultiHop, src, bytes);
+      account(Route::kRail, src, bytes);
+      parked_.push_back({src, dst, bytes, std::move(on_complete)});
+      return;
     }
     account(Route::kRailMultiHop, src, bytes);
-    // Chain the hops back to front so each callback launches the next.
-    std::function<void()> chain = std::move(on_complete);
-    for (std::size_t i = path.size() - 1; i >= 1; --i) {
-      const GpuId hop_src = path[i - 1];
-      const GpuId hop_dst = path[i];
-      chain = [this, hop_src, hop_dst, bytes, next = std::move(chain)] {
-        transfer_rail_hop(hop_src, hop_dst, bytes, next);
-      };
+    if (path.size() > 2) {
+      forward(std::make_shared<HopCursor>(HopCursor{
+          std::move(path), 0, bytes, false, std::move(on_complete)}));
+      return;
     }
-    chain();
-    return;
   }
-  transfer_rail_hop(src, dst, bytes, std::move(on_complete));
+  send_hop(src, dst, bytes, false, std::move(on_complete));
 }
 
-void Cluster::transfer_rail_hop(GpuId src, GpuId dst, Bytes bytes,
-                                std::function<void()> on_complete) {
-  account(Route::kRail, src, bytes);
+void Cluster::send_hop(GpuId src, GpuId dst, Bytes bytes, bool charged,
+                       std::function<void()> done) {
+  if (!charged) account(Route::kRail, src, bytes);
   if (!photonic()) {
     const auto& sw =
         *rail_electrical_[static_cast<std::size_t>(local_rank(src))];
     net_.start_flow({sw.uplink(node_of(src).value()),
                      sw.downlink(node_of(dst).value())},
                     bytes, cfg_.rail_latency + sw.hop_latency(),
-                    std::move(on_complete));
+                    std::move(done));
     return;
   }
-  start_rail_circuit_flows(src, dst, bytes, std::move(on_complete));
-}
-
-void Cluster::start_rail_circuit_flows(GpuId src, GpuId dst, Bytes bytes,
-                                       std::function<void()> on_complete) {
   const std::vector<LinkId> circuits = live_circuit_links(src, dst);
   if (circuits.empty()) {
-    if (fault_tolerant_) {
-      // The circuit died between path selection and issue (or a rescue
-      // raced a second failure): park until the topology changes.
-      parked_.push_back({src, dst, bytes,
-                         std::make_shared<std::function<void()>>(
-                             std::move(on_complete))});
-      return;
-    }
-    ensure(false,
+    ensure(fault_tolerant_,
            "photonic rail transfer without a live circuit: the control plane "
            "must reconfigure the rail before communication starts");
-  }
-  if (!fault_tolerant_) {
-    if (circuits.size() == 1) {
-      net_.start_flow({circuits[0]}, bytes, cfg_.rail_latency,
-                      std::move(on_complete));
-      return;
-    }
-    // Stripe across parallel circuits; complete when every stripe lands.
-    const auto n = static_cast<Bytes>(circuits.size());
-    auto pending = std::make_shared<int>(static_cast<int>(n));
-    auto done = std::make_shared<std::function<void()>>(std::move(on_complete));
-    for (std::size_t i = 0; i < circuits.size(); ++i) {
-      const Bytes stripe =
-          bytes / n + (static_cast<Bytes>(i) < bytes % n ? 1 : 0);
-      net_.start_flow({circuits[i]}, stripe, cfg_.rail_latency,
-                      [pending, done] {
-                        if (--*pending == 0 && *done) (*done)();
-                      });
-    }
+    // The circuit died between path selection and issue (or a rescue raced
+    // a second failure): park until the topology changes.
+    parked_.push_back({src, dst, bytes, std::move(done)});
     return;
   }
-  // Fault-tolerant: the same single/striped flows, but each one registered
-  // so a mid-flight circuit failure can rescue its remaining bytes. Identical
-  // flow shapes and timing — the registry is bookkeeping, not a data path.
   if (circuits.size() == 1) {
-    track_rail_flow(circuits[0], src, dst, bytes,
-                    std::make_shared<std::function<void()>>(
-                        std::move(on_complete)));
+    start_circuit_flow(circuits[0], src, dst, bytes, std::move(done));
     return;
   }
+  // Stripe across parallel circuits; complete when every stripe lands.
   const auto n = static_cast<Bytes>(circuits.size());
   auto pending = std::make_shared<int>(static_cast<int>(n));
-  auto done = std::make_shared<std::function<void()>>(std::move(on_complete));
+  auto shared = std::make_shared<std::function<void()>>(std::move(done));
   for (std::size_t i = 0; i < circuits.size(); ++i) {
     const Bytes stripe =
         bytes / n + (static_cast<Bytes>(i) < bytes % n ? 1 : 0);
-    track_rail_flow(circuits[i], src, dst, stripe,
-                    std::make_shared<std::function<void()>>([pending, done] {
-                      if (--*pending == 0 && *done) (*done)();
-                    }));
+    start_circuit_flow(circuits[i], src, dst, stripe, [pending, shared] {
+      if (--*pending == 0 && *shared) (*shared)();
+    });
   }
 }
 
-void Cluster::track_rail_flow(LinkId link, GpuId src, GpuId dst, Bytes bytes,
-                              std::shared_ptr<std::function<void()>> done) {
-  // The completion learns its own registry key through a shared cell written
-  // after start_flow returns — safe because flows never complete
-  // synchronously (even zero-byte flows deliver via a scheduled event).
+void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
+                                 Bytes bytes, std::function<void()> done) {
+  if (!fault_tolerant_) {
+    net_.start_flow({link}, bytes, cfg_.rail_latency, std::move(done));
+    return;
+  }
+  // Registered so a mid-flight circuit failure can rescue the remaining
+  // bytes: the registry is bookkeeping, the flow is the same. The completion
+  // learns its own registry key through a shared cell written after
+  // start_flow returns — safe because flows never complete synchronously
+  // (even zero-byte flows deliver via a scheduled event).
   auto key = std::make_shared<std::uint64_t>(0);
   const FlowId f =
-      net_.start_flow({link}, bytes, cfg_.rail_latency, [this, key, done] {
-        rescuable_.erase(*key);
-        if (*done) (*done)();
+      net_.start_flow({link}, bytes, cfg_.rail_latency, [this, key] {
+        const auto entry = rescuable_.extract(*key);
+        if (entry.mapped().done) entry.mapped().done();
         // A completed flow frees its circuit: that is exactly the moment a
-        // parked transfer's emergency-steal escalation can find an idle
-        // port pair, so give stranded traffic another chance (no-op while
-        // nothing is parked).
+        // parked hop's emergency-steal escalation can find an idle port
+        // pair, so give stranded traffic another chance (no-op while nothing
+        // is parked).
         retry_parked();
       });
   *key = f.value();
-  rescuable_.emplace(f.value(), RescuableFlow{src, dst, std::move(done)});
+  rescuable_.emplace(f.value(), PendingHop{src, dst, bytes, std::move(done)});
+}
+
+void Cluster::forward(std::shared_ptr<HopCursor> c) {
+  const GpuId src = c->path[c->hop];
+  const GpuId dst = c->path[++c->hop];
+  if (c->hop + 1 == c->path.size()) {
+    send_hop(src, dst, c->bytes, c->charged, std::move(c->done));
+    return;
+  }
+  send_hop(src, dst, c->bytes, c->charged, [this, c] { forward(c); });
 }
 
 void Cluster::rescue_flow(FlowId f) {
@@ -625,45 +603,36 @@ void Cluster::rescue_flow(FlowId f) {
     net_.abort_flow(f);
     return;
   }
-  const RescuableFlow ctx = it->second;
-  const Bytes remaining = net_.flow_remaining(f);
+  PendingHop hop = std::move(it->second);
+  hop.bytes = net_.flow_remaining(f);
   net_.abort_flow(f);
   rescuable_.erase(it);
   ++rescued_flows_;
-  resend_rescued(ctx.src, ctx.dst, remaining, ctx.done);
+  resend(std::move(hop));
 }
 
-void Cluster::resend_rescued(GpuId src, GpuId dst, Bytes bytes,
-                             std::shared_ptr<std::function<void()>> done) {
-  // The logical payload was charged at original issue; every rescue path
-  // below is unaccounted so conservation sees each byte exactly once.
-  if (has_live_circuit(src, dst)) {
-    start_rail_circuit_flows(src, dst, bytes,
-                             [done] { if (*done) (*done)(); });
+void Cluster::resend(PendingHop hop) {
+  // The logical payload was charged at original issue; every path below is
+  // uncharged so conservation sees each byte exactly once.
+  if (has_live_circuit(hop.src, hop.dst)) {
+    send_hop(hop.src, hop.dst, hop.bytes, true, std::move(hop.done));
     return;
   }
   // Degraded continuation: forward over surviving circuits even on fabrics
   // that normally forbid multi-hop (Opus re-plans future collectives, but
   // in-flight bytes cannot wait for the next layout).
-  const std::vector<GpuId> path = rail_multihop_path(src, dst);
+  std::vector<GpuId> path = rail_multihop_path(hop.src, hop.dst);
   if (path.size() >= 2) {
-    std::function<void()> chain = [done] { if (*done) (*done)(); };
-    for (std::size_t i = path.size() - 1; i >= 1; --i) {
-      const GpuId hop_src = path[i - 1];
-      const GpuId hop_dst = path[i];
-      chain = [this, hop_src, hop_dst, bytes, next = std::move(chain)] {
-        start_rail_circuit_flows(hop_src, hop_dst, bytes, next);
-      };
-    }
-    chain();
+    forward(std::make_shared<HopCursor>(HopCursor{
+        std::move(path), 0, hop.bytes, true, std::move(hop.done)}));
     return;
   }
-  if (try_emergency_circuit(src, dst) && has_live_circuit(src, dst)) {
-    start_rail_circuit_flows(src, dst, bytes,
-                             [done] { if (*done) (*done)(); });
+  if (try_emergency_circuit(hop.src, hop.dst) &&
+      has_live_circuit(hop.src, hop.dst)) {
+    send_hop(hop.src, hop.dst, hop.bytes, true, std::move(hop.done));
     return;
   }
-  parked_.push_back({src, dst, bytes, std::move(done)});
+  parked_.push_back(std::move(hop));
 }
 
 bool Cluster::try_emergency_circuit(GpuId src, GpuId dst) {
@@ -711,17 +680,15 @@ bool Cluster::try_emergency_circuit(GpuId src, GpuId dst) {
 void Cluster::retry_parked() {
   if (retrying_parked_ || parked_.empty()) return;
   retrying_parked_ = true;
-  std::vector<ParkedTransfer> waiting;
+  std::vector<PendingHop> waiting;
   waiting.swap(parked_);
-  for (ParkedTransfer& t : waiting) {
-    resend_rescued(t.src, t.dst, t.bytes, std::move(t.done));
-  }
+  for (PendingHop& hop : waiting) resend(std::move(hop));
   retrying_parked_ = false;
 }
 
 int Cluster::parked_rail_transfers(int rail, NodeSpan span) const {
   int n = 0;
-  for (const ParkedTransfer& t : parked_) {
+  for (const PendingHop& t : parked_) {
     if (t.src.value() % cfg_.gpus_per_node != rail) continue;
     if (!span.contains(t.src.value() / cfg_.gpus_per_node)) continue;
     ++n;
@@ -778,10 +745,6 @@ void Cluster::repair_nic_port(NodeId node, int rail, int slot) {
     apply_electrical_degrade(node, rail);
   }
   if (fault_listener_) fault_listener_({node, rail, slot, false});
-}
-
-void Cluster::fail_rail(NodeId node, int rail) {
-  for (int p = 0; p < cfg_.nic_ports; ++p) fail_nic_port(node, rail, p);
 }
 
 bool Cluster::nic_port_failed(NodeId node, int rail, int slot) const {
@@ -871,7 +834,7 @@ void Cluster::abort_span_traffic(NodeSpan span) {
     }
   }
   // Parked transfers touching the span never restart.
-  std::erase_if(parked_, [&](const ParkedTransfer& t) {
+  std::erase_if(parked_, [&](const PendingHop& t) {
     return span.contains(t.src.value() / cfg_.gpus_per_node) ||
            span.contains(t.dst.value() / cfg_.gpus_per_node);
   });

@@ -283,12 +283,14 @@ class Cluster {
   Bytes bytes_on_route(Route r) const;
 
   // ---- runtime fault injection (failure/repair churn) ---------------------
-  /// Fault-tolerant transfer mode: a photonic rail transfer that finds no
-  /// live circuit parks instead of throwing, flows on a circuit killed by
-  /// fail_nic_port are rescued (re-routed over surviving circuits, multi-hop
-  /// if needed, else parked), and parked traffic retries on every topology
-  /// change. Off by default — the legacy InvariantError contract stands, so
-  /// fabrics without a fault process pay nothing.
+  /// Fault-tolerant transfer mode: a photonic rail hop that finds no live
+  /// circuit parks instead of throwing, a flow on a circuit killed by
+  /// fail_nic_port is rescued (its remaining bytes re-sent over surviving
+  /// circuits, multi-hop if needed, else parked; a rescued hop of a
+  /// multi-hop path then continues along that path), and parked hops retry
+  /// on every topology change. Rescued and retried bytes are never charged
+  /// to a route again. Off by default — the legacy InvariantError contract
+  /// stands, so fabrics without a fault process pay nothing.
   void set_fault_tolerant(bool on) { fault_tolerant_ = on; }
   bool fault_tolerant() const { return fault_tolerant_; }
 
@@ -301,8 +303,6 @@ class Cluster {
   /// the old circuit is NOT restored — owners re-wire on their own schedule)
   /// or the lane's bandwidth returns (electrical). Fires the fault listener.
   void repair_nic_port(NodeId node, int rail, int slot);
-  /// Fails every NIC port of `node` on `rail` (a whole-NIC/rail cut).
-  void fail_rail(NodeId node, int rail);
   bool nic_port_failed(NodeId node, int rail, int slot) const;
   /// NIC ports of (node, rail) currently not failed.
   int live_nic_ports(NodeId node, int rail) const;
@@ -348,11 +348,43 @@ class Cluster {
 
   void transfer_scale_up(GpuId src, GpuId dst, Bytes bytes,
                          std::function<void()> on_complete);
+
+  // ---- the rail data path: forwarding, rescue and retry share each step ----
+  /// A rail hop waiting to be (re-)sent: the registry entry of a
+  /// fault-tolerant circuit flow (enough to re-issue its remaining bytes
+  /// when the circuit dies) and the parked hop that found no usable path.
+  struct PendingHop {
+    GpuId src;
+    GpuId dst;
+    Bytes bytes = 0;
+    std::function<void()> done;
+  };
+  /// Shared position in a multi-hop path (defined in cluster.cpp).
+  struct HopCursor;
+
+  /// A direct hop, or — photonic, no direct circuit — a forwarded path.
   void transfer_rail(GpuId src, GpuId dst, Bytes bytes,
                      std::function<void()> on_complete);
-  /// One circuit hop between same-rail neighbours (requires live circuits).
-  void transfer_rail_hop(GpuId src, GpuId dst, Bytes bytes,
-                         std::function<void()> on_complete);
+  /// The only code that moves bytes over one rail hop: charges kRail unless
+  /// the transfer is already `charged`, then starts the electrical flow or
+  /// stripes across the live circuits src -> dst. A photonic hop with no
+  /// live circuit parks (fault-tolerant) or throws.
+  void send_hop(GpuId src, GpuId dst, Bytes bytes, bool charged,
+                std::function<void()> done);
+  /// Starts one circuit flow; fault-tolerant mode registers it for rescue.
+  void start_circuit_flow(LinkId link, GpuId src, GpuId dst, Bytes bytes,
+                          std::function<void()> done);
+  /// Sends the cursor's current hop; its completion advances the cursor
+  /// and sends the next one, the last hop completes the transfer.
+  void forward(std::shared_ptr<HopCursor> c);
+  /// Re-sends uncharged bytes over the current topology: direct circuits,
+  /// else multi-hop over live circuits (degraded continuation, even for
+  /// fabrics that normally forbid forwarding), else an emergency spare
+  /// circuit (Opus), else back to the parking lot.
+  void resend(PendingHop hop);
+  /// OCS flow-rescuer hook: aborts `f` and re-sends its remaining bytes.
+  void rescue_flow(FlowId f);
+
   /// Live circuit links src -> dst on their shared rail (photonic).
   std::vector<LinkId> live_circuit_links(GpuId src, GpuId dst) const;
   /// Allocation-free: true iff some live circuit connects src -> dst.
@@ -367,38 +399,6 @@ class Cluster {
   void check_span(NodeSpan span) const;
 
   // ---- fault-tolerance internals ------------------------------------------
-  /// A rail transfer (or transfer fragment) waiting for a usable path after
-  /// failure killed its circuit. Retried FIFO on every topology change.
-  struct ParkedTransfer {
-    GpuId src;
-    GpuId dst;
-    Bytes bytes = 0;
-    std::shared_ptr<std::function<void()>> done;
-  };
-  /// Registry entry for a fault-tolerant rail flow: enough context to
-  /// re-issue the flow's remaining bytes when its circuit dies.
-  struct RescuableFlow {
-    GpuId src;
-    GpuId dst;
-    std::shared_ptr<std::function<void()>> done;
-  };
-
-  /// The photonic rail-hop data path (direct circuits only): starts the
-  /// striped flows, or — fault-tolerant mode — tracks them for rescue and
-  /// parks when no circuit is live. Accounting happens in the caller.
-  void start_rail_circuit_flows(GpuId src, GpuId dst, Bytes bytes,
-                                std::function<void()> on_complete);
-  void track_rail_flow(LinkId link, GpuId src, GpuId dst, Bytes bytes,
-                       std::shared_ptr<std::function<void()>> done);
-  /// OCS flow-rescuer hook: aborts `f` and re-issues its remaining bytes
-  /// (unaccounted — the logical payload was charged at original issue).
-  void rescue_flow(FlowId f);
-  /// Routes rescued/parked bytes over the current topology: direct circuits,
-  /// else multi-hop over live circuits (degraded continuation — even for
-  /// fabrics that normally forbid forwarding), else an emergency spare
-  /// circuit (Opus), else back to the parking lot.
-  void resend_rescued(GpuId src, GpuId dst, Bytes bytes,
-                      std::shared_ptr<std::function<void()>> done);
   /// Opus only: cross-connect a spare (unconnected, live, same-owner) port
   /// pair of src's and dst's nodes so parked traffic can drain — the
   /// control-plane patch a real operator would apply. False when no spare
@@ -449,9 +449,10 @@ class Cluster {
   bool fault_tolerant_ = false;
   bool retrying_parked_ = false;  ///< retry_parked reentrancy guard
   std::function<void(const NicFault&)> fault_listener_;
-  std::vector<ParkedTransfer> parked_;
+  /// Hops with no usable path, retried FIFO on every topology change.
+  std::vector<PendingHop> parked_;
   /// FlowId.value() -> rescue context for fault-tolerant rail flows.
-  std::unordered_map<std::uint64_t, RescuableFlow> rescuable_;
+  std::unordered_map<std::uint64_t, PendingHop> rescuable_;
   std::int64_t rescued_flows_ = 0;  ///< rescue_flow saves (telemetry)
   /// Electrical rails: (node * n_rails + rail) -> failed-lane bitmask.
   std::unordered_map<std::int64_t, std::uint32_t> electrical_failed_;

@@ -90,8 +90,6 @@ class MetricsRegistry {
   /// {count, sum, min, max, buckets} objects. Key order = registration.
   json::Value snapshot_json() const;
 
-  std::size_t metric_count() const { return entries_.size(); }
-
  private:
   enum class Kind { kCounter, kGauge, kHistogram };
   struct Entry {

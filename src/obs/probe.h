@@ -56,7 +56,6 @@ class Probe {
 
   void start();
   const Series& series() const { return series_; }
-  std::size_t samples_taken() const { return series_.row_count(); }
 
  private:
   void tick();

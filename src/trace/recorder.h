@@ -60,7 +60,6 @@ class TraceRecorder {
 
   void begin_iteration(TimeNs now);
   void end_iteration(TimeNs now);
-  int current_iteration() const { return current_iteration_; }
 
   void record_comm(CommRecord rec);
   void record_compute(ComputeRecord rec);

@@ -40,10 +40,6 @@ Bytes CommVolumeModel::tp_allreduce_per_op() const {
   return tokens_per_microbatch() * model_.activation_bytes_per_token();
 }
 
-Bytes CommVolumeModel::tp_sp_allgather_per_op() const {
-  return tokens_per_microbatch() * model_.activation_bytes_per_token();
-}
-
 Bytes CommVolumeModel::pp_sendrecv_per_microbatch() const {
   // Boundary activations travel unsharded between stages.
   return tokens_per_microbatch() * model_.activation_bytes_per_token();

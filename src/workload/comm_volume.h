@@ -36,8 +36,6 @@ class CommVolumeModel {
 
   /// TP per-operator AllReduce of activations (no sequence parallelism).
   Bytes tp_allreduce_per_op() const;
-  /// TP+SP per-operator AllGather / ReduceScatter of activations.
-  Bytes tp_sp_allgather_per_op() const;
 
   /// PP per-microbatch activation Send/Recv at a stage boundary.
   Bytes pp_sendrecv_per_microbatch() const;

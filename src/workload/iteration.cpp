@@ -16,23 +16,6 @@ int layers_of_stage(int n_layers, int pp, int stage) {
   return base + (stage < rem ? 1 : 0);
 }
 
-int IterationDag::collective_op_count() const {
-  int n = 0;
-  for (const Op& op : ops)
-    if (op.kind == OpKind::kCollective) ++n;
-  return n;
-}
-
-Bytes IterationDag::total_collective_payload() const {
-  Bytes total = 0;
-  for (const Op& op : ops) {
-    if (op.kind == OpKind::kCollective) {
-      total += op.payload * static_cast<Bytes>(op.group_indices.size());
-    }
-  }
-  return total;
-}
-
 void IterationDag::validate() const {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const Op& op = ops[i];

@@ -66,9 +66,6 @@ struct IterationDag {
   const Op& op(OpId id) const { return ops[static_cast<std::size_t>(id.value())]; }
   std::size_t size() const { return ops.size(); }
 
-  int collective_op_count() const;
-  Bytes total_collective_payload() const;
-
   /// Checks structural invariants: ids are dense, deps reference earlier
   /// ops (the builder emits a topological order), group indices valid,
   /// compute ops have GPUs and collective ops have groups.

@@ -56,10 +56,6 @@ struct ModelConfig {
   /// plus the attention score/value matmuls).
   double fwd_flops_per_token_per_layer() const;
 
-  /// Bytes of one layer's parameters (dtype_bytes each).
-  Bytes layer_param_bytes() const {
-    return params_per_layer() * dtype_bytes;
-  }
   /// Bytes of one token's activation vector.
   Bytes activation_bytes_per_token() const { return hidden * dtype_bytes; }
 

@@ -31,7 +31,6 @@ struct ParallelismConfig {
                          const ParallelismConfig&) = default;
 
   int world_size() const { return tp * cp * dp * pp; }
-  int global_batch() const { return dp * n_microbatches * microbatch_size; }
 
   /// Throws InvariantError when degrees are inconsistent.
   void validate() const;

@@ -1,77 +1,11 @@
-// CSV export tests and failure-injection integration tests (link
-// degradation mid-training on the fluid substrate).
+// Failure-injection integration tests (link degradation mid-training on the
+// fluid substrate).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/experiment.h"
-#include "trace/export.h"
-#include "trace/windows.h"
 
 namespace opus {
 namespace {
-
-trace::CommRecord make_rec(TimeNs issue, TimeNs end, Bytes payload) {
-  trace::CommRecord r;
-  r.iteration = 1;
-  r.rail = RailId{0};
-  r.group = GroupId{7};
-  r.dim = collective::ParallelismDim::kDP;
-  r.type = collective::CollectiveType::kAllGather;
-  r.payload = payload;
-  r.t_issue = issue;
-  r.t_end = end;
-  r.scale_out = true;
-  return r;
-}
-
-TEST(Export, CommsCsvHasHeaderAndRows) {
-  const std::string csv =
-      trace::comms_to_csv({make_rec(10, 20, 100), make_rec(30, 40, 200)});
-  std::istringstream is(csv);
-  std::string line;
-  std::getline(is, line);
-  EXPECT_EQ(line,
-            "iteration,rail,group,dim,type,payload_bytes,issue_ns,end_ns,"
-            "scale_out");
-  std::getline(is, line);
-  EXPECT_EQ(line, "1,0,7,DP,AllGather,100,10,20,1");
-  std::getline(is, line);
-  EXPECT_EQ(line, "1,0,7,DP,AllGather,200,30,40,1");
-}
-
-TEST(Export, WindowsCsvRoundTripsAnalysis) {
-  std::vector<trace::CommRecord> comms = {make_rec(0, msecs(1), 100)};
-  trace::CommRecord pp = make_rec(msecs(5), msecs(6), 64);
-  pp.dim = collective::ParallelismDim::kPP;
-  pp.group = GroupId{8};
-  comms.push_back(pp);
-  const auto windows = trace::extract_windows(comms);
-  const std::string csv = trace::windows_to_csv(windows);
-  EXPECT_NE(csv.find("size_ms"), std::string::npos);
-  EXPECT_NE(csv.find("DP,PP,64"), std::string::npos);
-}
-
-TEST(Export, CdfCsvIsMonotone) {
-  Cdf cdf;
-  cdf.add_all({3.0, 1.0, 2.0});
-  const std::string csv = trace::cdf_to_csv(cdf);
-  std::istringstream is(csv);
-  std::string line;
-  std::getline(is, line);  // header
-  double prev_value = -1;
-  double prev_frac = 0;
-  while (std::getline(is, line)) {
-    const auto comma = line.find(',');
-    const double value = std::stod(line.substr(0, comma));
-    const double frac = std::stod(line.substr(comma + 1));
-    EXPECT_GE(value, prev_value);
-    EXPECT_GT(frac, prev_frac);
-    prev_value = value;
-    prev_frac = frac;
-  }
-  EXPECT_DOUBLE_EQ(prev_frac, 1.0);
-}
 
 TEST(FailureInjection, DegradedNvlinkSlowsScaleUpTransfers) {
   sim::Simulator sim;

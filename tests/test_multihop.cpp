@@ -71,6 +71,33 @@ TEST(MultiHop, StoreAndForwardPaysPerHop) {
   EXPECT_EQ(c.bytes_on_route(net::Cluster::Route::kRailMultiHop), 25'000'000);
 }
 
+TEST(MultiHop, RescueMidPathContinuesAlongThePath) {
+  sim::Simulator sim;
+  net::Cluster c(sim, multihop_cfg(4));
+  c.set_fault_tolerant(true);
+  wire_ring(c, 0);
+  const GpuId src = c.gpu_at(NodeId{0}, 0);
+  const GpuId dst = c.gpu_at(NodeId{2}, 0);
+  int deliveries = 0;
+  TimeNs done = -1;
+  c.transfer(src, dst, 25'000'000, [&] {
+    ++deliveries;
+    done = sim.now();
+  });
+  // Hop 0 -> 1 lands at ~1 ms; at 1.5 ms hop 1 -> 2 is in flight when its
+  // circuit (node 1 port 0) dies. The rescue forwards the remaining bytes
+  // the other way round the ring, 1 -> 0 -> 3 -> 2.
+  sim.schedule_at(usecs(1500), [&] { c.fail_nic_port(NodeId{1}, 0, 0); });
+  sim.run();
+  EXPECT_EQ(deliveries, 1);
+  EXPECT_EQ(done, 3'012'000);
+  EXPECT_EQ(c.rescued_flow_count(), 1);
+  EXPECT_EQ(c.parked_transfer_count(), 0);
+  // Only the two original hops are charged; rescued bytes are not.
+  EXPECT_EQ(c.bytes_on_route(net::Cluster::Route::kRail), 50'000'000);
+  EXPECT_EQ(c.bytes_on_route(net::Cluster::Route::kRailMultiHop), 25'000'000);
+}
+
 TEST(MultiHop, DirectCircuitBypassesForwarding) {
   sim::Simulator sim;
   net::Cluster c(sim, multihop_cfg(4));
