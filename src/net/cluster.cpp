@@ -574,8 +574,10 @@ void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
   auto key = std::make_shared<std::uint64_t>(0);
   const FlowId f =
       net_.start_flow({link}, bytes, cfg_.rail_latency, [this, key] {
+        // A missing entry means abort_span_traffic dropped the hop while its
+        // delivery waited out rail_latency: an evicted hop never delivers.
         const auto entry = rescuable_.extract(*key);
-        if (entry.mapped().done) entry.mapped().done();
+        if (entry && entry.mapped().done) entry.mapped().done();
         // A completed flow frees its circuit: that is exactly the moment a
         // parked hop's emergency-steal escalation can find an idle port
         // pair, so give stranded traffic another chance (no-op while nothing

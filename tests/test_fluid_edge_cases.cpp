@@ -385,6 +385,33 @@ TEST_F(FluidEdgeTest, SpanAbortKillsPendingZeroByteTransfers) {
   EXPECT_EQ(done, 0) << "no aborted transfer may deliver after eviction";
 }
 
+TEST_F(FluidEdgeTest, SpanAbortInsideRailLatencyDoesNotDeliver) {
+  // A drained circuit flow frees its fluid slot but delivers only after
+  // rail_latency, through a plain event abort_flow cannot cancel. An
+  // eviction inside that window must drop the hop without delivering it.
+  Cluster c(sim, [] {
+    ClusterConfig cfg;
+    cfg.n_nodes = 2;
+    cfg.gpus_per_node = 2;
+    cfg.nic_ports = 2;
+    cfg.fabric = FabricKind::kOpusPhotonic;
+    cfg.ocs_reconfig_delay = usecs(10);
+    return cfg;
+  }());
+  c.set_fault_tolerant(true);
+  c.ocs(RailId{0}).force_circuits({{PortId{0}, PortId{2}}});
+  int done = 0;
+  c.transfer(c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{1}, 0), mib(1),
+             [&] { ++done; });
+  ASSERT_GT(c.config().rail_latency, 1);
+  sim.run_until(transfer_time(mib(1), c.config().port_bw()) + 1);
+  ASSERT_EQ(c.network().active_flow_count(), 0u) << "the flow has drained";
+  ASSERT_EQ(done, 0) << "its delivery still waits out rail_latency";
+  c.abort_span_traffic({0, 2});
+  sim.run();
+  EXPECT_EQ(done, 0) << "an evicted hop must not deliver";
+}
+
 TEST_F(FluidEdgeTest, RetiredLinksDoNotAffectActiveSolves) {
   // A pile of retired links must not slow down or perturb the solve for the
   // flows that remain (the churn scenario, in miniature).
