@@ -35,12 +35,11 @@ void BM_EventEngineScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_EventEngineScheduleFire)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Calendar-queue scaling: cost of one schedule+fire while P unrelated
-// events sit parked in the future (the rotor's pending rotations, fleet
-// arrivals, and fluid completion horizons). The binary heap this engine
-// replaced paid O(log P) per operation — visibly slower at each step of
-// this sweep — while the hierarchical calendar files and fires in O(1), so
-// ns/op must stay flat from 1k to 1M parked events. items/s = events fired.
+// Event-heap scaling: cost of one schedule+fire while P unrelated events
+// sit parked in the future (the rotor's pending rotations, fleet arrivals,
+// and fluid completion horizons). The (time, seq) binary heap pays
+// O(log P) per operation: measured 52 / 66 / 79 ns at 1k / 100k / 1M
+// parked events (Release, 4-core x86 container). items/s = events fired.
 void BM_EventQueuePendingScaling(benchmark::State& state) {
   const auto pending = static_cast<int>(state.range(0));
   sim::Simulator sim;

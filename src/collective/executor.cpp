@@ -75,8 +75,8 @@ void CollectiveExecutor::launch_pipelined(std::shared_ptr<RunState> rs) {
   rs->deps_remaining.assign(n, 0);
   rs->dependents.assign(n, {});
 
-  // Index transfers of each step by src rank and by dst rank so dependency
-  // edges can be built in O(total transfers x fan).
+  // Group transfers by step and test every pair of transfers in adjacent
+  // steps: O(sum over s of |step s-1| x |step s|) pair checks.
   const auto by_step = rs->sched.transfers_by_step();
   for (int s = 1; s < rs->sched.n_steps; ++s) {
     const auto& prev = by_step[static_cast<std::size_t>(s - 1)];

@@ -76,8 +76,9 @@ using FlowId = GenId<struct FlowTag>;
 using GroupId = Id<struct GroupTag>;
 /// A node in a training-iteration DAG.
 using OpId = Id<struct OpTag>;
-/// A cancellable event in the simulator.
-using EventId = Id<struct EventTag>;
+/// A cancellable event in the simulator (callback-slab slot + generation;
+/// see GenId).
+using EventId = GenId<struct EventTag>;
 
 }  // namespace opus
 

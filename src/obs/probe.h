@@ -1,4 +1,4 @@
-// Time-series probes: a periodic sim-time sampler driven off the calendar
+// Time-series probes: a periodic sim-time sampler driven off the simulator's
 // event queue. Each tick snapshots the metrics registry (counters and
 // gauges, including the derived fabric gauges Telemetry registers) into a
 // columnar in-memory series exportable as CSV/JSON through common/table.

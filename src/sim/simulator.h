@@ -2,23 +2,16 @@
 //
 // Single-threaded, deterministic: events at the same timestamp fire in the
 // order they were scheduled (FIFO tie-break on a monotonically increasing
-// sequence number). Events are cancellable; cancellation is O(1) via a
-// tombstone, and tombstoned entries are skipped lazily.
+// sequence number), so the total order is (time, seq) and nothing else.
 //
-// The pending-event set is a hierarchical calendar (bucket) queue rather
-// than a binary heap: eleven 64-bucket wheels of geometrically increasing
-// width (level k buckets span 64^k ns), with a per-wheel occupancy bitmask.
-// Insertion is O(1) — the level is the highest bit where the event time
-// differs from the queue's base time — and an event cascades to a lower
-// wheel at most once per level as the base advances. The workload this is
-// keyed for is the simulator's actual event pattern: dense, periodic
-// batches (rotor rotations, fleet arrivals, fluid completions) landing a
-// few microseconds-to-milliseconds ahead of now, where a comparison heap
-// pays log(n) per event and the calendar pays amortized O(1) regardless of
-// how many rotations are pending. Determinism is structural: every fired
-// bucket holds exactly one timestamp, and its entries are sorted by
-// sequence number before delivery, so the total order is (time, seq) —
-// bit-identical to the binary heap it replaced.
+// Two structures hold the pending events. A binary min-heap of small
+// entries (time, seq, slot, generation) orders them; a callback slab — a
+// dense slot array with a LIFO free list — owns their closures. An EventId
+// is the slot plus its generation (common/ids.h GenId, as FlowId). Cancel
+// frees the slot and bumps its generation in O(1); the heap entry goes
+// stale and is dropped when it reaches the front. A fired or cancelled id
+// never aliases the slot's next occupant, and a default or integer-cast id
+// (generation 0) is never pending.
 //
 // End-of-instant hooks let a component batch work per simulated instant. A
 // component registers a hook once and requests it whenever its state goes
@@ -33,12 +26,10 @@
 // instant instead of once per flow start.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/error.h"
@@ -82,7 +73,11 @@ class Simulator {
   bool cancel(EventId id);
 
   /// Returns true if `id` is scheduled and not yet fired or cancelled.
-  bool pending(EventId id) const { return callbacks_.contains(id); }
+  bool pending(EventId id) const {
+    // Issued generations are odd; a free slot's generation is even.
+    return (id.generation() & 1u) != 0u && id.slot() < slots_.size() &&
+           slots_[id.slot()].generation == id.generation();
+  }
 
   /// Runs until the event queue is empty and no hook is pending. Returns the
   /// number of events fired.
@@ -117,7 +112,9 @@ class Simulator {
   }
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending_events() const { return callbacks_.size(); }
+  std::size_t pending_events() const {
+    return slots_.size() - free_slots_.size();
+  }
 
   /// Total events fired since construction.
   std::uint64_t events_fired() const { return fired_; }
@@ -127,62 +124,51 @@ class Simulator {
   void set_profile_sink(ProfileSink* sink);
 
  private:
+  /// Heap entry: live iff its slot still carries `generation`.
   struct Entry {
     TimeNs time;
     std::uint64_t seq;
-    EventId id;
+    std::uint32_t slot;
+    std::uint32_t generation;
+    /// Min-heap on (time, seq): same-instant events fire in schedule order.
+    friend bool operator>(const Entry& a, const Entry& b) {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
   };
 
-  /// 64^11 = 2^66 exceeds the TimeNs (int64) range, so every valid
-  /// timestamp maps to some wheel and no overflow list is needed.
-  static constexpr int kLevels = 11;
+  /// Callback slab slot: generation is odd while an event holds the slot,
+  /// even while it waits on the free list.
+  struct Slot {
+    Callback cb;
+    std::uint32_t generation = 0;
+  };
 
   struct InstantHook {
     Callback cb;  ///< null once removed
     bool requested = false;
   };
 
-  struct Wheel {
-    std::array<std::vector<Entry>, 64> bucket;
-    std::uint64_t occupied = 0;  ///< bit i set iff bucket[i] is non-empty
-  };
-
-  /// Files an entry into the wheel its time belongs to relative to base_.
-  void place(Entry e);
-  /// Moves the calendar origin back to `t` (an insert landed before base_)
-  /// and re-files every live entry relative to the new origin.
-  void rebase(TimeNs t);
-  /// Drops dead (tombstoned, time < base_) buckets below a wheel's cursor.
-  void sweep_stale(int level);
-  /// Positions the wheels so the earliest live entry sits in a level-0
-  /// bucket, cascading higher wheels as needed. Returns the bucket index,
-  /// or -1 if no live entries remain (all-tombstone state is purged).
-  int settle();
+  /// Empties the slot (its generation becomes even) and files it free.
+  void release_slot(std::uint32_t slot);
   /// Runs requested hooks in request order until none is pending.
   void run_instant_hooks();
-  /// Parks the drain cursor (drain_idx_/drain_pos_/drain_time_) on the next
-  /// live entry without firing it, running pending hooks first once no
-  /// entry at now_ is left. Returns false if the queue is empty and no hook
-  /// is pending.
+  /// Drops stale entries until the heap front is the next live event,
+  /// running pending hooks first once no event at now_ is left. Returns
+  /// false if the queue is empty and no hook is pending.
   bool position();
   /// Fires the next live event, if any. Returns false if the queue is empty.
   bool fire_next();
 
   TimeNs now_ = 0;
-  /// All live entries have time >= base_ (the calendar's origin; advances
-  /// monotonically toward the earliest pending event, never past it).
-  TimeNs base_ = 0;
   std::uint64_t next_seq_ = 0;
-  std::int32_t next_id_ = 0;
   std::uint64_t fired_ = 0;
-  /// Drain cursor: the level-0 bucket currently being fired (-1 when none),
-  /// the next position within it, and the single live timestamp it holds.
-  int drain_idx_ = -1;
-  std::size_t drain_pos_ = 0;
-  TimeNs drain_time_ = 0;
-  std::array<Wheel, kLevels> wheels_;
-  std::vector<Entry> cascade_scratch_;
-  std::unordered_map<EventId, Callback> callbacks_;
+  /// Pending events, stale (cancelled) entries included.
+  std::vector<Entry> heap_;
+  /// The callback slab; slots are never removed, so peak concurrency bounds
+  /// the vector.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_slots_;
   /// Registered hooks (a deque: registering one never moves the callback
   /// of a hook that is running) and the pending requests in request order.
   std::deque<InstantHook> hooks_;

@@ -68,6 +68,7 @@ TEST(Simulator, CancelPreventsExecution) {
   EXPECT_TRUE(sim.pending(id));
   EXPECT_TRUE(sim.cancel(id));
   EXPECT_FALSE(sim.pending(id));
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.run();
   EXPECT_FALSE(fired);
 }
@@ -84,6 +85,15 @@ TEST(Simulator, CancelAfterFireReturnsFalse) {
   const EventId id = sim.schedule_at(10, [] {});
   sim.run();
   EXPECT_FALSE(sim.cancel(id));
+  // A second event may reuse the fired event's slot: the old id must still
+  // read as fired and must not cancel the new occupant.
+  bool second_fired = false;
+  const EventId second = sim.schedule_at(20, [&] { second_fired = true; });
+  EXPECT_FALSE(sim.pending(id));
+  EXPECT_FALSE(sim.cancel(id));
+  EXPECT_TRUE(sim.pending(second));
+  EXPECT_EQ(sim.run(), 1u);
+  EXPECT_TRUE(second_fired);
 }
 
 TEST(Simulator, CancelledEventDoesNotBlockQueue) {
@@ -142,21 +152,21 @@ TEST(Simulator, EventsCanScheduleMoreEvents) {
   EXPECT_EQ(sim.events_fired(), 100u);
 }
 
-// ---- Calendar-queue specifics ----------------------------------------------
-// The engine files events into hierarchical 64-wide wheels; the tests below
-// pin the behaviors the structure must preserve: same-instant FIFO even when
-// the entries were filed into different wheels, overflow clamping at the
-// deepest wheel, and re-filing when an insert lands before the calendar's
-// settled origin (the run_until peek-then-schedule pattern).
+// ---- Ordering and id edge cases --------------------------------------------
+// The pending set is a (time, seq) min-heap with lazily dropped cancelled
+// entries; the tests below pin what it must preserve: same-instant FIFO
+// whatever the horizon an event was scheduled from, overflow clamping at
+// kMaxTime, scheduling between now() and an event a run_until peek stopped
+// short of, and skipping an event cancelled within the firing instant.
 
-TEST(Simulator, SameInstantFifoAcrossWheelLevels) {
+TEST(Simulator, SameInstantFifoAcrossScheduleHorizons) {
   Simulator sim;
   std::vector<int> order;
-  // Filed far ahead (a high wheel relative to base 0)...
+  // Scheduled far ahead of now()...
   sim.schedule_at(1'000'000, [&] { order.push_back(0); });
   sim.schedule_at(1'000'000, [&] { order.push_back(1); });
   // ...then fire an intermediate event so later same-instant schedules are
-  // filed much closer to the target (a lower wheel).
+  // made one nanosecond ahead: they still fire after the earlier ones.
   sim.schedule_at(999'999, [&] {
     sim.schedule_at(1'000'000, [&] { order.push_back(2); });
     sim.schedule_at(1'000'000, [&] { order.push_back(3); });
@@ -172,7 +182,7 @@ TEST(Simulator, ScheduleAfterClampsOverflowToMaxTime) {
   ASSERT_EQ(sim.now(), 10);
   TimeNs fired_at = -1;
   // now() + kMaxTime overflows TimeNs; the event must land exactly at the
-  // clamp, in the calendar's deepest wheel, and still fire.
+  // clamp and still fire.
   const EventId id = sim.schedule_after(Simulator::kMaxTime,
                                         [&] { fired_at = sim.now(); });
   EXPECT_TRUE(sim.pending(id));
@@ -211,40 +221,40 @@ TEST(Simulator, EventIdsAreDistinctAndUnknownIdsAreNotPending) {
   for (const EventId id : ids) EXPECT_NE(later, id);
 }
 
-TEST(Simulator, ScheduleBeforeSettledOriginAfterRunUntilPeek) {
+TEST(Simulator, ScheduleBetweenNowAndAPeekedEvent) {
   Simulator sim;
   std::vector<TimeNs> fired;
-  // Park a far-future event, then peek with run_until: settling walks the
-  // calendar origin up toward the pending event (past 50).
+  // Park a far-future event, then peek with run_until: it stops short of
+  // the pending event and advances now() to 50.
   sim.schedule_at(1'000'000, [&] { fired.push_back(sim.now()); });
   EXPECT_EQ(sim.run_until(50), 0u);
   EXPECT_EQ(sim.now(), 50);
-  // Now schedule between now() and the settled origin — the calendar must
-  // re-file (rebase) rather than mis-bucket or drop the entry.
+  // Now schedule between now() and the peeked event: the new event fires
+  // first, and a later one at the peeked instant fires after it.
   sim.schedule_at(100, [&] { fired.push_back(sim.now()); });
   sim.schedule_at(1'000'000, [&] { fired.push_back(sim.now()); });
   sim.run();
   EXPECT_EQ(fired, (std::vector<TimeNs>{100, 1'000'000, 1'000'000}));
 }
 
-TEST(Simulator, SameInstantFifoSurvivesRebase) {
+TEST(Simulator, SameInstantFifoAfterRunUntilPeek) {
   Simulator sim;
   std::vector<int> order;
   sim.schedule_at(1'000'000, [&] { order.push_back(0); });
-  sim.run_until(50);  // peek: origin settles near the pending event
-  sim.schedule_at(100, [&] { order.push_back(-1); });  // forces the rebase
+  sim.run_until(50);  // peek: stops short of the pending event
+  sim.schedule_at(100, [&] { order.push_back(-1); });  // before the peeked one
   sim.schedule_at(1'000'000, [&] { order.push_back(1); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{-1, 0, 1}));
 }
 
-TEST(Simulator, CancelWithinSameInstantBucketSkipsTombstone) {
+TEST(Simulator, CancelWithinTheFiringInstantSkipsTheEvent) {
   Simulator sim;
   std::vector<int> order;
   EventId victim{};
   sim.schedule_at(5, [&] {
     order.push_back(0);
-    sim.cancel(victim);  // tombstones a later entry of the firing bucket
+    sim.cancel(victim);  // a later event of the instant being fired
   });
   victim = sim.schedule_at(5, [&] { order.push_back(1); });
   sim.schedule_at(5, [&] { order.push_back(2); });
@@ -261,7 +271,7 @@ TEST(Simulator, MidDrainSameInstantAppendFiresLast) {
   EXPECT_EQ(sim.run_steps(1), 1u);
   EXPECT_EQ(sim.now(), 5);
   // Appending at the instant currently being drained: FIFO puts it after the
-  // bucket's remaining entries.
+  // instant's remaining events.
   sim.schedule_at(5, [&] { order.push_back(3); });
   sim.run();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
@@ -336,7 +346,7 @@ TEST(Simulator, RequestAfterRunUntilPeekFlushesBeforeTheLaterEvent) {
     sim.schedule_at(sim.now() + 10, [&] { log.emplace_back(2, sim.now()); });
   });
   sim.schedule_at(1'000'000, [&] { log.emplace_back(0, sim.now()); });
-  // The peek parks the drain cursor on the far event, past now().
+  // The peek stops short of the far event, which stays pending past now().
   EXPECT_EQ(sim.run_until(50), 0u);
   sim.request_instant_hook(hook);  // a mutation between run calls
   sim.run();
