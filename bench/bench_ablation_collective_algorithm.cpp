@@ -37,8 +37,9 @@ TimeNs run_collective(net::FabricKind kind, CollectiveType type, Algorithm algo,
   group.dim = ParallelismDim::kDP;
   for (int n = 0; n < 8; ++n) group.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto sched = plan_collective(type, algo, 8, payload);
+  const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(group, sched,
+  exec.run(group, cc,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   return duration;

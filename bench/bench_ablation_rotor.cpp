@@ -55,8 +55,9 @@ TimeNs run_collective(bool rotor, int nodes, TimeNs ocs_delay,
   for (int n = 0; n < nodes; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto algo = choose_algorithm(type, nodes, payload, 2);
   const auto sched = plan_collective(type, algo, nodes, payload);
+  const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();

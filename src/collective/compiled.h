@@ -1,0 +1,77 @@
+// Compiled collectives: a schedule plus everything derived from it that the
+// executor and the transports read on every launch.
+//
+// A training iteration repeats the same collectives every iteration, so the
+// derived indexes are built once by compile() and shared, immutable, by every
+// run of that collective (IterationEngine caches one per (type, algorithm,
+// group size, bytes)). Indexes are flat arrays, not vectors of vectors, so a
+// 512-rank ring costs a few allocations rather than one per transfer. Most
+// are CSR: the entries of row i are list[begin[i] .. begin[i+1]).
+#pragma once
+
+#include <memory>
+#include <span>
+#include <utility>
+#include <vector>
+
+#include "collective/schedule.h"
+
+namespace opus::collective {
+
+struct CompiledCollective {
+  CollectiveSchedule sched;
+
+  /// Step index: transfer indices of step s, ascending. Equals
+  /// sched.transfers_by_step()[s].
+  std::vector<int> step_begin;  ///< n_steps + 1 offsets into step_order
+  std::vector<int> step_order;
+
+  /// Pipelined dependency graph. Transfer t at step s depends on every step
+  /// s-1 transfer p with p.src == t.src (t.src's previous send must have
+  /// left: port serialization) or p.dst == t.src (the data t.src forwards
+  /// must have arrived), each such p counted once. Each dependents row is in
+  /// ascending transfer order — the order in which completions launch them.
+  std::vector<int> dep_begin;  ///< transfers + 1 offsets into dep_list
+  std::vector<int> dep_list;
+  /// Per-transfer dependency count; a run copies it as its countdown.
+  std::vector<int> initial_deps;
+
+  /// Distinct (src, dst) rank pairs, sorted: over the whole schedule, and
+  /// per step. Step s's pairs are step_pairs[step_pair_begin[s] ..
+  /// step_pair_end[s]); a step with the same pairs as the step before it
+  /// (every step of a ring) shares that step's row instead of storing a copy.
+  std::vector<std::pair<int, int>> peer_pairs;
+  std::vector<int> step_pair_begin;
+  std::vector<int> step_pair_end;
+  std::vector<std::pair<int, int>> step_pairs;
+
+  std::span<const int> step(int s) const {
+    return row(step_order, step_begin, s);
+  }
+  std::span<const int> dependents(int transfer) const {
+    return row(dep_list, dep_begin, transfer);
+  }
+  std::span<const std::pair<int, int>> peer_pairs_of_step(int s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return slice(step_pairs, step_pair_begin[i], step_pair_end[i]);
+  }
+
+ private:
+  template <typename T>
+  static std::span<const T> row(const std::vector<T>& list,
+                                const std::vector<int>& begin, int i) {
+    const auto r = static_cast<std::size_t>(i);
+    return slice(list, begin[r], begin[r + 1]);
+  }
+  template <typename T>
+  static std::span<const T> slice(const std::vector<T>& list, int b, int e) {
+    return std::span<const T>(list).subspan(static_cast<std::size_t>(b),
+                                            static_cast<std::size_t>(e - b));
+  }
+};
+
+/// Builds every index of `sched` (throws InvariantError on a transfer whose
+/// step or rank is out of range).
+std::shared_ptr<const CompiledCollective> compile(CollectiveSchedule sched);
+
+}  // namespace opus::collective

@@ -9,13 +9,12 @@ namespace opus::collective {
 
 struct CollectiveExecutor::RunState {
   CommGroup group;
-  CollectiveSchedule sched;
+  std::shared_ptr<const CompiledCollective> cc;
   std::function<void(const Result&)> on_complete;
   Result result;
 
-  // Pipelined mode: per-transfer dependency bookkeeping.
+  // Pipelined mode: per-transfer countdown, copied from cc->initial_deps.
   std::vector<int> deps_remaining;
-  std::vector<std::vector<int>> dependents;
 
   // Step-synchronous mode: per-step countdown.
   int step_transfers_remaining = 0;
@@ -24,34 +23,36 @@ struct CollectiveExecutor::RunState {
 };
 
 void CollectiveExecutor::run(const CommGroup& group,
-                             const CollectiveSchedule& sched,
+                             std::shared_ptr<const CompiledCollective> cc,
                              std::function<void(const Result&)> on_complete) {
-  ensure(group.size() == sched.n_ranks,
+  ensure(cc != nullptr, "executor: null compiled collective");
+  ensure(group.size() == cc->sched.n_ranks,
          "executor: schedule rank count does not match group size");
-  const bool step_sync = !sched.transfers.empty() &&
-                         transport_.needs_per_step_preparation(group, sched);
+  const bool step_sync = !cc->sched.transfers.empty() &&
+                         transport_.needs_per_step_preparation(group, *cc);
   if (step_sync && step_sync_busy_.contains(group.id)) {
     // Same-communicator step-synchronous collectives must not interleave
     // their per-step reconfigurations; queue behind the active one.
     step_sync_queue_[group.id].push_back(
-        PendingRun{group, sched, std::move(on_complete)});
+        PendingRun{group, std::move(cc), std::move(on_complete)});
     return;
   }
-  start_run(group, sched, std::move(on_complete), step_sync);
+  start_run(group, std::move(cc), std::move(on_complete), step_sync);
 }
 
 void CollectiveExecutor::start_run(
-    const CommGroup& group, const CollectiveSchedule& sched,
+    const CommGroup& group, std::shared_ptr<const CompiledCollective> cc,
     std::function<void(const Result&)> on_complete, bool step_sync) {
   auto rs = std::make_shared<RunState>();
   rs->group = group;
-  rs->sched = sched;
+  rs->cc = std::move(cc);
   rs->on_complete = std::move(on_complete);
   rs->result.start = sim_.now();
-  rs->result.transfers = static_cast<int>(sched.transfers.size());
-  rs->transfers_remaining = static_cast<int>(sched.transfers.size());
+  const int n_transfers = static_cast<int>(rs->cc->sched.transfers.size());
+  rs->result.transfers = n_transfers;
+  rs->transfers_remaining = n_transfers;
 
-  if (sched.transfers.empty()) {
+  if (n_transfers == 0) {
     // Single-rank group or empty schedule: completes immediately.
     sim_.schedule_after(0, [this, rs] { finish(rs); });
     return;
@@ -59,48 +60,28 @@ void CollectiveExecutor::start_run(
 
   rs->result.step_synchronous = step_sync;
   if (step_sync) step_sync_busy_.insert(group.id);
-  transport_.prepare_collective(
-      rs->group, rs->sched, [this, rs, step_sync] {
-        if (step_sync) {
-          run_step_synchronous(rs, 0);
-        } else {
-          launch_pipelined(rs);
-        }
-      });
+  transport_.prepare_collective(rs->group, *rs->cc, [this, rs, step_sync] {
+    if (step_sync) {
+      run_step_synchronous(rs, 0);
+    } else {
+      launch_pipelined(rs);
+    }
+  });
 }
 
 void CollectiveExecutor::launch_pipelined(std::shared_ptr<RunState> rs) {
-  const auto& transfers = rs->sched.transfers;
-  const std::size_t n = transfers.size();
-  rs->deps_remaining.assign(n, 0);
-  rs->dependents.assign(n, {});
-
-  // Group transfers by step and test every pair of transfers in adjacent
-  // steps: O(sum over s of |step s-1| x |step s|) pair checks.
-  const auto by_step = rs->sched.transfers_by_step();
-  for (int s = 1; s < rs->sched.n_steps; ++s) {
-    const auto& prev = by_step[static_cast<std::size_t>(s - 1)];
-    for (int ti : by_step[static_cast<std::size_t>(s)]) {
-      const Transfer& t = transfers[static_cast<std::size_t>(ti)];
-      for (int pi : prev) {
-        const Transfer& p = transfers[static_cast<std::size_t>(pi)];
-        // (a) port serialization: my previous send must have left;
-        // (b) data dependency: the data I forward must have arrived.
-        if (p.src == t.src || p.dst == t.src) {
-          rs->dependents[static_cast<std::size_t>(pi)].push_back(ti);
-          ++rs->deps_remaining[static_cast<std::size_t>(ti)];
-        }
-      }
+  rs->deps_remaining = rs->cc->initial_deps;
+  const int n = static_cast<int>(rs->deps_remaining.size());
+  for (int i = 0; i < n; ++i) {
+    if (rs->deps_remaining[static_cast<std::size_t>(i)] == 0) {
+      launch_transfer(rs, i);
     }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (rs->deps_remaining[i] == 0) launch_transfer(rs, static_cast<int>(i));
   }
 }
 
 void CollectiveExecutor::launch_transfer(const std::shared_ptr<RunState>& rs,
                                          int index) {
-  const Transfer& t = rs->sched.transfers[static_cast<std::size_t>(index)];
+  const Transfer& t = rs->cc->sched.transfers[static_cast<std::size_t>(index)];
   const GpuId src = rs->group.ranks[static_cast<std::size_t>(t.src)];
   const GpuId dst = rs->group.ranks[static_cast<std::size_t>(t.dst)];
   transport_.send(rs->group, src, dst, t.bytes,
@@ -111,7 +92,7 @@ void CollectiveExecutor::on_transfer_done(const std::shared_ptr<RunState>& rs,
                                           int index) {
   --rs->transfers_remaining;
   if (!rs->result.step_synchronous) {
-    for (int d : rs->dependents[static_cast<std::size_t>(index)]) {
+    for (int d : rs->cc->dependents(index)) {
       if (--rs->deps_remaining[static_cast<std::size_t>(d)] == 0) {
         launch_transfer(rs, d);
       }
@@ -119,7 +100,7 @@ void CollectiveExecutor::on_transfer_done(const std::shared_ptr<RunState>& rs,
   } else {
     if (--rs->step_transfers_remaining == 0 && rs->transfers_remaining > 0) {
       const int next_step =
-          rs->sched.transfers[static_cast<std::size_t>(index)].step + 1;
+          rs->cc->sched.transfers[static_cast<std::size_t>(index)].step + 1;
       run_step_synchronous(rs, next_step);
     }
   }
@@ -129,23 +110,19 @@ void CollectiveExecutor::on_transfer_done(const std::shared_ptr<RunState>& rs,
 void CollectiveExecutor::run_step_synchronous(std::shared_ptr<RunState> rs,
                                               int step) {
   // Skip (theoretically) empty steps.
-  const auto by_step = rs->sched.transfers_by_step();
-  while (step < rs->sched.n_steps &&
-         by_step[static_cast<std::size_t>(step)].empty()) {
-    ++step;
-  }
-  if (step >= rs->sched.n_steps) return;
-  const auto& indices = by_step[static_cast<std::size_t>(step)];
-  rs->step_transfers_remaining = static_cast<int>(indices.size());
-  transport_.prepare_step(rs->group, rs->sched, step, [this, rs, indices] {
-    for (int ti : indices) launch_transfer(rs, ti);
+  const CompiledCollective& cc = *rs->cc;
+  while (step < cc.sched.n_steps && cc.step(step).empty()) ++step;
+  if (step >= cc.sched.n_steps) return;
+  rs->step_transfers_remaining = static_cast<int>(cc.step(step).size());
+  transport_.prepare_step(rs->group, cc, step, [this, rs, step] {
+    for (int ti : rs->cc->step(step)) launch_transfer(rs, ti);
   });
 }
 
 void CollectiveExecutor::finish(const std::shared_ptr<RunState>& rs) {
   rs->result.end = sim_.now();
   ++completed_;
-  transport_.collective_finished(rs->group, rs->sched);
+  transport_.collective_finished(rs->group, *rs->cc);
   if (rs->result.step_synchronous) {
     step_sync_busy_.erase(rs->group.id);
     auto it = step_sync_queue_.find(rs->group.id);
@@ -157,7 +134,7 @@ void CollectiveExecutor::finish(const std::shared_ptr<RunState>& rs) {
       // Decouple from the finishing run's stack.
       auto pending = std::make_shared<PendingRun>(std::move(next));
       sim_.schedule_after(0, [this, pending] {
-        start_run(pending->group, pending->sched,
+        start_run(pending->group, std::move(pending->cc),
                   std::move(pending->on_complete), true);
       });
     }

@@ -1,12 +1,15 @@
 // Dependency-driven collective execution on the simulated fabric.
 //
-// Default mode is *pipelined*: a transfer at step s from rank r launches as
-// soon as (a) r's own step s-1 send finished (port serialization) and (b) the
-// step s-1 data destined to r arrived (data dependency). This reproduces ring
+// The executor runs compiled collectives (collective/compiled.h): every run
+// shares one immutable CompiledCollective and copies only its per-transfer
+// dependency counts. Default mode is *pipelined*: a transfer at step s from
+// rank r launches as soon as (a) r's own step s-1 send finished (port
+// serialization) and (b) the step s-1 data destined to r arrived (data
+// dependency) — the compiled dependency graph. This reproduces ring
 // pipelining without global per-step barriers. When the transport reports
 // that the schedule needs per-step circuit preparation (C1 on photonic
-// rails), execution falls back to step-synchronous mode: prepare step ->
-// run all its transfers -> prepare next step.
+// rails), execution falls back to step-synchronous mode over the compiled
+// step index: prepare step -> run all its transfers -> prepare next step.
 #pragma once
 
 #include <deque>
@@ -16,7 +19,7 @@
 #include <set>
 
 #include "collective/comm_group.h"
-#include "collective/schedule.h"
+#include "collective/compiled.h"
 #include "collective/transport.h"
 #include "sim/simulator.h"
 
@@ -36,13 +39,14 @@ class CollectiveExecutor {
     TimeNs duration() const { return end - start; }
   };
 
-  /// Runs `sched` over `group`; `on_complete(result)` fires when every
+  /// Runs `cc` over `group`; `on_complete(result)` fires when every
   /// transfer has delivered. Multiple collectives (on different groups) may
   /// be in flight concurrently on one executor. Step-synchronous schedules
   /// (those needing per-step circuit preparation) are serialized per group,
   /// like same-communicator collectives on one NCCL stream — their per-step
   /// reconfigurations must not interleave.
-  void run(const CommGroup& group, const CollectiveSchedule& sched,
+  void run(const CommGroup& group,
+           std::shared_ptr<const CompiledCollective> cc,
            std::function<void(const Result&)> on_complete);
 
   /// Total collectives completed by this executor.
@@ -52,10 +56,11 @@ class CollectiveExecutor {
   struct RunState;
   struct PendingRun {
     CommGroup group;
-    CollectiveSchedule sched;
+    std::shared_ptr<const CompiledCollective> cc;
     std::function<void(const Result&)> on_complete;
   };
-  void start_run(const CommGroup& group, const CollectiveSchedule& sched,
+  void start_run(const CommGroup& group,
+                 std::shared_ptr<const CompiledCollective> cc,
                  std::function<void(const Result&)> on_complete,
                  bool step_sync);
   void launch_pipelined(std::shared_ptr<RunState> rs);

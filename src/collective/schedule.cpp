@@ -1,8 +1,5 @@
 #include "collective/schedule.h"
 
-#include <algorithm>
-#include <set>
-
 #include "collective/comm_group.h"
 #include "common/error.h"
 
@@ -60,12 +57,6 @@ Bytes CollectiveSchedule::total_bytes() const {
   Bytes total = 0;
   for (const Transfer& t : transfers) total += t.bytes;
   return total;
-}
-
-std::vector<std::pair<int, int>> CollectiveSchedule::peer_pairs() const {
-  std::set<std::pair<int, int>> pairs;
-  for (const Transfer& t : transfers) pairs.emplace(t.src, t.dst);
-  return {pairs.begin(), pairs.end()};
 }
 
 }  // namespace opus::collective

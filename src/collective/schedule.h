@@ -79,8 +79,6 @@ struct CollectiveSchedule {
   std::vector<std::vector<int>> transfers_by_step() const;
   /// Total bytes crossing the network.
   Bytes total_bytes() const;
-  /// Set of distinct (src, dst) index pairs used anywhere in the schedule.
-  std::vector<std::pair<int, int>> peer_pairs() const;
 };
 
 }  // namespace opus::collective

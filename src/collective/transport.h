@@ -4,13 +4,15 @@
 // the baseline DirectTransport maps sends straight onto the cluster (packet-
 // switched rails are always connected), while the Opus transport (src/core)
 // first establishes optical circuits via the control plane, exactly like the
-// shim/controller interaction in Fig. 6 of the paper.
+// shim/controller interaction in Fig. 6 of the paper. Every hook receives
+// the run's CompiledCollective, so a transport reads the schedule's step
+// index and peer pairs instead of re-deriving them per launch.
 #pragma once
 
 #include <functional>
 
 #include "collective/comm_group.h"
-#include "collective/schedule.h"
+#include "collective/compiled.h"
 #include "net/cluster.h"
 
 namespace opus::collective {
@@ -23,7 +25,7 @@ class Transport {
   /// `ready` (possibly later in simulated time) when step 0 may begin — e.g.
   /// after the control plane has established the circuits for the schedule.
   virtual void prepare_collective(const CommGroup& group,
-                                  const CollectiveSchedule& sched,
+                                  const CompiledCollective& cc,
                                   std::function<void()> ready) = 0;
 
   /// True if this schedule's peer graph cannot be held as simultaneous
@@ -32,11 +34,11 @@ class Transport {
   /// fabrics; true on photonic rails for algorithms whose distinct peer
   /// count exceeds the NIC port budget (constraint C1).
   virtual bool needs_per_step_preparation(
-      const CommGroup& group, const CollectiveSchedule& sched) const = 0;
+      const CommGroup& group, const CompiledCollective& cc) const = 0;
 
   /// Called before step `step` when needs_per_step_preparation() is true.
   virtual void prepare_step(const CommGroup& group,
-                            const CollectiveSchedule& sched, int step,
+                            const CompiledCollective& cc, int step,
                             std::function<void()> ready) = 0;
 
   /// Moves bytes between two group members; `done` fires at delivery.
@@ -46,9 +48,9 @@ class Transport {
   /// Called when the collective's last transfer has delivered (lets control
   /// planes update phase tracking / trigger provisioning).
   virtual void collective_finished(const CommGroup& group,
-                                   const CollectiveSchedule& sched) {
+                                   const CompiledCollective& cc) {
     (void)group;
-    (void)sched;
+    (void)cc;
   }
 
   /// Called by the workload engine at the start of each training iteration.
@@ -63,17 +65,17 @@ class DirectTransport final : public Transport {
  public:
   explicit DirectTransport(net::Cluster& cluster) : cluster_(cluster) {}
 
-  void prepare_collective(const CommGroup&, const CollectiveSchedule&,
+  void prepare_collective(const CommGroup&, const CompiledCollective&,
                           std::function<void()> ready) override {
     ready();
   }
 
   bool needs_per_step_preparation(const CommGroup&,
-                                  const CollectiveSchedule&) const override {
+                                  const CompiledCollective&) const override {
     return false;
   }
 
-  void prepare_step(const CommGroup&, const CollectiveSchedule&, int,
+  void prepare_step(const CommGroup&, const CompiledCollective&, int,
                     std::function<void()> ready) override {
     ready();
   }

@@ -19,7 +19,7 @@ std::vector<PortId> CircuitPlanner::ports_of(const RailCircuits& rc) {
 
 std::vector<CircuitPlanner::RailEdge> CircuitPlanner::lower_edges(
     const collective::CommGroup& group,
-    const std::vector<std::pair<int, int>>& peer_pairs) const {
+    std::span<const std::pair<int, int>> peer_pairs) const {
   std::set<std::tuple<int, int, int>> edges;  // (rail, node_lo, node_hi)
   for (const auto& [si, di] : peer_pairs) {
     const GpuId src = group.ranks[static_cast<std::size_t>(si)];
@@ -140,21 +140,19 @@ std::optional<std::vector<RailCircuits>> CircuitPlanner::assign_ports(
 
 std::optional<std::vector<RailCircuits>> CircuitPlanner::plan_static(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched) const {
+    const collective::CompiledCollective& cc) const {
   ensure(cluster_.photonic(), "circuit planner requires photonic rails");
-  return assign_ports(lower_edges(group, sched.peer_pairs()),
+  return assign_ports(lower_edges(group, cc.peer_pairs),
                       stripe_limit_for(group.dim));
 }
 
 std::vector<RailCircuits> CircuitPlanner::plan_step(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched, int step) const {
+    const collective::CompiledCollective& cc, int step) const {
   ensure(cluster_.photonic(), "circuit planner requires photonic rails");
-  std::set<std::pair<int, int>> pairs;
-  for (const collective::Transfer& t : sched.transfers) {
-    if (t.step == step) pairs.emplace(t.src, t.dst);
-  }
-  auto plan = assign_ports(lower_edges(group, {pairs.begin(), pairs.end()}),
+  ensure(step >= 0 && step < cc.sched.n_steps,
+         "circuit planner: step out of range");
+  auto plan = assign_ports(lower_edges(group, cc.peer_pairs_of_step(step)),
                            stripe_limit_for(group.dim),
                            /*best_effort=*/cluster_.fault_tolerant());
   ensure(plan.has_value(),

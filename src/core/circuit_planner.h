@@ -17,10 +17,11 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "collective/comm_group.h"
-#include "collective/schedule.h"
+#include "collective/compiled.h"
 #include "net/cluster.h"
 #include "net/ocs.h"
 
@@ -47,7 +48,7 @@ class CircuitPlanner {
   /// nullopt when some endpoint would need more circuits than it has ports.
   std::optional<std::vector<RailCircuits>> plan_static(
       const collective::CommGroup& group,
-      const collective::CollectiveSchedule& sched) const;
+      const collective::CompiledCollective& cc) const;
 
   /// Layout for one step of a peer-changing schedule. Throws if even a
   /// single step exceeds the port budget (the algorithm chooser should have
@@ -58,11 +59,11 @@ class CircuitPlanner {
   /// until repair restores the ports).
   std::vector<RailCircuits> plan_step(
       const collective::CommGroup& group,
-      const collective::CollectiveSchedule& sched, int step) const;
+      const collective::CompiledCollective& cc, int step) const;
 
   bool static_wirable(const collective::CommGroup& group,
-                      const collective::CollectiveSchedule& sched) const {
-    return plan_static(group, sched).has_value();
+                      const collective::CompiledCollective& cc) const {
+    return plan_static(group, cc).has_value();
   }
 
   /// All OCS ports a layout touches, per rail (for ownership tracking).
@@ -79,7 +80,7 @@ class CircuitPlanner {
   };
   std::vector<RailEdge> lower_edges(
       const collective::CommGroup& group,
-      const std::vector<std::pair<int, int>>& peer_pairs) const;
+      std::span<const std::pair<int, int>> peer_pairs) const;
 
   /// best_effort: instead of failing the whole layout when an endpoint's
   /// degree exceeds its surviving ports, plan what fits and drop the rest.

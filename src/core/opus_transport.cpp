@@ -40,20 +40,20 @@ bool OpusTransport::offload_to_mgmt(const collective::CommGroup& group,
 
 void OpusTransport::prepare_collective(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched,
+    const collective::CompiledCollective& cc,
     std::function<void()> ready) {
   if (!needs_circuits(group)) {
     ready();
     return;
   }
-  if (offload_to_mgmt(group, sched.payload_bytes)) {
+  if (offload_to_mgmt(group, cc.sched.payload_bytes)) {
     mgmt_mode_[group.id] = true;
     ready();
     return;
   }
   mgmt_mode_.erase(group.id);
 
-  const auto layout = planner_.plan_static(group, sched);
+  const auto layout = planner_.plan_static(group, cc);
   if (!layout.has_value()) {
     // Peer-changing schedule: circuits are established per step via
     // prepare_step; the intent is still recorded for phase tracking.
@@ -75,20 +75,21 @@ void OpusTransport::prepare_collective(
 
 bool OpusTransport::needs_per_step_preparation(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched) const {
+    const collective::CompiledCollective& cc) const {
   if (!needs_circuits(group)) return false;
-  if (offload_to_mgmt(group, sched.payload_bytes)) return false;
-  return !planner_.static_wirable(group, sched);
+  if (offload_to_mgmt(group, cc.sched.payload_bytes)) return false;
+  return !planner_.static_wirable(group, cc);
 }
 
 void OpusTransport::prepare_step(const collective::CommGroup& group,
-                                 const collective::CollectiveSchedule& sched,
+                                 const collective::CompiledCollective& cc,
                                  int step, std::function<void()> ready) {
-  if (!needs_circuits(group) || offload_to_mgmt(group, sched.payload_bytes)) {
+  if (!needs_circuits(group) ||
+      offload_to_mgmt(group, cc.sched.payload_bytes)) {
     ready();
     return;
   }
-  const auto layout = planner_.plan_step(group, sched, step);
+  const auto layout = planner_.plan_step(group, cc, step);
   controller_->request(group.id, layout, std::move(ready));
 }
 
@@ -104,8 +105,8 @@ void OpusTransport::send(const collective::CommGroup& group, GpuId src,
 
 void OpusTransport::collective_finished(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched) {
-  (void)sched;
+    const collective::CompiledCollective& cc) {
+  (void)cc;
   if (!needs_circuits(group)) return;
   if (mgmt_mode_.contains(group.id)) return;
   controller_->group_activity(group.id, -1);
@@ -118,9 +119,9 @@ void OpusTransport::iteration_started(int index) {
 
 bool OpusTransport::hint_collective(
     const collective::CommGroup& group,
-    const collective::CollectiveSchedule& sched) {
+    const collective::CompiledCollective& cc) {
   if (!needs_circuits(group)) return true;  // nothing to provision
-  const auto layout = planner_.plan_static(group, sched);
+  const auto layout = planner_.plan_static(group, cc);
   if (!layout.has_value()) return false;
   controller_->request(group.id, *layout, {});  // ahead-of-demand, no waiter
   return true;

@@ -40,32 +40,32 @@ class OpusTransport final : public collective::Transport {
 
   // ---- collective::Transport -----------------------------------------------
   void prepare_collective(const collective::CommGroup& group,
-                          const collective::CollectiveSchedule& sched,
+                          const collective::CompiledCollective& cc,
                           std::function<void()> ready) override;
   bool needs_per_step_preparation(
       const collective::CommGroup& group,
-      const collective::CollectiveSchedule& sched) const override;
+      const collective::CompiledCollective& cc) const override;
   void prepare_step(const collective::CommGroup& group,
-                    const collective::CollectiveSchedule& sched, int step,
+                    const collective::CompiledCollective& cc, int step,
                     std::function<void()> ready) override;
   void send(const collective::CommGroup& group, GpuId src, GpuId dst,
             Bytes bytes, std::function<void()> done) override;
   void collective_finished(
       const collective::CommGroup& group,
-      const collective::CollectiveSchedule& sched) override;
+      const collective::CompiledCollective& cc) override;
   void iteration_started(int index) override;
 
   // ---- application-driven circuit allocation (§5 "Opportunities") -----------
   /// Lets the application schedule network reconfiguration alongside its
   /// compute kernels — the paper's "circuit connectivity as a callable
   /// abstraction" (analogous to torch.cuda.amp for tensor cores). The
-  /// group's circuits for `sched` are provisioned immediately, ahead of the
+  /// group's circuits for `cc` are provisioned immediately, ahead of the
   /// collective call; unlike shim provisioning this needs no profile, so it
   /// works from the very first iteration. Returns false when the schedule
   /// is not statically wirable (peer-changing algorithms provision per
   /// step regardless).
   bool hint_collective(const collective::CommGroup& group,
-                       const collective::CollectiveSchedule& sched);
+                       const collective::CompiledCollective& cc);
 
   /// Tenant teardown: retires the controller (queued/speculative
   /// reconfiguration requests are dropped) so no control-plane activity can

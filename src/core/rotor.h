@@ -59,17 +59,17 @@ class RotorTransport final : public collective::Transport {
 
   // ---- collective::Transport -----------------------------------------------
   void prepare_collective(const collective::CommGroup&,
-                          const collective::CollectiveSchedule&,
+                          const collective::CompiledCollective&,
                           std::function<void()> ready) override {
     ready();  // the rotor ignores demand
   }
   bool needs_per_step_preparation(
       const collective::CommGroup&,
-      const collective::CollectiveSchedule&) const override {
+      const collective::CompiledCollective&) const override {
     return false;
   }
   void prepare_step(const collective::CommGroup&,
-                    const collective::CollectiveSchedule&, int,
+                    const collective::CompiledCollective&, int,
                     std::function<void()> ready) override {
     ready();
   }

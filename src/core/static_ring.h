@@ -32,17 +32,17 @@ class StaticRingTransport final : public collective::Transport {
       : StaticRingTransport(cluster, net::NodeSpan{0, cluster.n_nodes()}) {}
 
   void prepare_collective(const collective::CommGroup&,
-                          const collective::CollectiveSchedule&,
+                          const collective::CompiledCollective&,
                           std::function<void()> ready) override {
     ready();  // the topology never changes
   }
   bool needs_per_step_preparation(
       const collective::CommGroup&,
-      const collective::CollectiveSchedule&) const override {
+      const collective::CompiledCollective&) const override {
     return false;
   }
   void prepare_step(const collective::CommGroup&,
-                    const collective::CollectiveSchedule&, int,
+                    const collective::CompiledCollective&, int,
                     std::function<void()> ready) override {
     ready();
   }

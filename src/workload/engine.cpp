@@ -233,9 +233,15 @@ void IterationEngine::start_collective(const Op& op) {
         dag_->groups[static_cast<std::size_t>(gi)];
     const auto algo = collective::choose_algorithm(
         op.ctype, group.size(), op.payload, degree_budget(group));
-    const auto sched =
-        collective::plan_collective(op.ctype, algo, group.size(), op.payload);
-    executor_.run(group, sched,
+    const CollectiveKey key{op.ctype, algo, group.size(), op.payload};
+    auto it = compiled_.find(key);
+    if (it == compiled_.end()) {
+      it = compiled_
+               .emplace(key, collective::compile(collective::plan_collective(
+                                 op.ctype, algo, group.size(), op.payload)))
+               .first;
+    }
+    executor_.run(group, it->second,
                   [this, id = op.id, gi, issue,
                    payload = op.payload](const collective::CollectiveExecutor::
                                              Result& result) {

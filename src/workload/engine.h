@@ -7,6 +7,12 @@
 // in the comparison set. Every communication-group execution and every
 // compute span is recorded into the TraceRecorder.
 //
+// Collective cache: an iteration repeats the same collectives, so each
+// distinct (type, algorithm, group size, bytes) is planned and compiled once,
+// on its first launch, and every later launch shares the immutable result.
+// The cache belongs to the engine (one per tenant or sweep thread), and
+// compiling lazily keeps the work out of tenant setup.
+//
 // Event coalescing: the GPU parts of one compute op that start together
 // (all their GPUs idle at dispatch) share a single completion event — at
 // 512-way data parallelism a per-microbatch op is one event, not 512. Only
@@ -18,7 +24,9 @@
 
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "collective/executor.h"
@@ -66,6 +74,9 @@ class IterationEngine {
 
   const std::vector<TimeNs>& iteration_times() const { return iter_times_; }
 
+  /// Distinct collectives compiled so far (the collective cache's size).
+  std::size_t compiled_collectives() const { return compiled_.size(); }
+
   /// Kills the run mid-iteration (failure churn evicted the tenant): every
   /// already-scheduled engine callback becomes a no-op and on_done never
   /// fires. Completed iterations stay in iteration_times() — the fleet's
@@ -101,6 +112,11 @@ class IterationEngine {
   trace::TraceRecorder* recorder_;
   Options options_;
   collective::CollectiveExecutor executor_;
+
+  using CollectiveKey =
+      std::tuple<collective::CollectiveType, collective::Algorithm, int, Bytes>;
+  std::map<CollectiveKey, std::shared_ptr<const collective::CompiledCollective>>
+      compiled_;
 
   const IterationDag* dag_ = nullptr;
   bool aborted_ = false;

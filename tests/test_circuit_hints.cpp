@@ -45,6 +45,7 @@ struct HintFixture {
 TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(25));
+  const auto cc = collective::compile(sched);
 
   // Without a hint: the collective pays the 20 ms reconfiguration.
   TimeNs cold = -1;
@@ -52,7 +53,7 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     HintFixture f;
     CollectiveExecutor exec(f.sim, f.transport);
     const CommGroup g = f.group(0);
-    exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
       cold = r.duration();
     });
     f.sim.run();
@@ -64,9 +65,9 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     HintFixture f;
     CollectiveExecutor exec(f.sim, f.transport);
     const CommGroup g = f.group(0);
-    ASSERT_TRUE(f.transport.hint_collective(g, sched));
+    ASSERT_TRUE(f.transport.hint_collective(g, *cc));
     f.sim.schedule_after(msecs(50), [&] {  // compute happens meanwhile
-      exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+      exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
         hinted = r.duration();
       });
     });
@@ -87,7 +88,8 @@ TEST(CircuitHints, ScaleUpGroupsNeedNoHint) {
   g.ranks = {GpuId{0}, GpuId{1}};  // same node
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 2, mib(1));
-  EXPECT_TRUE(f.transport.hint_collective(g, sched));
+  const auto cc = collective::compile(sched);
+  EXPECT_TRUE(f.transport.hint_collective(g, *cc));
   EXPECT_EQ(f.transport.controller().stats().requests, 0);
 }
 
@@ -105,7 +107,8 @@ TEST(CircuitHints, PeerChangingSchedulesAreRejected) {
   for (int n = 0; n < 8; ++n) big.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto rd8 = collective::plan_collective(
       CollectiveType::kAllGather, Algorithm::kRecursiveDoubling, 8, mib(1));
-  EXPECT_FALSE(transport.hint_collective(big, rd8))
+  const auto rd8_cc = collective::compile(rd8);
+  EXPECT_FALSE(transport.hint_collective(big, *rd8_cc))
       << "3 distinct peers never fit 2 ports as a static layout (C1)";
 }
 
@@ -117,8 +120,9 @@ TEST(CircuitHints, HintedCircuitsYieldToActiveGroups) {
   const CommGroup dp = f.group(0);
   const auto big = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, gib(1));
+  const auto big_cc = collective::compile(big);
   bool dp_done = false;
-  exec.run(dp, big, [&](const CollectiveExecutor::Result&) { dp_done = true; });
+  exec.run(dp, big_cc, [&](const CollectiveExecutor::Result&) { dp_done = true; });
   f.sim.run_until(msecs(30));  // circuits up, transfers in flight
 
   CommGroup pp;
@@ -127,7 +131,8 @@ TEST(CircuitHints, HintedCircuitsYieldToActiveGroups) {
   pp.ranks = {f.cluster.gpu_at(NodeId{0}, 0), f.cluster.gpu_at(NodeId{2}, 0)};
   const auto pair = collective::plan_collective(
       CollectiveType::kSendRecv, Algorithm::kDirect, 2, mib(1));
-  EXPECT_TRUE(f.transport.hint_collective(pp, pair));
+  const auto pair_cc = collective::compile(pair);
+  EXPECT_TRUE(f.transport.hint_collective(pp, *pair_cc));
   f.sim.run_until(msecs(40));
   EXPECT_FALSE(dp_done) << "the big AllReduce is still moving";
   EXPECT_GT(f.transport.controller().stats().queued, 0)

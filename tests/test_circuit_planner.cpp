@@ -41,7 +41,8 @@ TEST(CircuitPlanner, PairGroupStripesBothPorts) {
   const CommGroup g = rail_group(cluster, 0, {0, 1});
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 2, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->size(), 1u);
   EXPECT_EQ((*plan)[0].rail.value(), 0);
@@ -56,7 +57,8 @@ TEST(CircuitPlanner, RingUsesTwoPortsPerMember) {
   const CommGroup g = rail_group(cluster, 1, {0, 1, 2, 3});
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->size(), 1u);
   EXPECT_EQ((*plan)[0].rail.value(), 1);
@@ -76,7 +78,8 @@ TEST(CircuitPlanner, FourPortNicDoublesRingBandwidth) {
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ((*plan)[0].circuits.size(), 8u);  // striped x2
 }
@@ -89,13 +92,15 @@ TEST(CircuitPlanner, OnePortNicCannotHoldARing) {
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(1));
-  EXPECT_FALSE(planner.plan_static(g, sched).has_value());
-  EXPECT_FALSE(planner.static_wirable(g, sched));
+  const auto cc = collective::compile(sched);
+  EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
+  EXPECT_FALSE(planner.static_wirable(g, *cc));
   // A pair still works.
   const CommGroup pair = rail_group(cluster, 0, {0, 1});
   const auto pair_sched = plan_collective(CollectiveType::kAllReduce,
                                           Algorithm::kRing, 2, mib(1));
-  EXPECT_TRUE(planner.static_wirable(pair, pair_sched));
+  const auto pair_cc = collective::compile(pair_sched);
+  EXPECT_TRUE(planner.static_wirable(pair, *pair_cc));
 }
 
 TEST(CircuitPlanner, RecursiveDoublingNotStaticallyWirable) {
@@ -107,17 +112,18 @@ TEST(CircuitPlanner, RecursiveDoublingNotStaticallyWirable) {
       rail_group(cluster, 0, {0, 1, 2, 3, 4, 5, 6, 7});
   const auto sched = plan_collective(CollectiveType::kAllGather,
                                      Algorithm::kRecursiveDoubling, 8, mib(1));
-  EXPECT_FALSE(planner.static_wirable(g, sched));
+  const auto cc = collective::compile(sched);
+  EXPECT_FALSE(planner.static_wirable(g, *cc));
   // Each individual step IS wirable: one peer per rank.
   for (int step = 0; step < sched.n_steps; ++step) {
-    const auto plan = planner.plan_step(g, sched, step);
+    const auto plan = planner.plan_step(g, *cc, step);
     ASSERT_EQ(plan.size(), 1u);
     // 4 pairs x 2-port striping.
     EXPECT_EQ(plan[0].circuits.size(), 8u);
   }
   // Steps use different peers: the circuit sets differ.
-  const auto s0 = planner.plan_step(g, sched, 0);
-  const auto s1 = planner.plan_step(g, sched, 1);
+  const auto s0 = planner.plan_step(g, *cc, 0);
+  const auto s1 = planner.plan_step(g, *cc, 1);
   std::set<std::pair<std::int32_t, std::int32_t>> p0, p1;
   for (const auto& c : s0[0].circuits) p0.insert({c.a.value(), c.b.value()});
   for (const auto& c : s1[0].circuits) p1.insert({c.a.value(), c.b.value()});
@@ -134,7 +140,8 @@ TEST(CircuitPlanner, ScaleUpPairsNeedNoCircuits) {
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};  // one node
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
 }
@@ -152,7 +159,8 @@ TEST(CircuitPlanner, CrossRankGroupLowersToPxnBridgeCircuits) {
   g.ranks = {GpuId{0}, GpuId{5}};
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 2, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   std::set<int> rails;
   for (const auto& rc : *plan) rails.insert(rc.rail.value());
@@ -175,7 +183,8 @@ TEST(CircuitPlanner, PlanStepRejectsOverCommittedStep) {
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
   const auto sched = plan_collective(CollectiveType::kAllToAll,
                                      Algorithm::kDirect, 4, mib(1));
-  EXPECT_THROW(planner.plan_step(g, sched, 0), InvariantError);
+  const auto cc = collective::compile(sched);
+  EXPECT_THROW(planner.plan_step(g, *cc, 0), InvariantError);
 }
 
 // Sweep: ring circuits for every group size and port config that fits.
@@ -192,7 +201,8 @@ TEST_P(RingPlanSweep, RingLayoutsRespectPortBudgets) {
   const CommGroup g = rail_group(cluster, 0, node_ids);
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, nodes, mib(1));
-  const auto plan = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto plan = planner.plan_static(g, *cc);
   const bool wirable = nodes == 2 || ports >= 2;
   EXPECT_EQ(plan.has_value(), wirable);
   if (plan) {

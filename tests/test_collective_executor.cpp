@@ -44,9 +44,10 @@ TEST(Executor, RingAllReduceMatchesAlphaBetaOnElectricalRail) {
   const Bytes payload = mib(64);
   const auto sched =
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 4, payload);
+  const auto cc = compile(sched);
 
   TimeNs duration = -1;
-  exec.run(group, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(group, cc, [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();
@@ -71,8 +72,9 @@ TEST(Executor, ScaleUpAllReduceUsesNvlink) {
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(96));
+  const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();
@@ -92,8 +94,9 @@ TEST(Executor, EmptyGroupCompletesImmediately) {
   g.ranks = {GpuId{0}};
   const auto sched =
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 1, 100);
+  const auto cc = compile(sched);
   bool done = false;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.now(), 0);
@@ -110,9 +113,10 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
   g1.id = GroupId{9};
   const auto sched = plan_collective(CollectiveType::kAllGather,
                                      Algorithm::kRing, 4, mib(64));
+  const auto cc = compile(sched);
   TimeNs d0 = -1, d1 = -1;
-  exec.run(g0, sched, [&](const CollectiveExecutor::Result& r) { d0 = r.duration(); });
-  exec.run(g1, sched, [&](const CollectiveExecutor::Result& r) { d1 = r.duration(); });
+  exec.run(g0, cc, [&](const CollectiveExecutor::Result& r) { d0 = r.duration(); });
+  exec.run(g1, cc, [&](const CollectiveExecutor::Result& r) { d1 = r.duration(); });
   sim.run();
   EXPECT_EQ(d0, d1);
   // Solo reference.
@@ -121,7 +125,7 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
   DirectTransport transport2(cluster2);
   CollectiveExecutor exec2(sim2, transport2);
   TimeNs solo = -1;
-  exec2.run(rail_group(cluster2, 0, 4), sched,
+  exec2.run(rail_group(cluster2, 0, 4), cc,
             [&](const CollectiveExecutor::Result& r) { solo = r.duration(); });
   sim2.run();
   EXPECT_EQ(d0, solo) << "disjoint rails must not share bandwidth";
@@ -135,7 +139,8 @@ TEST(Executor, GroupSizeMismatchThrows) {
   const CommGroup g = rail_group(cluster, 0, 4);  // 4 ranks
   const auto sched =
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 8, 100);
-  EXPECT_THROW(exec.run(g, sched, nullptr), InvariantError);
+  const auto cc = compile(sched);
+  EXPECT_THROW(exec.run(g, cc, nullptr), InvariantError);
 }
 
 // Step-synchronous transport shim: forces barrier semantics so the test can
@@ -143,15 +148,15 @@ TEST(Executor, GroupSizeMismatchThrows) {
 class StepSyncTransport final : public Transport {
  public:
   explicit StepSyncTransport(net::Cluster& c) : cluster_(c) {}
-  void prepare_collective(const CommGroup&, const CollectiveSchedule&,
+  void prepare_collective(const CommGroup&, const CompiledCollective&,
                           std::function<void()> ready) override {
     ready();
   }
   bool needs_per_step_preparation(const CommGroup&,
-                                  const CollectiveSchedule&) const override {
+                                  const CompiledCollective&) const override {
     return true;
   }
-  void prepare_step(const CommGroup&, const CollectiveSchedule&, int,
+  void prepare_step(const CommGroup&, const CompiledCollective&, int,
                     std::function<void()> ready) override {
     ++steps_prepared;
     ready();
@@ -169,13 +174,14 @@ class StepSyncTransport final : public Transport {
 TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(64));
+  const auto cc = compile(sched);
   TimeNs pipelined = -1, stepped = -1;
   {
     sim::Simulator sim;
     net::Cluster cluster(sim, electrical_cfg(4, 2));
     DirectTransport t(cluster);
     CollectiveExecutor exec(sim, t);
-    exec.run(rail_group(cluster, 0, 4), sched,
+    exec.run(rail_group(cluster, 0, 4), cc,
              [&](const CollectiveExecutor::Result& r) { pipelined = r.duration(); });
     sim.run();
   }
@@ -184,7 +190,7 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
     net::Cluster cluster(sim, electrical_cfg(4, 2));
     StepSyncTransport t(cluster);
     CollectiveExecutor exec(sim, t);
-    exec.run(rail_group(cluster, 0, 4), sched,
+    exec.run(rail_group(cluster, 0, 4), cc,
              [&](const CollectiveExecutor::Result& r) { stepped = r.duration(); });
     sim.run();
     EXPECT_EQ(t.steps_prepared, sched.n_steps);
@@ -192,6 +198,34 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
   // With per-rank pipelining the ring is as fast as the barrier version on
   // a symmetric fabric; it must never be slower.
   EXPECT_LE(pipelined, stepped);
+}
+
+TEST(Executor, StepSynchronousRunsOnOneGroupQueueBehindEachOther) {
+  sim::Simulator sim;
+  net::Cluster cluster(sim, electrical_cfg(4, 2));
+  StepSyncTransport t(cluster);
+  CollectiveExecutor exec(sim, t);
+  const CommGroup g = rail_group(cluster, 0, 4);
+  const auto cc = compile(plan_collective(CollectiveType::kAllReduce,
+                                          Algorithm::kRing, 4, mib(16)));
+  std::vector<CollectiveExecutor::Result> results;
+  for (int i = 0; i < 2; ++i) {
+    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+      results.push_back(r);
+    });
+  }
+  // The second run is queued: only the first one's step 0 is prepared.
+  EXPECT_EQ(t.steps_prepared, 1);
+  sim.run();
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].step_synchronous);
+  EXPECT_TRUE(results[1].step_synchronous);
+  EXPECT_GT(results[0].end, results[0].start);
+  EXPECT_GE(results[1].start, results[0].end)
+      << "same-group step-synchronous runs must not interleave";
+  EXPECT_GT(results[1].end, results[1].start);
+  EXPECT_EQ(exec.completed(), 2);
+  EXPECT_EQ(t.steps_prepared, 2 * cc->sched.n_steps);
 }
 
 // Parameterized: executor completes and matches analytic time for a matrix
@@ -211,8 +245,9 @@ TEST_P(ExecutorSweep, CompletesWithPositiveDuration) {
   DirectTransport transport(cluster);
   CollectiveExecutor exec(sim, transport);
   const auto sched = plan_collective(type, algo, nodes, mib(8));
+  const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(rail_group(cluster, 0, nodes), sched,
+  exec.run(rail_group(cluster, 0, nodes), cc,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   ASSERT_GE(duration, 0) << "collective did not complete";

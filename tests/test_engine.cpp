@@ -2,6 +2,10 @@
 // runs, trace recording conventions, and determinism.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <tuple>
+
+#include "collective/planner.h"
 #include "collective/transport.h"
 #include "workload/engine.h"
 
@@ -79,6 +83,71 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
   EngineFixture b(small_config());
   EXPECT_EQ(a.engine.run_to_completion(a.dag, 2),
             b.engine.run_to_completion(b.dag, 2));
+}
+
+// Forwards to a DirectTransport and runs `on_iteration` as each training
+// iteration starts.
+class IterationHookTransport final : public collective::Transport {
+ public:
+  explicit IterationHookTransport(net::Cluster& cluster) : direct_(cluster) {}
+  void prepare_collective(const collective::CommGroup& group,
+                          const collective::CompiledCollective& cc,
+                          std::function<void()> ready) override {
+    direct_.prepare_collective(group, cc, std::move(ready));
+  }
+  bool needs_per_step_preparation(
+      const collective::CommGroup& group,
+      const collective::CompiledCollective& cc) const override {
+    return direct_.needs_per_step_preparation(group, cc);
+  }
+  void prepare_step(const collective::CommGroup& group,
+                    const collective::CompiledCollective& cc, int step,
+                    std::function<void()> ready) override {
+    direct_.prepare_step(group, cc, step, std::move(ready));
+  }
+  void send(const collective::CommGroup& group, GpuId src, GpuId dst,
+            Bytes bytes, std::function<void()> done) override {
+    direct_.send(group, src, dst, bytes, std::move(done));
+  }
+  void iteration_started(int index) override { on_iteration(index); }
+
+  std::function<void(int)> on_iteration;
+
+ private:
+  collective::DirectTransport direct_;
+};
+
+TEST(Engine, CompilesEachDistinctCollectiveOnce) {
+  EngineFixture f(small_config());
+  // The cache keys the DAG's launches map to (electrical rails: no degree
+  // budget constrains the algorithm choice).
+  std::set<std::tuple<collective::CollectiveType, collective::Algorithm, int,
+                      Bytes>>
+      keys;
+  for (const Op& op : f.dag.ops) {
+    if (op.kind != OpKind::kCollective) continue;
+    for (int gi : op.group_indices) {
+      const int n = f.dag.groups[static_cast<std::size_t>(gi)].size();
+      keys.emplace(op.ctype,
+                   collective::choose_algorithm(op.ctype, n, op.payload, 0), n,
+                   op.payload);
+    }
+  }
+  ASSERT_GT(keys.size(), 1u);
+
+  IterationHookTransport transport(f.cluster);
+  IterationEngine engine(f.sim, f.cluster, transport, nullptr,
+                         EngineFixture::no_dispatch());
+  std::vector<std::size_t> compiled_at_start;
+  transport.on_iteration = [&](int) {
+    compiled_at_start.push_back(engine.compiled_collectives());
+  };
+  engine.run_to_completion(f.dag, 2);
+  ASSERT_EQ(compiled_at_start.size(), 2u);
+  EXPECT_EQ(compiled_at_start[0], 0u) << "compiled lazily, not at setup";
+  EXPECT_EQ(compiled_at_start[1], keys.size());
+  EXPECT_EQ(engine.compiled_collectives(), keys.size())
+      << "iteration 2 reuses every compiled collective";
 }
 
 TEST(Engine, ComputeOpsSerializePerGpu) {

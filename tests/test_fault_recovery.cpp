@@ -74,14 +74,15 @@ TEST(FaultRecovery, PlannerRoutesAroundFailedPorts) {
   g.ranks = {c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{1}, 0)};
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 2, mib(1));
-  const auto before = planner.plan_static(g, sched);
+  const auto cc = collective::compile(sched);
+  const auto before = planner.plan_static(g, *cc);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ((*before)[0].circuits.size(), 4u);
 
   auto& sw = c.ocs(RailId{0});
   sw.fail_port(c.ocs_port(g.ranks[0], 0));
   sw.fail_port(c.ocs_port(g.ranks[0], 2));
-  const auto after = planner.plan_static(g, sched);
+  const auto after = planner.plan_static(g, *cc);
   ASSERT_TRUE(after.has_value());
   EXPECT_EQ((*after)[0].circuits.size(), 2u);
   for (const auto& circuit : (*after)[0].circuits) {
@@ -103,9 +104,10 @@ TEST(FaultRecovery, RingBecomesUnwirableWithoutSparePorts) {
   for (int n = 0; n < 4; ++n) g.ranks.push_back(c.gpu_at(NodeId{n}, 0));
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(1));
-  ASSERT_TRUE(planner.static_wirable(g, sched));
+  const auto cc = collective::compile(sched);
+  ASSERT_TRUE(planner.static_wirable(g, *cc));
   c.ocs(RailId{0}).fail_port(c.ocs_port(g.ranks[1], 0));
-  EXPECT_FALSE(planner.static_wirable(g, sched));
+  EXPECT_FALSE(planner.static_wirable(g, *cc));
 }
 
 TEST(FaultRecovery, FailureMidReconfigurationSkipsTheDeadEstablish) {
@@ -208,9 +210,10 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   for (int n = 0; n < 4; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(16));
+  const auto cc = collective::compile(sched);
 
   TimeNs first = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
   });
   sim.run();
@@ -220,14 +223,14 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   cluster.ocs(RailId{0}).fail_port(cluster.ocs_port(g.ranks[0], 0));
 
   TimeNs second = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     second = r.duration();
   });
   sim.run();
   ASSERT_GT(second, 0) << "the collective must recover onto spare ports";
   // Recovery pays a reconfiguration; afterwards a third run is cached.
   TimeNs third = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     third = r.duration();
   });
   sim.run();

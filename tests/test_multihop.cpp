@@ -146,8 +146,9 @@ TEST(StaticRing, CollectivesRunWithoutReconfiguration) {
   const auto sched = collective::plan_collective(
       collective::CollectiveType::kAllReduce, collective::Algorithm::kRing, 4,
       mib(16));
+  const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, sched,
+  exec.run(g, cc,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -167,8 +168,9 @@ TEST(StaticRing, NonNeighbourGroupsPayTheTax) {
   const auto sched = collective::plan_collective(
       collective::CollectiveType::kSendRecv, collective::Algorithm::kDirect, 2,
       mib(32));
+  const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, sched,
+  exec.run(g, cc,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);

@@ -46,8 +46,9 @@ TEST(OpusTransport, RingCollectiveWaitsForCircuitsThenRuns) {
   const CommGroup g = rail_group(cluster, 0, 4);
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(50));
+  const auto cc = collective::compile(sched);
   TimeNs start = -1, end = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     start = r.start;
     end = r.end;
   });
@@ -67,10 +68,11 @@ TEST(OpusTransport, SecondSameGroupCollectiveHitsTheCircuitCache) {
   const CommGroup g = rail_group(cluster, 0, 4);
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(50));
+  const auto cc = collective::compile(sched);
   TimeNs first = -1, second = -1;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
-    exec.run(g, sched, [&](const CollectiveExecutor::Result& r2) {
+    exec.run(g, cc, [&](const CollectiveExecutor::Result& r2) {
       second = r2.duration();
     });
   });
@@ -92,8 +94,9 @@ TEST(OpusTransport, ScaleUpCollectiveBypassesControlPlane) {
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(10));
+  const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(transport.controller().stats().requests, 0);
@@ -109,10 +112,11 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   // Recursive doubling on 8 nodes: 3 steps, 3 distinct peers > 2 ports (C1).
   const auto sched = plan_collective(CollectiveType::kAllGather,
                                      Algorithm::kRecursiveDoubling, 8, mib(8));
-  EXPECT_TRUE(transport.needs_per_step_preparation(g, sched));
+  const auto cc = collective::compile(sched);
+  EXPECT_TRUE(transport.needs_per_step_preparation(g, *cc));
   bool done = false;
   CollectiveExecutor::Result result;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
     done = true;
     result = r;
   });
@@ -135,8 +139,9 @@ TEST(OpusTransport, RingBeatsRecursiveDoublingOnCircuits) {
     const CommGroup g = rail_group(cluster, 0, 8);
     const auto sched =
         plan_collective(CollectiveType::kAllGather, algo, 8, mib(1));
+    const auto cc = collective::compile(sched);
     TimeNs duration = -1;
-    exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
       duration = r.duration();
     });
     sim.run();
@@ -158,8 +163,9 @@ TEST(OpusTransport, MgmtOffloadSkipsCircuitsForSmallCollectives) {
   const CommGroup g = rail_group(cluster, 0, 4);
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, kib(4));
+  const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, sched, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(transport.controller().stats().requests, 0);
@@ -184,10 +190,11 @@ TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {
   pp.ranks = {cluster.gpu_at(NodeId{0}, 0), cluster.gpu_at(NodeId{2}, 0)};
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 2, mib(25));
+  const auto cc = collective::compile(sched);
   int completions = 0;
-  exec.run(dp, sched, [&](const CollectiveExecutor::Result&) {
+  exec.run(dp, cc, [&](const CollectiveExecutor::Result&) {
     ++completions;
-    exec.run(pp, sched,
+    exec.run(pp, cc,
              [&](const CollectiveExecutor::Result&) { ++completions; });
   });
   sim.run();
@@ -207,11 +214,12 @@ TEST(OpusTransport, ProvisioningSpeculatesAfterProfiledPhase) {
   pp.id = GroupId{200};
   const auto sched = plan_collective(CollectiveType::kAllReduce,
                                      Algorithm::kRing, 4, mib(25));
+  const auto cc = collective::compile(sched);
 
   auto run_iteration = [&](int index, std::function<void()> next) {
     transport.iteration_started(index);
-    exec.run(dp, sched, [&, next](const CollectiveExecutor::Result&) {
-      exec.run(pp, sched,
+    exec.run(dp, cc, [&, next](const CollectiveExecutor::Result&) {
+      exec.run(pp, cc,
                [next](const CollectiveExecutor::Result&) { next(); });
     });
   };

@@ -576,9 +576,10 @@ RotorRun run_rail_collective(bool rotor, collective::CollectiveType type,
     g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto algo = collective::choose_algorithm(type, nodes, payload, 2);
   const auto sched = collective::plan_collective(type, algo, nodes, payload);
+  const auto cc = collective::compile(sched);
 
   RotorRun out;
-  exec.run(g, sched, [&](const collective::CollectiveExecutor::Result& res) {
+  exec.run(g, cc, [&](const collective::CollectiveExecutor::Result& res) {
     out.duration = res.duration();
   });
   sim.run();

@@ -140,6 +140,7 @@ TEST(Rotor, RingAllReduceCompletesButSlowly) {
   // connect them, so the collective stretches across many slots.
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(8));
+  const auto cc = collective::compile(sched);
   TimeNs rotor_time = -1;
   {
     sim::Simulator sim;
@@ -152,7 +153,7 @@ TEST(Rotor, RingAllReduceCompletesButSlowly) {
     g.id = GroupId{1};
     g.dim = collective::ParallelismDim::kDP;
     for (int n = 0; n < 4; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-    exec.run(g, sched, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
       rotor_time = r.duration();
     });
     sim.run();
