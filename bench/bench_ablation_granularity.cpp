@@ -54,7 +54,7 @@ int main() {
           {fmt_count(pp), fine ? "per-group (fine)" : "whole-rail (coarse)",
            format_time(steady),
            fmt_double(static_cast<double>(
-                          transport.total_ocs_reconfigurations()) /
+                          cluster.total_ocs_reconfigurations()) /
                           static_cast<double>(times.size()),
                       1),
            fmt_count(transport.controller().stats().queued),

@@ -6,7 +6,10 @@
 // first establishes optical circuits via the control plane, exactly like the
 // shim/controller interaction in Fig. 6 of the paper. Every hook receives
 // the run's CompiledCollective, so a transport reads the schedule's step
-// index and peer pairs instead of re-deriving them per launch.
+// index and peer pairs instead of re-deriving them per launch. Only send()
+// is required: the preparation hooks default to "ready at once, no
+// per-step preparation", which suits every fabric whose wiring does not
+// follow demand (packet rails, a rotor, a static ring).
 #pragma once
 
 #include <functional>
@@ -24,9 +27,11 @@ class Transport {
   /// Called once before a collective starts. The transport must invoke
   /// `ready` (possibly later in simulated time) when step 0 may begin — e.g.
   /// after the control plane has established the circuits for the schedule.
-  virtual void prepare_collective(const CommGroup& group,
-                                  const CompiledCollective& cc,
-                                  std::function<void()> ready) = 0;
+  virtual void prepare_collective(const CommGroup& /*group*/,
+                                  const CompiledCollective& /*cc*/,
+                                  std::function<void()> ready) {
+    ready();
+  }
 
   /// True if this schedule's peer graph cannot be held as simultaneous
   /// circuits, so every step needs its own preparation (and the executor
@@ -34,12 +39,16 @@ class Transport {
   /// fabrics; true on photonic rails for algorithms whose distinct peer
   /// count exceeds the NIC port budget (constraint C1).
   virtual bool needs_per_step_preparation(
-      const CommGroup& group, const CompiledCollective& cc) const = 0;
+      const CommGroup& /*group*/, const CompiledCollective& /*cc*/) const {
+    return false;
+  }
 
   /// Called before step `step` when needs_per_step_preparation() is true.
-  virtual void prepare_step(const CommGroup& group,
-                            const CompiledCollective& cc, int step,
-                            std::function<void()> ready) = 0;
+  virtual void prepare_step(const CommGroup& /*group*/,
+                            const CompiledCollective& /*cc*/, int /*step*/,
+                            std::function<void()> ready) {
+    ready();
+  }
 
   /// Moves bytes between two group members; `done` fires at delivery.
   virtual void send(const CommGroup& group, GpuId src, GpuId dst, Bytes bytes,
@@ -64,21 +73,6 @@ class Transport {
 class DirectTransport final : public Transport {
  public:
   explicit DirectTransport(net::Cluster& cluster) : cluster_(cluster) {}
-
-  void prepare_collective(const CommGroup&, const CompiledCollective&,
-                          std::function<void()> ready) override {
-    ready();
-  }
-
-  bool needs_per_step_preparation(const CommGroup&,
-                                  const CompiledCollective&) const override {
-    return false;
-  }
-
-  void prepare_step(const CommGroup&, const CompiledCollective&, int,
-                    std::function<void()> ready) override {
-    ready();
-  }
 
   void send(const CommGroup&, GpuId src, GpuId dst, Bytes bytes,
             std::function<void()> done) override {

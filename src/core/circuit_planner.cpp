@@ -8,15 +8,6 @@
 
 namespace opus::core {
 
-std::vector<PortId> CircuitPlanner::ports_of(const RailCircuits& rc) {
-  std::set<PortId> ports;
-  for (const net::CircuitRequest& c : rc.circuits) {
-    ports.insert(c.a);
-    ports.insert(c.b);
-  }
-  return {ports.begin(), ports.end()};
-}
-
 std::vector<CircuitPlanner::RailEdge> CircuitPlanner::lower_edges(
     const collective::CommGroup& group,
     std::span<const std::pair<int, int>> peer_pairs) const {

@@ -61,14 +61,6 @@ class CircuitPlanner {
       const collective::CommGroup& group,
       const collective::CompiledCollective& cc, int step) const;
 
-  bool static_wirable(const collective::CommGroup& group,
-                      const collective::CompiledCollective& cc) const {
-    return plan_static(group, cc).has_value();
-  }
-
-  /// All OCS ports a layout touches, per rail (for ownership tracking).
-  static std::vector<PortId> ports_of(const RailCircuits& rc);
-
  private:
   /// Lowers (src gpu, dst gpu) peer pairs to per-rail node-graph edges:
   /// same-node pairs need no circuit; same-rail pairs ride their rail;

@@ -10,11 +10,11 @@ OpusController::OpusController(sim::Simulator& sim, net::Cluster& cluster,
                                Config cfg)
     : sim_(sim), cluster_(cluster), cfg_(cfg) {
   ensure(cluster_.photonic(), "Opus controller requires photonic rails");
-  owner_.assign(static_cast<std::size_t>(cluster_.n_rails()),
-                std::vector<GroupId>(
-                    static_cast<std::size_t>(cluster_.config().n_nodes *
-                                             cluster_.config().nic_ports),
-                    GroupId{}));
+  const auto n_rails = static_cast<std::size_t>(cluster_.n_rails());
+  const auto n_ports = static_cast<std::size_t>(cluster_.config().n_nodes *
+                                                cluster_.config().nic_ports);
+  owner_.assign(n_rails, std::vector<GroupId>(n_ports, GroupId{}));
+  queued_scan_.assign(n_rails, std::vector<std::uint64_t>(n_ports, 0));
 }
 
 GroupId OpusController::port_owner(RailId rail, PortId port) const {
@@ -36,42 +36,43 @@ void OpusController::group_activity(GroupId group, int delta) {
   if (active_[group] == 0) pump();
 }
 
+bool OpusController::port_free(const Job& job, RailId rail,
+                               PortId port) const {
+  if (cluster_.ocs(rail).dark(port)) return false;  // mid-reconfiguration
+  const GroupId o = owner_[static_cast<std::size_t>(rail.value())]
+                          [static_cast<std::size_t>(port.value())];
+  if (!o.valid() || o == job.group) return true;
+  const auto it = active_.find(o);
+  return it == active_.end() || it->second <= 0;
+}
+
 bool OpusController::executable(const Job& job) const {
   for (const RailCircuits& rc : job.layout) {
-    const auto& sw = cluster_.ocs(rc.rail);
     // NOTE: even a fully-satisfied layout must pass the ownership check —
     // executing the job transfers port ownership to the requester, and a
     // later request from that group may then retarget circuits the current
     // owner is still using.
-    const auto& owners = owner_[static_cast<std::size_t>(rc.rail.value())];
     if (!cfg_.fine_grained) {
       // Coarse-grained: any busy owner or any dark port on the rail blocks.
-      for (int p = 0; p < sw.n_ports(); ++p) {
-        if (sw.dark(PortId{p})) return false;
-        const GroupId o = owners[static_cast<std::size_t>(p)];
-        if (o.valid() && o != job.group) {
-          auto it = active_.find(o);
-          if (it != active_.end() && it->second > 0) return false;
-        }
+      const int n_ports = cluster_.ocs(rc.rail).n_ports();
+      for (int p = 0; p < n_ports; ++p) {
+        if (!port_free(job, rc.rail, PortId{p})) return false;
       }
       continue;
     }
     // Fine-grained: the job will (a) take ownership of every requested
     // circuit endpoint — including already-live circuits it would share —
     // and (b) retarget the touched ports (requested endpoints plus the
-    // peers they disconnect). Every such port must be out of its
-    // reconfiguration dark period and not owned by a group with kernels in
-    // flight; otherwise a later step of this job could tear a circuit the
-    // previous owner is still using.
-    std::set<std::int32_t> ports;
-    for (PortId p : CircuitPlanner::ports_of(rc)) ports.insert(p.value());
-    for (PortId p : sw.touched_ports(rc.circuits)) ports.insert(p.value());
-    for (std::int32_t pv : ports) {
-      if (sw.dark(PortId{pv})) return false;  // mid-reconfiguration
-      const GroupId o = owners[static_cast<std::size_t>(pv)];
-      if (!o.valid() || o == job.group) continue;
-      const auto it = active_.find(o);
-      if (it != active_.end() && it->second > 0) return false;
+    // peers they disconnect). Every such port must be free; otherwise a
+    // later step of this job could tear a circuit the previous owner is
+    // still using. A port in both sets is checked twice, harmlessly.
+    for (const net::CircuitRequest& c : rc.circuits) {
+      if (!port_free(job, rc.rail, c.a) || !port_free(job, rc.rail, c.b)) {
+        return false;
+      }
+    }
+    for (PortId p : cluster_.ocs(rc.rail).touched_ports(rc.circuits)) {
+      if (!port_free(job, rc.rail, p)) return false;
     }
   }
   return true;
@@ -94,8 +95,9 @@ void OpusController::execute(Job job) {
 
   for (const RailCircuits& rc : job.layout) {
     auto& owners = owner_[static_cast<std::size_t>(rc.rail.value())];
-    for (PortId p : CircuitPlanner::ports_of(rc)) {
-      owners[static_cast<std::size_t>(p.value())] = job.group;
+    for (const net::CircuitRequest& c : rc.circuits) {
+      owners[static_cast<std::size_t>(c.a.value())] = job.group;
+      owners[static_cast<std::size_t>(c.b.value())] = job.group;
     }
     auto& sw = cluster_.ocs(rc.rail);
     // A layout planned (or queued) before a port failure may still name the
@@ -144,6 +146,7 @@ void OpusController::request(GroupId group,
   Job job;
   job.group = group;
   job.layout = layout;
+  job.on_ack = std::move(on_ack);
   job.requested_at = sim_.now();
 
   // Control-plane RTT before the request reaches the switch; cached
@@ -158,13 +161,11 @@ void OpusController::request(GroupId group,
     pump();
   };
   if (cfg_.control_rtt > 0) {
-    job.on_ack = std::move(on_ack);
     sim_.schedule_after(cfg_.control_rtt,
                         [this, enqueue, j = std::move(job)]() mutable {
                           enqueue(std::move(j));
                         });
   } else {
-    job.on_ack = std::move(on_ack);
     enqueue(std::move(job));
   }
 }
@@ -176,26 +177,22 @@ void OpusController::pump() {
   while (progressed) {
     progressed = false;
     // FC-FS with port-domain fairness: a job may only jump the queue if it
-    // shares no port with any earlier blocked job.
-    std::set<std::pair<std::int32_t, std::int32_t>> blocked;  // (rail, port)
+    // shares no port with a job this scan left queued (stamped `scan`).
+    const std::uint64_t scan = ++scan_;
     for (auto it = queue_.begin(); it != queue_.end();) {
       bool conflicts_earlier = false;
       bool owns_all = true;
       for (const RailCircuits& rc : it->layout) {
-        const auto& owners = owner_[static_cast<std::size_t>(rc.rail.value())];
-        for (PortId p : CircuitPlanner::ports_of(rc)) {
-          if (blocked.contains({rc.rail.value(), p.value()})) {
-            conflicts_earlier = true;
-          }
-          if (owners[static_cast<std::size_t>(p.value())] != it->group) {
-            owns_all = false;
+        const auto r = static_cast<std::size_t>(rc.rail.value());
+        for (const net::CircuitRequest& c : rc.circuits) {
+          for (const PortId p : {c.a, c.b}) {
+            const auto pi = static_cast<std::size_t>(p.value());
+            if (queued_scan_[r][pi] == scan) conflicts_earlier = true;
+            if (owner_[r][pi] != it->group) owns_all = false;
           }
         }
       }
-      // A group finishing a multi-step collective on its own ports must be
-      // able to overtake earlier-queued preemptors: those cannot run until
-      // this group goes idle anyway (otherwise FC-FS would deadlock on a
-      // priority inversion).
+      // Overtaking rule: see the admission rules in controller.h.
       if (owns_all) conflicts_earlier = false;
       if (!conflicts_earlier && executable(*it)) {
         Job job = std::move(*it);
@@ -209,8 +206,10 @@ void OpusController::pump() {
         ++stats_.queued;
       }
       for (const RailCircuits& rc : it->layout) {
-        for (PortId p : CircuitPlanner::ports_of(rc)) {
-          blocked.insert({rc.rail.value(), p.value()});
+        auto& queued = queued_scan_[static_cast<std::size_t>(rc.rail.value())];
+        for (const net::CircuitRequest& c : rc.circuits) {
+          queued[static_cast<std::size_t>(c.a.value())] = scan;
+          queued[static_cast<std::size_t>(c.b.value())] = scan;
         }
       }
       ++it;

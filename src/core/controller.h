@@ -13,14 +13,29 @@
 //  - idempotence: a request whose circuits are already live acks
 //    immediately without touching the switch (the circuit lookup table).
 //
+// Admission is one scan of the queue in arrival order, repeated after any
+// job executes. A queued job may run ahead of earlier ones only if
+//  (a) it shares no requested port (circuit endpoint) with a job this scan
+//      left queued (port-domain FC-FS), unless
+//  (b) its group already owns every port it requests: a group finishing a
+//      multi-step collective on its own ports overtakes earlier preemptors,
+//      which cannot run until it goes idle anyway (otherwise FC-FS would
+//      deadlock on a priority inversion);
+// and it then runs only if every port it claims or retargets is out of its
+// dark period and not owned by another group with a collective in flight.
+// One scan reads each queued job's endpoints once to test (a) and (b); a
+// job left queued stamps its endpoints with the scan's number in a
+// per-(rail, port) array, so the scan builds no port set. The only
+// allocation is the switch's touched-port list for a job that may run.
+//
 // The controller also models a small control-plane round trip (shim ->
 // controller -> OCS -> ack) added to every non-cached request.
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <functional>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "common/ids.h"
@@ -90,8 +105,11 @@ class OpusController {
     bool counted_queued = false;
   };
 
-  /// True if the job can execute now (no conflicting owner busy, no touched
-  /// port mid-reconfiguration).
+  /// True if `port` is out of its dark period and unowned, owned by the
+  /// job's group, or owned by a group with no collective in flight.
+  bool port_free(const Job& job, RailId rail, PortId port) const;
+  /// True if the job can execute now: port_free() holds for every port it
+  /// claims or retargets (coarse-grained: for every port of its rails).
   bool executable(const Job& job) const;
   void execute(Job job);
   void pump();
@@ -103,6 +121,10 @@ class OpusController {
   Stats stats_;
   // owner_[rail][port] = owning group (invalid = free).
   std::vector<std::vector<GroupId>> owner_;
+  // queued_scan_[rail][port] == scan_ iff a job the current scan left
+  // queued requests that port.
+  std::vector<std::vector<std::uint64_t>> queued_scan_;
+  std::uint64_t scan_ = 0;
   std::map<GroupId, int> active_;  ///< in-flight collectives per group
   std::deque<Job> queue_;
   bool pumping_ = false;

@@ -78,7 +78,7 @@ bool OpusTransport::needs_per_step_preparation(
     const collective::CompiledCollective& cc) const {
   if (!needs_circuits(group)) return false;
   if (offload_to_mgmt(group, cc.sched.payload_bytes)) return false;
-  return !planner_.static_wirable(group, cc);
+  return !planner_.plan_static(group, cc).has_value();
 }
 
 void OpusTransport::prepare_step(const collective::CommGroup& group,
@@ -125,10 +125,6 @@ bool OpusTransport::hint_collective(
   if (!layout.has_value()) return false;
   controller_->request(group.id, *layout, {});  // ahead-of-demand, no waiter
   return true;
-}
-
-std::int64_t OpusTransport::total_ocs_reconfigurations() const {
-  return cluster_.total_ocs_reconfigurations();
 }
 
 }  // namespace opus::core

@@ -76,8 +76,6 @@ class OpusTransport final : public collective::Transport {
   // ---- introspection ---------------------------------------------------------
   const OpusController& controller() const { return *controller_; }
   const OpusShim& shim() const { return *shim_; }
-  /// Total OCS reconfigurations across all rails.
-  std::int64_t total_ocs_reconfigurations() const;
 
  private:
   bool needs_circuits(const collective::CommGroup& group) const;

@@ -120,9 +120,7 @@ void RotorTransport::rotate(int rail) {
   });
 }
 
-bool RotorTransport::pair_connected_now(int rail, GpuId src,
-                                        GpuId dst) const {
-  (void)rail;
+bool RotorTransport::pair_connected_now(GpuId src, GpuId dst) const {
   // Cross-rank sends ride the destination's rail from the PXN bridge GPU.
   const GpuId from =
       cluster_.local_rank(src) == cluster_.local_rank(dst)
@@ -150,7 +148,7 @@ void RotorTransport::flush_waiting(int rail) {
   while (!state.waiting.empty()) {
     PendingSend send = std::move(state.waiting.front());
     state.waiting.pop_front();
-    if (pair_connected_now(rail, send.src, send.dst)) {
+    if (pair_connected_now(send.src, send.dst)) {
       launch(rail, std::move(send));
     } else {
       still_waiting.push_back(std::move(send));
@@ -173,7 +171,7 @@ void RotorTransport::send(const collective::CommGroup& group, GpuId src,
   RailState& state = rails_[static_cast<std::size_t>(rail)];
   PendingSend pending{src, dst, bytes, std::move(done)};
   if (!state.rotating && !state.drain_pending &&
-      pair_connected_now(rail, src, dst)) {
+      pair_connected_now(src, dst)) {
     launch(rail, std::move(pending));
     start_round(rail);  // wake the slot clock (idempotent)
     return;

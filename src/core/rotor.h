@@ -58,21 +58,7 @@ class RotorTransport final : public collective::Transport {
       : RotorTransport(sim, cluster, Options{}) {}
 
   // ---- collective::Transport -----------------------------------------------
-  void prepare_collective(const collective::CommGroup&,
-                          const collective::CompiledCollective&,
-                          std::function<void()> ready) override {
-    ready();  // the rotor ignores demand
-  }
-  bool needs_per_step_preparation(
-      const collective::CommGroup&,
-      const collective::CompiledCollective&) const override {
-    return false;
-  }
-  void prepare_step(const collective::CommGroup&,
-                    const collective::CompiledCollective&, int,
-                    std::function<void()> ready) override {
-    ready();
-  }
+  // The rotor ignores demand: the default preparation hooks apply.
   void send(const collective::CommGroup& group, GpuId src, GpuId dst,
             Bytes bytes, std::function<void()> done) override;
 
@@ -130,7 +116,7 @@ class RotorTransport final : public collective::Transport {
   void on_slot_end(int rail);
   void rotate(int rail);
   void flush_waiting(int rail);
-  bool pair_connected_now(int rail, GpuId src, GpuId dst) const;
+  bool pair_connected_now(GpuId src, GpuId dst) const;
   void launch(int rail, PendingSend send);
 
   sim::Simulator& sim_;

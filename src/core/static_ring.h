@@ -31,21 +31,7 @@ class StaticRingTransport final : public collective::Transport {
   explicit StaticRingTransport(net::Cluster& cluster)
       : StaticRingTransport(cluster, net::NodeSpan{0, cluster.n_nodes()}) {}
 
-  void prepare_collective(const collective::CommGroup&,
-                          const collective::CompiledCollective&,
-                          std::function<void()> ready) override {
-    ready();  // the topology never changes
-  }
-  bool needs_per_step_preparation(
-      const collective::CommGroup&,
-      const collective::CompiledCollective&) const override {
-    return false;
-  }
-  void prepare_step(const collective::CommGroup&,
-                    const collective::CompiledCollective&, int,
-                    std::function<void()> ready) override {
-    ready();
-  }
+  // The topology never changes: the default preparation hooks apply.
   void send(const collective::CommGroup&, GpuId src, GpuId dst, Bytes bytes,
             std::function<void()> done) override {
     cluster_.transfer(src, dst, bytes, std::move(done));

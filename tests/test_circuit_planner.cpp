@@ -94,13 +94,12 @@ TEST(CircuitPlanner, OnePortNicCannotHoldARing) {
                                      Algorithm::kRing, 4, mib(1));
   const auto cc = collective::compile(sched);
   EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
-  EXPECT_FALSE(planner.static_wirable(g, *cc));
   // A pair still works.
   const CommGroup pair = rail_group(cluster, 0, {0, 1});
   const auto pair_sched = plan_collective(CollectiveType::kAllReduce,
                                           Algorithm::kRing, 2, mib(1));
   const auto pair_cc = collective::compile(pair_sched);
-  EXPECT_TRUE(planner.static_wirable(pair, *pair_cc));
+  EXPECT_TRUE(planner.plan_static(pair, *pair_cc).has_value());
 }
 
 TEST(CircuitPlanner, RecursiveDoublingNotStaticallyWirable) {
@@ -113,7 +112,7 @@ TEST(CircuitPlanner, RecursiveDoublingNotStaticallyWirable) {
   const auto sched = plan_collective(CollectiveType::kAllGather,
                                      Algorithm::kRecursiveDoubling, 8, mib(1));
   const auto cc = collective::compile(sched);
-  EXPECT_FALSE(planner.static_wirable(g, *cc));
+  EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
   // Each individual step IS wirable: one peer per rank.
   for (int step = 0; step < sched.n_steps; ++step) {
     const auto plan = planner.plan_step(g, *cc, step);
@@ -165,14 +164,6 @@ TEST(CircuitPlanner, CrossRankGroupLowersToPxnBridgeCircuits) {
   std::set<int> rails;
   for (const auto& rc : *plan) rails.insert(rc.rail.value());
   EXPECT_EQ(rails, (std::set<int>{0, 1}));
-}
-
-TEST(CircuitPlanner, PortsOfDeduplicatesEndpoints) {
-  RailCircuits rc;
-  rc.rail = RailId{0};
-  rc.circuits = {{PortId{0}, PortId{2}}, {PortId{1}, PortId{2}}};
-  const auto ports = CircuitPlanner::ports_of(rc);
-  EXPECT_EQ(ports.size(), 3u);
 }
 
 TEST(CircuitPlanner, PlanStepRejectsOverCommittedStep) {

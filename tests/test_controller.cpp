@@ -3,6 +3,8 @@
 // coarse-grained reconfiguration, and port-ownership bookkeeping.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "core/controller.h"
 
 namespace opus::core {
@@ -178,6 +180,51 @@ TEST(Controller, LaterNonConflictingRequestMayOvertake) {
   f.ctrl.group_activity(GroupId{1}, -1);
   f.sim.run();
   EXPECT_TRUE(blocked_acked);
+}
+
+TEST(Controller, ExecutableRequestWaitsBehindEarlierBlockedSharer) {
+  ControllerFixture f;
+  f.ctrl.request(GroupId{1}, {pair_circuits(f.cluster, 0, 0, 1)}, nullptr);
+  f.sim.run();
+  f.ctrl.group_activity(GroupId{1}, +1);
+  std::vector<int> order;
+  // Group 2 is blocked: node 1's ports belong to the busy group 1.
+  f.ctrl.request(GroupId{2}, {pair_circuits(f.cluster, 0, 1, 2)},
+                 [&] { order.push_back(2); });
+  f.sim.run();
+  // Group 3's ports are all free, but it shares node 2's ports with the
+  // earlier-queued group 2, so port-domain FC-FS holds it back.
+  f.ctrl.request(GroupId{3}, {pair_circuits(f.cluster, 0, 2, 3)},
+                 [&] { order.push_back(3); });
+  f.sim.run();
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(f.ctrl.stats().queued, 2);
+  f.ctrl.group_activity(GroupId{1}, -1);
+  f.sim.run();
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+}
+
+TEST(Controller, OwnerOvertakesEarlierQueuedPreemptor) {
+  ControllerFixture f;
+  const auto own = pair_circuits(f.cluster, 0, 0, 1);
+  f.ctrl.request(GroupId{1}, {own}, nullptr);
+  f.sim.run();
+  f.ctrl.group_activity(GroupId{1}, +1);
+  bool preemptor_acked = false;
+  f.ctrl.request(GroupId{2}, {pair_circuits(f.cluster, 0, 0, 2)},
+                 [&] { preemptor_acked = true; });
+  f.sim.run();
+  ASSERT_FALSE(preemptor_acked) << "node 0's ports belong to busy group 1";
+  // Group 1 re-requests ports it already owns: it overtakes group 2, which
+  // could not run before group 1 goes idle anyway.
+  bool owner_acked = false;
+  f.ctrl.request(GroupId{1}, {own}, [&] { owner_acked = true; });
+  f.sim.run();
+  EXPECT_TRUE(owner_acked);
+  EXPECT_FALSE(preemptor_acked);
+  f.ctrl.group_activity(GroupId{1}, -1);
+  f.sim.run();
+  EXPECT_TRUE(preemptor_acked);
 }
 
 TEST(Controller, PortOwnershipTransfersOnReconfiguration) {

@@ -105,9 +105,9 @@ TEST(FaultRecovery, RingBecomesUnwirableWithoutSparePorts) {
   const auto sched = collective::plan_collective(
       CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(1));
   const auto cc = collective::compile(sched);
-  ASSERT_TRUE(planner.static_wirable(g, *cc));
+  ASSERT_TRUE(planner.plan_static(g, *cc).has_value());
   c.ocs(RailId{0}).fail_port(c.ocs_port(g.ranks[1], 0));
-  EXPECT_FALSE(planner.static_wirable(g, *cc));
+  EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
 }
 
 TEST(FaultRecovery, FailureMidReconfigurationSkipsTheDeadEstablish) {

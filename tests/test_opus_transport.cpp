@@ -56,7 +56,7 @@ TEST(OpusTransport, RingCollectiveWaitsForCircuitsThenRuns) {
   ASSERT_GE(end, 0);
   // Duration includes one reconfiguration (10ms) + control RTT + transfers.
   EXPECT_GT(end - start, msecs(10));
-  EXPECT_EQ(transport.total_ocs_reconfigurations(), 1);
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), 1);
   EXPECT_EQ(transport.controller().stats().reconfigurations, 1);
 }
 
@@ -78,7 +78,7 @@ TEST(OpusTransport, SecondSameGroupCollectiveHitsTheCircuitCache) {
   });
   sim.run();
   EXPECT_GT(first, second);
-  EXPECT_EQ(transport.total_ocs_reconfigurations(), 1)
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), 1)
       << "same-group repeat must not reconfigure (Objective 2)";
   EXPECT_EQ(transport.controller().stats().satisfied_immediately, 1);
 }
@@ -100,7 +100,7 @@ TEST(OpusTransport, ScaleUpCollectiveBypassesControlPlane) {
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(transport.controller().stats().requests, 0);
-  EXPECT_EQ(transport.total_ocs_reconfigurations(), 0);
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), 0);
 }
 
 TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
@@ -123,7 +123,7 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   sim.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.step_synchronous);
-  EXPECT_EQ(transport.total_ocs_reconfigurations(), sched.n_steps)
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), sched.n_steps)
       << "every peer change pays a reconfiguration on circuits (C1)";
   EXPECT_GT(result.duration(), 3 * msecs(10));
 }
@@ -199,7 +199,7 @@ TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {
   });
   sim.run();
   EXPECT_EQ(completions, 2);
-  EXPECT_EQ(transport.total_ocs_reconfigurations(), 2);
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), 2);
 }
 
 TEST(OpusTransport, ProvisioningSpeculatesAfterProfiledPhase) {
