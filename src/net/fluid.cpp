@@ -91,6 +91,7 @@ void FluidNetwork::set_capacity(LinkId link, Bandwidth capacity) {
   const auto li = static_cast<std::size_t>(link.value());
   links_[li].capacity = capacity;
   cap_bytes_per_ns_[li] = capacity.bytes_per_ns();
+  dirty_links_.push_back(li);
   mark_dirty();
 }
 
@@ -177,8 +178,6 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Bytes bytes,
   f.path = std::move(path);
   f.remaining_bytes = static_cast<double>(bytes);
   attach_to_links(id, f);
-  f.draining_pos = static_cast<std::uint32_t>(draining_.size());
-  draining_.push_back(slot);
   mark_dirty();
   return id;
 }
@@ -194,7 +193,6 @@ bool FluidNetwork::abort_flow(FlowId flow) {
     return true;
   }
   detach_from_links(flow, *f);
-  remove_from_draining(*f);
   release_slot(flow.slot());
   mark_dirty();
   return true;
@@ -213,13 +211,6 @@ int FluidNetwork::abort_flows_on(LinkId link) {
     if (abort_flow(f)) ++aborted;
   }
   return aborted;
-}
-
-void FluidNetwork::remove_from_draining(Flow& f) {
-  const std::uint32_t last_slot = draining_.back();
-  draining_[f.draining_pos] = last_slot;
-  flows_[last_slot].draining_pos = f.draining_pos;
-  draining_.pop_back();
 }
 
 bool FluidNetwork::flow_active(FlowId flow) const {
@@ -260,17 +251,21 @@ double FluidNetwork::allocated_bps(LinkId link) {
 
 void FluidNetwork::attach_to_links(FlowId id, const Flow& f) {
   for (LinkId l : f.path) {
-    link_state_[static_cast<std::size_t>(l.value())].flows.push_back(id);
+    const auto li = static_cast<std::size_t>(l.value());
+    link_state_[li].flows.push_back(id);
+    dirty_links_.push_back(li);
   }
 }
 
 void FluidNetwork::detach_from_links(FlowId id, const Flow& f) {
   for (LinkId l : f.path) {
-    auto& on_link = link_state_[static_cast<std::size_t>(l.value())].flows;
+    const auto li = static_cast<std::size_t>(l.value());
+    auto& on_link = link_state_[li].flows;
     const auto it = std::find(on_link.begin(), on_link.end(), id);
     ensure(it != on_link.end(), "fluid: per-link flow index out of sync");
     *it = on_link.back();
     on_link.pop_back();
+    dirty_links_.push_back(li);
   }
 }
 
@@ -314,73 +309,87 @@ void FluidNetwork::pop_completion_top() {
 }
 
 void FluidNetwork::solve_max_min() {
-  // Progressive filling: repeatedly saturate the most constrained link and
-  // freeze the flows crossing it at that link's fair share. Only links
-  // crossed by at least one active flow participate; everything else —
-  // including the unbounded set of retired circuit links a reconfigurable
-  // fabric accretes — is never touched.
-  const std::uint64_t epoch = ++solve_epoch_;
-  const TimeNs now = sim_.now();
+  // Only the dirty component can change rate: the flows sharing a link with
+  // this instant's changes, closed transitively over shared links. Flows
+  // outside it keep the rates an earlier solve froze; their links, co-flows
+  // and capacities are untouched, so re-solving them would reproduce those
+  // rates bit for bit (the filling below is a function of the component
+  // alone). Walk from the dirty links, stamping flows and links with a walk
+  // epoch; touched_links_ is the walk queue and ends up holding exactly the
+  // component's links. Everything else — including the unbounded set of
+  // retired circuit links a reconfigurable fabric accretes — is never
+  // touched.
+  const std::uint64_t walk = ++solve_epoch_;
   touched_links_.clear();
-  // draining_ indexes exactly the byte-moving flows, so this scan touches no
-  // free slots and no pending zero-byte flows. Its order (insertion order,
-  // compacted by swap-with-last) is fully determined by the simulated event
-  // sequence, so the bottleneck sweep below needs no canonicalizing sort —
-  // with the hash-map registry this order depended on hashing and had to be
-  // sorted every solve, which profiled at ~30% of the 512-node ring cell.
-  for (const std::uint32_t slot : draining_) {
-    for (LinkId l : flows_[slot].path) {
-      const auto li = static_cast<std::size_t>(l.value());
-      if (link_epoch_[li] != epoch) {
-        link_epoch_[li] = epoch;
-        cap_left_[li] = cap_bytes_per_ns_[li];
-        unfrozen_on_[li] = 0;
-        touched_links_.push_back(li);
+  auto touch = [&](std::size_t li) {
+    link_epoch_[li] = walk;
+    cap_left_[li] = cap_bytes_per_ns_[li];
+    // Every flow on a component link is in the component.
+    unfrozen_on_[li] = static_cast<int>(link_state_[li].flows.size());
+    touched_links_.push_back(li);
+  };
+  for (const std::size_t li : dirty_links_) {
+    if (link_epoch_[li] != walk && !link_state_[li].flows.empty()) touch(li);
+  }
+  dirty_links_.clear();
+  std::size_t remaining = 0;
+  for (std::size_t next = 0; next < touched_links_.size(); ++next) {
+    for (FlowId fid : link_state_[touched_links_[next]].flows) {
+      Flow& f = flows_[fid.slot()];
+      if (f.frozen_epoch == walk) continue;
+      f.frozen_epoch = walk;
+      ++remaining;
+      for (LinkId l : f.path) {
+        const auto lj = static_cast<std::size_t>(l.value());
+        if (link_epoch_[lj] != walk) touch(lj);
       }
-      ++unfrozen_on_[li];
     }
   }
 
-  std::size_t remaining = draining_.size();
+  // Progressive filling: each round finds the minimum fair share over the
+  // links with unfrozen flows and freezes the whole bottleneck set — every
+  // link at that share, every unfrozen flow on them at exactly that share.
+  // Freezing at a minimum share cannot lower another link's share, so no
+  // link drops below it within the round. Independent circuits at one
+  // identical share (a 512-node collective puts ~1000 links there) thus
+  // cost one round, not one per link. The set is fixed before anything
+  // freezes and every subtraction in a round takes the same value, so the
+  // result does not depend on the order links or flows are visited in;
+  // that is what lets a component no change reached keep its rates.
+  const std::uint64_t epoch = ++solve_epoch_;
+  const TimeNs now = sim_.now();
   while (remaining > 0) {
     ++solve_rounds_;
-    double best_share = std::numeric_limits<double>::infinity();
-    for (std::size_t li : touched_links_) {
+    double share = std::numeric_limits<double>::infinity();
+    bottleneck_.clear();
+    for (const std::size_t li : touched_links_) {
       if (unfrozen_on_[li] <= 0) continue;
-      const double share = std::max(cap_left_[li], 0.0) / unfrozen_on_[li];
-      best_share = std::min(best_share, share);
+      const double s = std::max(cap_left_[li], 0.0) / unfrozen_on_[li];
+      if (s > share) continue;
+      if (s < share) {
+        share = s;
+        bottleneck_.clear();
+      }
+      bottleneck_.push_back(li);
     }
-    ensure(best_share < std::numeric_limits<double>::infinity(),
+    ensure(!bottleneck_.empty(),
            "max-min solve: unfrozen flow without a constraining link");
-    // Freeze the whole bottleneck set this round, not one link per round:
-    // independent circuits at one identical fair share are the common case
-    // at scale (a 512-node collective puts ~1000 links there), and a
-    // one-link-per-round loop rescans every touched link each time —
-    // quadratic in active links. After freezing a minimum-share link no
-    // remaining link can sit below this round's minimum (freezing removes
-    // share*k capacity and k flows, which cannot lower a fair share), so a
-    // single sweep freezing every link still at the minimum — at the link's
-    // own recomputed share, keeping cap_left_ non-negative under floating
-    // point — yields the same max-min allocation in any sweep order; the
-    // deterministic touched order makes ties replay-stable.
-    for (std::size_t li : touched_links_) {
-      if (unfrozen_on_[li] <= 0) continue;
-      const double share = std::max(cap_left_[li], 0.0) / unfrozen_on_[li];
-      if (share > best_share) continue;
+    for (const std::size_t li : bottleneck_) {
+      if (unfrozen_on_[li] <= 0) continue;  // frozen by an earlier member
       ++frozen_bottleneck_links_;
       for (FlowId fid : link_state_[li].flows) {
         Flow& f = flows_[fid.slot()];
         if (f.frozen_epoch == epoch) continue;
         f.frozen_epoch = epoch;
-        // Integrate progress at the outgoing rate before freezing the new
-        // one (per-flow lazy charging, fused into the solve's single pass).
-        charge_progress(f, now);
         if (f.rate_bytes_per_ns != share) {
+          // Integrate progress at the outgoing rate, then freeze the new one
+          // and feed its projected drain instant to the completion heap. An
+          // unchanged rate keeps an unchanged absolute projection, so a
+          // steady flow is neither charged nor pushed: its integration and
+          // its heap entry stay exactly as the last rate change left them,
+          // however many solves pass over it.
+          charge_progress(f, now);
           f.rate_bytes_per_ns = share;
-          // The projected drain instant moved: record it and feed the
-          // completion heap. An unchanged rate keeps an unchanged absolute
-          // projection, so steady flows push nothing and their existing
-          // heap entries stay valid.
           f.projected_done = project_completion(f, now);
           if (f.projected_done != kNever) {
             push_completion(f.projected_done, fid.slot(), f.generation);
@@ -409,7 +418,7 @@ void FluidNetwork::reschedule_completion_event() {
   // Churn bound: when stale entries dominate (rate flapping without event
   // firings), rebuild the heap from the valid survivors.
   if (completion_heap_.size() > 64 &&
-      completion_heap_.size() > 4 * draining_.size()) {
+      completion_heap_.size() > 4 * active_count_) {
     std::erase_if(completion_heap_, [this](const CompletionEntry& e) {
       const Flow& f = flows_[e.slot];
       return f.generation != e.generation || f.projected_done != e.time;
@@ -474,7 +483,6 @@ void FluidNetwork::on_completion_event() {
     if (f.remaining_bytes <= kDrainEpsilonBytes) {
       done.emplace_back(f.extra_latency, std::move(f.on_complete));
       detach_from_links(FlowId::from_parts(top.slot, f.generation), f);
-      remove_from_draining(f);
       release_slot(top.slot);
     } else {
       // Horizon-clamped (near-stalled) or rounding-edge firing: not drained

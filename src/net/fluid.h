@@ -18,29 +18,42 @@
 // demand (they are non-const, so observers holding a const FluidNetwork&
 // cannot perturb the solve count); flow_remaining needs no solve.
 //
-// The solver scales with *active* state, not lifetime state: each re-solve
-// touches only the links crossed by at least one active flow (epoch-stamped
-// scratch arrays avoid per-solve clearing), per-link flow indices make
-// active_flows_on / allocated_bps O(1) / O(flows-on-link), and retired links
-// (dead circuits from OCS reconfiguration churn) go on a free list for id
-// reuse so the link table stays bounded under rotor-style fabrics. Each
-// progressive-filling round freezes the whole bottleneck set (every link at
-// the round's minimum fair share), so N independent circuits at one
-// identical share — the shape of a large collective on photonic rails —
-// cost one round, not N.
+// The solve is component-local. Attaching or detaching a flow and changing
+// a capacity record the links involved as dirty; the solve walks from them
+// to every flow that shares a link with them, transitively, and re-fills
+// only that component. On a photonic rail each transfer owns its circuit,
+// so a starting flow usually re-fills only itself, and a flow that drains
+// alone on its links leaves an empty component: that solve returns at once.
+// A whole-network solve is simply the case where every link is dirty.
+//
+// Each progressive-filling round freezes the whole bottleneck set at the
+// round's minimum fair share: every link at that share, and every unfrozen
+// flow on them at exactly that share. N circuits at one identical share —
+// the shape of a large collective on photonic rails — cost one round, not
+// N. The set is chosen before anything freezes, so a component's rates
+// depend on the component alone, not on the order its links or flows are
+// visited in or on what else was dirty. Progress is
+// charged only when a flow's rate changes (and at completion), so a flow's
+// integration never depends on how many solves pass over it. Together these
+// make simulated results independent of solve cadence: re-solving every
+// link every instant changes no completion time.
+//
+// The solver scales with the dirty component, not lifetime state:
+// epoch-stamped scratch arrays avoid per-solve clearing, per-link flow
+// indices make active_flows_on / allocated_bps O(1) / O(flows-on-link), and
+// retired links (dead circuits from OCS reconfiguration churn) go on a free
+// list for id reuse so the link table stays bounded under rotor-style
+// fabrics.
 //
 // Flows live in a dense slot-indexed registry: a contiguous std::vector with
 // a LIFO free list, addressed by generation-stamped FlowIds (slot index +
 // reuse generation packed into 64 bits). Every hot-path lookup is an array
-// index, the solve iterates a contiguous vector, and a stale id — held
-// across the completion or abort of its flow — is detected by its generation
-// instead of silently aliasing the slot's next occupant. Progress charging
-// is per-flow and lazy (each flow integrates its previous rate exactly when
-// the solve freezes its next one), and the earliest completion is tracked by
-// a lazy-deletion min-heap of projected drain instants: entries are
-// invalidated by generation/projection mismatch and only flows whose rate
-// actually changed push new entries, so rescheduling after churn no longer
-// rescans the registry.
+// index, and a stale id — held across the completion or abort of its flow —
+// is detected by its generation instead of silently aliasing the slot's
+// next occupant. The earliest completion is tracked by a lazy-deletion
+// min-heap of projected drain instants: entries are invalidated by
+// generation/projection mismatch and only flows whose rate actually changed
+// push new entries, so rescheduling after churn never rescans the registry.
 #pragma once
 
 #include <cstdint>
@@ -156,12 +169,16 @@ class FluidNetwork {
   std::uint64_t completed_flow_count() const { return completed_; }
 
   /// Max-min solves performed (at most one per dirty instant, plus on-demand
-  /// settles). Telemetry gauge.
+  /// settles), counted even when the dirty component is empty. Telemetry
+  /// gauge.
   std::int64_t solve_count() const { return solve_count_; }
   /// Progressive-filling rounds across all solves: each round freezes one
-  /// bottleneck set. Telemetry gauge.
+  /// bottleneck set of the dirty component. A solve whose component is
+  /// empty (say, a flow drained alone on its links) adds none. Telemetry
+  /// gauge of solver work.
   std::int64_t solve_rounds() const { return solve_rounds_; }
-  /// Links frozen as bottleneck-set members across all solves.
+  /// Links frozen as bottleneck-set members across all solves; like
+  /// solve_rounds(), only dirty-component links count.
   std::int64_t frozen_bottleneck_links() const {
     return frozen_bottleneck_links_;
   }
@@ -184,14 +201,12 @@ class FluidNetwork {
     double rate_bytes_per_ns = 0.0;
     TimeNs extra_latency = 0;
     std::function<void()> on_complete;
-    /// Solve epoch in which this flow's rate was frozen (solver scratch).
+    /// Solve epoch in which this flow joined the dirty component or had its
+    /// rate frozen (solver scratch).
     std::uint64_t frozen_epoch = 0;
     std::uint32_t generation = 0;
-    /// Position of this slot in draining_ while the flow moves bytes
-    /// (swap-with-last removal keeps the index dense).
-    std::uint32_t draining_pos = 0;
     /// Instant up to which remaining_bytes is integrated (per-flow lazy
-    /// progress: charged when the solve freezes a new rate, at completion
+    /// progress: charged when the solve changes the rate, at completion
     /// processing, and — without mutation — on flow_remaining queries).
     TimeNs last_charged = 0;
     /// Projected drain instant at the current rate (kNever when stalled).
@@ -240,9 +255,9 @@ class FluidNetwork {
   std::uint32_t alloc_slot();
   /// Stamps the slot free (generation becomes even) and drops its payload.
   void release_slot(std::uint32_t slot);
-  /// Registers `id` on every link of its path.
+  /// Registers `id` on every link of its path and marks those links dirty.
   void attach_to_links(FlowId id, const Flow& f);
-  /// Removes `id` from every link of its path.
+  /// Removes `id` from every link of its path and marks those links dirty.
   void detach_from_links(FlowId id, const Flow& f);
   /// Integrates progress at the current rate since last_charged.
   void charge_progress(Flow& f, TimeNs now);
@@ -258,14 +273,13 @@ class FluidNetwork {
   /// If the rates are stale: re-solves max-min fair rates and reschedules
   /// the completion event (the end-of-instant hook, and on-demand reads).
   void flush();
+  /// Re-fills the dirty component (see the file comment) and clears the
+  /// dirty links.
   void solve_max_min();
   /// Drops stale heap entries, compacts a bloated heap, and (re)schedules
   /// the single completion event at the heap's earliest valid instant.
   void reschedule_completion_event();
   void on_completion_event();
-
-  /// Removes a slot from draining_ (swap-with-last).
-  void remove_from_draining(Flow& f);
 
   sim::Simulator& sim_;
   sim::Simulator::HookId flush_hook_;
@@ -286,9 +300,6 @@ class FluidNetwork {
   std::vector<Flow> flows_;
   std::vector<std::uint32_t> flow_free_;
   std::size_t active_count_ = 0;  ///< occupied slots
-  /// Slots of the flows currently moving bytes (zero-byte flows excluded) —
-  /// the exact set the solve iterates, order maintained by swap-with-last.
-  std::vector<std::uint32_t> draining_;
 
   /// Earliest-completion tracking: lazy-deletion min-heap over projected
   /// drain instants (see CompletionEntry).
@@ -297,15 +308,20 @@ class FluidNetwork {
   TimeNs completion_event_time_ = kNever;
   std::uint64_t completed_ = 0;
 
-  // Solver scratch, persistent across solves so a re-solve costs O(active
-  // path footprint), not O(lifetime links). A slot is valid only when its
-  // epoch stamp matches the current solve's epoch. start_flow borrows the
+  // Solver scratch, persistent across solves so a re-solve costs O(dirty
+  // component footprint), not O(lifetime links). A slot is valid only when
+  // its epoch stamp matches the current walk's epoch. start_flow borrows the
   // same epoch counter + link stamps for its duplicate-link check.
   std::uint64_t solve_epoch_ = 0;
   std::vector<std::uint64_t> link_epoch_;
   std::vector<double> cap_left_;
   std::vector<int> unfrozen_on_;
   std::vector<std::size_t> touched_links_;
+  /// Links whose flow set or capacity changed since the last solve (may
+  /// repeat; the solve's walk dedups them).
+  std::vector<std::size_t> dirty_links_;
+  /// The current round's bottleneck set.
+  std::vector<std::size_t> bottleneck_;
 
   // Solver telemetry counters: one add per solve / per freezing round on
   // already-cold bookkeeping, always on (cheaper than a guard).

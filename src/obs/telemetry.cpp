@@ -1,7 +1,8 @@
 #include "obs/telemetry.h"
 
-#include <map>
+#include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "net/cluster.h"
@@ -11,43 +12,62 @@
 namespace opus::obs {
 
 // Per-rail OCS observer: mirrors circuit lifecycle and dark intervals onto
-// the fabric process's per-rail trace tracks. Open spans are keyed by the
-// unordered port pair in a sorted map so finalize() closes them in a
-// deterministic order.
+// the fabric process's per-rail trace tracks. An open span lives in per-port
+// arrays at its lower port (a port holds one circuit at a time), so an up or
+// down is two array accesses and finalize() closes spans in ascending port
+// order, a deterministic order.
 struct Telemetry::RailObserver : net::OcsObserver {
   Telemetry* hub;
   int rail;
-  std::map<std::pair<std::int32_t, std::int32_t>, TimeNs> open;
+  /// Per lower port: the upper port of its open span, or -1 when none.
+  std::vector<std::int32_t> open_peer;
+  /// Per lower port: when its open span came up.
+  std::vector<TimeNs> open_start;
 
-  RailObserver(Telemetry* h, int r) : hub(h), rail(r) {}
+  RailObserver(Telemetry* h, int r, int n_ports)
+      : hub(h),
+        rail(r),
+        open_peer(static_cast<std::size_t>(n_ports), -1),
+        open_start(static_cast<std::size_t>(n_ports), 0) {}
 
-  static std::pair<std::int32_t, std::int32_t> key(PortId a, PortId b) {
-    return {std::min(a.value(), b.value()), std::max(a.value(), b.value())};
-  }
-  static std::string circuit_name(std::pair<std::int32_t, std::int32_t> k) {
+  static std::string circuit_name(std::int32_t lo, std::int32_t hi) {
     // Built by append: GCC 12's -Wrestrict misfires on nested operator+
     // chains that mix literals with std::to_string temporaries.
     std::string name = "p";
-    name += std::to_string(k.first);
+    name += std::to_string(lo);
     name += "-p";
-    name += std::to_string(k.second);
+    name += std::to_string(hi);
     return name;
   }
 
+  void close(std::int32_t lo, TimeNs end) {
+    const auto i = static_cast<std::size_t>(lo);
+    const TimeNs start = open_start[i];
+    hub->circuit_lifetime_.record(end - start);
+    if (hub->config_.tracing()) {
+      hub->trace_.complete(kFabricPid, 3 * rail,
+                           circuit_name(lo, open_peer[i]), "circuit", start,
+                           end - start);
+    }
+    open_peer[i] = -1;
+  }
+
   void on_circuit_up(PortId a, PortId b, TimeNs now) override {
-    open.emplace(key(a, b), now);
+    const std::int32_t lo = std::min(a.value(), b.value());
+    const std::int32_t hi = std::max(a.value(), b.value());
+    const auto i = static_cast<std::size_t>(lo);
+    if (open_peer[i] == hi) return;  // repeated up: keep the first start
+    // A port re-wired without a tear-down ends its previous circuit here.
+    if (open_peer[i] >= 0) close(lo, now);
+    open_peer[i] = hi;
+    open_start[i] = now;
   }
 
   void on_circuit_down(PortId a, PortId b, TimeNs now) override {
-    const auto k = key(a, b);
-    const auto it = open.find(k);
-    if (it == open.end()) return;  // established before telemetry attached
-    hub->circuit_lifetime_.record(now - it->second);
-    if (hub->config_.tracing()) {
-      hub->trace_.complete(kFabricPid, 3 * rail, circuit_name(k), "circuit",
-                           it->second, now - it->second);
-    }
-    open.erase(it);
+    const std::int32_t lo = std::min(a.value(), b.value());
+    const std::int32_t hi = std::max(a.value(), b.value());
+    // Absent: established before telemetry attached.
+    if (open_peer[static_cast<std::size_t>(lo)] == hi) close(lo, now);
   }
 
   void on_dark_interval(int ports, TimeNs start, TimeNs duration) override {
@@ -58,14 +78,9 @@ struct Telemetry::RailObserver : net::OcsObserver {
   }
 
   void close_open_spans(TimeNs end) {
-    for (const auto& [k, start] : open) {
-      hub->circuit_lifetime_.record(end - start);
-      if (hub->config_.tracing()) {
-        hub->trace_.complete(kFabricPid, 3 * rail, circuit_name(k), "circuit",
-                             start, end - start);
-      }
+    for (std::size_t p = 0; p < open_peer.size(); ++p) {
+      if (open_peer[p] >= 0) close(static_cast<std::int32_t>(p), end);
     }
-    open.clear();
   }
 };
 
@@ -92,8 +107,9 @@ void Telemetry::attach_fabric(sim::Simulator& sim, net::Cluster& cluster) {
   // on; each emission re-checks its own config flag.
   if ((config_.tracing() || config_.wants_metrics()) && cluster.photonic()) {
     for (int r = 0; r < cluster.n_rails(); ++r) {
-      auto obs = std::make_unique<RailObserver>(this, r);
-      cluster.ocs(RailId{r}).set_observer(obs.get());
+      net::OpticalCircuitSwitch& ocs = cluster.ocs(RailId{r});
+      auto obs = std::make_unique<RailObserver>(this, r, ocs.n_ports());
+      ocs.set_observer(obs.get());
       if (config_.tracing()) {
         trace_.set_thread_name(kFabricPid, 3 * r,
                                "rail" + std::to_string(r) + " circuits");

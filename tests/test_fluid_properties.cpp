@@ -1,7 +1,12 @@
 // Property-based tests of the fluid network under randomized workloads:
 // capacity is never oversubscribed, work is conserved, every flow on a
-// positive-capacity path completes, and allocations are max-min fair.
+// positive-capacity path completes, allocations are max-min fair, and
+// simulated results do not depend on how often the solver runs.
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <variant>
+#include <vector>
 
 #include "common/rng.h"
 #include "net/fluid.h"
@@ -161,6 +166,201 @@ TEST(FluidProperties, WorkConservationOnSaturatedLink) {
   EXPECT_NEAR(net.allocated_bps(l), 100e9, 1e6);
   sim.run();
   EXPECT_EQ(net.active_flow_count(), 0u);
+}
+
+// One seeded churn script: flow starts, aborts and capacity changes at
+// random instants, replayed identically on twin networks.
+struct ChurnScript {
+  struct Start {
+    std::vector<LinkId> path;
+    Bytes bytes;
+  };
+  struct Abort {
+    std::size_t flow;  ///< index into the script's starts
+  };
+  struct Capacity {
+    LinkId link;
+    Bandwidth capacity;
+  };
+  struct Op {
+    TimeNs at;
+    std::variant<Start, Abort, Capacity> what;
+  };
+  std::vector<Bandwidth> capacities;
+  std::vector<Op> ops;
+  std::size_t n_flows = 0;
+};
+
+ChurnScript make_churn(int n_links, int n_flows, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  ChurnScript script;
+  // Non-dyadic capacities (k/3 and k/7 bytes/ns) and whole-kilobyte sizes:
+  // fair shares are inexact in binary floating point, yet many drain
+  // projections land on an exact nanosecond, where a last-bit difference in
+  // the integrated bytes moves a completion by 1 ns. That is where
+  // integration cadence would leak into results.
+  auto random_capacity = [&rng] {
+    const double divisor = rng.below(2) == 0 ? 3.0 : 7.0;
+    return Bandwidth::gbps(80.0 * static_cast<double>(1 + rng.below(40)) /
+                           divisor);
+  };
+  for (int l = 0; l < n_links; ++l) {
+    script.capacities.push_back(random_capacity());
+  }
+  // Coarse instants, so several events often share one.
+  auto random_instant = [&rng] {
+    return static_cast<TimeNs>(rng.below(400)) * usecs(10);
+  };
+  for (int f = 0; f < n_flows; ++f) {
+    const auto n = static_cast<std::uint64_t>(n_links);
+    const std::uint64_t first = rng.below(n);
+    const int hops = 1 + static_cast<int>(rng.below(3));
+    ChurnScript::Start start;
+    for (int h = 0; h < hops; ++h) {
+      start.path.push_back(
+          LinkId{static_cast<std::int32_t>((first + h * (1 + rng.below(2))) %
+                                           n)});
+      // A 2-link stride may revisit a link on tiny topologies; keep paths
+      // duplicate-free.
+      for (std::size_t k = 0; k + 1 < start.path.size(); ++k) {
+        if (start.path[k] == start.path.back()) {
+          start.path.pop_back();
+          break;
+        }
+      }
+    }
+    start.bytes = static_cast<Bytes>(1 + rng.below(30'000)) * 1000;
+    script.ops.push_back({random_instant(), std::move(start)});
+  }
+  script.n_flows = static_cast<std::size_t>(n_flows);
+  for (int k = 0; k < n_flows / 8; ++k) {
+    script.ops.push_back(
+        {random_instant() + usecs(500),
+         ChurnScript::Abort{rng.below(script.n_flows)}});
+  }
+  for (int k = 0; k < n_flows / 4; ++k) {
+    const auto l = rng.below(static_cast<std::uint64_t>(n_links));
+    const LinkId link{static_cast<std::int32_t>(l)};
+    script.ops.push_back({random_instant() * 2,
+                          ChurnScript::Capacity{link, random_capacity()}});
+  }
+  return script;
+}
+
+// A network replaying a churn script; records each flow's completion instant
+// (-1 while it has not completed).
+struct ChurnTwin {
+  sim::Simulator sim;
+  FluidNetwork net{sim};
+  std::vector<LinkId> links;
+  std::vector<FlowId> ids;
+  std::vector<TimeNs> done;
+
+  explicit ChurnTwin(const ChurnScript& script)
+      : ids(script.n_flows), done(script.n_flows, -1) {
+    for (const Bandwidth c : script.capacities) {
+      links.push_back(net.add_link(c));
+    }
+    std::size_t next_flow = 0;
+    for (const ChurnScript::Op& op : script.ops) {
+      if (const auto* s = std::get_if<ChurnScript::Start>(&op.what)) {
+        const std::size_t i = next_flow++;
+        sim.schedule_at(op.at, [this, s, i] {
+          ids[i] = net.start_flow(s->path, s->bytes, 0,
+                                  [this, i] { done[i] = sim.now(); });
+        });
+      } else if (const auto* a = std::get_if<ChurnScript::Abort>(&op.what)) {
+        sim.schedule_at(op.at, [this, a] { net.abort_flow(ids[a->flow]); });
+      } else {
+        const auto& c = std::get<ChurnScript::Capacity>(op.what);
+        sim.schedule_at(op.at,
+                        [this, &c] { net.set_capacity(c.link, c.capacity); });
+      }
+    }
+  }
+};
+
+struct ChurnTopology {
+  const char* name;
+  int n_links;
+  int n_flows;
+};
+
+void PrintTo(const ChurnTopology& t, std::ostream* os) {
+  *os << t.name << " (" << t.n_links << " links, " << t.n_flows << " flows)";
+}
+
+class FluidCadenceSweep : public ::testing::TestWithParam<ChurnTopology> {};
+
+TEST_P(FluidCadenceSweep, CompletionTimesIndependentOfSolveCadence) {
+  // The solve re-fills only the component linked to an instant's changes
+  // and charges progress only when a rate changes. Forcing a whole-network
+  // solve every instant (re-setting every link's capacity dirties them all)
+  // must then change no completion time, not even by one nanosecond.
+  const auto& [name, n_links, n_flows] = GetParam();
+  std::size_t completions = 0;
+  std::size_t mismatches = 0;
+  for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+    const ChurnScript script = make_churn(n_links, n_flows, seed);
+    ChurnTwin local(script);
+    ChurnTwin forced(script);
+    local.sim.run();
+    while (forced.sim.run_steps(1) == 1) {
+      for (const LinkId l : forced.links) {
+        forced.net.set_capacity(l, forced.net.capacity(l));
+      }
+    }
+    EXPECT_GT(forced.net.solve_rounds(), local.net.solve_rounds())
+        << name << " seed " << seed;
+    for (std::size_t i = 0; i < script.n_flows; ++i) {
+      if (local.done[i] >= 0) ++completions;
+      if (local.done[i] != forced.done[i] && ++mismatches <= 5) {
+        ADD_FAILURE() << name << " seed " << seed << " flow " << i
+                      << " completes at " << local.done[i]
+                      << " with component-local solves, at "
+                      << forced.done[i] << " with whole-network solves";
+      }
+    }
+  }
+  EXPECT_GT(completions, static_cast<std::size_t>(100 * n_flows));
+  EXPECT_EQ(mismatches, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Churn, FluidCadenceSweep,
+    ::testing::Values(ChurnTopology{"sparse", 300, 120},
+                      ChurnTopology{"dense", 12, 60}),
+    [](const ::testing::TestParamInfo<ChurnTopology>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(FluidProperties, FlowDrainingAloneCostsNoSolverWork) {
+  // A flow on its own circuit shares no link with anything: its drain
+  // dirties only its own links, the instant's component is empty, and the
+  // solve does no filling and touches no other flow.
+  sim::Simulator sim;
+  FluidNetwork net(sim);
+  const LinkId own = net.add_link(Bandwidth::gbps(100));
+  const LinkId shared = net.add_link(Bandwidth::gbps(90));
+  bool drained = false;
+  net.start_flow({own}, 1'000'000, 0, [&drained] { drained = true; });
+  const FlowId a = net.start_flow({shared}, gib(1), 0, nullptr);
+  const FlowId b = net.start_flow({shared}, gib(2), 0, nullptr);
+  sim.run_until(sim.now());
+  const std::int64_t solves = net.solve_count();
+  const std::int64_t rounds = net.solve_rounds();
+  const std::int64_t frozen = net.frozen_bottleneck_links();
+  const double rate_a = net.flow_rate_bps(a);
+  const double rate_b = net.flow_rate_bps(b);
+
+  while (!drained) ASSERT_EQ(sim.run_steps(1), 1u);
+  sim.run_until(sim.now());
+  EXPECT_EQ(net.solve_count(), solves + 1) << "the drain instant still flushes";
+  EXPECT_EQ(net.solve_rounds(), rounds);
+  EXPECT_EQ(net.frozen_bottleneck_links(), frozen);
+  EXPECT_EQ(net.flow_rate_bps(a), rate_a);
+  EXPECT_EQ(net.flow_rate_bps(b), rate_b);
+  EXPECT_EQ(net.active_flow_count(), 2u);
 }
 
 }  // namespace

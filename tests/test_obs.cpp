@@ -1,9 +1,10 @@
 // src/obs: metrics registry slot semantics, probe interval sampling,
-// chrome-trace JSON parse-back, self-profiler nesting/exception safety, and
-// the telemetry config's serde contract.
+// chrome-trace JSON parse-back, self-profiler nesting/exception safety, the
+// telemetry config's serde contract, and the rail observer's circuit spans.
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,6 +12,8 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "config/serde.h"
+#include "net/cluster.h"
+#include "net/ocs.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
@@ -309,6 +312,46 @@ TEST(TelemetryConfigFlags, EnabledAndDerivedPredicates) {
   EXPECT_TRUE(trace_only.tracing());
   EXPECT_FALSE(trace_only.wants_metrics());
   EXPECT_FALSE(trace_only.sampling());
+}
+
+// ---- rail observer ---------------------------------------------------------
+
+TEST(TelemetryRailObserver, OpenCircuitSpansCloseInAscendingPortOrder) {
+  sim::Simulator sim;
+  net::ClusterConfig cfg;
+  cfg.n_nodes = 8;
+  cfg.gpus_per_node = 1;
+  cfg.nic_ports = 1;
+  cfg.fabric = net::FabricKind::kOpusPhotonic;
+  net::Cluster cluster(sim, cfg);
+  obs::TelemetryConfig tc;
+  tc.chrome_trace_path = "unused.json";  // tracing on; nothing is written
+  obs::Telemetry tel(tc);
+  tel.attach_fabric(sim, cluster);
+
+  net::OpticalCircuitSwitch& ocs = cluster.ocs(RailId{0});
+  ocs.force_circuits({{PortId{6}, PortId{7}},
+                      {PortId{1}, PortId{0}},
+                      {PortId{5}, PortId{2}}});
+  sim.run_until(100);
+  ocs.force_circuits({{PortId{0}, PortId{1}}});  // tear down, bring up again
+  tel.finalize(1000);
+
+  std::vector<std::pair<std::string, double>> spans;  // (name, duration us)
+  const json::Value doc = json::parse(tel.trace().dump());
+  const json::Value& events = *doc.find("traceEvents");
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    const json::Value* cat = events[i].find("cat");
+    if (cat == nullptr || cat->as_string() != "circuit") continue;
+    spans.emplace_back(events[i].find("name")->as_string(),
+                       events[i].find("dur")->as_double());
+  }
+  const std::vector<std::pair<std::string, double>> expected = {
+      {"p0-p1", 0.1},  // torn down by the second force at t = 100 ns
+      {"p0-p1", 0.9},  // finalize closes the rest, lowest port first
+      {"p2-p5", 1.0},
+      {"p6-p7", 1.0}};
+  EXPECT_EQ(spans, expected);
 }
 
 }  // namespace
