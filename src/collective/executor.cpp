@@ -8,6 +8,7 @@
 namespace opus::collective {
 
 struct CollectiveExecutor::RunState {
+  CollectiveExecutor* exec = nullptr;
   CommGroup group;
   std::shared_ptr<const CompiledCollective> cc;
   std::function<void(const Result&)> on_complete;
@@ -21,6 +22,12 @@ struct CollectiveExecutor::RunState {
 
   int transfers_remaining = 0;
 };
+
+CollectiveExecutor::CollectiveExecutor(sim::Simulator& sim,
+                                       Transport& transport)
+    : sim_(sim), transport_(transport) {}
+
+CollectiveExecutor::~CollectiveExecutor() = default;
 
 void CollectiveExecutor::run(const CommGroup& group,
                              std::shared_ptr<const CompiledCollective> cc,
@@ -40,37 +47,67 @@ void CollectiveExecutor::run(const CommGroup& group,
   start_run(group, std::move(cc), std::move(on_complete), step_sync);
 }
 
+CollectiveExecutor::RunState* CollectiveExecutor::acquire_run(
+    std::size_t n_transfers) {
+  // Best fit on the kept countdown buffer: a large collective's buffer
+  // goes back to large collectives, so small runs do not strand it while
+  // a large one allocates another.
+  auto best = free_runs_.end();
+  std::size_t best_cap = 0;
+  for (auto it = free_runs_.begin(); it != free_runs_.end(); ++it) {
+    const std::size_t cap = (*it)->deps_remaining.capacity();
+    if (cap >= n_transfers && (best == free_runs_.end() || cap < best_cap)) {
+      best = it;
+      best_cap = cap;
+    }
+  }
+  if (best == free_runs_.end() && !free_runs_.empty()) {
+    best = free_runs_.end() - 1;  // grows its buffer
+  }
+  if (best == free_runs_.end()) {
+    runs_.push_back(std::make_unique<RunState>());
+    runs_.back()->exec = this;
+    return runs_.back().get();
+  }
+  RunState* rs = *best;
+  *best = free_runs_.back();
+  free_runs_.pop_back();
+  return rs;
+}
+
 void CollectiveExecutor::start_run(
     const CommGroup& group, std::shared_ptr<const CompiledCollective> cc,
     std::function<void(const Result&)> on_complete, bool step_sync) {
-  auto rs = std::make_shared<RunState>();
+  RunState* rs = acquire_run(cc->initial_deps.size());
   rs->group = group;
   rs->cc = std::move(cc);
   rs->on_complete = std::move(on_complete);
+  rs->result = Result{};
   rs->result.start = sim_.now();
   const int n_transfers = static_cast<int>(rs->cc->sched.transfers.size());
   rs->result.transfers = n_transfers;
   rs->transfers_remaining = n_transfers;
+  rs->step_transfers_remaining = 0;
 
   if (n_transfers == 0) {
     // Single-rank group or empty schedule: completes immediately.
-    sim_.schedule_after(0, [this, rs] { finish(rs); });
+    sim_.schedule_after(0, [rs] { rs->exec->finish(rs); });
     return;
   }
 
   rs->result.step_synchronous = step_sync;
   if (step_sync) step_sync_busy_.insert(group.id);
-  transport_.prepare_collective(rs->group, *rs->cc, [this, rs, step_sync] {
-    if (step_sync) {
-      run_step_synchronous(rs, 0);
+  transport_.prepare_collective(rs->group, *rs->cc, [rs] {
+    if (rs->result.step_synchronous) {
+      rs->exec->run_step_synchronous(rs, 0);
     } else {
-      launch_pipelined(rs);
+      rs->exec->launch_pipelined(rs);
     }
   });
 }
 
-void CollectiveExecutor::launch_pipelined(std::shared_ptr<RunState> rs) {
-  rs->deps_remaining = rs->cc->initial_deps;
+void CollectiveExecutor::launch_pipelined(RunState* rs) {
+  rs->deps_remaining = rs->cc->initial_deps;  // reuses the kept buffer
   const int n = static_cast<int>(rs->deps_remaining.size());
   for (int i = 0; i < n; ++i) {
     if (rs->deps_remaining[static_cast<std::size_t>(i)] == 0) {
@@ -79,17 +116,15 @@ void CollectiveExecutor::launch_pipelined(std::shared_ptr<RunState> rs) {
   }
 }
 
-void CollectiveExecutor::launch_transfer(const std::shared_ptr<RunState>& rs,
-                                         int index) {
+void CollectiveExecutor::launch_transfer(RunState* rs, int index) {
   const Transfer& t = rs->cc->sched.transfers[static_cast<std::size_t>(index)];
   const GpuId src = rs->group.ranks[static_cast<std::size_t>(t.src)];
   const GpuId dst = rs->group.ranks[static_cast<std::size_t>(t.dst)];
   transport_.send(rs->group, src, dst, t.bytes,
-                  [this, rs, index] { on_transfer_done(rs, index); });
+                  [rs, index] { rs->exec->on_transfer_done(rs, index); });
 }
 
-void CollectiveExecutor::on_transfer_done(const std::shared_ptr<RunState>& rs,
-                                          int index) {
+void CollectiveExecutor::on_transfer_done(RunState* rs, int index) {
   --rs->transfers_remaining;
   if (!rs->result.step_synchronous) {
     for (int d : rs->cc->dependents(index)) {
@@ -107,19 +142,18 @@ void CollectiveExecutor::on_transfer_done(const std::shared_ptr<RunState>& rs,
   if (rs->transfers_remaining == 0) finish(rs);
 }
 
-void CollectiveExecutor::run_step_synchronous(std::shared_ptr<RunState> rs,
-                                              int step) {
+void CollectiveExecutor::run_step_synchronous(RunState* rs, int step) {
   // Skip (theoretically) empty steps.
   const CompiledCollective& cc = *rs->cc;
   while (step < cc.sched.n_steps && cc.step(step).empty()) ++step;
   if (step >= cc.sched.n_steps) return;
   rs->step_transfers_remaining = static_cast<int>(cc.step(step).size());
-  transport_.prepare_step(rs->group, cc, step, [this, rs, step] {
-    for (int ti : rs->cc->step(step)) launch_transfer(rs, ti);
+  transport_.prepare_step(rs->group, cc, step, [rs, step] {
+    for (int ti : rs->cc->step(step)) rs->exec->launch_transfer(rs, ti);
   });
 }
 
-void CollectiveExecutor::finish(const std::shared_ptr<RunState>& rs) {
+void CollectiveExecutor::finish(RunState* rs) {
   rs->result.end = sim_.now();
   ++completed_;
   transport_.collective_finished(rs->group, *rs->cc);
@@ -139,7 +173,15 @@ void CollectiveExecutor::finish(const std::shared_ptr<RunState>& rs) {
       });
     }
   }
-  if (rs->on_complete) rs->on_complete(rs->result);
+  // Recycle the RunState before the callback, which may start the next run
+  // on it; the callback gets its own copy of the result.
+  const Result result = rs->result;
+  const std::function<void(const Result&)> on_complete =
+      std::move(rs->on_complete);
+  rs->on_complete = nullptr;
+  rs->cc.reset();
+  free_runs_.push_back(rs);
+  if (on_complete) on_complete(result);
 }
 
 }  // namespace opus::collective

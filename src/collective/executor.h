@@ -10,6 +10,13 @@
 // that the schedule needs per-step circuit preparation (C1 on photonic
 // rails), execution falls back to step-synchronous mode over the compiled
 // step index: prepare step -> run all its transfers -> prepare next step.
+//
+// The executor owns every in-flight run's RunState and recycles it when the
+// run finishes (its buffers included), so a transfer's completion callback
+// captures only the RunState pointer and the transfer index — small enough
+// for std::function to hold inline, so launching a transfer allocates
+// nothing. A run whose transfers never deliver (aborted traffic) keeps its
+// RunState until the executor is destroyed.
 #pragma once
 
 #include <deque>
@@ -17,6 +24,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <vector>
 
 #include "collective/comm_group.h"
 #include "collective/compiled.h"
@@ -27,8 +35,10 @@ namespace opus::collective {
 
 class CollectiveExecutor {
  public:
-  CollectiveExecutor(sim::Simulator& sim, Transport& transport)
-      : sim_(sim), transport_(transport) {}
+  CollectiveExecutor(sim::Simulator& sim, Transport& transport);
+  ~CollectiveExecutor();
+  CollectiveExecutor(const CollectiveExecutor&) = delete;
+  CollectiveExecutor& operator=(const CollectiveExecutor&) = delete;
 
   /// Statistics of one collective execution.
   struct Result {
@@ -63,15 +73,22 @@ class CollectiveExecutor {
                  std::shared_ptr<const CompiledCollective> cc,
                  std::function<void(const Result&)> on_complete,
                  bool step_sync);
-  void launch_pipelined(std::shared_ptr<RunState> rs);
-  void launch_transfer(const std::shared_ptr<RunState>& rs, int index);
-  void on_transfer_done(const std::shared_ptr<RunState>& rs, int index);
-  void run_step_synchronous(std::shared_ptr<RunState> rs, int step);
-  void finish(const std::shared_ptr<RunState>& rs);
+  /// A recycled RunState whose countdown buffer fits `n_transfers` (the
+  /// smallest such), else any free one, else a new one.
+  RunState* acquire_run(std::size_t n_transfers);
+  void launch_pipelined(RunState* rs);
+  void launch_transfer(RunState* rs, int index);
+  void on_transfer_done(RunState* rs, int index);
+  void run_step_synchronous(RunState* rs, int step);
+  void finish(RunState* rs);
 
   sim::Simulator& sim_;
   Transport& transport_;
   int completed_ = 0;
+  /// Every RunState this executor made (stable addresses: callbacks hold
+  /// them), and the finished ones free for reuse.
+  std::vector<std::unique_ptr<RunState>> runs_;
+  std::vector<RunState*> free_runs_;
   std::set<GroupId> step_sync_busy_;
   std::map<GroupId, std::deque<PendingRun>> step_sync_queue_;
 };

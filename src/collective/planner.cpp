@@ -1,7 +1,9 @@
 #include "collective/planner.h"
 
+#include <algorithm>
 #include <cmath>
-#include <set>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 
@@ -20,31 +22,55 @@ int ceil_log2(int n) {
   return bits;
 }
 
+using PeerPairs = std::vector<std::pair<int, int>>;
+
+/// Sorts and deduplicates (rank, peer) pairs.
+void sort_unique(PeerPairs& pairs) {
+  std::sort(pairs.begin(), pairs.end());
+  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
+}
+
+/// The most distinct peers of any rank in sorted, deduplicated pairs (a
+/// rank's peers form one run).
+int max_peers_per_rank(const PeerPairs& pairs) {
+  int best = 0;
+  for (std::size_t i = 0; i < pairs.size();) {
+    std::size_t j = i + 1;
+    while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
+    best = std::max(best, static_cast<int>(j - i));
+    i = j;
+  }
+  return best;
+}
+
 /// Computes max_peers_per_step and max_distinct_peers from the transfers.
 void finalize(CollectiveSchedule& s) {
-  // peers[rank] -> distinct peers over the whole schedule;
-  // per (rank, step) distinct peers for the instantaneous degree.
-  std::vector<std::set<int>> all_peers(static_cast<std::size_t>(s.n_ranks));
-  std::vector<std::set<int>> step_peers;
+  // Each step's transfers, both directions, as (rank, peer) pairs give the
+  // instantaneous degree. The deduplicated step pairs also join the
+  // whole-schedule list, which is re-deduplicated whenever it has doubled,
+  // so it stays proportional to the distinct pairs, not to the transfers.
+  PeerPairs step_pairs;
+  PeerPairs all_pairs;
+  std::size_t compacted = 0;
   int max_step_peers = 0;
-  auto by_step = s.transfers_by_step();
-  for (const auto& step : by_step) {
-    step_peers.assign(static_cast<std::size_t>(s.n_ranks), {});
+  for (const auto& step : s.transfers_by_step()) {
+    step_pairs.clear();
     for (int ti : step) {
       const Transfer& t = s.transfers[static_cast<std::size_t>(ti)];
-      step_peers[static_cast<std::size_t>(t.src)].insert(t.dst);
-      step_peers[static_cast<std::size_t>(t.dst)].insert(t.src);
-      all_peers[static_cast<std::size_t>(t.src)].insert(t.dst);
-      all_peers[static_cast<std::size_t>(t.dst)].insert(t.src);
+      step_pairs.emplace_back(t.src, t.dst);
+      step_pairs.emplace_back(t.dst, t.src);
     }
-    for (const auto& p : step_peers)
-      max_step_peers = std::max(max_step_peers, static_cast<int>(p.size()));
+    sort_unique(step_pairs);
+    max_step_peers = std::max(max_step_peers, max_peers_per_rank(step_pairs));
+    all_pairs.insert(all_pairs.end(), step_pairs.begin(), step_pairs.end());
+    if (all_pairs.size() > 2 * compacted) {
+      sort_unique(all_pairs);
+      compacted = all_pairs.size();
+    }
   }
-  int max_all = 0;
-  for (const auto& p : all_peers)
-    max_all = std::max(max_all, static_cast<int>(p.size()));
+  sort_unique(all_pairs);
   s.max_peers_per_step = max_step_peers;
-  s.max_distinct_peers = max_all;
+  s.max_distinct_peers = max_peers_per_rank(all_pairs);
 }
 
 CollectiveSchedule make(CollectiveType type, Algorithm algo, int n,

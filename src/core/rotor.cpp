@@ -130,31 +130,35 @@ bool RotorTransport::pair_connected_now(GpuId src, GpuId dst) const {
 }
 
 void RotorTransport::launch(int rail, PendingSend send) {
-  RailState& state = rails_[static_cast<std::size_t>(rail)];
-  ++state.in_flight;
-  cluster_.transfer(
-      send.src, send.dst, send.bytes,
-      [this, rail, done = std::move(send.done)] {
-        RailState& st = rails_[static_cast<std::size_t>(rail)];
-        --st.in_flight;
-        if (done) done();
-        if (st.drain_pending && !st.rotating && drained(rail)) rotate(rail);
-      });
+  ++rails_[static_cast<std::size_t>(rail)].in_flight;
+  const std::uint32_t slot = launched_.put(Launched{rail, std::move(send.done)});
+  cluster_.transfer(send.src, send.dst, send.bytes,
+                    [this, slot] { on_launched_done(slot); });
+}
+
+void RotorTransport::on_launched_done(std::uint32_t slot) {
+  const Launched l = launched_.take(slot);
+  RailState& st = rails_[static_cast<std::size_t>(l.rail)];
+  --st.in_flight;
+  if (l.done) l.done();
+  if (st.drain_pending && !st.rotating && drained(l.rail)) rotate(l.rail);
 }
 
 void RotorTransport::flush_waiting(int rail) {
-  RailState& state = rails_[static_cast<std::size_t>(rail)];
-  std::deque<PendingSend> still_waiting;
-  while (!state.waiting.empty()) {
-    PendingSend send = std::move(state.waiting.front());
-    state.waiting.pop_front();
-    if (pair_connected_now(send.src, send.dst)) {
-      launch(rail, std::move(send));
+  // Launch every send whose pair the new matching connects; the rest keep
+  // their order at the front of the list (compacted in place).
+  auto& waiting = rails_[static_cast<std::size_t>(rail)].waiting;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < waiting.size(); ++i) {
+    if (pair_connected_now(waiting[i].src, waiting[i].dst)) {
+      launch(rail, std::move(waiting[i]));
     } else {
-      still_waiting.push_back(std::move(send));
+      if (kept != i) waiting[kept] = std::move(waiting[i]);
+      ++kept;
     }
   }
-  state.waiting = std::move(still_waiting);
+  waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(kept),
+                waiting.end());
 }
 
 void RotorTransport::send(const collective::CommGroup& group, GpuId src,

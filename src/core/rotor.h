@@ -25,11 +25,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "collective/transport.h"
+#include "common/slab.h"
 #include "net/cluster.h"
 #include "sim/simulator.h"
 
@@ -90,7 +90,13 @@ class RotorTransport final : public collective::Transport {
   struct PendingSend {
     GpuId src;
     GpuId dst;
-    Bytes bytes;
+    Bytes bytes = 0;
+    std::function<void()> done;
+  };
+  /// A launched send's completion, parked while its transfer is in flight
+  /// so the cluster-side callback captures only a slot index.
+  struct Launched {
+    int rail = 0;
     std::function<void()> done;
   };
   struct RailState {
@@ -102,7 +108,8 @@ class RotorTransport final : public collective::Transport {
     /// rail is completely idle (no transfers, nothing waiting) so a finite
     /// workload leaves a finite event queue; the clock re-arms on demand.
     bool timer_armed = false;
-    std::deque<PendingSend> waiting;
+    /// Sends waiting for their matching, in arrival order.
+    std::vector<PendingSend> waiting;
     /// Per-round OCS batch handles (-1 = not yet registered). A rotation
     /// replays the same matching every cycle, so each round's circuit set is
     /// registered with the rail OCS once — round 0 at construction, before
@@ -118,12 +125,15 @@ class RotorTransport final : public collective::Transport {
   void flush_waiting(int rail);
   bool pair_connected_now(GpuId src, GpuId dst) const;
   void launch(int rail, PendingSend send);
+  /// The transfer of launched send `slot` delivered.
+  void on_launched_done(std::uint32_t slot);
 
   sim::Simulator& sim_;
   net::Cluster& cluster_;
   Options options_;
   net::NodeSpan span_;
   std::vector<RailState> rails_;
+  Slab<Launched> launched_;
   int n_rounds_ = 0;
   std::int64_t rotations_ = 0;
   std::int64_t deferred_ = 0;

@@ -87,14 +87,13 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
     rail_electrical_.reserve(static_cast<std::size_t>(rails));
     for (int r = 0; r < rails; ++r) {
       rail_electrical_.push_back(std::make_unique<ElectricalSwitch>(
-          net_, cfg_.n_nodes, cfg_.nic_total_bw,
-          cfg_.electrical_hop_latency, "rail" + std::to_string(r)));
+          net_, cfg_.n_nodes, cfg_.nic_total_bw, cfg_.electrical_hop_latency));
     }
   }
 
   if (cfg_.mgmt_bw.positive()) {
     mgmt_ = std::make_unique<ElectricalSwitch>(net_, n, cfg_.mgmt_bw,
-                                               cfg_.mgmt_latency, "mgmt");
+                                               cfg_.mgmt_latency);
   }
 }
 
@@ -332,19 +331,20 @@ Cluster::Route Cluster::route_for(GpuId src, GpuId dst) const {
 // instead of the PortId/GpuId wrapper accessors — same predicate, no
 // per-port ensure or optional traffic.
 
-std::vector<LinkId> Cluster::live_circuit_links(GpuId src, GpuId dst) const {
+int Cluster::live_circuit_links(GpuId src, GpuId dst,
+                                std::array<LinkId, kMaxNicPorts>& out) const {
   ensure(photonic(), "live_circuit_links: cluster has electrical rails");
   const auto& sw = ocs(rail_of(src));
   const int rank = src.value() % cfg_.gpus_per_node;
   const int base = (src.value() / cfg_.gpus_per_node) * cfg_.nic_ports;
-  std::vector<LinkId> out;
+  int n = 0;
   for (int p = 0; p < cfg_.nic_ports; ++p) {
     const std::int32_t q = sw.live_peer(base + p);
     if (q < 0) continue;
     if (q / cfg_.nic_ports * cfg_.gpus_per_node + rank != dst.value()) continue;
-    out.push_back(sw.live_tx_link(base + p));
+    out[static_cast<std::size_t>(n++)] = sw.live_tx_link(base + p);
   }
-  return out;
+  return n;
 }
 
 bool Cluster::has_live_circuit(GpuId src, GpuId dst) const {
@@ -382,7 +382,7 @@ bool Cluster::rail_path_available(GpuId src, GpuId dst) const {
   if (has_live_circuit(src, dst)) return true;
   if (!cfg_.allow_rail_multihop) return false;
   if (cfg_.max_multihop_hops == 2) return two_hop_via(src, dst).valid();
-  return rail_multihop_path(src, dst).size() >= 2;
+  return bfs_reaches(src, dst);
 }
 
 void Cluster::account(Route r, GpuId src, Bytes bytes) {
@@ -399,19 +399,13 @@ Bytes Cluster::bytes_on_route(Route r) const {
 
 LinkId Cluster::nvl_in(GpuId g) {
   LinkId& id = nvl_in_[static_cast<std::size_t>(g.value())];
-  if (!id.valid()) {
-    id = net_.add_link(cfg_.nvlink_bw,
-                       "nvl_in:" + std::to_string(g.value()));
-  }
+  if (!id.valid()) id = net_.add_link(cfg_.nvlink_bw);
   return id;
 }
 
 LinkId Cluster::nvl_out(GpuId g) {
   LinkId& id = nvl_out_[static_cast<std::size_t>(g.value())];
-  if (!id.valid()) {
-    id = net_.add_link(cfg_.nvlink_bw,
-                       "nvl_out:" + std::to_string(g.value()));
-  }
+  if (!id.valid()) id = net_.add_link(cfg_.nvlink_bw);
   return id;
 }
 
@@ -422,23 +416,15 @@ void Cluster::transfer_scale_up(GpuId src, GpuId dst, Bytes bytes,
                   std::move(on_complete));
 }
 
-std::vector<GpuId> Cluster::rail_multihop_path(GpuId src, GpuId dst) const {
-  ensure(photonic(), "rail_multihop_path: cluster has electrical rails");
-  ensure(local_rank(src) == local_rank(dst),
-         "rail_multihop_path: GPUs are on different rails");
-  if (cfg_.max_multihop_hops == 2) {
-    // Capped-forwarding fast path (the rotor): no O(n_nodes) BFS state.
-    if (has_live_circuit(src, dst)) return {src, dst};
-    const GpuId via = two_hop_via(src, dst);
-    if (via.valid()) return {src, via, dst};
-    return {};
-  }
+bool Cluster::bfs_reaches(GpuId src, GpuId dst) const {
   const RailId rail = rail_of(src);
   const auto& sw = ocs(rail);
   // BFS over nodes through live circuits, depth-limited when the fabric
   // caps forwarding. Visited state lives in epoch-stamped scratch arrays
   // (allocated on the first BFS, so fabrics that never take this path pay
   // nothing) — per query the search touches only reached nodes, not O(n).
+  // The queue holds one level after another: [next, level_end) is the
+  // frontier being expanded.
   const int n = cfg_.n_nodes;
   if (bfs_prev_.size() != static_cast<std::size_t>(n)) {
     bfs_prev_.assign(static_cast<std::size_t>(n), -2);
@@ -451,47 +437,57 @@ std::vector<GpuId> Cluster::rail_multihop_path(GpuId src, GpuId dst) const {
   const auto visit = [&](int node, int from) {
     bfs_epoch_[static_cast<std::size_t>(node)] = epoch;
     bfs_prev_[static_cast<std::size_t>(node)] = from;
+    bfs_queue_.push_back(node);
   };
-  std::vector<int> frontier{node_of(src).value()};
+  bfs_queue_.clear();
   visit(node_of(src).value(), -1);
   const int target = node_of(dst).value();
   int depth = 0;
-  while (!frontier.empty() && !visited(target)) {
+  std::size_t next = 0;
+  while (next < bfs_queue_.size() && !visited(target)) {
     if (cfg_.max_multihop_hops > 0 && ++depth > cfg_.max_multihop_hops) {
-      return {};
+      return false;
     }
-    std::vector<int> next;
-    for (int node : frontier) {
+    for (const std::size_t level_end = bfs_queue_.size(); next < level_end;
+         ++next) {
+      const int node = bfs_queue_[next];
       const GpuId g = gpu_at(NodeId{node}, rail.value());
       for (int p = 0; p < cfg_.nic_ports; ++p) {
         const PortId port = ocs_port(g, p);
         const auto peer = sw.peer(port);
         if (!peer || !sw.connected(port, *peer)) continue;
         const int peer_node = peer->value() / cfg_.nic_ports;
-        if (visited(peer_node)) continue;
-        visit(peer_node, node);
-        next.push_back(peer_node);
+        if (!visited(peer_node)) visit(peer_node, node);
       }
     }
-    frontier = std::move(next);
   }
-  if (!visited(target)) return {};
-  std::vector<GpuId> path;
-  for (int node = target; node != -1;
-       node = bfs_prev_[static_cast<std::size_t>(node)]) {
-    path.push_back(gpu_at(NodeId{node}, rail.value()));
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
+  return visited(target);
 }
 
-struct Cluster::HopCursor {
-  std::vector<GpuId> path;
-  std::size_t hop = 0;  ///< path index the next hop starts from
-  Bytes bytes = 0;
-  bool charged = false;
-  std::function<void()> done;
-};
+void Cluster::rail_multihop_path(GpuId src, GpuId dst,
+                                 std::vector<GpuId>& path) const {
+  ensure(photonic(), "rail_multihop_path: cluster has electrical rails");
+  ensure(local_rank(src) == local_rank(dst),
+         "rail_multihop_path: GPUs are on different rails");
+  path.clear();
+  if (cfg_.max_multihop_hops == 2) {
+    // Capped-forwarding fast path (the rotor): no O(n_nodes) BFS state.
+    if (has_live_circuit(src, dst)) {
+      path.assign({src, dst});
+      return;
+    }
+    const GpuId via = two_hop_via(src, dst);
+    if (via.valid()) path.assign({src, via, dst});
+    return;
+  }
+  if (!bfs_reaches(src, dst)) return;
+  const int rail = local_rank(src);
+  for (int node = node_of(dst).value(); node != -1;
+       node = bfs_prev_[static_cast<std::size_t>(node)]) {
+    path.push_back(gpu_at(NodeId{node}, rail));
+  }
+  std::reverse(path.begin(), path.end());
+}
 
 void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
                             std::function<void()> on_complete) {
@@ -499,8 +495,10 @@ void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
     // No direct circuit: forward store-and-forward through intermediate
     // same-rail GPUs over live circuits (§5). Every hop charges kRail, which
     // exposes the bandwidth tax.
-    std::vector<GpuId> path = rail_multihop_path(src, dst);
-    if (path.size() < 2) {
+    const std::uint32_t c = route_cursor(src, dst);
+    const std::size_t path_len = cursors_[c].path.size();
+    if (path_len < 2) {
+      cursors_.release(c);
       ensure(fault_tolerant_,
              "photonic rail transfer: destination unreachable through live "
              "circuits even with multi-hop forwarding");
@@ -512,11 +510,11 @@ void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
       return;
     }
     account(Route::kRailMultiHop, src, bytes);
-    if (path.size() > 2) {
-      forward(std::make_shared<HopCursor>(HopCursor{
-          std::move(path), 0, bytes, false, std::move(on_complete)}));
+    if (path_len > 2) {
+      start_forward(c, bytes, false, std::move(on_complete));
       return;
     }
+    cursors_.release(c);
   }
   send_hop(src, dst, bytes, false, std::move(on_complete));
 }
@@ -533,8 +531,9 @@ void Cluster::send_hop(GpuId src, GpuId dst, Bytes bytes, bool charged,
                     std::move(done));
     return;
   }
-  const std::vector<LinkId> circuits = live_circuit_links(src, dst);
-  if (circuits.empty()) {
+  std::array<LinkId, kMaxNicPorts> circuits;
+  const int n_circuits = live_circuit_links(src, dst, circuits);
+  if (n_circuits == 0) {
     ensure(fault_tolerant_,
            "photonic rail transfer without a live circuit: the control plane "
            "must reconfigure the rail before communication starts");
@@ -543,21 +542,25 @@ void Cluster::send_hop(GpuId src, GpuId dst, Bytes bytes, bool charged,
     parked_.push_back({src, dst, bytes, std::move(done)});
     return;
   }
-  if (circuits.size() == 1) {
+  if (n_circuits == 1) {
     start_circuit_flow(circuits[0], src, dst, bytes, std::move(done));
     return;
   }
   // Stripe across parallel circuits; complete when every stripe lands.
-  const auto n = static_cast<Bytes>(circuits.size());
-  auto pending = std::make_shared<int>(static_cast<int>(n));
-  auto shared = std::make_shared<std::function<void()>>(std::move(done));
-  for (std::size_t i = 0; i < circuits.size(); ++i) {
+  const auto n = static_cast<Bytes>(n_circuits);
+  const std::uint32_t s = stripes_.put(Stripe{n_circuits, std::move(done)});
+  for (int i = 0; i < n_circuits; ++i) {
     const Bytes stripe =
         bytes / n + (static_cast<Bytes>(i) < bytes % n ? 1 : 0);
-    start_circuit_flow(circuits[i], src, dst, stripe, [pending, shared] {
-      if (--*pending == 0 && *shared) (*shared)();
-    });
+    start_circuit_flow(circuits[static_cast<std::size_t>(i)], src, dst,
+                       stripe, [this, s] { stripe_done(s); });
   }
+}
+
+void Cluster::stripe_done(std::uint32_t s) {
+  if (--stripes_[s].pending > 0) return;
+  const Stripe set = stripes_.take(s);
+  if (set.done) set.done();
 }
 
 void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
@@ -588,14 +591,42 @@ void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
   rescuable_.emplace(f.value(), PendingHop{src, dst, bytes, std::move(done)});
 }
 
-void Cluster::forward(std::shared_ptr<HopCursor> c) {
-  const GpuId src = c->path[c->hop];
-  const GpuId dst = c->path[++c->hop];
-  if (c->hop + 1 == c->path.size()) {
-    send_hop(src, dst, c->bytes, c->charged, std::move(c->done));
+std::uint32_t Cluster::route_cursor(GpuId src, GpuId dst) {
+  const std::uint32_t c = cursors_.acquire();
+  std::vector<GpuId>& path = cursors_[c].path;
+  // Sized once for the longest path the fabric allows, so a reused slot
+  // never regrows its buffer whatever path it held before.
+  path.reserve(static_cast<std::size_t>(
+      cfg_.max_multihop_hops > 0 ? cfg_.max_multihop_hops + 1
+                                 : cfg_.n_nodes));
+  rail_multihop_path(src, dst, path);
+  return c;
+}
+
+void Cluster::start_forward(std::uint32_t c, Bytes bytes, bool charged,
+                            std::function<void()> done) {
+  HopCursor& cur = cursors_[c];
+  cur.hop = 0;
+  cur.bytes = bytes;
+  cur.charged = charged;
+  cur.done = std::move(done);
+  forward(c);
+}
+
+void Cluster::forward(std::uint32_t c) {
+  // Copy the hop out of the slot: send_hop may park more cursors.
+  HopCursor& cur = cursors_[c];
+  const GpuId src = cur.path[cur.hop];
+  const GpuId dst = cur.path[++cur.hop];
+  const Bytes bytes = cur.bytes;
+  const bool charged = cur.charged;
+  if (cur.hop + 1 == cur.path.size()) {
+    std::function<void()> done = std::move(cur.done);
+    cursors_.release(c);
+    send_hop(src, dst, bytes, charged, std::move(done));
     return;
   }
-  send_hop(src, dst, c->bytes, c->charged, [this, c] { forward(c); });
+  send_hop(src, dst, bytes, charged, [this, c] { forward(c); });
 }
 
 void Cluster::rescue_flow(FlowId f) {
@@ -623,12 +654,12 @@ void Cluster::resend(PendingHop hop) {
   // Degraded continuation: forward over surviving circuits even on fabrics
   // that normally forbid multi-hop (Opus re-plans future collectives, but
   // in-flight bytes cannot wait for the next layout).
-  std::vector<GpuId> path = rail_multihop_path(hop.src, hop.dst);
-  if (path.size() >= 2) {
-    forward(std::make_shared<HopCursor>(HopCursor{
-        std::move(path), 0, hop.bytes, true, std::move(hop.done)}));
+  const std::uint32_t c = route_cursor(hop.src, hop.dst);
+  if (cursors_[c].path.size() >= 2) {
+    start_forward(c, hop.bytes, true, std::move(hop.done));
     return;
   }
+  cursors_.release(c);
   if (try_emergency_circuit(hop.src, hop.dst) &&
       has_live_circuit(hop.src, hop.dst)) {
     send_hop(hop.src, hop.dst, hop.bytes, true, std::move(hop.done));

@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/slab.h"
 #include "common/units.h"
 #include "net/electrical.h"
 #include "net/fluid.h"
@@ -264,14 +265,24 @@ class Cluster {
   bool rail_path_available(GpuId src, GpuId dst) const;
 
   /// Photonic: shortest path of same-rail GPUs from src to dst over live
-  /// circuits (src and dst included). Empty when unreachable within
-  /// max_multihop_hops rail hops (0 = unbounded).
-  std::vector<GpuId> rail_multihop_path(GpuId src, GpuId dst) const;
+  /// circuits (src and dst included), written into `path` (whose buffer is
+  /// reused). Empty when unreachable within max_multihop_hops rail hops
+  /// (0 = unbounded).
+  void rail_multihop_path(GpuId src, GpuId dst,
+                          std::vector<GpuId>& path) const;
+  std::vector<GpuId> rail_multihop_path(GpuId src, GpuId dst) const {
+    std::vector<GpuId> path;
+    rail_multihop_path(src, dst, path);
+    return path;
+  }
 
   /// Moves `bytes` from src to dst; `on_complete` fires at delivery.
   /// Photonic rail hops require a live circuit (InvariantError otherwise) —
   /// the Opus control plane is responsible for establishing circuits first.
   /// Rail transfers stripe across all live circuits between src and dst.
+  /// A warm cluster moves a direct or forwarded rail transfer without heap
+  /// allocation, provided `on_complete` fits std::function's inline buffer
+  /// (see common/slab.h); fault-tolerant hops and PXN still allocate.
   void transfer(GpuId src, GpuId dst, Bytes bytes,
                 std::function<void()> on_complete);
 
@@ -359,8 +370,21 @@ class Cluster {
     Bytes bytes = 0;
     std::function<void()> done;
   };
-  /// Shared position in a multi-hop path (defined in cluster.cpp).
-  struct HopCursor;
+  /// Position in a multi-hop path: a cursor-slab entry whose path buffer
+  /// is kept across occupants.
+  struct HopCursor {
+    std::vector<GpuId> path;
+    std::size_t hop = 0;  ///< path index the next hop starts from
+    Bytes bytes = 0;
+    bool charged = false;
+    std::function<void()> done;
+  };
+  /// A hop striped over parallel circuits: `done` fires when the last of
+  /// `pending` stripes lands.
+  struct Stripe {
+    int pending = 0;
+    std::function<void()> done;
+  };
 
   /// A direct hop, or — photonic, no direct circuit — a forwarded path.
   void transfer_rail(GpuId src, GpuId dst, Bytes bytes,
@@ -374,9 +398,19 @@ class Cluster {
   /// Starts one circuit flow; fault-tolerant mode registers it for rescue.
   void start_circuit_flow(LinkId link, GpuId src, GpuId dst, Bytes bytes,
                           std::function<void()> done);
-  /// Sends the cursor's current hop; its completion advances the cursor
-  /// and sends the next one, the last hop completes the transfer.
-  void forward(std::shared_ptr<HopCursor> c);
+  /// Sends cursor `c`'s current hop; its completion advances the cursor
+  /// and sends the next one. The last hop frees the cursor and completes
+  /// the transfer.
+  void forward(std::uint32_t c);
+  /// Acquires a cursor slot and writes the multi-hop path src -> dst into
+  /// it (empty when unreachable); the caller forwards or releases it.
+  std::uint32_t route_cursor(GpuId src, GpuId dst);
+  /// Starts forwarding along the path already written into cursor slot
+  /// `c`: parks the transfer's state there and sends the first hop.
+  void start_forward(std::uint32_t c, Bytes bytes, bool charged,
+                     std::function<void()> done);
+  /// One stripe of stripe set `s` landed.
+  void stripe_done(std::uint32_t s);
   /// Re-sends uncharged bytes over the current topology: direct circuits,
   /// else multi-hop over live circuits (degraded continuation, even for
   /// fabrics that normally forbid forwarding), else an emergency spare
@@ -385,10 +419,17 @@ class Cluster {
   /// OCS flow-rescuer hook: aborts `f` and re-sends its remaining bytes.
   void rescue_flow(FlowId f);
 
-  /// Live circuit links src -> dst on their shared rail (photonic).
-  std::vector<LinkId> live_circuit_links(GpuId src, GpuId dst) const;
+  /// Most NIC ports a GPU can expose (ClusterConfig::nic_ports).
+  static constexpr int kMaxNicPorts = 4;
+  /// Writes the live circuit links src -> dst on their shared rail
+  /// (photonic) into `out`, in NIC-port order; returns how many.
+  int live_circuit_links(GpuId src, GpuId dst,
+                         std::array<LinkId, kMaxNicPorts>& out) const;
   /// Allocation-free: true iff some live circuit connects src -> dst.
   bool has_live_circuit(GpuId src, GpuId dst) const;
+  /// Depth-limited BFS over live circuits from src's node; true iff dst's
+  /// node is reached. Leaves the predecessor chain in bfs_prev_.
+  bool bfs_reaches(GpuId src, GpuId dst) const;
   /// Two-hop fast path (max_multihop_hops == 2): the first intermediate GPU
   /// (deterministic NIC-port order, matching the BFS discovery order) with
   /// live circuits src -> via -> dst; invalid id when none. The rotor's
@@ -444,6 +485,14 @@ class Cluster {
   mutable std::vector<std::int32_t> bfs_prev_;
   mutable std::vector<std::uint64_t> bfs_epoch_;
   mutable std::uint64_t bfs_epoch_counter_ = 0;
+  /// BFS queue of node ids, level by level (retained across searches).
+  mutable std::vector<std::int32_t> bfs_queue_;
+  // Rail data-path parking: each hop's callback captures the cluster and a
+  // slot index (common/slab.h). A transfer whose flow is aborted leaves its
+  // slot parked until the cluster dies; aborts are rare (fault injection,
+  // tenant kills), so the slabs stay bounded by peak concurrency plus them.
+  Slab<HopCursor> cursors_;
+  Slab<Stripe> stripes_;
   // Fault-injection state (all empty/off until a fault process opts in, so
   // fault-free runs carry no overhead and no behavior change).
   bool fault_tolerant_ = false;

@@ -5,13 +5,11 @@
 namespace opus::net {
 
 ElectricalSwitch::ElectricalSwitch(FluidNetwork& net, int n_endpoints,
-                                   Bandwidth port_bw, TimeNs hop_latency,
-                                   std::string name)
+                                   Bandwidth port_bw, TimeNs hop_latency)
     : net_(net),
       n_endpoints_(n_endpoints),
       port_bw_(port_bw),
       hop_latency_(hop_latency),
-      name_(std::move(name)),
       uplinks_(static_cast<std::size_t>(n_endpoints > 0 ? n_endpoints : 0),
                LinkId{}),
       downlinks_(static_cast<std::size_t>(n_endpoints > 0 ? n_endpoints : 0),
@@ -30,7 +28,7 @@ LinkId ElectricalSwitch::uplink(int i) const {
   ensure(i >= 0 && i < n_endpoints(), "invalid switch endpoint");
   LinkId& id = uplinks_[static_cast<std::size_t>(i)];
   if (!id.valid()) {
-    id = net_.add_link(scaled_bw(i), name_ + ":up" + std::to_string(i));
+    id = net_.add_link(scaled_bw(i));
   }
   return id;
 }
@@ -39,7 +37,7 @@ LinkId ElectricalSwitch::downlink(int i) const {
   ensure(i >= 0 && i < n_endpoints(), "invalid switch endpoint");
   LinkId& id = downlinks_[static_cast<std::size_t>(i)];
   if (!id.valid()) {
-    id = net_.add_link(scaled_bw(i), name_ + ":down" + std::to_string(i));
+    id = net_.add_link(scaled_bw(i));
   }
   return id;
 }

@@ -8,7 +8,6 @@
 // processing), which an optical circuit does not pay.
 #pragma once
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -21,7 +20,7 @@ namespace opus::net {
 class ElectricalSwitch {
  public:
   ElectricalSwitch(FluidNetwork& net, int n_endpoints, Bandwidth port_bw,
-                   TimeNs hop_latency, std::string name = {});
+                   TimeNs hop_latency);
 
   int n_endpoints() const { return n_endpoints_; }
   TimeNs hop_latency() const { return hop_latency_; }
@@ -60,7 +59,6 @@ class ElectricalSwitch {
   int n_endpoints_;
   Bandwidth port_bw_;
   TimeNs hop_latency_;
-  std::string name_;
   // Lazy link caches (4 bytes per endpoint until touched; the heavy
   // per-link state lives in the FluidNetwork and is allocated on demand).
   mutable std::vector<LinkId> uplinks_;

@@ -37,18 +37,18 @@ FluidNetwork::~FluidNetwork() {
   if (completion_event_.valid()) sim_.cancel(completion_event_);
 }
 
-LinkId FluidNetwork::add_link(Bandwidth capacity, std::string name) {
+LinkId FluidNetwork::add_link(Bandwidth capacity) {
   ensure(capacity.bits_per_sec >= 0.0, "link capacity must be non-negative");
   if (!free_.empty()) {
     const std::int32_t id = free_.back();
     free_.pop_back();
     const auto li = static_cast<std::size_t>(id);
-    links_[li] = Link{capacity, std::move(name)};
+    links_[li] = Link{capacity};
     cap_bytes_per_ns_[li] = capacity.bytes_per_ns();
     link_state_[li].retired = false;
     return LinkId{id};
   }
-  links_.push_back(Link{capacity, std::move(name)});
+  links_.push_back(Link{capacity});
   cap_bytes_per_ns_.push_back(capacity.bytes_per_ns());
   link_state_.emplace_back();
   link_epoch_.push_back(0);
@@ -78,11 +78,6 @@ bool FluidNetwork::link_retired(LinkId link) const {
 Bandwidth FluidNetwork::capacity(LinkId link) const {
   check_live_link(link);
   return links_[static_cast<std::size_t>(link.value())].capacity;
-}
-
-const std::string& FluidNetwork::link_name(LinkId link) const {
-  check_live_link(link);
-  return links_[static_cast<std::size_t>(link.value())].name;
 }
 
 void FluidNetwork::set_capacity(LinkId link, Bandwidth capacity) {
@@ -138,7 +133,7 @@ void FluidNetwork::release_slot(std::uint32_t slot) {
   --active_count_;
 }
 
-FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Bytes bytes,
+FlowId FluidNetwork::start_flow(std::span<const LinkId> path, Bytes bytes,
                                 TimeNs extra_latency,
                                 std::function<void()> on_complete) {
   ensure(bytes >= 0, "flow size must be non-negative");
@@ -175,7 +170,7 @@ FlowId FluidNetwork::start_flow(std::vector<LinkId> path, Bytes bytes,
     return id;
   }
   ensure(!path.empty(), "non-empty flow requires a non-empty path");
-  f.path = std::move(path);
+  f.path.assign(path.begin(), path.end());  // into the slot's kept buffer
   f.remaining_bytes = static_cast<double>(bytes);
   attach_to_links(id, f);
   mark_dirty();
@@ -467,7 +462,9 @@ void FluidNetwork::on_completion_event() {
   completion_event_ = EventId{};
   completion_event_time_ = kNever;
   const TimeNs now = sim_.now();
-  std::vector<std::pair<TimeNs, std::function<void()>>> done;
+  // Cleared here rather than after the walk: a callback that threw may
+  // have left entries that must never be delivered.
+  drained_.clear();
   // Pop every due entry; equal-instant completions leave the min-heap in
   // slot order, so callback delivery is deterministic.
   while (!completion_heap_.empty()) {
@@ -481,7 +478,7 @@ void FluidNetwork::on_completion_event() {
     pop_completion_top();
     charge_progress(f, now);
     if (f.remaining_bytes <= kDrainEpsilonBytes) {
-      done.emplace_back(f.extra_latency, std::move(f.on_complete));
+      drained_.emplace_back(f.extra_latency, std::move(f.on_complete));
       detach_from_links(FlowId::from_parts(top.slot, f.generation), f);
       release_slot(top.slot);
     } else {
@@ -497,18 +494,26 @@ void FluidNetwork::on_completion_event() {
   }
   mark_dirty();
   // completed_flow_count() counts at delivery (drain + extra_latency), like
-  // the zero-byte path — never ahead of the observable callbacks.
-  for (auto& [latency, cb] : done) {
+  // the zero-byte path — never ahead of the observable callbacks. A
+  // callback never re-enters this handler (it runs only as the completion
+  // event), so drained_ is stable while it is walked.
+  for (auto& [latency, cb] : drained_) {
     if (latency > 0) {
-      sim_.schedule_after(latency, [this, cb = std::move(cb)] {
-        ++completed_;
-        if (cb) cb();
-      });
+      const std::uint32_t slot = deliveries_.put(std::move(cb));
+      sim_.schedule_after(latency, [this, slot] { deliver(slot); });
     } else {
       ++completed_;
       if (cb) cb();  // may start new flows; they join this instant's solve
     }
   }
+}
+
+void FluidNetwork::deliver(std::uint32_t slot) {
+  // Free the slot before the call, so the callback's own completions can
+  // reuse it.
+  const std::function<void()> cb = deliveries_.take(slot);
+  ++completed_;
+  if (cb) cb();
 }
 
 }  // namespace opus::net

@@ -54,16 +54,28 @@
 // min-heap of projected drain instants: entries are invalidated by
 // generation/projection mismatch and only flows whose rate actually changed
 // push new entries, so rescheduling after churn never rescans the registry.
+//
+// A flow's life allocates nothing once the network is warm. start_flow
+// copies the path into its slot's retained buffer; the completion handler
+// collects drained flows in a retained list; a drained flow whose
+// extra_latency is still to elapse parks its callback in a delivery slab
+// (common/slab.h) and the delivery event captures only the network and the
+// slot index, small enough for std::function to hold inline. Callers keep
+// the same property by passing callbacks that capture at most 16
+// trivially-copyable bytes (a pointer plus an index).
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
 #include <limits>
-#include <string>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
 #include "common/profile.h"
+#include "common/slab.h"
 #include "common/units.h"
 #include "sim/simulator.h"
 
@@ -72,7 +84,6 @@ namespace opus::net {
 /// A unidirectional capacity-limited link.
 struct Link {
   Bandwidth capacity;
-  std::string name;
 };
 
 /// The fluid-flow engine. One instance models the whole cluster's data plane.
@@ -88,14 +99,13 @@ class FluidNetwork {
   /// Adds a link with the given capacity; returns its id. Retired ids are
   /// reused (most recently retired first), so callers must not hold a LinkId
   /// across retire_link of that link.
-  LinkId add_link(Bandwidth capacity, std::string name = {});
+  LinkId add_link(Bandwidth capacity);
 
   /// Retires an idle link: its id goes on the free list for reuse by a later
   /// add_link. The link must carry no active flows.
   void retire_link(LinkId link);
 
   Bandwidth capacity(LinkId link) const;
-  const std::string& link_name(LinkId link) const;
   /// Size of the link table, retired slots included (stable upper bound for
   /// iterating link ids; retired slots reject all other operations).
   std::size_t link_count() const { return links_.size(); }
@@ -111,12 +121,21 @@ class FluidNetwork {
   void set_capacity(LinkId link, Bandwidth capacity);
 
   /// Starts a flow of `bytes` over `path` (ordered, duplicate-free link ids).
+  /// The path is copied into the flow slot's retained buffer, so the caller
+  /// keeps ownership of it and a warm network allocates nothing.
   /// `on_complete` fires once the flow has drained and `extra_latency` has
-  /// elapsed (propagation + per-hop fixed latency, applied once).
+  /// elapsed (propagation + per-hop fixed latency, applied once); while that
+  /// latency elapses the callback waits in the delivery slab.
   /// A zero-byte flow completes after `extra_latency` alone; it stays
   /// flow_active (and abortable) until that delivery.
-  FlowId start_flow(std::vector<LinkId> path, Bytes bytes, TimeNs extra_latency,
-                    std::function<void()> on_complete);
+  FlowId start_flow(std::span<const LinkId> path, Bytes bytes,
+                    TimeNs extra_latency, std::function<void()> on_complete);
+  /// Braced-path convenience: start_flow({up, down}, ...).
+  FlowId start_flow(std::initializer_list<LinkId> path, Bytes bytes,
+                    TimeNs extra_latency, std::function<void()> on_complete) {
+    return start_flow(std::span<const LinkId>(path.begin(), path.size()),
+                      bytes, extra_latency, std::move(on_complete));
+  }
 
   /// Aborts an in-flight flow; its completion callback never fires. Pending
   /// zero-byte (pure-latency) flows are in flight until delivery and abort
@@ -280,6 +299,8 @@ class FluidNetwork {
   /// the single completion event at the heap's earliest valid instant.
   void reschedule_completion_event();
   void on_completion_event();
+  /// Fires the drained flow's callback parked in delivery slot `slot`.
+  void deliver(std::uint32_t slot);
 
   sim::Simulator& sim_;
   sim::Simulator::HookId flush_hook_;
@@ -307,6 +328,11 @@ class FluidNetwork {
   EventId completion_event_{};
   TimeNs completion_event_time_ = kNever;
   std::uint64_t completed_ = 0;
+  /// The completion handler's list of drained flows (latency, callback),
+  /// retained across events.
+  std::vector<std::pair<TimeNs, std::function<void()>>> drained_;
+  /// Delivery slab: callbacks of drained flows waiting out extra_latency.
+  Slab<std::function<void()>> deliveries_;
 
   // Solver scratch, persistent across solves so a re-solve costs O(dirty
   // component footprint), not O(lifetime links). A slot is valid only when

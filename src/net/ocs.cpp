@@ -260,10 +260,8 @@ OpticalCircuitSwitch::PairLinks& OpticalCircuitSwitch::link_pair(
   const std::int32_t hi = std::max(a, b);
   auto it = links_.find(pair_key(lo, hi));
   if (it == links_.end()) {
-    const std::string base =
-        name_ + ":p" + std::to_string(lo) + "-p" + std::to_string(hi);
-    const LinkId fwd = net_.add_link(port_bw_, base + ":fwd");
-    const LinkId rev = net_.add_link(port_bw_, base + ":rev");
+    const LinkId fwd = net_.add_link(port_bw_);
+    const LinkId rev = net_.add_link(port_bw_);
     it = links_.emplace(pair_key(lo, hi), PairLinks{fwd, rev}).first;
   }
   return it->second;

@@ -2,6 +2,10 @@
 // wire-byte totals, degree metadata (C1), and the algorithm chooser.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <vector>
+
 #include "collective/analysis.h"
 #include "collective/planner.h"
 #include "common/error.h"
@@ -238,6 +242,28 @@ TEST_P(PlannerSweep, SchedulesAreWellFormed) {
     EXPECT_GE(t.bytes, 0);
   }
   EXPECT_GE(s.max_distinct_peers, s.max_peers_per_step);
+  // The degree metadata matches a plain per-rank set count.
+  std::vector<std::set<int>> all(static_cast<std::size_t>(n));
+  int per_step = 0;
+  for (const auto& step : s.transfers_by_step()) {
+    std::vector<std::set<int>> peers(static_cast<std::size_t>(n));
+    for (int ti : step) {
+      const Transfer& t = s.transfers[static_cast<std::size_t>(ti)];
+      for (auto& sets : {&peers, &all}) {
+        (*sets)[static_cast<std::size_t>(t.src)].insert(t.dst);
+        (*sets)[static_cast<std::size_t>(t.dst)].insert(t.src);
+      }
+    }
+    for (const auto& p : peers) {
+      per_step = std::max(per_step, static_cast<int>(p.size()));
+    }
+  }
+  int distinct = 0;
+  for (const auto& p : all) {
+    distinct = std::max(distinct, static_cast<int>(p.size()));
+  }
+  EXPECT_EQ(s.max_peers_per_step, per_step);
+  EXPECT_EQ(s.max_distinct_peers, distinct);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -262,7 +288,8 @@ INSTANTIATE_TEST_SUITE_P(
         PlanCase{CollectiveType::kSendRecv, Algorithm::kDirect, 2},
         PlanCase{CollectiveType::kBarrier, Algorithm::kRing, 7},
         PlanCase{CollectiveType::kBarrier, Algorithm::kRecursiveDoubling,
-                 9}));
+                 9},
+        PlanCase{CollectiveType::kAllToAll, Algorithm::kPairwise, 33}));
 
 }  // namespace
 }  // namespace opus::collective
