@@ -3,9 +3,11 @@
 // iteration-engine event scaling, and collective planning/verification.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "bench_common.h"
+#include "collective/compiled.h"
 #include "collective/planner.h"
 #include "core/experiment.h"
 #include "obs/metrics.h"
@@ -37,9 +39,10 @@ BENCHMARK(BM_EventEngineScheduleFire)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // Event-heap scaling: cost of one schedule+fire while P unrelated events
 // sit parked in the future (the rotor's pending rotations, fleet arrivals,
-// and fluid completion horizons). The (time, seq) binary heap pays
-// O(log P) per operation: measured 52 / 66 / 79 ns at 1k / 100k / 1M
-// parked events (Release, 4-core x86 container). items/s = events fired.
+// and fluid completion horizons). Each parked event is its own run, so
+// the (time, seq) binary heap of runs pays O(log P) per operation:
+// measured 52 / 66 / 79 ns at 1k / 100k / 1M parked events (Release,
+// 4-core x86 container). items/s = events fired.
 void BM_EventQueuePendingScaling(benchmark::State& state) {
   const auto pending = static_cast<int>(state.range(0));
   sim::Simulator sim;
@@ -57,6 +60,24 @@ BENCHMARK(BM_EventQueuePendingScaling)
     ->Arg(1'000)
     ->Arg(100'000)
     ->Arg(1'000'000);
+
+// Same-instant bursts: k events per instant, with 128 events parked in the
+// future so every instant opened pays a real heap push and pop. The Opus
+// cell fires ~98% of its events at the instant of the event before; the
+// rotor cell's instants hold about one event (k = 1, the singleton path).
+// items/s = events fired.
+void BM_EventSameInstantBurst(benchmark::State& state) {
+  const auto k = state.range(0);
+  sim::Simulator sim;
+  for (int i = 0; i < 128; ++i) sim.schedule_at(secs(10'000) + i, [] {});
+  for (auto _ : state) {
+    const TimeNs t = sim.now() + 1;
+    for (std::int64_t i = 0; i < k; ++i) sim.schedule_at(t, [] {});
+    benchmark::DoNotOptimize(sim.run_until(t));
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_EventSameInstantBurst)->Arg(1)->Arg(16)->Arg(256);
 
 // Scale-independent cluster state: the cost of hosting one 64-node tenant
 // (construction, span assignment, and a round of rail + NVLink transfers)
@@ -327,15 +348,45 @@ void BM_MetricsCounterIncrement(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsCounterIncrement)->Arg(0)->Arg(1);
 
-void BM_PlanRingAllReduce(benchmark::State& state) {
+// Ring planning and compiling: the 256-rank groups of the 512-node Table-3
+// cell plan and compile ReduceScatter, AllGather and AllReduce rings of
+// 65,280-130,560 transfers. items/s = transfers.
+void plan_ring(benchmark::State& state, collective::CollectiveType type) {
   const auto n = static_cast<int>(state.range(0));
+  std::size_t transfers = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collective::plan_collective(
-        collective::CollectiveType::kAllReduce, collective::Algorithm::kRing,
-        n, gib(1)));
+    const auto s = collective::plan_collective(
+        type, collective::Algorithm::kRing, n, gib(1));
+    transfers = s.transfers.size();
+    benchmark::DoNotOptimize(s.max_distinct_peers);
   }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(transfers));
 }
-BENCHMARK(BM_PlanRingAllReduce)->Arg(8)->Arg(64)->Arg(512);
+void BM_PlanRingReduceScatter(benchmark::State& state) {
+  plan_ring(state, collective::CollectiveType::kReduceScatter);
+}
+void BM_PlanRingAllGather(benchmark::State& state) {
+  plan_ring(state, collective::CollectiveType::kAllGather);
+}
+void BM_PlanRingAllReduce(benchmark::State& state) {
+  plan_ring(state, collective::CollectiveType::kAllReduce);
+}
+BENCHMARK(BM_PlanRingReduceScatter)->Arg(256);
+BENCHMARK(BM_PlanRingAllGather)->Arg(256);
+BENCHMARK(BM_PlanRingAllReduce)->Arg(8)->Arg(64)->Arg(256)->Arg(512);
+
+void BM_CompileRingAllReduce(benchmark::State& state) {
+  const auto sched = collective::plan_collective(
+      collective::CollectiveType::kAllReduce, collective::Algorithm::kRing,
+      static_cast<int>(state.range(0)), gib(1));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(collective::compile(sched));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sched.transfers.size()));
+}
+BENCHMARK(BM_CompileRingAllReduce)->Arg(256);
 
 void BM_VerifyRingAllReduce(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));

@@ -13,9 +13,11 @@ void counts_to_offsets(std::vector<int>& begin) {
   std::partial_sum(begin.begin(), begin.end(), begin.begin());
 }
 
+/// Sorts (unless they already ascend, as every ring step's do) and
+/// deduplicates pairs[from..].
 void sort_unique(std::vector<std::pair<int, int>>& pairs, std::size_t from) {
   const auto first = pairs.begin() + static_cast<std::ptrdiff_t>(from);
-  std::sort(first, pairs.end());
+  if (!std::is_sorted(first, pairs.end())) std::sort(first, pairs.end());
   pairs.erase(std::unique(first, pairs.end()), pairs.end());
 }
 

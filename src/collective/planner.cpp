@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -22,55 +23,70 @@ int ceil_log2(int n) {
   return bits;
 }
 
-using PeerPairs = std::vector<std::pair<int, int>>;
-
-/// Sorts and deduplicates (rank, peer) pairs.
-void sort_unique(PeerPairs& pairs) {
-  std::sort(pairs.begin(), pairs.end());
-  pairs.erase(std::unique(pairs.begin(), pairs.end()), pairs.end());
-}
-
-/// The most distinct peers of any rank in sorted, deduplicated pairs (a
-/// rank's peers form one run).
-int max_peers_per_rank(const PeerPairs& pairs) {
-  int best = 0;
-  for (std::size_t i = 0; i < pairs.size();) {
-    std::size_t j = i + 1;
-    while (j < pairs.size() && pairs[j].first == pairs[i].first) ++j;
-    best = std::max(best, static_cast<int>(j - i));
-    i = j;
-  }
-  return best;
-}
-
-/// Computes max_peers_per_step and max_distinct_peers from the transfers.
+/// Computes max_peers_per_step and max_distinct_peers from the transfers
+/// in time linear in their count. Each transfer gives two (step, peer)
+/// entries, one per endpoint; the planners emit transfers in step order, so
+/// a counting sort by rank lists every rank's entries grouped by step, and
+/// per-peer stamps count each distinct peer once per (rank, step) group and
+/// once per rank.
 void finalize(CollectiveSchedule& s) {
-  // Each step's transfers, both directions, as (rank, peer) pairs give the
-  // instantaneous degree. The deduplicated step pairs also join the
-  // whole-schedule list, which is re-deduplicated whenever it has doubled,
-  // so it stays proportional to the distinct pairs, not to the transfers.
-  PeerPairs step_pairs;
-  PeerPairs all_pairs;
-  std::size_t compacted = 0;
-  int max_step_peers = 0;
-  for (const auto& step : s.transfers_by_step()) {
-    step_pairs.clear();
-    for (int ti : step) {
-      const Transfer& t = s.transfers[static_cast<std::size_t>(ti)];
-      step_pairs.emplace_back(t.src, t.dst);
-      step_pairs.emplace_back(t.dst, t.src);
-    }
-    sort_unique(step_pairs);
-    max_step_peers = std::max(max_step_peers, max_peers_per_rank(step_pairs));
-    all_pairs.insert(all_pairs.end(), step_pairs.begin(), step_pairs.end());
-    if (all_pairs.size() > 2 * compacted) {
-      sort_unique(all_pairs);
-      compacted = all_pairs.size();
+  const auto n_ranks = static_cast<std::size_t>(s.n_ranks);
+  const std::vector<Transfer>& transfers = s.transfers;
+  auto index = [](int i) { return static_cast<std::size_t>(i); };
+
+  struct Entry {
+    int step;
+    int peer;
+  };
+  std::vector<int> rank_begin(n_ranks + 1, 0);
+  for (std::size_t i = 0; i < transfers.size(); ++i) {
+    const Transfer& t = transfers[i];
+    ensure(i == 0 || transfers[i - 1].step <= t.step,
+           "planner transfers must ascend by step");
+    ++rank_begin[index(t.src) + 1];
+    ++rank_begin[index(t.dst) + 1];
+  }
+  std::partial_sum(rank_begin.begin(), rank_begin.end(), rank_begin.begin());
+  std::vector<Entry> entries(2 * transfers.size());
+  {
+    std::vector<int> cursor(rank_begin.begin(), rank_begin.end() - 1);
+    for (const Transfer& t : transfers) {
+      entries[index(cursor[index(t.src)]++)] = Entry{t.step, t.dst};
+      entries[index(cursor[index(t.dst)]++)] = Entry{t.step, t.src};
     }
   }
-  sort_unique(all_pairs);
+
+  // seen_rank[p]: the rank that last counted peer p; seen_group[p]: the
+  // (rank, step) group that last counted it.
+  std::vector<int> seen_rank(n_ranks, -1);
+  std::vector<int> seen_group(n_ranks, -1);
+  int group = -1;
+  int max_step_peers = 0;
+  int max_distinct = 0;
+  for (std::size_t r = 0; r < n_ranks; ++r) {
+    int step = -1;
+    int step_peers = 0;
+    int distinct = 0;
+    for (int e = rank_begin[r]; e < rank_begin[r + 1]; ++e) {
+      const Entry& entry = entries[index(e)];
+      const auto peer = index(entry.peer);
+      if (entry.step != step) {
+        step = entry.step;
+        step_peers = 0;
+        ++group;
+      }
+      if (seen_group[peer] != group) {
+        seen_group[peer] = group;
+        max_step_peers = std::max(max_step_peers, ++step_peers);
+      }
+      if (seen_rank[peer] != static_cast<int>(r)) {
+        seen_rank[peer] = static_cast<int>(r);
+        max_distinct = std::max(max_distinct, ++distinct);
+      }
+    }
+  }
   s.max_peers_per_step = max_step_peers;
-  s.max_distinct_peers = max_peers_per_rank(all_pairs);
+  s.max_distinct_peers = max_distinct;
 }
 
 CollectiveSchedule make(CollectiveType type, Algorithm algo, int n,
@@ -96,6 +112,7 @@ Bytes chunk_bytes(Bytes payload, int n) {
 CollectiveSchedule ring_reduce_scatter(int n, Bytes payload) {
   auto s = make(CollectiveType::kReduceScatter, Algorithm::kRing, n, payload,
                 n - 1, n);
+  s.transfers.reserve(static_cast<std::size_t>(n) * (n - 1));
   const Bytes cb = chunk_bytes(payload, n);
   for (int step = 0; step < n - 1; ++step) {
     for (int r = 0; r < n; ++r) {
@@ -111,6 +128,7 @@ CollectiveSchedule ring_reduce_scatter(int n, Bytes payload) {
 CollectiveSchedule ring_all_gather(int n, Bytes payload) {
   auto s = make(CollectiveType::kAllGather, Algorithm::kRing, n, payload,
                 n - 1, n);
+  s.transfers.reserve(static_cast<std::size_t>(n) * (n - 1));
   const Bytes cb = chunk_bytes(payload, n);
   for (int step = 0; step < n - 1; ++step) {
     for (int r = 0; r < n; ++r) {
@@ -126,6 +144,7 @@ CollectiveSchedule ring_all_gather(int n, Bytes payload) {
 CollectiveSchedule ring_all_reduce(int n, Bytes payload) {
   auto s = make(CollectiveType::kAllReduce, Algorithm::kRing, n, payload,
                 2 * (n - 1), n);
+  s.transfers.reserve(static_cast<std::size_t>(n) * 2 * (n - 1));
   const Bytes cb = chunk_bytes(payload, n);
   // Phase 1: reduce-scatter. After it, rank r owns chunk (r+1)%n complete.
   for (int step = 0; step < n - 1; ++step) {

@@ -20,16 +20,42 @@ EventId Simulator::schedule_at(TimeNs t, Callback cb) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.generation += 1;  // even (free) -> odd (occupied)
-  heap_.push_back(Entry{t, next_seq_++, slot, s.generation});
-  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  s.next = kNoSlot;
+  ++live_;
+  // Append to the open run at t if its tail is still live; otherwise open a
+  // run, reusing t's closed entry or else the round-robin victim.
+  OpenRun* open = nullptr;
+  for (OpenRun& o : open_) {
+    if (o.time == t) {
+      open = &o;
+      break;
+    }
+  }
+  if (open != nullptr && slots_[open->tail].generation == open->generation) {
+    slots_[open->tail].next = slot;
+  } else {
+    if (open == nullptr) {
+      open = &open_[open_victim_];
+      open_victim_ = (open_victim_ + 1) % kOpenRuns;
+    }
+    heap_.push_back(Run{t, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  }
+  *open = OpenRun{t, slot, s.generation};
   return EventId::from_parts(slot, s.generation);
 }
 
-void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.cb = nullptr;
-  s.generation += 1;  // odd (occupied) -> even (free)
+void Simulator::pop_head() {
+  Run& run = heap_.front();
+  const std::uint32_t slot = run.head;
+  const std::uint32_t next = slots_[slot].next;
   free_slots_.push_back(slot);
+  if (next != kNoSlot) {
+    run.head = next;  // the run keeps its heap position
+  } else {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
+  }
 }
 
 Simulator::HookId Simulator::add_instant_hook(Callback cb) {
@@ -58,16 +84,19 @@ void Simulator::run_instant_hooks() {
 
 bool Simulator::cancel(EventId id) {
   if (!pending(id)) return false;
-  release_slot(id.slot());  // the heap entry goes stale
+  // The slot stays linked in its run until position() frees it.
+  Slot& s = slots_[id.slot()];
+  s.cb = nullptr;
+  s.generation += 1;  // odd (occupied) -> even (cancelled)
+  --live_;
   return true;
 }
 
 bool Simulator::position() {
   for (;;) {
     while (!heap_.empty() &&
-           slots_[heap_.front().slot].generation != heap_.front().generation) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-      heap_.pop_back();  // cancelled
+           (slots_[heap_.front().head].generation & 1u) == 0u) {
+      pop_head();  // cancelled
     }
     // No event at now_ is left: close the instant before a later one fires
     // (or before the drain returns). Hooks requested between run calls while
@@ -83,13 +112,14 @@ bool Simulator::position() {
 
 bool Simulator::fire_next() {
   if (!position()) return false;
-  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-  const Entry e = heap_.back();
-  heap_.pop_back();
+  now_ = heap_.front().time;
+  Slot& s = slots_[heap_.front().head];
   // Free the slot before the call: the callback sees its own id as fired.
-  Callback cb = std::move(slots_[e.slot].cb);
-  release_slot(e.slot);
-  now_ = e.time;
+  Callback cb = std::move(s.cb);
+  s.cb = nullptr;
+  s.generation += 1;  // odd (occupied) -> even (free)
+  pop_head();
+  --live_;
   ++fired_;
   cb();
   return true;

@@ -1,15 +1,25 @@
 // Discrete-event simulation engine.
 //
 // Single-threaded, deterministic: events at the same timestamp fire in the
-// order they were scheduled (FIFO tie-break on a monotonically increasing
-// sequence number), so the total order is (time, seq) and nothing else.
+// order they were scheduled (FIFO), so the total order is (time, schedule
+// order) and nothing else.
 //
-// Two structures hold the pending events. A binary min-heap of small
-// entries (time, seq, slot, generation) orders them; a callback slab — a
-// dense slot array with a LIFO free list — owns their closures. An EventId
-// is the slot plus its generation (common/ids.h GenId, as FlowId). Cancel
-// frees the slot and bumps its generation in O(1); the heap entry goes
-// stale and is dropped when it reaches the front. A fired or cancelled id
+// Two structures hold the pending events. A callback slab — a dense slot
+// array with a LIFO free list — owns their closures; an EventId is the slot
+// plus its generation (common/ids.h GenId, as FlowId). A binary min-heap of
+// *runs* orders them: a run is (time, seq, head slot), and the later events
+// of the run are linked through their slots' `next` index. Most instants
+// carry bursts, so schedule_at(t) appends to the open run for t when there
+// is one, and only a new run costs a heap push. The kOpenRuns most recently
+// opened runs stay open while their tail slot is still live (so a tail that
+// fires or is cancelled closes its run); runs at one time thus cover
+// disjoint, increasing ranges of schedule order, and (time, seq) on runs is
+// exactly (time, schedule order) on events. The front run fires head-first,
+// and the heap is touched again only when the run empties.
+//
+// Cancel bumps the slot's generation in O(1) and drops the closure; the
+// slot stays linked (so it can never be reused into another run) until it
+// reaches the front of its run and is freed unfired. A fired or cancelled id
 // never aliases the slot's next occupant, and a default or integer-cast id
 // (generation 0) is never pending.
 //
@@ -21,11 +31,12 @@
 // now() still fire within the same instant. Hooks requested outside any
 // event (between run calls, e.g. after a run_until peek) run on the next
 // run call, once no event at now() is left and before any later one fires.
-// Hooks are not events: they neither count in events_fired() nor carry a
-// sequence number. The fluid network uses one to re-solve rates once per
+// Hooks are not events: they neither count in events_fired() nor join a
+// run. The fluid network uses one to re-solve rates once per
 // instant instead of once per flow start.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -74,7 +85,7 @@ class Simulator {
 
   /// Returns true if `id` is scheduled and not yet fired or cancelled.
   bool pending(EventId id) const {
-    // Issued generations are odd; a free slot's generation is even.
+    // Issued generations are odd; a fired, cancelled or free slot's is even.
     return (id.generation() & 1u) != 0u && id.slot() < slots_.size() &&
            slots_[id.slot()].generation == id.generation();
   }
@@ -112,9 +123,7 @@ class Simulator {
   }
 
   /// Number of pending (non-cancelled) events.
-  std::size_t pending_events() const {
-    return slots_.size() - free_slots_.size();
-  }
+  std::size_t pending_events() const { return live_; }
 
   /// Total events fired since construction.
   std::uint64_t events_fired() const { return fired_; }
@@ -124,36 +133,51 @@ class Simulator {
   void set_profile_sink(ProfileSink* sink);
 
  private:
-  /// Heap entry: live iff its slot still carries `generation`.
-  struct Entry {
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  /// Heap entry: the events of one run, head first. `seq` numbers runs in
+  /// opening order.
+  struct Run {
     TimeNs time;
     std::uint64_t seq;
-    std::uint32_t slot;
-    std::uint32_t generation;
-    /// Min-heap on (time, seq): same-instant events fire in schedule order.
-    friend bool operator>(const Entry& a, const Entry& b) {
+    std::uint32_t head;
+    /// Min-heap on (time, seq): same-instant runs fire in opening order.
+    friend bool operator>(const Run& a, const Run& b) {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
 
   /// Callback slab slot: generation is odd while an event holds the slot,
-  /// even while it waits on the free list.
+  /// even once it fired, was cancelled or waits on the free list. `next`
+  /// links the slot to the next event of its run.
   struct Slot {
     Callback cb;
     std::uint32_t generation = 0;
+    std::uint32_t next = kNoSlot;
   };
+
+  /// An open run at `time`: appendable while slot `tail` still carries
+  /// `generation`.
+  struct OpenRun {
+    TimeNs time = std::numeric_limits<TimeNs>::min();
+    std::uint32_t tail = 0;
+    std::uint32_t generation = 0;
+  };
+  static constexpr std::size_t kOpenRuns = 4;
 
   struct InstantHook {
     Callback cb;  ///< null once removed
     bool requested = false;
   };
 
-  /// Empties the slot (its generation becomes even) and files it free.
-  void release_slot(std::uint32_t slot);
+  /// Frees the front run's head slot and advances the run past it,
+  /// popping the run once it is empty.
+  void pop_head();
   /// Runs requested hooks in request order until none is pending.
   void run_instant_hooks();
-  /// Drops stale entries until the heap front is the next live event,
+  /// Drops cancelled events until the front run's head is the next live one,
   /// running pending hooks first once no event at now_ is left. Returns
   /// false if the queue is empty and no hook is pending.
   bool position();
@@ -163,8 +187,14 @@ class Simulator {
   TimeNs now_ = 0;
   std::uint64_t next_seq_ = 0;
   std::uint64_t fired_ = 0;
-  /// Pending events, stale (cancelled) entries included.
-  std::vector<Entry> heap_;
+  /// Scheduled events neither fired nor cancelled.
+  std::size_t live_ = 0;
+  /// Runs holding at least one linked slot (live or cancelled).
+  std::vector<Run> heap_;
+  /// The most recently opened runs, replaced round-robin; at most one entry
+  /// per time, always the newest run at that time.
+  std::array<OpenRun, kOpenRuns> open_{};
+  std::size_t open_victim_ = 0;
   /// The callback slab; slots are never removed, so peak concurrency bounds
   /// the vector.
   std::vector<Slot> slots_;

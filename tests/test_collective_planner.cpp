@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "collective/analysis.h"
@@ -217,6 +218,31 @@ TEST(Analysis, ReconfigPenaltyMakesRingWinOnCircuits) {
   EXPECT_GT(predicted_time(ring, cost), predicted_time(rd, cost));
 }
 
+/// The degree metadata by plain per-rank set counts: (most distinct peers
+/// of a rank within one step, most distinct peers of a rank overall).
+std::pair<int, int> reference_degrees(const CollectiveSchedule& s) {
+  std::vector<std::set<int>> all(static_cast<std::size_t>(s.n_ranks));
+  int per_step = 0;
+  for (const auto& step : s.transfers_by_step()) {
+    std::vector<std::set<int>> peers(static_cast<std::size_t>(s.n_ranks));
+    for (int ti : step) {
+      const Transfer& t = s.transfers[static_cast<std::size_t>(ti)];
+      for (auto* sets : {&peers, &all}) {
+        (*sets)[static_cast<std::size_t>(t.src)].insert(t.dst);
+        (*sets)[static_cast<std::size_t>(t.dst)].insert(t.src);
+      }
+    }
+    for (const auto& p : peers) {
+      per_step = std::max(per_step, static_cast<int>(p.size()));
+    }
+  }
+  int distinct = 0;
+  for (const auto& p : all) {
+    distinct = std::max(distinct, static_cast<int>(p.size()));
+  }
+  return {per_step, distinct};
+}
+
 // Property sweep: every planner produces transfers with valid rank indices,
 // positive steps, and consistent metadata.
 struct PlanCase {
@@ -242,26 +268,7 @@ TEST_P(PlannerSweep, SchedulesAreWellFormed) {
     EXPECT_GE(t.bytes, 0);
   }
   EXPECT_GE(s.max_distinct_peers, s.max_peers_per_step);
-  // The degree metadata matches a plain per-rank set count.
-  std::vector<std::set<int>> all(static_cast<std::size_t>(n));
-  int per_step = 0;
-  for (const auto& step : s.transfers_by_step()) {
-    std::vector<std::set<int>> peers(static_cast<std::size_t>(n));
-    for (int ti : step) {
-      const Transfer& t = s.transfers[static_cast<std::size_t>(ti)];
-      for (auto& sets : {&peers, &all}) {
-        (*sets)[static_cast<std::size_t>(t.src)].insert(t.dst);
-        (*sets)[static_cast<std::size_t>(t.dst)].insert(t.src);
-      }
-    }
-    for (const auto& p : peers) {
-      per_step = std::max(per_step, static_cast<int>(p.size()));
-    }
-  }
-  int distinct = 0;
-  for (const auto& p : all) {
-    distinct = std::max(distinct, static_cast<int>(p.size()));
-  }
+  const auto [per_step, distinct] = reference_degrees(s);
   EXPECT_EQ(s.max_peers_per_step, per_step);
   EXPECT_EQ(s.max_distinct_peers, distinct);
 }
@@ -290,6 +297,37 @@ INSTANTIATE_TEST_SUITE_P(
         PlanCase{CollectiveType::kBarrier, Algorithm::kRecursiveDoubling,
                  9},
         PlanCase{CollectiveType::kAllToAll, Algorithm::kPairwise, 33}));
+
+// Every supported (type, algorithm, group size) up to 70 ranks: the
+// planners' counting computation of the degree metadata equals the set
+// reference.
+TEST(PlannerDegrees, MatchTheSetReferenceForEverySupportedPlan) {
+  constexpr CollectiveType kTypes[] = {
+      CollectiveType::kAllReduce, CollectiveType::kAllGather,
+      CollectiveType::kReduceScatter, CollectiveType::kAllToAll,
+      CollectiveType::kBroadcast, CollectiveType::kReduce,
+      CollectiveType::kSendRecv, CollectiveType::kBarrier};
+  constexpr Algorithm kAlgos[] = {
+      Algorithm::kRing, Algorithm::kRecursiveDoubling,
+      Algorithm::kRecursiveHalvingDoubling, Algorithm::kBinomialTree,
+      Algorithm::kPairwise, Algorithm::kDirect};
+  int plans = 0;
+  for (int n = 1; n <= 70; ++n) {
+    for (CollectiveType type : kTypes) {
+      for (Algorithm algo : kAlgos) {
+        if (!algorithm_supports(type, algo, n)) continue;
+        const auto s = plan_collective(type, algo, n, kPayload);
+        const auto [per_step, distinct] = reference_degrees(s);
+        ASSERT_EQ(s.max_peers_per_step, per_step)
+            << to_string(type) << "/" << to_string(algo) << " n=" << n;
+        ASSERT_EQ(s.max_distinct_peers, distinct)
+            << to_string(type) << "/" << to_string(algo) << " n=" << n;
+        ++plans;
+      }
+    }
+  }
+  EXPECT_EQ(plans, 1090);
+}
 
 }  // namespace
 }  // namespace opus::collective

@@ -3,10 +3,16 @@
 // hooks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <functional>
+#include <map>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "sim/simulator.h"
 
 namespace opus::sim {
@@ -405,6 +411,255 @@ TEST(Simulator, DeterministicAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---------------------------------------------------------------------------
+// Ordering property: seeded random scripts against a reference model.
+// ---------------------------------------------------------------------------
+
+/// The contract in its plainest form: pending events in a std::map keyed on
+/// (time, schedule order), hooks as the kernel documents them.
+class ReferenceSim {
+ public:
+  using Id = std::uint64_t;  ///< schedule order
+
+  TimeNs now() const { return now_; }
+  Id schedule_at(TimeNs t, std::function<void()> cb) {
+    events_.emplace(std::pair{t, next_}, std::move(cb));
+    time_of_.emplace(next_, t);
+    return next_++;
+  }
+  bool pending(Id id) const { return time_of_.contains(id); }
+  bool cancel(Id id) {
+    const auto it = time_of_.find(id);
+    if (it == time_of_.end()) return false;
+    events_.erase(std::pair{it->second, id});
+    time_of_.erase(it);
+    return true;
+  }
+  std::size_t pending_events() const { return events_.size(); }
+  std::uint64_t run() {
+    std::uint64_t n = 0;
+    while (fire_next()) ++n;
+    return n;
+  }
+  std::uint64_t run_until(TimeNs limit) {
+    std::uint64_t n = 0;
+    while (position() && events_.begin()->first.first <= limit) {
+      fire_next();
+      ++n;
+    }
+    now_ = std::max(now_, limit);
+    return n;
+  }
+  std::uint64_t run_steps(std::uint64_t max_events) {
+    std::uint64_t n = 0;
+    while (n < max_events && fire_next()) ++n;
+    return n;
+  }
+  int add_instant_hook(std::function<void()> cb) {
+    hooks_.push_back(std::move(cb));
+    requested_.push_back(false);
+    return static_cast<int>(hooks_.size()) - 1;
+  }
+  void request_instant_hook(int hook) {
+    const auto h = static_cast<std::size_t>(hook);
+    if (requested_[h]) return;
+    requested_[h] = true;
+    queue_.push_back(hook);
+  }
+
+ private:
+  bool position() {
+    while (!queue_.empty() &&
+           (events_.empty() || events_.begin()->first.first > now_)) {
+      for (std::size_t i = 0; i < queue_.size(); ++i) {
+        const auto h = static_cast<std::size_t>(queue_[i]);
+        requested_[h] = false;
+        hooks_[h]();
+      }
+      queue_.clear();
+    }
+    return !events_.empty();
+  }
+  bool fire_next() {
+    if (!position()) return false;
+    const auto it = events_.begin();
+    now_ = it->first.first;
+    auto cb = std::move(it->second);
+    time_of_.erase(it->first.second);
+    events_.erase(it);
+    cb();
+    return true;
+  }
+
+  TimeNs now_ = 0;
+  Id next_ = 0;
+  std::map<std::pair<TimeNs, Id>, std::function<void()>> events_;
+  std::map<Id, TimeNs> time_of_;
+  std::vector<std::function<void()>> hooks_;
+  std::vector<bool> requested_;
+  std::vector<int> queue_;
+};
+
+/// What a script observed: an event or hook firing, a cancel, or a run call
+/// returning, each with now() and the pending count at that moment.
+struct Record {
+  enum Kind { kFire, kHook, kCancel, kRunReturn } kind;
+  int label;
+  TimeNs at;
+  std::size_t pending;
+  friend bool operator==(const Record&, const Record&) = default;
+};
+
+/// One seeded script played on `Sim`. Every random choice is drawn in
+/// firing order, so two kernels that fire in the same order replay the same
+/// script and any divergence shows as the first differing record. Covered:
+/// same-instant bursts interleaved across several times, cancels of the
+/// head, middle and tail of an instant, cancel-then-reschedule at the same
+/// time, schedule_at(now()) from events and hooks, run_until / run_steps
+/// stopping mid-instant, and hook requests inside and between runs.
+template <class Sim>
+class Script {
+ public:
+  explicit Script(std::uint64_t seed) : rng_(seed) {}
+
+  std::vector<Record> play() {
+    for (int h = 0; h < 2; ++h) {
+      hooks_.push_back(sim_.add_instant_hook([this, h] { on_hook(h); }));
+    }
+    for (int round = 0; round < 40; ++round) {
+      switch (rng_.below(6)) {
+        case 0: {  // a burst over a few nearby times
+          const TimeNs base = sim_.now() + static_cast<TimeNs>(rng_.below(20));
+          const auto k = 1 + rng_.below(12);
+          for (std::uint64_t i = 0; i < k; ++i) {
+            schedule(base + static_cast<TimeNs>(rng_.below(3)));
+          }
+          break;
+        }
+        case 1:
+          cancel_one();
+          break;
+        case 2:
+          sim_.run_until(sim_.now() + static_cast<TimeNs>(rng_.below(15)));
+          note(Record::kRunReturn, -1);
+          break;
+        case 3:
+          sim_.run_steps(1 + rng_.below(8));
+          note(Record::kRunReturn, -1);
+          break;
+        case 4:
+          sim_.request_instant_hook(hooks_[rng_.below(2)]);
+          break;
+        default:
+          schedule(sim_.now());
+          break;
+      }
+    }
+    sim_.run();
+    note(Record::kRunReturn, -1);
+    EXPECT_EQ(sim_.pending_events(), 0u);
+    return log_;
+  }
+
+ private:
+  using Id = decltype(std::declval<Sim&>().schedule_at(0, [] {}));
+
+  void note(Record::Kind kind, int label) {
+    log_.push_back(Record{kind, label, sim_.now(), sim_.pending_events()});
+    // Exact whatever cancelled events are still parked in the kernel.
+    EXPECT_EQ(sim_.pending_events(), outstanding_.size());
+  }
+
+  void schedule(TimeNs t) {
+    if (budget_ == 0) return;
+    --budget_;
+    const int label = static_cast<int>(ids_.size());
+    ids_.push_back(sim_.schedule_at(t, [this, label] { on_fire(label); }));
+    times_.push_back(t);
+    outstanding_.push_back(label);
+  }
+
+  void forget(int label) {
+    outstanding_.erase(
+        std::find(outstanding_.begin(), outstanding_.end(), label));
+  }
+
+  void on_fire(int label) {
+    forget(label);
+    note(Record::kFire, label);
+    EXPECT_FALSE(sim_.pending(ids_[static_cast<std::size_t>(label)]));
+    const auto same_instant = rng_.below(4);  // appends to the open instant
+    for (std::uint64_t i = 0; i < same_instant; ++i) schedule(sim_.now());
+    if (rng_.below(3) == 0) {
+      schedule(sim_.now() + 1 + static_cast<TimeNs>(rng_.below(6)));
+    }
+    if (rng_.below(3) == 0) cancel_one();
+    if (rng_.below(4) == 0) sim_.request_instant_hook(hooks_[rng_.below(2)]);
+  }
+
+  void on_hook(int h) {
+    note(Record::kHook, h);
+    if (rng_.below(3) == 0) schedule(sim_.now());
+  }
+
+  /// Cancels the head, a middle event or the tail of one pending instant
+  /// (or, with nothing pending, re-cancels a fired label), then sometimes
+  /// reschedules at the same time.
+  void cancel_one() {
+    if (outstanding_.empty()) {
+      if (!ids_.empty()) {
+        EXPECT_FALSE(sim_.cancel(ids_[rng_.below(ids_.size())]));
+      }
+      return;
+    }
+    const TimeNs t = times_[static_cast<std::size_t>(
+        outstanding_[rng_.below(outstanding_.size())])];
+    std::vector<int> instant;
+    for (int label : outstanding_) {
+      if (times_[static_cast<std::size_t>(label)] == t) instant.push_back(label);
+    }
+    std::size_t pick = 0;
+    switch (rng_.below(3)) {
+      case 0: pick = 0; break;
+      case 1: pick = instant.size() / 2; break;
+      default: pick = instant.size() - 1; break;
+    }
+    const int victim = instant[pick];
+    EXPECT_TRUE(sim_.cancel(ids_[static_cast<std::size_t>(victim)]));
+    forget(victim);
+    note(Record::kCancel, victim);
+    if (rng_.below(2) == 0) schedule(t);
+  }
+
+  Sim sim_;
+  Xoshiro256 rng_;
+  std::vector<decltype(std::declval<Sim&>().add_instant_hook([] {}))> hooks_;
+  std::vector<Id> ids_;
+  std::vector<TimeNs> times_;
+  std::vector<int> outstanding_;  ///< pending labels in schedule order
+  std::vector<Record> log_;
+  int budget_ = 400;
+};
+
+TEST(SimulatorProperty, RandomScriptsMatchTheReferenceOrder) {
+  std::size_t fired = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    const auto got = Script<Simulator>(seed).play();
+    const auto want = Script<ReferenceSim>(seed).play();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+    ASSERT_TRUE(diff.first == got.end())
+        << "seed " << seed << ": record " << (diff.first - got.begin())
+        << " differs (label " << diff.first->label << " at "
+        << diff.first->at << " vs label " << diff.second->label << " at "
+        << diff.second->at << ")";
+    fired += static_cast<std::size_t>(std::count_if(
+        got.begin(), got.end(),
+        [](const Record& r) { return r.kind == Record::kFire; }));
+  }
+  EXPECT_GT(fired, 300u * 100u) << "scripts should exercise the kernel";
 }
 
 }  // namespace
