@@ -167,10 +167,9 @@ BENCHMARK(BM_FluidRegistryIteration)->Arg(64)->Arg(256)->Arg(1024);
 // a fresh perfect matching (net::round_robin_circuits — the rotor's own
 // rotation schedule), pushes one flow through each direction of every
 // circuit, and drains to quiescence. Each round introduces 32
-// never-before-seen port pairs, so a solver that iterates lifetime links
-// slows down linearly in the round count, while an active-set solver with
-// link retirement stays flat (the acceptance bar for the fluid hot-path
-// work: re-solve cost independent of retired links).
+// never-before-seen port pairs, yet each port keeps its one transmit link,
+// so the link table stays at 64 and re-solve cost stays flat in the round
+// count (the `links` counter reports the table size).
 void BM_FluidChurnResolve(benchmark::State& state) {
   const int rounds = static_cast<int>(state.range(0));
   constexpr int kPorts = 64;
@@ -247,11 +246,11 @@ BENCHMARK(BM_EngineEventScaling)->Arg(64)->Arg(256)->Arg(512);
 // Batched rotor rotation on a 512-port OCS: every iteration replays a
 // pre-registered perfect matching through the switch's one reconfiguration
 // transaction — one dark interval, one completion event, O(ports) array
-// work on pinned fluid links, no sort, hash or list copy per rotation and
-// no link retirement. Per-rotation cost must stay flat however many
-// rotations have already run (the rotor perf ceiling: re-resolving and
-// retiring links per rotation made the 512-node matrix cell scale with
-// lifetime circuit churn). items/s = circuits established.
+// work over the ports' own transmit links, no sort, hash or list copy per
+// rotation. Per-rotation cost must stay flat however many rotations have
+// already run (the rotor perf ceiling: per-rotation work that grows with
+// lifetime circuit churn made the 512-node matrix cell scale with it).
+// items/s = circuits established.
 void BM_OcsBatchRotation(benchmark::State& state) {
   constexpr int kPorts = 512;
   constexpr int kRounds = 64;

@@ -14,9 +14,7 @@ RotorTransport::RotorTransport(sim::Simulator& sim, net::Cluster& cluster,
   n_rounds_ = net::rotor_rounds_for(span_.count);
   rails_.resize(static_cast<std::size_t>(cluster_.n_rails()));
   // The cluster performs no pre-job wiring: each rotor wires its own span's
-  // round-0 matchings here, instantly — pre-job setup. Round 0's batch is
-  // registered first so its circuits come up over pinned links and the
-  // first rotation's teardown never queues them for retirement.
+  // round-0 matchings here, instantly — pre-job setup.
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
     RailState& state = rails_[static_cast<std::size_t>(rail)];
     state.round_batch.assign(static_cast<std::size_t>(n_rounds_), -1);

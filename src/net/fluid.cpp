@@ -39,15 +39,6 @@ FluidNetwork::~FluidNetwork() {
 
 LinkId FluidNetwork::add_link(Bandwidth capacity) {
   ensure(capacity.bits_per_sec >= 0.0, "link capacity must be non-negative");
-  if (!free_.empty()) {
-    const std::int32_t id = free_.back();
-    free_.pop_back();
-    const auto li = static_cast<std::size_t>(id);
-    links_[li] = Link{capacity};
-    cap_bytes_per_ns_[li] = capacity.bytes_per_ns();
-    link_state_[li].retired = false;
-    return LinkId{id};
-  }
   links_.push_back(Link{capacity});
   cap_bytes_per_ns_.push_back(capacity.bytes_per_ns());
   link_state_.emplace_back();
@@ -57,31 +48,13 @@ LinkId FluidNetwork::add_link(Bandwidth capacity) {
   return LinkId{static_cast<std::int32_t>(links_.size() - 1)};
 }
 
-void FluidNetwork::retire_link(LinkId link) {
-  check_live_link(link);
-  const auto li = static_cast<std::size_t>(link.value());
-  ensure(link_state_[li].flows.empty(),
-         "retire_link: link still carries active flows");
-  links_[li] = Link{};
-  cap_bytes_per_ns_[li] = 0.0;
-  link_state_[li].retired = true;
-  free_.push_back(link.value());
-  ++retired_total_;
-}
-
-bool FluidNetwork::link_retired(LinkId link) const {
-  ensure(link.valid() && static_cast<std::size_t>(link.value()) < links_.size(),
-         "invalid link id");
-  return link_state_[static_cast<std::size_t>(link.value())].retired;
-}
-
 Bandwidth FluidNetwork::capacity(LinkId link) const {
-  check_live_link(link);
+  check_link(link);
   return links_[static_cast<std::size_t>(link.value())].capacity;
 }
 
 void FluidNetwork::set_capacity(LinkId link, Bandwidth capacity) {
-  check_live_link(link);
+  check_link(link);
   ensure(capacity.bits_per_sec >= 0.0, "link capacity must be non-negative");
   const auto li = static_cast<std::size_t>(link.value());
   links_[li].capacity = capacity;
@@ -143,7 +116,7 @@ FlowId FluidNetwork::start_flow(std::span<const LinkId> path, Bytes bytes,
   // to allocate (the next solve bumps the epoch again for its own use).
   const std::uint64_t epoch = ++solve_epoch_;
   for (LinkId l : path) {
-    check_live_link(l);
+    check_link(l);
     const auto li = static_cast<std::size_t>(l.value());
     ensure(link_epoch_[li] != epoch, "flow path contains a duplicate link");
     link_epoch_[li] = epoch;
@@ -194,7 +167,7 @@ bool FluidNetwork::abort_flow(FlowId flow) {
 }
 
 int FluidNetwork::abort_flows_on(LinkId link) {
-  check_live_link(link);
+  check_link(link);
   const auto li = static_cast<std::size_t>(link.value());
   // abort_flow mutates the per-link index (swap-with-last), so iterate a
   // snapshot. Stale ids (a multi-link flow already aborted via an earlier
@@ -231,7 +204,7 @@ Bytes FluidNetwork::flow_remaining(FlowId flow) const {
 }
 
 double FluidNetwork::allocated_bps(LinkId link) {
-  check_live_link(link);
+  check_link(link);
   flush();
   const auto li = static_cast<std::size_t>(link.value());
   double bps = 0.0;
@@ -311,9 +284,8 @@ void FluidNetwork::solve_max_min() {
   // rates bit for bit (the filling below is a function of the component
   // alone). Walk from the dirty links, stamping flows and links with a walk
   // epoch; touched_links_ is the walk queue and ends up holding exactly the
-  // component's links. Everything else — including the unbounded set of
-  // retired circuit links a reconfigurable fabric accretes — is never
-  // touched.
+  // component's links. Everything else — including the idle transmit links
+  // of every unused optical switch port — is never touched.
   const std::uint64_t walk = ++solve_epoch_;
   touched_links_.clear();
   auto touch = [&](std::size_t li) {

@@ -39,11 +39,11 @@
 // link every instant changes no completion time.
 //
 // The solver scales with the dirty component, not lifetime state:
-// epoch-stamped scratch arrays avoid per-solve clearing, per-link flow
-// indices make active_flows_on / allocated_bps O(1) / O(flows-on-link), and
-// retired links (dead circuits from OCS reconfiguration churn) go on a free
-// list for id reuse so the link table stays bounded under rotor-style
-// fabrics.
+// epoch-stamped scratch arrays avoid per-solve clearing, and per-link flow
+// indices make active_flows_on / allocated_bps O(1) / O(flows-on-link). The
+// link table itself is bounded by hardware: an optical switch adds one link
+// per port (its transmitter), whatever peers the port is later connected to,
+// so links live as long as the network and are never removed.
 //
 // Flows live in a dense slot-indexed registry: a contiguous std::vector with
 // a LIFO free list, addressed by generation-stamped FlowIds (slot index +
@@ -96,25 +96,13 @@ class FluidNetwork {
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
 
-  /// Adds a link with the given capacity; returns its id. Retired ids are
-  /// reused (most recently retired first), so callers must not hold a LinkId
-  /// across retire_link of that link.
+  /// Adds a link with the given capacity; returns its id. Ids are dense
+  /// (0, 1, 2, ...) and a link lives as long as the network.
   LinkId add_link(Bandwidth capacity);
 
-  /// Retires an idle link: its id goes on the free list for reuse by a later
-  /// add_link. The link must carry no active flows.
-  void retire_link(LinkId link);
-
   Bandwidth capacity(LinkId link) const;
-  /// Size of the link table, retired slots included (stable upper bound for
-  /// iterating link ids; retired slots reject all other operations).
+  /// Number of links; every id below it is valid.
   std::size_t link_count() const { return links_.size(); }
-  /// Links currently usable (link_count() minus retired slots).
-  std::size_t live_link_count() const { return links_.size() - free_.size(); }
-  /// Links retired over the network's lifetime (monotone; id reuse does not
-  /// decrement it).
-  std::uint64_t retired_link_count() const { return retired_total_; }
-  bool link_retired(LinkId link) const;
 
   /// Changes a link's capacity (used for failure injection / degradation
   /// tests). Active flows re-share at the end of the current instant.
@@ -154,7 +142,7 @@ class FluidNetwork {
   /// injection enumerates a dying circuit's flows to rescue or abort them).
   /// Pending zero-byte flows hold no links and never appear here.
   std::vector<FlowId> flows_on(LinkId link) const {
-    check_live_link(link);
+    check_link(link);
     return link_state_[static_cast<std::size_t>(link.value())].flows;
   }
 
@@ -173,7 +161,7 @@ class FluidNetwork {
   /// OCS's pre-reconfiguration traffic checks call this once per touched
   /// port, which on a large rotor fabric is tens of millions of calls.
   int active_flows_on(LinkId link) const {
-    check_live_link(link);
+    check_link(link);
     return static_cast<int>(
         link_state_[static_cast<std::size_t>(link.value())].flows.size());
   }
@@ -254,17 +242,13 @@ class FluidNetwork {
     /// Ids of the active flows whose path crosses this link (unordered;
     /// removal is swap-with-last).
     std::vector<FlowId> flows;
-    bool retired = false;
   };
 
-  /// Bounds- and liveness-check a link id (inline: rides every hot-path
-  /// link accessor).
-  void check_live_link(LinkId link) const {
+  /// Bounds-check a link id (inline: rides every hot-path link accessor).
+  void check_link(LinkId link) const {
     ensure(link.valid() &&
                static_cast<std::size_t>(link.value()) < links_.size(),
            "invalid link id");
-    ensure(!link_state_[static_cast<std::size_t>(link.value())].retired,
-           "link id is retired");
   }
   /// The slot behind a live id; nullptr for stale, foreign, or invalid ids.
   Flow* find_flow(FlowId flow);
@@ -311,9 +295,6 @@ class FluidNetwork {
   /// links_[i].capacity.bytes_per_ns(), cached so the solve's per-touched-
   /// link reset skips the division.
   std::vector<double> cap_bytes_per_ns_;
-  /// Retired link ids available for reuse (LIFO for cache locality).
-  std::vector<std::int32_t> free_;
-  std::uint64_t retired_total_ = 0;
 
   /// The flow registry: dense slot array + LIFO free list. Slots are never
   /// removed, so peak concurrency bounds the vector; holes wait on the free

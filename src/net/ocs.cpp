@@ -52,8 +52,7 @@ OpticalCircuitSwitch::OpticalCircuitSwitch(sim::Simulator& sim,
       failed_(static_cast<std::size_t>(n_ports), false),
       owner_(static_cast<std::size_t>(n_ports), kUnowned),
       port_dark_ns_(static_cast<std::size_t>(n_ports), 0),
-      port_tx_link_(static_cast<std::size_t>(n_ports)),
-      port_pinned_(static_cast<std::size_t>(n_ports), false),
+      tx_link_(static_cast<std::size_t>(n_ports)),
       stamp_(static_cast<std::size_t>(n_ports), 0) {
   ensure(n_ports > 0, "OCS requires at least one port");
   ensure(port_bw.positive(), "OCS port bandwidth must be positive");
@@ -108,8 +107,7 @@ void OpticalCircuitSwitch::clear_circuits_on(const std::vector<PortId>& ports) {
     ensure(!dark(PortId{q}),
            "OCS clear_circuits_on: peer port is mid-reconfiguration");
     for (auto i : {p.value(), q}) {
-      const LinkId l = port_tx_link_[static_cast<std::size_t>(i)];
-      ensure(!l.valid() || net_.active_flows_on(l) == 0,
+      ensure(net_.active_flows_on(tx_link_[static_cast<std::size_t>(i)]) == 0,
              "OCS clear_circuits_on: circuit still carrying traffic");
     }
     tear_down(p.value());
@@ -184,8 +182,7 @@ void OpticalCircuitSwitch::fail_port(PortId p) {
   const auto q = peer_[i];
   if (q >= 0) {
     for (auto j : {p.value(), q}) {
-      const LinkId l = port_tx_link_[static_cast<std::size_t>(j)];
-      if (!l.valid()) continue;
+      const LinkId l = tx_link_[static_cast<std::size_t>(j)];
       if (flow_rescuer_) {
         for (const FlowId f : net_.flows_on(l)) flow_rescuer_(f);
         ensure(net_.active_flows_on(l) == 0,
@@ -224,7 +221,7 @@ std::vector<PortId> OpticalCircuitSwitch::touched_ports(
   for (const CircuitRequest& c : circuits) {
     check_port(c.a);
     check_port(c.b);
-    list.push_back({c.a.value(), c.b.value(), LinkId{}, LinkId{}});
+    list.push_back({c.a.value(), c.b.value()});
   }
   std::vector<PortId> out;
   for (const std::int32_t p : touched_by(list)) out.push_back(PortId{p});
@@ -254,47 +251,19 @@ std::vector<std::int32_t> OpticalCircuitSwitch::touched_by(
   return out;
 }
 
-OpticalCircuitSwitch::PairLinks& OpticalCircuitSwitch::link_pair(
-    std::int32_t a, std::int32_t b) {
-  const std::int32_t lo = std::min(a, b);
-  const std::int32_t hi = std::max(a, b);
-  auto it = links_.find(pair_key(lo, hi));
-  if (it == links_.end()) {
-    const LinkId fwd = net_.add_link(port_bw_);
-    const LinkId rev = net_.add_link(port_bw_);
-    it = links_.emplace(pair_key(lo, hi), PairLinks{fwd, rev}).first;
-  }
-  return it->second;
-}
-
 LinkId OpticalCircuitSwitch::link(PortId from, PortId to) const {
   ensure(connected(from, to), "OCS::link: no live circuit between ports");
-  // connected() guarantees peer_[from] == to, so the cached transmit link
-  // of `from` is exactly the from -> to link — no pair-map lookup.
-  const LinkId l = port_tx_link_[static_cast<std::size_t>(from.value())];
-  ensure(l.valid(), "OCS::link: circuit links missing");
-  return l;
+  // A live circuit's from -> to direction is `from`'s transmit link.
+  return tx_link_[static_cast<std::size_t>(from.value())];
 }
 
-void OpticalCircuitSwitch::establish(std::int32_t a, std::int32_t b) {
-  const PairLinks& l = link_pair(a, b);
-  if (a < b) {
-    connect(a, b, l.fwd, l.rev, l.pinned);
-  } else {
-    connect(a, b, l.rev, l.fwd, l.pinned);
+void OpticalCircuitSwitch::connect(std::int32_t a, std::int32_t b) {
+  for (const std::int32_t p : {a, b}) {
+    LinkId& l = tx_link_[static_cast<std::size_t>(p)];
+    if (!l.valid()) l = net_.add_link(port_bw_);
   }
-}
-
-void OpticalCircuitSwitch::connect(std::int32_t a, std::int32_t b, LinkId ab,
-                                   LinkId ba, bool pinned) {
-  const auto i = static_cast<std::size_t>(a);
-  const auto j = static_cast<std::size_t>(b);
-  peer_[i] = b;
-  peer_[j] = a;
-  port_tx_link_[i] = ab;
-  port_tx_link_[j] = ba;
-  port_pinned_[i] = pinned;
-  port_pinned_[j] = pinned;
+  peer_[static_cast<std::size_t>(a)] = b;
+  peer_[static_cast<std::size_t>(b)] = a;
   if (observer_ != nullptr) {
     observer_->on_circuit_up(PortId{a}, PortId{b}, sim_.now());
   }
@@ -306,51 +275,8 @@ void OpticalCircuitSwitch::tear_down(std::int32_t p) {
   if (q < 0) return;
   peer_[i] = -1;
   peer_[static_cast<std::size_t>(q)] = -1;
-  port_tx_link_[i] = LinkId{};
-  port_tx_link_[static_cast<std::size_t>(q)] = LinkId{};
   if (observer_ != nullptr) {
     observer_->on_circuit_down(PortId{p}, PortId{q}, sim_.now());
-  }
-  if (port_pinned_[i]) return;  // batch-owned links never retire
-  const std::int32_t lo = std::min(p, q);
-  const std::int32_t hi = std::max(p, q);
-  const std::uint64_t key = pair_key(lo, hi);
-  if (queued_dead_.insert(key).second) {
-    dead_pairs_.push_back({lo, hi});
-    prune_dead_circuits();
-  }
-}
-
-void OpticalCircuitSwitch::prune_dead_circuits() {
-  // Keep a bounded number of dead circuits cached: 2x the switch radix —
-  // bounded by hardware, never by the number of reconfigurations performed.
-  const auto cap = static_cast<std::size_t>(2 * n_ports());
-  std::size_t attempts = dead_pairs_.size();
-  while (dead_pairs_.size() > cap && attempts-- > 0) {
-    const auto pair = dead_pairs_.front();
-    dead_pairs_.pop_front();
-    const std::uint64_t key = pair_key(pair.first, pair.second);
-    queued_dead_.erase(key);
-    if (peer_[static_cast<std::size_t>(pair.first)] == pair.second) {
-      continue;  // re-established since; a future tear_down re-queues it
-    }
-    const auto it = links_.find(key);
-    if (it == links_.end()) continue;  // already retired via an older entry
-    // Pinned by a batch registered after this pair was queued.
-    if (it->second.pinned) continue;
-    if (net_.active_flows_on(it->second.fwd) > 0 ||
-        net_.active_flows_on(it->second.rev) > 0) {
-      // Still draining (a force_circuits teardown has no quiescence check):
-      // never retire under traffic, but keep the entry queued so the links
-      // are reclaimed once the flows finish rather than leaked.
-      dead_pairs_.push_back(pair);
-      queued_dead_.insert(key);
-      continue;
-    }
-    net_.retire_link(it->second.fwd);
-    net_.retire_link(it->second.rev);
-    stats_.links_retired += 2;
-    links_.erase(it);
   }
 }
 
@@ -365,7 +291,7 @@ void OpticalCircuitSwitch::force_circuits(
     if (failed(c.a) || failed(c.b)) continue;  // failed endpoints stay down
     tear_down(c.a.value());
     tear_down(c.b.value());
-    establish(c.a.value(), c.b.value());
+    connect(c.a.value(), c.b.value());
   }
   if (topology_listener_) topology_listener_();
 }
@@ -388,7 +314,7 @@ std::vector<OpticalCircuitSwitch::Circuit> OpticalCircuitSwitch::validated(
       }
       s = stamp;
     }
-    out.push_back({c.a.value(), c.b.value(), LinkId{}, LinkId{}});
+    out.push_back({c.a.value(), c.b.value()});
   }
   return out;
 }
@@ -413,10 +339,9 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
     if (on_done) on_done();
     return;
   }
-  // Ascending port order, which the observer's teardown order and the
-  // dead-circuit queue depend on: rewrite the set from the stamps it just
-  // received rather than sorting it, which rotor-sized sets (every port,
-  // every rotation) cannot afford.
+  // Ascending port order, which the observer's teardown order depends on:
+  // rewrite the set from the stamps it just received rather than sorting
+  // it, which rotor-sized sets (every port, every rotation) cannot afford.
   const std::uint64_t stamp = epoch_;
   for (std::size_t i = 0, k = 0; k < touched.size(); ++i) {
     if (stamp_[i] == stamp) touched[k++] = static_cast<std::int32_t>(i);
@@ -424,15 +349,14 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
   // Refuse to retarget a circuit that is actively carrying traffic; the Opus
   // controller guarantees quiescence (reconfigure only after the previous
   // communication kernel finishes) and the rotor drains before rotating.
-  // The diagnostic string is built only on failure. The cached per-port
-  // transmit link covers both directions of a touched circuit because a
-  // circuit's two endpoints are always touched together.
+  // The diagnostic string is built only on failure. Checking each touched
+  // port's transmit link covers both directions of a touched circuit
+  // because a circuit's two endpoints are always touched together.
   for (const std::int32_t p : touched) {
     const auto i = static_cast<std::size_t>(p);
     ensure(!dark_[i],
            "OCS reconfigure: port is mid-reconfiguration; serialize requests");
-    const LinkId l = port_tx_link_[i];
-    if (l.valid() && net_.active_flows_on(l) != 0) {
+    if (peer_[i] >= 0 && net_.active_flows_on(tx_link_[i]) != 0) {
       ensure(false,
              "OCS reconfigure: circuit still carrying traffic (switch " +
                  name_ + ", port " + std::to_string(p) + ")");
@@ -472,11 +396,7 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
           failed_[static_cast<std::size_t>(c.b)]) {
         continue;
       }
-      if (c.ab.valid()) {
-        connect(c.a, c.b, c.ab, c.ba, true);
-      } else {
-        establish(c.a, c.b);
-      }
+      connect(c.a, c.b);
     }
     if (cb) cb();
     if (topology_listener_) topology_listener_();
@@ -487,20 +407,8 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
 OpticalCircuitSwitch::BatchId OpticalCircuitSwitch::register_batch(
     const std::vector<CircuitRequest>& circuits) {
   ensure(!circuits.empty(), "OCS register_batch: empty circuit set");
-  std::vector<Circuit> batch = validated(circuits, "OCS register_batch");
-  for (Circuit& c : batch) {
-    PairLinks& l = link_pair(c.a, c.b);
-    l.pinned = true;
-    c.ab = c.a < c.b ? l.fwd : l.rev;
-    c.ba = c.a < c.b ? l.rev : l.fwd;
-    // A circuit already up over these links is now pinned too.
-    if (peer_[static_cast<std::size_t>(c.a)] == c.b) {
-      port_pinned_[static_cast<std::size_t>(c.a)] = true;
-      port_pinned_[static_cast<std::size_t>(c.b)] = true;
-    }
-  }
-  batches_.push_back(
-      std::make_shared<const std::vector<Circuit>>(std::move(batch)));
+  batches_.push_back(std::make_shared<const std::vector<Circuit>>(
+      validated(circuits, "OCS register_batch")));
   return static_cast<BatchId>(batches_.size()) - 1;
 }
 

@@ -11,13 +11,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -64,6 +61,13 @@ class OcsObserver {
 };
 
 /// MEMS/piezo/liquid-crystal-style optical circuit switch.
+///
+/// A port connects to one peer at a time, so its transmitter is one
+/// capacity constraint: each port owns one fluid link, created the first
+/// time the port joins a circuit and kept for the switch's lifetime. A
+/// circuit a<->b carries a->b on a's link and b->a on b's link, so the switch
+/// never adds more than n_ports links to the fluid network, however many
+/// distinct pairs a rotor or a churning fleet connects.
 class OpticalCircuitSwitch {
  public:
   struct Stats {
@@ -77,7 +81,9 @@ class OpticalCircuitSwitch {
     std::int64_t circuits_established = 0;
     /// Sum over ports of time spent dark.
     TimeNs cumulative_port_dark_ns = 0;
-    /// Fluid links retired because their circuit stayed dead (churn cleanup).
+    /// Never incremented: each port owns one fluid link for the switch's
+    /// lifetime, so no link is ever retired. Kept only because the benchmark
+    /// harness still reads it.
     std::int64_t links_retired = 0;
     /// Never incremented: batched and generic reconfigurations share one
     /// transaction, so nothing falls back. Kept only because the benchmark
@@ -146,11 +152,11 @@ class OpticalCircuitSwitch {
     if (is_dark(i) || is_dark(j) || failed_[i] || failed_[j]) return -1;
     return q;
   }
-  /// The fluid link carrying `port` -> its peer. Requires a live circuit on
-  /// `port` (live_peer(port) >= 0); equals link(port, peer) without the
-  /// precondition ensures.
+  /// The fluid link carrying `port` -> its peer (the port's transmit link).
+  /// Requires a live circuit on `port` (live_peer(port) >= 0); equals
+  /// link(port, peer) without the precondition ensures.
   LinkId live_tx_link(std::int32_t port) const {
-    return port_tx_link_[static_cast<std::size_t>(port)];
+    return tx_link_[static_cast<std::size_t>(port)];
   }
 
   /// Fails a port mid-run (fiber cut / transceiver death): its circuit is
@@ -215,23 +221,25 @@ class OpticalCircuitSwitch {
   using BatchId = int;
 
   /// Validates `circuits` (same rules as reconfigure, except that failed
-  /// ports are allowed) and pins their fluid link pairs: the links are
-  /// created now, kept for the switch's lifetime, and never retired by the
-  /// dead-circuit cache — a rotor replays each matching every cycle, so
-  /// retiring its links only to recreate them one rotation later dominated
-  /// large runs. The batch is just this pre-resolved circuit list.
+  /// ports are allowed) and stores them: the batch is just this validated
+  /// circuit list. It creates no fluid links — a circuit rides its ports'
+  /// own transmit links whichever peer it connects.
   BatchId register_batch(const std::vector<CircuitRequest>& circuits);
 
   /// reconfigure() over a registered batch's circuits, minus any circuit
   /// with a failed endpoint (those stay down until the owner re-wires).
   /// The same transaction runs: only the ports the batch retargets go
   /// dark, and circuits of the batch that are already live keep carrying
-  /// traffic. The batch's circuit list is shared with the completion event
-  /// and its links are pre-resolved, so a replay copies and hashes nothing.
+  /// traffic. The batch's circuit list is shared with the completion event,
+  /// so a replay copies and hashes nothing.
   void reconfigure_batch(BatchId batch, std::function<void()> on_done);
 
   /// Instantly establishes circuits with no dark period. Intended for t=0
-  /// initial topology (e.g. a pre-job configuration); counts no stats.
+  /// initial topology (e.g. a pre-job configuration) and emergency
+  /// re-wiring; counts no stats. Unlike reconfigure() it does not require
+  /// quiescence: flows still draining on a retargeted port stay on that
+  /// port's transmit link and share it with the new circuit's traffic, as
+  /// they would share the physical transmitter.
   void force_circuits(const std::vector<CircuitRequest>& circuits);
 
   /// Ports a reconfiguration request would touch (both endpoints of every
@@ -247,28 +255,18 @@ class OpticalCircuitSwitch {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One requested cross-connect: the port pair and, for a registered
-  /// batch, its pinned fluid links (a -> b, b -> a). A generic request
-  /// leaves the links invalid; they are resolved when the circuit comes up.
+  /// One requested cross-connect between ports `a` and `b`.
   struct Circuit {
     std::int32_t a;
     std::int32_t b;
-    LinkId ab;
-    LinkId ba;
   };
   using CircuitList = std::shared_ptr<const std::vector<Circuit>>;
-  /// The fluid links of one unordered port pair (low -> high, high -> low).
-  struct PairLinks {
-    LinkId fwd;
-    LinkId rev;
-    bool pinned = false;  ///< owned by a registered batch: never retired
-  };
 
   void check_port(PortId p) const;
   /// dark(p) without the port-validity check (hot paths index directly).
   bool is_dark(std::size_t i) const { return dark_[i]; }
   /// Checks ports, self-loops, ownership and duplicate ports (`op` names
-  /// the caller in the error) and returns the circuits unresolved.
+  /// the caller in the error) and returns the circuits.
   std::vector<Circuit> validated(const std::vector<CircuitRequest>& circuits,
                                  const char* op);
   /// The ports a transaction over `circuits` touches, in first-touch order,
@@ -284,26 +282,12 @@ class OpticalCircuitSwitch {
   void transact(CircuitList circuits, std::function<void()> on_done);
   /// Fires every registered waiter whose port set is now fully undark.
   void pump_undark_waiters();
-  /// Cross-connects a<->b over its (lazily created) fluid links.
-  void establish(std::int32_t a, std::int32_t b);
-  /// Cross-connects a<->b in the state tables over the given links.
-  void connect(std::int32_t a, std::int32_t b, LinkId ab, LinkId ba,
-               bool pinned);
-  /// Clears the circuit on `p` (and its peer), if any, and queues the pair's
-  /// fluid links for retirement once the dead-circuit cache overflows.
+  /// Cross-connects a<->b, first creating the transmit link of an endpoint
+  /// that has never been in a circuit.
+  void connect(std::int32_t a, std::int32_t b);
+  /// Clears the circuit on `p` (and its peer), if any. The ports keep their
+  /// transmit links.
   void tear_down(std::int32_t p);
-  /// Lazily creates (or fetches) the fluid link pair for an unordered pair.
-  PairLinks& link_pair(std::int32_t a, std::int32_t b);
-  /// Retires the fluid links of the oldest dead circuits beyond the cache
-  /// bound, so rotor-style reconfiguration churn cannot grow the fluid
-  /// network's solve set (or this switch's pair map) without bound.
-  void prune_dead_circuits();
-
-  /// Packed key for an unordered port pair (requires lo <= hi).
-  static constexpr std::uint64_t pair_key(std::int32_t lo, std::int32_t hi) {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(lo)) << 32) |
-           static_cast<std::uint32_t>(hi);
-  }
 
   sim::Simulator& sim_;
   FluidNetwork& net_;
@@ -318,13 +302,9 @@ class OpticalCircuitSwitch {
   std::vector<std::uint8_t> failed_;
   std::vector<std::int32_t> owner_;     // kUnowned = free
   std::vector<TimeNs> port_dark_ns_;    // per-port share of the Stats sum
-  /// Fluid link carrying traffic from port i to its current peer (invalid
-  /// when unconnected) — the allocation- and hash-free way to answer the
-  /// per-port traffic and link() queries on the reconfiguration hot path.
-  std::vector<LinkId> port_tx_link_;
-  /// Whether port i's current circuit runs over pinned links, so tear_down
-  /// skips the dead-circuit queue without a pair-map lookup.
-  std::vector<std::uint8_t> port_pinned_;
+  /// Port i's transmit link: invalid until the port's first circuit, then
+  /// fixed. It carries live traffic only while peer_[i] >= 0.
+  std::vector<LinkId> tx_link_;
   /// Per-port epoch stamps: touched-set and duplicate-port membership
   /// without hashing or sorting.
   mutable std::vector<std::uint64_t> stamp_;
@@ -341,19 +321,6 @@ class OpticalCircuitSwitch {
   OcsObserver* observer_ = nullptr;
   ProfileSink* profile_sink_ = nullptr;
   int profile_phase_batch_ = -1;
-  // Unordered port pair -> (link low->high, link high->low). Hashed on the
-  // packed pair: whole-rail reconfiguration (the rotor) performs ~1e8
-  // lookups per large run, where an ordered map's log-factor dominated.
-  std::unordered_map<std::uint64_t, PairLinks> links_;
-  // Recently torn-down pairs, oldest first, at most one entry per pair
-  // (queued_dead_ is the membership index — duplicate entries would let a
-  // pair be retired by its stalest entry while a fresher one still queues).
-  // Keeping a bounded number of dead circuits cached preserves link
-  // identity for the common Opus pattern of re-establishing the same
-  // circuit a moment later; beyond the bound the oldest dead pairs lose
-  // their fluid links to FluidNetwork's free list.
-  std::deque<std::pair<std::int32_t, std::int32_t>> dead_pairs_;
-  std::unordered_set<std::uint64_t> queued_dead_;
   Stats stats_;
 };
 

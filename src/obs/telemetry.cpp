@@ -138,7 +138,7 @@ void Telemetry::attach_fabric(sim::Simulator& sim, net::Cluster& cluster) {
     return static_cast<double>(net.frozen_bottleneck_links());
   });
   metrics_.add_gauge("fluid.live_links", [&net] {
-    return static_cast<double>(net.live_link_count());
+    return static_cast<double>(net.link_count());
   });
   metrics_.add_gauge("cluster.rescued_flows", [&cluster] {
     return static_cast<double>(cluster.rescued_flow_count());

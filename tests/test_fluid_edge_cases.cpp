@@ -2,8 +2,8 @@
 // clamp), zero-byte lifecycle (delivery accounting, abortability while the
 // latency pends), dark links stalling and resuming, bottleneck aborts
 // redistributing rates, lazy-advance consistency of flow_remaining across
-// those transitions, link retirement / id reuse, and the flow registry's
-// slot reuse + stale-generation rejection.
+// those transitions, and the flow registry's slot reuse + stale-generation
+// rejection.
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -223,47 +223,6 @@ TEST_F(FluidEdgeTest, FlowRemainingIsConsistentAcrossTransitions) {
 }
 
 // ---------------------------------------------------------------------------
-// Link retirement and id reuse.
-// ---------------------------------------------------------------------------
-
-TEST_F(FluidEdgeTest, RetiredLinkIdsAreReused) {
-  const LinkId a = net.add_link(k100G);
-  const LinkId b = net.add_link(k100G);
-  EXPECT_EQ(net.link_count(), 2u);
-  EXPECT_EQ(net.live_link_count(), 2u);
-
-  net.retire_link(a);
-  EXPECT_EQ(net.link_count(), 2u) << "the table slot stays allocated";
-  EXPECT_EQ(net.live_link_count(), 1u);
-  EXPECT_EQ(net.retired_link_count(), 1u);
-  EXPECT_TRUE(net.link_retired(a));
-  EXPECT_FALSE(net.link_retired(b));
-
-  const LinkId c = net.add_link(Bandwidth::gbps(50));
-  EXPECT_EQ(c, a) << "retired ids must be reused before the table grows";
-  EXPECT_EQ(net.link_count(), 2u);
-  EXPECT_EQ(net.live_link_count(), 2u);
-  EXPECT_EQ(net.capacity(c), Bandwidth::gbps(50));
-}
-
-TEST_F(FluidEdgeTest, RetiringALinkWithActiveFlowsThrows) {
-  const LinkId l = net.add_link(k100G);
-  net.start_flow({l}, gib(1), 0, nullptr);
-  EXPECT_THROW(net.retire_link(l), InvariantError);
-}
-
-TEST_F(FluidEdgeTest, OperationsOnRetiredLinksThrow) {
-  const LinkId l = net.add_link(k100G);
-  net.retire_link(l);
-  EXPECT_THROW(net.capacity(l), InvariantError);
-  EXPECT_THROW(net.set_capacity(l, k100G), InvariantError);
-  EXPECT_THROW(net.active_flows_on(l), InvariantError);
-  EXPECT_THROW(net.allocated_bps(l), InvariantError);
-  EXPECT_THROW(net.start_flow({l}, 100, 0, nullptr), InvariantError);
-  EXPECT_THROW(net.retire_link(l), InvariantError);
-}
-
-// ---------------------------------------------------------------------------
 // Flow-registry slot reuse and stale-generation rejection: a FlowId held
 // across the end of its flow must be detected, never alias the slot's next
 // occupant.
@@ -409,20 +368,6 @@ TEST_F(FluidEdgeTest, SpanAbortInsideRailLatencyDoesNotDeliver) {
   c.abort_span_traffic({0, 2});
   sim.run();
   EXPECT_EQ(done, 0) << "an evicted hop must not deliver";
-}
-
-TEST_F(FluidEdgeTest, RetiredLinksDoNotAffectActiveSolves) {
-  // A pile of retired links must not slow down or perturb the solve for the
-  // flows that remain (the churn scenario, in miniature).
-  std::vector<LinkId> junk;
-  for (int i = 0; i < 64; ++i) junk.push_back(net.add_link(k100G));
-  const LinkId live = net.add_link(k100G);
-  for (LinkId l : junk) net.retire_link(l);
-  const FlowId a = net.start_flow({live}, gib(1), 0, nullptr);
-  const FlowId b = net.start_flow({live}, gib(1), 0, nullptr);
-  EXPECT_NEAR(net.flow_rate_bps(a), 50e9, 1e6);
-  EXPECT_NEAR(net.flow_rate_bps(b), 50e9, 1e6);
-  EXPECT_EQ(net.retired_link_count(), 64u);
 }
 
 }  // namespace

@@ -177,14 +177,24 @@ TEST_F(OcsTest, MidFlightDelayChangeKeepsAccountingAndDarknessInSync) {
   EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 2 * msecs(15) + 2 * msecs(1));
 }
 
-TEST_F(OcsTest, ReconfigurationChurnRetiresDeadCircuitLinks) {
+TEST_F(OcsTest, ReconfigurationChurnKeepsOneLinkPerPort) {
   // Rotor-style round-robin matchings on all 8 ports (the same
   // round_robin_circuits schedule the churn bench drives): every round
-  // tears down 4 circuits and establishes 4 never-seen pairs (period 7).
-  // Two full cycles create 28 distinct pairs; the dead-circuit cache
-  // (2x n_ports = 16 pairs) must retire the overflow and reuse the fluid
-  // link slots.
+  // tears down 4 circuits and establishes 4 never-seen pairs (period 7), so
+  // two cycles connect 28 distinct pairs. A port transmits on one fluid
+  // link whatever its peer, so the link table never outgrows the radix —
+  // and neither a port failure and repair nor forced re-wiring adds to it.
   constexpr int kRot = 7;  // n_ports - 1
+  std::vector<LinkId> tx(8);  // each port's transmit link, once seen
+  const auto expect_port_links = [&](PortId a, PortId b) {
+    for (const auto& [from, to] : {std::pair{a, b}, std::pair{b, a}}) {
+      LinkId& seen = tx[static_cast<std::size_t>(from.value())];
+      if (!seen.valid()) seen = sw.link(from, to);
+      EXPECT_EQ(sw.link(from, to), seen)
+          << "port " << from.value() << " must keep its transmit link";
+    }
+    EXPECT_LE(net.link_count(), 8u);
+  };
   for (int r = 0; r < 2 * kRot; ++r) {
     const auto circuits = round_robin_circuits(8, r);
     ASSERT_EQ(circuits.size(), 4u);
@@ -193,21 +203,42 @@ TEST_F(OcsTest, ReconfigurationChurnRetiresDeadCircuitLinks) {
     // Push one flow across each live circuit so the churn carries traffic.
     TimeNs done = 0;
     for (const CircuitRequest& c : circuits) {
+      expect_port_links(c.a, c.b);
       net.start_flow({sw.link(c.a, c.b)}, 25'000'000, 0,
                      [&done, this] { done = sim.now(); });
     }
     sim.run();
     EXPECT_GT(done, 0);
+    if (r == kRot) {
+      // Mid-churn, a port dies under traffic and is repaired: its circuit's
+      // flow is aborted and the next round re-wires it over the same link.
+      const CircuitRequest& c = circuits.front();
+      const LinkId dying = sw.link(c.a, c.b);
+      net.start_flow({dying}, 25'000'000, 0, nullptr);
+      sw.fail_port(c.a);
+      EXPECT_EQ(net.active_flows_on(dying), 0);
+      EXPECT_FALSE(sw.peer(c.b).has_value());
+      sw.repair_port(c.a);
+      EXPECT_LE(net.link_count(), 8u);
+    }
   }
-  EXPECT_GT(sw.stats().links_retired, 0)
-      << "churn beyond the dead-circuit cache must retire links";
-  EXPECT_EQ(net.retired_link_count(),
-            static_cast<std::uint64_t>(sw.stats().links_retired));
-  // Live state stays bounded by the radix (4 live + <=16 cached dead
-  // pairs), and id reuse keeps the table itself from growing one slot per
-  // lifetime pair (28 pairs would need 56 links without reuse).
-  EXPECT_LE(net.live_link_count(), 2u * (4u + 16u));
-  EXPECT_LT(net.link_count(), 56u);
+  // force_circuits retargets without a quiescence check: a flow still
+  // draining on port 0 stays on port 0's transmit link and shares it with
+  // the new circuit's traffic.
+  const PortId p0{0};
+  const PortId old = sw.peer(p0).value();
+  const PortId next{old.value() == 1 ? 2 : 1};
+  const FlowId draining =
+      net.start_flow({sw.link(p0, old)}, 25'000'000, 0, nullptr);
+  sw.force_circuits({{p0, next}});
+  expect_port_links(p0, next);
+  const FlowId fresh =
+      net.start_flow({sw.link(p0, next)}, 25'000'000, 0, nullptr);
+  EXPECT_NEAR(net.flow_rate_bps(draining), 100e9, 1e6);
+  EXPECT_NEAR(net.flow_rate_bps(fresh), 100e9, 1e6);
+  sim.run();
+  EXPECT_EQ(net.active_flow_count(), 0u);
+  EXPECT_EQ(net.link_count(), 8u);
 }
 
 // ---- batched rotation transactions -----------------------------------------
@@ -263,8 +294,6 @@ TEST_F(OcsTest, BatchRotationsAccrueDeltaDarkAccounting) {
     }
     EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
   }
-  EXPECT_EQ(sw.stats().links_retired, 0)
-      << "batch-pinned circuit pairs must never be retired by churn";
 }
 
 TEST_F(OcsTest, BatchReplayKeepsLinkIdentity) {
@@ -280,32 +309,7 @@ TEST_F(OcsTest, BatchReplayKeepsLinkIdentity) {
   sw.reconfigure_batch(a, nullptr);
   sim.run();
   EXPECT_EQ(sw.link(PortId{0}, PortId{1}), first)
-      << "replayed matchings reuse their pinned fluid links";
-}
-
-TEST_F(OcsTest, BatchPinsLinksOfAPairAlreadyQueuedAsDead) {
-  // 0<->1 dies before any batch names it, so it waits in the dead-circuit
-  // queue. Registering a batch over it must protect its links from the
-  // churn that later overflows the queue (2x n_ports = 16 pairs), or the
-  // batch would replay onto retired link ids.
-  sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr);
-  sim.run();
-  const LinkId first = sw.link(PortId{0}, PortId{1});
-  sw.reconfigure({{PortId{0}, PortId{2}}}, nullptr);
-  sim.run();
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}}});
-  // Round 4 of the 8-port schedule re-forms 0<->1; skip it so the pair
-  // stays dead while 20 more pairs are torn down behind it.
-  for (int r : {0, 1, 2, 3, 5, 6}) {
-    sw.reconfigure(round_robin_circuits(8, r), nullptr);
-    sim.run();
-  }
-  ASSERT_GT(sw.stats().links_retired, 0) << "churn must overflow the queue";
-  EXPECT_FALSE(net.link_retired(first));
-  sw.reconfigure_batch(batch, nullptr);
-  sim.run();
-  EXPECT_EQ(sw.link(PortId{0}, PortId{1}), first);
-  EXPECT_FALSE(net.link_retired(sw.link(PortId{0}, PortId{1})));
+      << "replayed matchings reuse their ports' fluid links";
 }
 
 TEST_F(OcsTest, BatchAlreadySatisfiedAcksWithoutCounting) {

@@ -53,6 +53,9 @@ TEST(Rotor, MatchingsEventuallyServeEveryPair) {
   sim.run();
   EXPECT_EQ(completed, issued);
   EXPECT_GE(rotor.rotations(), 4) << "needed most of a cycle";
+  // Every node pair was connected, yet each OCS port owns one fluid link:
+  // at most 2 rails x 6 nodes x 2 ports.
+  EXPECT_LE(cluster.network().link_count(), 24u);
 }
 
 TEST(Rotor, OddNodeCountGivesByes) {
