@@ -39,7 +39,7 @@ TimeNs run_collective(net::FabricKind kind, CollectiveType type, Algorithm algo,
   const auto sched = plan_collective(type, algo, 8, payload);
   const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(group, cc,
+  exec.run(group, cc, sched.payload_bytes,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   return duration;

@@ -57,7 +57,8 @@ TimeNs run_collective(bool rotor, int nodes, TimeNs ocs_delay,
   const auto sched = plan_collective(type, algo, nodes, payload);
   const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();

@@ -23,27 +23,42 @@ void sort_unique(std::vector<std::pair<int, int>>& pairs, std::size_t from) {
 
 }  // namespace
 
-std::shared_ptr<const CompiledCollective> compile(CollectiveSchedule sched) {
+std::shared_ptr<const CompiledCollective> compile(
+    const CollectiveSchedule& sched) {
   auto cc = std::make_shared<CompiledCollective>();
-  cc->sched = std::move(sched);
-  const std::vector<Transfer>& transfers = cc->sched.transfers;
-  const auto n_steps = static_cast<std::size_t>(cc->sched.n_steps);
-  const auto n_ranks = static_cast<std::size_t>(cc->sched.n_ranks);
-  const std::size_t n = transfers.size();
-  auto at = [&](int i) -> const Transfer& {
-    return transfers[static_cast<std::size_t>(i)];
-  };
-  for (const Transfer& t : transfers) {
+  cc->n_ranks = sched.n_ranks;
+  cc->n_steps = sched.n_steps;
+  cc->unit_divisor = sched.type == CollectiveType::kAllToAll ? sched.n_ranks
+                     : sched.n_chunks > 0                    ? sched.n_chunks
+                                                             : 1;
+  ensure(cc->unit_divisor >= 1, "AllToAll schedule has no ranks");
+  const Bytes unit = cc->unit_bytes(sched.payload_bytes);
+  const auto n_steps = static_cast<std::size_t>(sched.n_steps);
+  const auto n_ranks = static_cast<std::size_t>(sched.n_ranks);
+  const std::size_t n = sched.transfers.size();
+  cc->transfers.reserve(n);
+  for (const Transfer& t : sched.transfers) {
     ensure(t.step >= 0 && static_cast<std::size_t>(t.step) < n_steps,
            "transfer step out of range");
     ensure(t.src >= 0 && static_cast<std::size_t>(t.src) < n_ranks &&
                t.dst >= 0 && static_cast<std::size_t>(t.dst) < n_ranks,
            "transfer rank out of range");
+    const int units = t.chunk_lo >= 0 ? t.chunk_hi - t.chunk_lo
+                      : sched.type == CollectiveType::kAllToAll ? 1
+                                                                : 0;
+    // At most the whole payload, so units * unit cannot overflow.
+    ensure(units >= 0 && units <= cc->unit_divisor && t.bytes == units * unit,
+           "transfer bytes are not a whole number of the schedule's units");
+    cc->transfers.push_back(UnitTransfer{t.step, t.src, t.dst, units});
   }
+  const std::vector<UnitTransfer>& transfers = cc->transfers;
+  auto at = [&](int i) -> const UnitTransfer& {
+    return transfers[static_cast<std::size_t>(i)];
+  };
 
   // Step index: a counting sort by step keeps each step's indices ascending.
   cc->step_begin.assign(n_steps + 1, 0);
-  for (const Transfer& t : transfers) {
+  for (const UnitTransfer& t : transfers) {
     ++cc->step_begin[static_cast<std::size_t>(t.step) + 1];
   }
   counts_to_offsets(cc->step_begin);

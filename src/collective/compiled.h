@@ -1,12 +1,15 @@
-// Compiled collectives: a schedule plus everything derived from it that the
-// executor and the transports read on every launch.
+// Compiled collectives: the byte-free shape of a schedule plus everything
+// derived from it that the executor and the transports read on every launch.
 //
 // A training iteration repeats the same collectives every iteration, so the
 // derived indexes are built once by compile() and shared, immutable, by every
-// run of that collective (IterationEngine caches one per (type, algorithm,
-// group size, bytes)). Indexes are flat arrays, not vectors of vectors, so a
-// 512-rank ring costs a few allocations rather than one per transfer. Most
-// are CSR: the entries of row i are list[begin[i] .. begin[i+1]).
+// run of that collective shape (IterationEngine caches one per (type,
+// algorithm, group size)). The shape holds no payload: every planner transfer
+// moves a whole number of units, unit(P) = ceil(P / unit_divisor), so a
+// transfer stores its unit count and each run prices it from its own payload.
+// Indexes are flat arrays, not vectors of vectors, so a 512-rank ring costs a
+// few allocations rather than one per transfer. Most are CSR: the entries of
+// row i are list[begin[i] .. begin[i+1]).
 #pragma once
 
 #include <memory>
@@ -18,11 +21,31 @@
 
 namespace opus::collective {
 
-struct CompiledCollective {
-  CollectiveSchedule sched;
+/// One transfer of a compiled shape: it sends units x the run's unit bytes.
+struct UnitTransfer {
+  int step = 0;
+  int src = 0;
+  int dst = 0;
+  int units = 0;
+};
 
-  /// Step index: transfer indices of step s, ascending. Equals
-  /// sched.transfers_by_step()[s].
+struct CompiledCollective {
+  int n_ranks = 0;
+  int n_steps = 0;
+  /// d in unit(P) = ceil(P / d): the schedule's chunk count for chunk-tracked
+  /// schedules (ring, recursive, direct AllGather), n_ranks for AllToAll
+  /// slices, 1 for payload-wide transfers and for Barrier.
+  Bytes unit_divisor = 1;
+  /// The schedule's transfers in planner order (indices match it).
+  std::vector<UnitTransfer> transfers;
+
+  /// Bytes one unit carries in a run of `payload` bytes.
+  Bytes unit_bytes(Bytes payload) const {
+    return (payload + unit_divisor - 1) / unit_divisor;
+  }
+
+  /// Step index: transfer indices of step s, ascending. Equals the compiled
+  /// schedule's transfers_by_step()[s].
   std::vector<int> step_begin;  ///< n_steps + 1 offsets into step_order
   std::vector<int> step_order;
 
@@ -70,8 +93,13 @@ struct CompiledCollective {
   }
 };
 
-/// Builds every index of `sched` (throws InvariantError on a transfer whose
-/// step or rank is out of range).
-std::shared_ptr<const CompiledCollective> compile(CollectiveSchedule sched);
+/// Builds the shape of `sched` and every index of it. Throws InvariantError
+/// on a transfer whose step or rank is out of range, whose unit count
+/// exceeds unit_divisor, or whose bytes are not its unit count times
+/// unit(sched.payload_bytes): a chunk-tracked transfer is chunk_hi -
+/// chunk_lo units, an untracked AllToAll slice 1, an untracked transfer of
+/// any other type (a Barrier token) 0.
+std::shared_ptr<const CompiledCollective> compile(
+    const CollectiveSchedule& sched);
 
 }  // namespace opus::collective

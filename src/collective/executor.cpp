@@ -11,6 +11,8 @@ struct CollectiveExecutor::RunState {
   CollectiveExecutor* exec = nullptr;
   CommGroup group;
   std::shared_ptr<const CompiledCollective> cc;
+  Bytes payload = 0;
+  Bytes unit = 0;  ///< cc->unit_bytes(payload): a transfer sends units x unit
   std::function<void(const Result&)> on_complete;
   Result result;
 
@@ -31,20 +33,23 @@ CollectiveExecutor::~CollectiveExecutor() = default;
 
 void CollectiveExecutor::run(const CommGroup& group,
                              std::shared_ptr<const CompiledCollective> cc,
+                             Bytes payload,
                              std::function<void(const Result&)> on_complete) {
   ensure(cc != nullptr, "executor: null compiled collective");
-  ensure(group.size() == cc->sched.n_ranks,
+  ensure(group.size() == cc->n_ranks,
          "executor: schedule rank count does not match group size");
-  const bool step_sync = !cc->sched.transfers.empty() &&
-                         transport_.needs_per_step_preparation(group, *cc);
+  ensure(payload >= 0, "executor: payload must be non-negative");
+  const bool step_sync =
+      !cc->transfers.empty() &&
+      transport_.needs_per_step_preparation(group, *cc, payload);
   if (step_sync && step_sync_busy_.contains(group.id)) {
     // Same-communicator step-synchronous collectives must not interleave
     // their per-step reconfigurations; queue behind the active one.
     step_sync_queue_[group.id].push_back(
-        PendingRun{group, std::move(cc), std::move(on_complete)});
+        PendingRun{group, std::move(cc), payload, std::move(on_complete)});
     return;
   }
-  start_run(group, std::move(cc), std::move(on_complete), step_sync);
+  start_run(group, std::move(cc), payload, std::move(on_complete), step_sync);
 }
 
 CollectiveExecutor::RunState* CollectiveExecutor::acquire_run(
@@ -77,14 +82,17 @@ CollectiveExecutor::RunState* CollectiveExecutor::acquire_run(
 
 void CollectiveExecutor::start_run(
     const CommGroup& group, std::shared_ptr<const CompiledCollective> cc,
-    std::function<void(const Result&)> on_complete, bool step_sync) {
+    Bytes payload, std::function<void(const Result&)> on_complete,
+    bool step_sync) {
   RunState* rs = acquire_run(cc->initial_deps.size());
   rs->group = group;
   rs->cc = std::move(cc);
+  rs->payload = payload;
+  rs->unit = rs->cc->unit_bytes(payload);
   rs->on_complete = std::move(on_complete);
   rs->result = Result{};
   rs->result.start = sim_.now();
-  const int n_transfers = static_cast<int>(rs->cc->sched.transfers.size());
+  const int n_transfers = static_cast<int>(rs->cc->transfers.size());
   rs->result.transfers = n_transfers;
   rs->transfers_remaining = n_transfers;
   rs->step_transfers_remaining = 0;
@@ -97,7 +105,7 @@ void CollectiveExecutor::start_run(
 
   rs->result.step_synchronous = step_sync;
   if (step_sync) step_sync_busy_.insert(group.id);
-  transport_.prepare_collective(rs->group, *rs->cc, [rs] {
+  transport_.prepare_collective(rs->group, *rs->cc, payload, [rs] {
     if (rs->result.step_synchronous) {
       rs->exec->run_step_synchronous(rs, 0);
     } else {
@@ -117,10 +125,10 @@ void CollectiveExecutor::launch_pipelined(RunState* rs) {
 }
 
 void CollectiveExecutor::launch_transfer(RunState* rs, int index) {
-  const Transfer& t = rs->cc->sched.transfers[static_cast<std::size_t>(index)];
+  const UnitTransfer& t = rs->cc->transfers[static_cast<std::size_t>(index)];
   const GpuId src = rs->group.ranks[static_cast<std::size_t>(t.src)];
   const GpuId dst = rs->group.ranks[static_cast<std::size_t>(t.dst)];
-  transport_.send(rs->group, src, dst, t.bytes,
+  transport_.send(rs->group, src, dst, t.units * rs->unit,
                   [rs, index] { rs->exec->on_transfer_done(rs, index); });
 }
 
@@ -135,7 +143,7 @@ void CollectiveExecutor::on_transfer_done(RunState* rs, int index) {
   } else {
     if (--rs->step_transfers_remaining == 0 && rs->transfers_remaining > 0) {
       const int next_step =
-          rs->cc->sched.transfers[static_cast<std::size_t>(index)].step + 1;
+          rs->cc->transfers[static_cast<std::size_t>(index)].step + 1;
       run_step_synchronous(rs, next_step);
     }
   }
@@ -145,10 +153,10 @@ void CollectiveExecutor::on_transfer_done(RunState* rs, int index) {
 void CollectiveExecutor::run_step_synchronous(RunState* rs, int step) {
   // Skip (theoretically) empty steps.
   const CompiledCollective& cc = *rs->cc;
-  while (step < cc.sched.n_steps && cc.step(step).empty()) ++step;
-  if (step >= cc.sched.n_steps) return;
+  while (step < cc.n_steps && cc.step(step).empty()) ++step;
+  if (step >= cc.n_steps) return;
   rs->step_transfers_remaining = static_cast<int>(cc.step(step).size());
-  transport_.prepare_step(rs->group, cc, step, [rs, step] {
+  transport_.prepare_step(rs->group, cc, rs->payload, step, [rs, step] {
     for (int ti : rs->cc->step(step)) rs->exec->launch_transfer(rs, ti);
   });
 }
@@ -168,7 +176,7 @@ void CollectiveExecutor::finish(RunState* rs) {
       // Decouple from the finishing run's stack.
       auto pending = std::make_shared<PendingRun>(std::move(next));
       sim_.schedule_after(0, [this, pending] {
-        start_run(pending->group, std::move(pending->cc),
+        start_run(pending->group, std::move(pending->cc), pending->payload,
                   std::move(pending->on_complete), true);
       });
     }

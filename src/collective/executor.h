@@ -1,8 +1,9 @@
 // Dependency-driven collective execution on the simulated fabric.
 //
 // The executor runs compiled collectives (collective/compiled.h): every run
-// shares one immutable CompiledCollective and copies only its per-transfer
-// dependency counts. Default mode is *pipelined*: a transfer at step s from
+// shares one immutable, byte-free CompiledCollective, copies only its
+// per-transfer dependency counts, and prices each transfer from its own
+// payload (units x unit, the unit computed once per run). Default mode is *pipelined*: a transfer at step s from
 // rank r launches as soon as (a) r's own step s-1 send finished (port
 // serialization) and (b) the step s-1 data destined to r arrived (data
 // dependency) — the compiled dependency graph. This reproduces ring
@@ -49,14 +50,18 @@ class CollectiveExecutor {
     TimeNs duration() const { return end - start; }
   };
 
-  /// Runs `cc` over `group`; `on_complete(result)` fires when every
-  /// transfer has delivered. Multiple collectives (on different groups) may
+  /// Runs `cc` over `group` with a payload of `payload` bytes (in
+  /// plan_collective's payload semantics): transfer i sends
+  /// cc->transfers[i].units x cc->unit_bytes(payload) bytes, exactly the
+  /// bytes plan_collective(..., payload) gives it, and every transport hook
+  /// sees this payload. `on_complete(result)` fires when every transfer has
+  /// delivered. Multiple collectives (on different groups) may
   /// be in flight concurrently on one executor. Step-synchronous schedules
   /// (those needing per-step circuit preparation) are serialized per group,
   /// like same-communicator collectives on one NCCL stream — their per-step
   /// reconfigurations must not interleave.
   void run(const CommGroup& group,
-           std::shared_ptr<const CompiledCollective> cc,
+           std::shared_ptr<const CompiledCollective> cc, Bytes payload,
            std::function<void(const Result&)> on_complete);
 
   /// Total collectives completed by this executor.
@@ -67,10 +72,11 @@ class CollectiveExecutor {
   struct PendingRun {
     CommGroup group;
     std::shared_ptr<const CompiledCollective> cc;
+    Bytes payload = 0;
     std::function<void(const Result&)> on_complete;
   };
   void start_run(const CommGroup& group,
-                 std::shared_ptr<const CompiledCollective> cc,
+                 std::shared_ptr<const CompiledCollective> cc, Bytes payload,
                  std::function<void(const Result&)> on_complete,
                  bool step_sync);
   /// A recycled RunState whose countdown buffer fits `n_transfers` (the

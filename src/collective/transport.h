@@ -6,7 +6,9 @@
 // first establishes optical circuits via the control plane, exactly like the
 // shim/controller interaction in Fig. 6 of the paper. Every hook receives
 // the run's CompiledCollective, so a transport reads the schedule's step
-// index and peer pairs instead of re-deriving them per launch. Only send()
+// index and peer pairs instead of re-deriving them per launch. The compiled
+// shape is shared by runs of every payload, so the preparation hooks also
+// receive the run's payload (plan_collective's payload semantics). Only send()
 // is required: the preparation hooks default to "ready at once, no
 // per-step preparation", which suits every fabric whose wiring does not
 // follow demand (packet rails, a rotor, a static ring).
@@ -29,6 +31,7 @@ class Transport {
   /// after the control plane has established the circuits for the schedule.
   virtual void prepare_collective(const CommGroup& /*group*/,
                                   const CompiledCollective& /*cc*/,
+                                  Bytes /*payload*/,
                                   std::function<void()> ready) {
     ready();
   }
@@ -38,14 +41,16 @@ class Transport {
   /// must run the schedule step-synchronously). Always false for packet
   /// fabrics; true on photonic rails for algorithms whose distinct peer
   /// count exceeds the NIC port budget (constraint C1).
-  virtual bool needs_per_step_preparation(
-      const CommGroup& /*group*/, const CompiledCollective& /*cc*/) const {
+  virtual bool needs_per_step_preparation(const CommGroup& /*group*/,
+                                          const CompiledCollective& /*cc*/,
+                                          Bytes /*payload*/) const {
     return false;
   }
 
   /// Called before step `step` when needs_per_step_preparation() is true.
   virtual void prepare_step(const CommGroup& /*group*/,
-                            const CompiledCollective& /*cc*/, int /*step*/,
+                            const CompiledCollective& /*cc*/,
+                            Bytes /*payload*/, int /*step*/,
                             std::function<void()> ready) {
     ready();
   }

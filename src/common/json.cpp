@@ -132,9 +132,12 @@ class Parser {
     std::string p = "$";
     for (const auto& seg : path_) {
       if (seg.key.empty() && seg.index >= 0) {
-        p += "[" + std::to_string(seg.index) + "]";
+        p += '[';
+        p += std::to_string(seg.index);
+        p += ']';
       } else {
-        p += "." + seg.key;
+        p += '.';
+        p += seg.key;
       }
     }
     return p;

@@ -141,7 +141,7 @@ std::vector<RailCircuits> CircuitPlanner::plan_step(
     const collective::CommGroup& group,
     const collective::CompiledCollective& cc, int step) const {
   ensure(cluster_.photonic(), "circuit planner requires photonic rails");
-  ensure(step >= 0 && step < cc.sched.n_steps,
+  ensure(step >= 0 && step < cc.n_steps,
          "circuit planner: step out of range");
   auto plan = assign_ports(lower_edges(group, cc.peer_pairs_of_step(step)),
                            stripe_limit_for(group.dim),

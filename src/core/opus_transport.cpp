@@ -40,13 +40,13 @@ bool OpusTransport::offload_to_mgmt(const collective::CommGroup& group,
 
 void OpusTransport::prepare_collective(
     const collective::CommGroup& group,
-    const collective::CompiledCollective& cc,
+    const collective::CompiledCollective& cc, Bytes payload,
     std::function<void()> ready) {
   if (!needs_circuits(group)) {
     ready();
     return;
   }
-  if (offload_to_mgmt(group, cc.sched.payload_bytes)) {
+  if (offload_to_mgmt(group, payload)) {
     mgmt_mode_[group.id] = true;
     ready();
     return;
@@ -75,17 +75,17 @@ void OpusTransport::prepare_collective(
 
 bool OpusTransport::needs_per_step_preparation(
     const collective::CommGroup& group,
-    const collective::CompiledCollective& cc) const {
+    const collective::CompiledCollective& cc, Bytes payload) const {
   if (!needs_circuits(group)) return false;
-  if (offload_to_mgmt(group, cc.sched.payload_bytes)) return false;
+  if (offload_to_mgmt(group, payload)) return false;
   return !planner_.plan_static(group, cc).has_value();
 }
 
 void OpusTransport::prepare_step(const collective::CommGroup& group,
                                  const collective::CompiledCollective& cc,
-                                 int step, std::function<void()> ready) {
-  if (!needs_circuits(group) ||
-      offload_to_mgmt(group, cc.sched.payload_bytes)) {
+                                 Bytes payload, int step,
+                                 std::function<void()> ready) {
+  if (!needs_circuits(group) || offload_to_mgmt(group, payload)) {
     ready();
     return;
   }

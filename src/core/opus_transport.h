@@ -41,13 +41,13 @@ class OpusTransport final : public collective::Transport {
   // ---- collective::Transport -----------------------------------------------
   void prepare_collective(const collective::CommGroup& group,
                           const collective::CompiledCollective& cc,
-                          std::function<void()> ready) override;
-  bool needs_per_step_preparation(
-      const collective::CommGroup& group,
-      const collective::CompiledCollective& cc) const override;
+                          Bytes payload, std::function<void()> ready) override;
+  bool needs_per_step_preparation(const collective::CommGroup& group,
+                                  const collective::CompiledCollective& cc,
+                                  Bytes payload) const override;
   void prepare_step(const collective::CommGroup& group,
-                    const collective::CompiledCollective& cc, int step,
-                    std::function<void()> ready) override;
+                    const collective::CompiledCollective& cc, Bytes payload,
+                    int step, std::function<void()> ready) override;
   void send(const collective::CommGroup& group, GpuId src, GpuId dst,
             Bytes bytes, std::function<void()> done) override;
   void collective_finished(

@@ -233,15 +233,16 @@ void IterationEngine::start_collective(const Op& op) {
         dag_->groups[static_cast<std::size_t>(gi)];
     const auto algo = collective::choose_algorithm(
         op.ctype, group.size(), op.payload, degree_budget(group));
-    const CollectiveKey key{op.ctype, algo, group.size(), op.payload};
+    const CollectiveKey key{op.ctype, algo, group.size()};
     auto it = compiled_.find(key);
     if (it == compiled_.end()) {
+      // This launch's payload only plans the shape: compile() keeps no bytes.
       it = compiled_
                .emplace(key, collective::compile(collective::plan_collective(
                                  op.ctype, algo, group.size(), op.payload)))
                .first;
     }
-    executor_.run(group, it->second,
+    executor_.run(group, it->second, op.payload,
                   [this, id = op.id, gi, issue,
                    payload = op.payload](const collective::CollectiveExecutor::
                                              Result& result) {

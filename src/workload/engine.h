@@ -113,8 +113,10 @@ class IterationEngine {
   Options options_;
   collective::CollectiveExecutor executor_;
 
+  /// A compiled collective is a byte-free shape, shared by every op of the
+  /// same (type, algorithm, group size) whatever its payload.
   using CollectiveKey =
-      std::tuple<collective::CollectiveType, collective::Algorithm, int, Bytes>;
+      std::tuple<collective::CollectiveType, collective::Algorithm, int>;
   std::map<CollectiveKey, std::shared_ptr<const collective::CompiledCollective>>
       compiled_;
 

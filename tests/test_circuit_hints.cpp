@@ -53,7 +53,8 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     HintFixture f;
     CollectiveExecutor exec(f.sim, f.transport);
     const CommGroup g = f.group(0);
-    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, sched.payload_bytes,
+             [&](const CollectiveExecutor::Result& r) {
       cold = r.duration();
     });
     f.sim.run();
@@ -67,7 +68,8 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     const CommGroup g = f.group(0);
     ASSERT_TRUE(f.transport.hint_collective(g, *cc));
     f.sim.schedule_after(msecs(50), [&] {  // compute happens meanwhile
-      exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+      exec.run(g, cc, sched.payload_bytes,
+               [&](const CollectiveExecutor::Result& r) {
         hinted = r.duration();
       });
     });
@@ -122,7 +124,8 @@ TEST(CircuitHints, HintedCircuitsYieldToActiveGroups) {
       CollectiveType::kAllReduce, Algorithm::kRing, 4, gib(1));
   const auto big_cc = collective::compile(big);
   bool dp_done = false;
-  exec.run(dp, big_cc, [&](const CollectiveExecutor::Result&) { dp_done = true; });
+  exec.run(dp, big_cc, big.payload_bytes,
+           [&](const CollectiveExecutor::Result&) { dp_done = true; });
   f.sim.run_until(msecs(30));  // circuits up, transfers in flight
 
   CommGroup pp;

@@ -3,6 +3,9 @@
 // and concurrent collectives on disjoint groups must not interfere.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "collective/analysis.h"
 #include "collective/executor.h"
 #include "collective/planner.h"
@@ -47,7 +50,8 @@ TEST(Executor, RingAllReduceMatchesAlphaBetaOnElectricalRail) {
   const auto cc = compile(sched);
 
   TimeNs duration = -1;
-  exec.run(group, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(group, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();
@@ -74,7 +78,8 @@ TEST(Executor, ScaleUpAllReduceUsesNvlink) {
                                      Algorithm::kRing, 4, mib(96));
   const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();
@@ -96,7 +101,8 @@ TEST(Executor, EmptyGroupCompletesImmediately) {
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 1, 100);
   const auto cc = compile(sched);
   bool done = false;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(sim.now(), 0);
@@ -115,8 +121,10 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
                                      Algorithm::kRing, 4, mib(64));
   const auto cc = compile(sched);
   TimeNs d0 = -1, d1 = -1;
-  exec.run(g0, cc, [&](const CollectiveExecutor::Result& r) { d0 = r.duration(); });
-  exec.run(g1, cc, [&](const CollectiveExecutor::Result& r) { d1 = r.duration(); });
+  exec.run(g0, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) { d0 = r.duration(); });
+  exec.run(g1, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) { d1 = r.duration(); });
   sim.run();
   EXPECT_EQ(d0, d1);
   // Solo reference.
@@ -125,7 +133,7 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
   DirectTransport transport2(cluster2);
   CollectiveExecutor exec2(sim2, transport2);
   TimeNs solo = -1;
-  exec2.run(rail_group(cluster2, 0, 4), cc,
+  exec2.run(rail_group(cluster2, 0, 4), cc, sched.payload_bytes,
             [&](const CollectiveExecutor::Result& r) { solo = r.duration(); });
   sim2.run();
   EXPECT_EQ(d0, solo) << "disjoint rails must not share bandwidth";
@@ -140,7 +148,7 @@ TEST(Executor, GroupSizeMismatchThrows) {
   const auto sched =
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 8, 100);
   const auto cc = compile(sched);
-  EXPECT_THROW(exec.run(g, cc, nullptr), InvariantError);
+  EXPECT_THROW(exec.run(g, cc, sched.payload_bytes, nullptr), InvariantError);
 }
 
 // Step-synchronous transport shim: forces barrier semantics so the test can
@@ -148,24 +156,28 @@ TEST(Executor, GroupSizeMismatchThrows) {
 class StepSyncTransport final : public Transport {
  public:
   explicit StepSyncTransport(net::Cluster& c) : cluster_(c) {}
-  void prepare_collective(const CommGroup&, const CompiledCollective&,
+  void prepare_collective(const CommGroup&, const CompiledCollective&, Bytes,
                           std::function<void()> ready) override {
     ready();
   }
-  bool needs_per_step_preparation(const CommGroup&,
-                                  const CompiledCollective&) const override {
+  bool needs_per_step_preparation(const CommGroup&, const CompiledCollective&,
+                                  Bytes) const override {
     return true;
   }
-  void prepare_step(const CommGroup&, const CompiledCollective&, int,
-                    std::function<void()> ready) override {
+  void prepare_step(const CommGroup&, const CompiledCollective&,
+                    Bytes payload, int, std::function<void()> ready) override {
     ++steps_prepared;
+    step_payloads.push_back(payload);
     ready();
   }
   void send(const CommGroup&, GpuId src, GpuId dst, Bytes bytes,
             std::function<void()> done) override {
+    sent.push_back(bytes);
     cluster_.transfer(src, dst, bytes, std::move(done));
   }
   int steps_prepared = 0;
+  std::vector<Bytes> step_payloads;  ///< the payload each prepare_step saw
+  std::vector<Bytes> sent;           ///< every send's bytes, in launch order
 
  private:
   net::Cluster& cluster_;
@@ -181,8 +193,9 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
     net::Cluster cluster(sim, electrical_cfg(4, 2));
     DirectTransport t(cluster);
     CollectiveExecutor exec(sim, t);
-    exec.run(rail_group(cluster, 0, 4), cc,
-             [&](const CollectiveExecutor::Result& r) { pipelined = r.duration(); });
+    exec.run(
+        rail_group(cluster, 0, 4), cc, sched.payload_bytes,
+        [&](const CollectiveExecutor::Result& r) { pipelined = r.duration(); });
     sim.run();
   }
   {
@@ -190,8 +203,9 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
     net::Cluster cluster(sim, electrical_cfg(4, 2));
     StepSyncTransport t(cluster);
     CollectiveExecutor exec(sim, t);
-    exec.run(rail_group(cluster, 0, 4), cc,
-             [&](const CollectiveExecutor::Result& r) { stepped = r.duration(); });
+    exec.run(
+        rail_group(cluster, 0, 4), cc, sched.payload_bytes,
+        [&](const CollectiveExecutor::Result& r) { stepped = r.duration(); });
     sim.run();
     EXPECT_EQ(t.steps_prepared, sched.n_steps);
   }
@@ -210,7 +224,7 @@ TEST(Executor, StepSynchronousRunsOnOneGroupQueueBehindEachOther) {
                                           Algorithm::kRing, 4, mib(16)));
   std::vector<CollectiveExecutor::Result> results;
   for (int i = 0; i < 2; ++i) {
-    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, mib(16), [&](const CollectiveExecutor::Result& r) {
       results.push_back(r);
     });
   }
@@ -225,7 +239,45 @@ TEST(Executor, StepSynchronousRunsOnOneGroupQueueBehindEachOther) {
       << "same-group step-synchronous runs must not interleave";
   EXPECT_GT(results[1].end, results[1].start);
   EXPECT_EQ(exec.completed(), 2);
-  EXPECT_EQ(t.steps_prepared, 2 * cc->sched.n_steps);
+  EXPECT_EQ(t.steps_prepared, 2 * cc->n_steps);
+}
+
+TEST(Executor, QueuedRunsOfOneShapeSendTheirOwnPayloads) {
+  sim::Simulator sim;
+  net::Cluster cluster(sim, electrical_cfg(4, 2));
+  StepSyncTransport t(cluster);
+  CollectiveExecutor exec(sim, t);
+  const CommGroup g = rail_group(cluster, 0, 4);
+  // One shape, three runs started together: the second and third queue
+  // behind the first and must still send their own bytes.
+  const Bytes payloads[] = {mib(16), kib(5) + 1, 0};
+  const auto cc = compile(
+      plan_collective(CollectiveType::kAllGather, Algorithm::kRing, 4,
+                      payloads[0]));
+  int completed = 0;
+  for (const Bytes payload : payloads) {
+    exec.run(g, cc, payload,
+             [&](const CollectiveExecutor::Result&) { ++completed; });
+  }
+  sim.run();
+  ASSERT_EQ(completed, 3);
+  const auto n_steps = static_cast<std::size_t>(cc->n_steps);
+  const std::size_t n_transfers = cc->transfers.size();
+  ASSERT_EQ(t.step_payloads.size(), 3 * n_steps);
+  ASSERT_EQ(t.sent.size(), 3 * n_transfers);
+  for (std::size_t r = 0; r < 3; ++r) {
+    SCOPED_TRACE("run " + std::to_string(r));
+    const auto plan = plan_collective(CollectiveType::kAllGather,
+                                      Algorithm::kRing, 4, payloads[r]);
+    for (std::size_t s = 0; s < n_steps; ++s) {
+      EXPECT_EQ(t.step_payloads[r * n_steps + s], payloads[r]);
+    }
+    // Step-synchronous runs launch each step's transfers in index order, so
+    // the run's sends are its plan's transfers in order.
+    for (std::size_t i = 0; i < n_transfers; ++i) {
+      EXPECT_EQ(t.sent[r * n_transfers + i], plan.transfers[i].bytes);
+    }
+  }
 }
 
 // Parameterized: executor completes and matches analytic time for a matrix
@@ -247,7 +299,7 @@ TEST_P(ExecutorSweep, CompletesWithPositiveDuration) {
   const auto sched = plan_collective(type, algo, nodes, mib(8));
   const auto cc = compile(sched);
   TimeNs duration = -1;
-  exec.run(rail_group(cluster, 0, nodes), cc,
+  exec.run(rail_group(cluster, 0, nodes), cc, sched.payload_bytes,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   ASSERT_GE(duration, 0) << "collective did not complete";

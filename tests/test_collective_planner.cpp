@@ -10,6 +10,7 @@
 #include "collective/analysis.h"
 #include "collective/planner.h"
 #include "common/error.h"
+#include "supported_plans.h"
 
 namespace opus::collective {
 namespace {
@@ -302,29 +303,15 @@ INSTANTIATE_TEST_SUITE_P(
 // planners' counting computation of the degree metadata equals the set
 // reference.
 TEST(PlannerDegrees, MatchTheSetReferenceForEverySupportedPlan) {
-  constexpr CollectiveType kTypes[] = {
-      CollectiveType::kAllReduce, CollectiveType::kAllGather,
-      CollectiveType::kReduceScatter, CollectiveType::kAllToAll,
-      CollectiveType::kBroadcast, CollectiveType::kReduce,
-      CollectiveType::kSendRecv, CollectiveType::kBarrier};
-  constexpr Algorithm kAlgos[] = {
-      Algorithm::kRing, Algorithm::kRecursiveDoubling,
-      Algorithm::kRecursiveHalvingDoubling, Algorithm::kBinomialTree,
-      Algorithm::kPairwise, Algorithm::kDirect};
   int plans = 0;
-  for (int n = 1; n <= 70; ++n) {
-    for (CollectiveType type : kTypes) {
-      for (Algorithm algo : kAlgos) {
-        if (!algorithm_supports(type, algo, n)) continue;
-        const auto s = plan_collective(type, algo, n, kPayload);
-        const auto [per_step, distinct] = reference_degrees(s);
-        ASSERT_EQ(s.max_peers_per_step, per_step)
-            << to_string(type) << "/" << to_string(algo) << " n=" << n;
-        ASSERT_EQ(s.max_distinct_peers, distinct)
-            << to_string(type) << "/" << to_string(algo) << " n=" << n;
-        ++plans;
-      }
-    }
+  for (const PlanShape& p : supported_plans(70)) {
+    const auto s = plan_collective(p.type, p.algo, p.n_ranks, kPayload);
+    const auto [per_step, distinct] = reference_degrees(s);
+    ASSERT_EQ(s.max_peers_per_step, per_step)
+        << to_string(p.type) << "/" << to_string(p.algo) << " n=" << p.n_ranks;
+    ASSERT_EQ(s.max_distinct_peers, distinct)
+        << to_string(p.type) << "/" << to_string(p.algo) << " n=" << p.n_ranks;
+    ++plans;
   }
   EXPECT_EQ(plans, 1090);
 }

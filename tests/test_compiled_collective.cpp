@@ -1,7 +1,9 @@
 // compile() equivalence: every index a CompiledCollective holds must equal
 // the straightforward derivation it replaces — the step grouping of
 // transfers_by_step(), the all-pairs adjacent-step dependency rule, and the
-// std::set-based peer pairs — for every planner the chooser can reach.
+// std::set-based peer pairs — for every planner the chooser can reach. And
+// shape pricing: one byte-free shape, priced from a run's payload, sends
+// exactly the bytes the planner gives every transfer at that payload.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -12,6 +14,7 @@
 #include "collective/compiled.h"
 #include "collective/planner.h"
 #include "common/error.h"
+#include "supported_plans.h"
 
 namespace opus::collective {
 namespace {
@@ -88,21 +91,11 @@ void expect_equivalent(const CollectiveSchedule& sched,
   }
 }
 
-constexpr CollectiveType kTypes[] = {
-    CollectiveType::kAllReduce, CollectiveType::kAllGather,
-    CollectiveType::kReduceScatter, CollectiveType::kAllToAll,
-    CollectiveType::kBroadcast, CollectiveType::kReduce,
-    CollectiveType::kSendRecv, CollectiveType::kBarrier};
-constexpr Algorithm kAlgorithms[] = {
-    Algorithm::kRing, Algorithm::kRecursiveDoubling,
-    Algorithm::kRecursiveHalvingDoubling, Algorithm::kBinomialTree,
-    Algorithm::kPairwise, Algorithm::kDirect};
-
 TEST(CompiledCollective, MatchesReferenceDerivationsForEveryPlanner) {
   int checked = 0;
   for (int n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16}) {
-    for (CollectiveType type : kTypes) {
-      for (Algorithm algo : kAlgorithms) {
+    for (CollectiveType type : kAllCollectiveTypes) {
+      for (Algorithm algo : kAllAlgorithms) {
         if (!algorithm_supports(type, algo, n)) continue;
         expect_equivalent(plan_collective(type, algo, n, 1 << 20),
                           std::string(to_string(type)) + "/" +
@@ -120,8 +113,7 @@ TEST(CompiledCollective, SelfTransferAndSharedRankAreCountedOnce) {
   CollectiveSchedule sched;
   sched.n_ranks = 2;
   sched.n_steps = 2;
-  sched.transfers = {Transfer{0, 0, 0, 8}, Transfer{0, 1, 0, 8},
-                     Transfer{1, 0, 1, 8}};
+  sched.transfers = {Transfer{0, 0, 0}, Transfer{0, 1, 0}, Transfer{1, 0, 1}};
   expect_equivalent(sched, "hand-built");
   const auto cc = compile(sched);
   EXPECT_EQ(cc->initial_deps, (std::vector<int>{0, 0, 2}));
@@ -131,8 +123,8 @@ TEST(CompiledCollective, UnsortedTransfersKeepIndexOrderWithinSteps) {
   CollectiveSchedule sched;
   sched.n_ranks = 3;
   sched.n_steps = 2;
-  sched.transfers = {Transfer{1, 1, 2, 8}, Transfer{0, 0, 1, 8},
-                     Transfer{1, 0, 2, 8}, Transfer{0, 2, 1, 8}};
+  sched.transfers = {Transfer{1, 1, 2}, Transfer{0, 0, 1}, Transfer{1, 0, 2},
+                     Transfer{0, 2, 1}};
   expect_equivalent(sched, "unsorted");
 }
 
@@ -141,7 +133,7 @@ TEST(CompiledCollective, RepeatedStepPairsShareOneRow) {
   const auto cc = compile(
       plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 8, 1024));
   EXPECT_EQ(cc->step_pairs.size(), 8u);
-  EXPECT_EQ(to_vector(cc->peer_pairs_of_step(cc->sched.n_steps - 1)),
+  EXPECT_EQ(to_vector(cc->peer_pairs_of_step(cc->n_steps - 1)),
             cc->peer_pairs);
 }
 
@@ -149,9 +141,68 @@ TEST(CompiledCollective, RejectsOutOfRangeTransfers) {
   CollectiveSchedule sched;
   sched.n_ranks = 2;
   sched.n_steps = 1;
-  sched.transfers = {Transfer{1, 0, 1, 8}};
+  sched.transfers = {Transfer{1, 0, 1}};
   EXPECT_THROW(compile(sched), InvariantError);
-  sched.transfers = {Transfer{0, 0, 2, 8}};
+  sched.transfers = {Transfer{0, 0, 2}};
+  EXPECT_THROW(compile(sched), InvariantError);
+}
+
+// Every supported shape up to 70 ranks, compiled once and priced at
+// payloads that straddle the unit boundaries: transfer i of a run sends
+// units x unit_bytes(payload), which must equal the planner's bytes for
+// transfer i at that payload.
+TEST(CompiledCollective, ShapePricingMatchesThePlannerAtEveryPayload) {
+  int shapes = 0;
+  for (const PlanShape& p : supported_plans(70)) {
+    const int n = p.n_ranks;
+    const auto cc = compile(plan_collective(p.type, p.algo, n, 0));
+    for (const Bytes payload :
+         {Bytes{0}, Bytes{1}, Bytes{n - 1}, Bytes{n}, Bytes{n + 1},
+          Bytes{kMiB + 3}, Bytes{5 * kMiB}}) {
+      const auto plan = plan_collective(p.type, p.algo, n, payload);
+      ASSERT_EQ(cc->transfers.size(), plan.transfers.size());
+      const Bytes unit = cc->unit_bytes(payload);
+      for (std::size_t i = 0; i < plan.transfers.size(); ++i) {
+        ASSERT_EQ(cc->transfers[i].units * unit, plan.transfers[i].bytes)
+            << to_string(p.type) << "/" << to_string(p.algo) << " n=" << n
+            << " payload=" << payload << " transfer " << i;
+      }
+    }
+    ++shapes;
+  }
+  EXPECT_EQ(shapes, 1090);
+}
+
+TEST(CompiledCollective, RejectsBytesThatBreakTheUnitRule) {
+  // A ring AllGather at 1 MiB + 3 on 4 ranks: 1 chunk = 262,145 bytes.
+  auto ring = plan_collective(CollectiveType::kAllGather, Algorithm::kRing, 4,
+                              kMiB + 3);
+  EXPECT_NO_THROW(compile(ring));
+  ring.transfers[5].bytes -= 1;  // a floored chunk
+  EXPECT_THROW(compile(ring), InvariantError);
+
+  // An AllToAll slice is payload / n_ranks, rounded up.
+  auto a2a = plan_collective(CollectiveType::kAllToAll, Algorithm::kPairwise,
+                             4, 400);
+  a2a.transfers[0].bytes = 400;
+  EXPECT_THROW(compile(a2a), InvariantError);
+
+  // A Barrier token carries no bytes.
+  auto barrier =
+      plan_collective(CollectiveType::kBarrier, Algorithm::kRing, 4, 0);
+  barrier.transfers[0].bytes = 1;
+  EXPECT_THROW(compile(barrier), InvariantError);
+
+  // A hand-built transfer whose chunk range disagrees with its bytes.
+  CollectiveSchedule sched;
+  sched.type = CollectiveType::kAllGather;
+  sched.n_ranks = 2;
+  sched.n_steps = 1;
+  sched.n_chunks = 2;
+  sched.payload_bytes = 16;
+  sched.transfers = {Transfer{0, 0, 1, 8, 0, 1}};
+  EXPECT_NO_THROW(compile(sched));
+  sched.transfers = {Transfer{0, 0, 1, 8, 0, 2}};
   EXPECT_THROW(compile(sched), InvariantError);
 }
 

@@ -92,18 +92,18 @@ class IterationHookTransport final : public collective::Transport {
   explicit IterationHookTransport(net::Cluster& cluster) : direct_(cluster) {}
   void prepare_collective(const collective::CommGroup& group,
                           const collective::CompiledCollective& cc,
-                          std::function<void()> ready) override {
-    direct_.prepare_collective(group, cc, std::move(ready));
+                          Bytes payload, std::function<void()> ready) override {
+    direct_.prepare_collective(group, cc, payload, std::move(ready));
   }
-  bool needs_per_step_preparation(
-      const collective::CommGroup& group,
-      const collective::CompiledCollective& cc) const override {
-    return direct_.needs_per_step_preparation(group, cc);
+  bool needs_per_step_preparation(const collective::CommGroup& group,
+                                  const collective::CompiledCollective& cc,
+                                  Bytes payload) const override {
+    return direct_.needs_per_step_preparation(group, cc, payload);
   }
   void prepare_step(const collective::CommGroup& group,
-                    const collective::CompiledCollective& cc, int step,
-                    std::function<void()> ready) override {
-    direct_.prepare_step(group, cc, step, std::move(ready));
+                    const collective::CompiledCollective& cc, Bytes payload,
+                    int step, std::function<void()> ready) override {
+    direct_.prepare_step(group, cc, payload, step, std::move(ready));
   }
   void send(const collective::CommGroup& group, GpuId src, GpuId dst,
             Bytes bytes, std::function<void()> done) override {
@@ -117,21 +117,24 @@ class IterationHookTransport final : public collective::Transport {
   collective::DirectTransport direct_;
 };
 
+using ShapeKey =
+    std::tuple<collective::CollectiveType, collective::Algorithm, int>;
+
+/// The compiled-collective cache keys (type, algorithm, group size) the
+/// DAG's launches map to (electrical rails: no degree budget constrains the
+/// algorithm choice).
+ShapeKey shape_of(const IterationDag& dag, const Op& op, int gi) {
+  const int n = dag.groups[static_cast<std::size_t>(gi)].size();
+  return {op.ctype, collective::choose_algorithm(op.ctype, n, op.payload, 0),
+          n};
+}
+
 TEST(Engine, CompilesEachDistinctCollectiveOnce) {
   EngineFixture f(small_config());
-  // The cache keys the DAG's launches map to (electrical rails: no degree
-  // budget constrains the algorithm choice).
-  std::set<std::tuple<collective::CollectiveType, collective::Algorithm, int,
-                      Bytes>>
-      keys;
+  std::set<ShapeKey> keys;
   for (const Op& op : f.dag.ops) {
     if (op.kind != OpKind::kCollective) continue;
-    for (int gi : op.group_indices) {
-      const int n = f.dag.groups[static_cast<std::size_t>(gi)].size();
-      keys.emplace(op.ctype,
-                   collective::choose_algorithm(op.ctype, n, op.payload, 0), n,
-                   op.payload);
-    }
+    for (int gi : op.group_indices) keys.insert(shape_of(f.dag, op, gi));
   }
   ASSERT_GT(keys.size(), 1u);
 
@@ -148,6 +151,45 @@ TEST(Engine, CompilesEachDistinctCollectiveOnce) {
   EXPECT_EQ(compiled_at_start[1], keys.size());
   EXPECT_EQ(engine.compiled_collectives(), keys.size())
       << "iteration 2 reuses every compiled collective";
+}
+
+TEST(Engine, PayloadsOfOneShapeShareOneCompiledCollective) {
+  // FSDP: stage 0's first layer AllGathers the input embedding on top of
+  // its parameters, so it has the same shape as stage 0's other layers'
+  // AllGathers but a larger payload. The model is wide enough that every
+  // AllGather is above the chooser's 1 MiB crossover, so all run as rings.
+  ParallelismConfig p = small_config();
+  p.pp = 1;
+  ModelConfig m = ModelConfig::test_tiny();
+  m.hidden = 1024;
+  m.ffn_hidden = 4096;
+  EngineFixture f(p, m);
+  const Op* embedding = nullptr;
+  const Op* plain = nullptr;
+  for (const Op& op : f.dag.ops) {
+    if (op.label == "AG[s0,l0]") embedding = &op;
+    if (op.label == "AG[s0,l1]") plain = &op;
+  }
+  ASSERT_NE(embedding, nullptr);
+  ASSERT_NE(plain, nullptr);
+  ASSERT_EQ(embedding->group_indices, plain->group_indices);
+  const int gi = plain->group_indices.front();
+  ASSERT_EQ(shape_of(f.dag, *embedding, gi), shape_of(f.dag, *plain, gi));
+  ASSERT_GT(embedding->payload, plain->payload);
+
+  std::set<ShapeKey> shapes;
+  std::set<std::pair<ShapeKey, Bytes>> launches;
+  for (const Op& op : f.dag.ops) {
+    if (op.kind != OpKind::kCollective) continue;
+    for (int g : op.group_indices) {
+      shapes.insert(shape_of(f.dag, op, g));
+      launches.emplace(shape_of(f.dag, op, g), op.payload);
+    }
+  }
+  ASSERT_LT(shapes.size(), launches.size());
+  f.engine.run_to_completion(f.dag, 1);
+  EXPECT_EQ(f.engine.compiled_collectives(), shapes.size())
+      << "one compiled collective per shape, whatever the payloads";
 }
 
 TEST(Engine, ComputeOpsSerializePerGpu) {

@@ -213,7 +213,8 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   const auto cc = collective::compile(sched);
 
   TimeNs first = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
   });
   sim.run();
@@ -223,14 +224,16 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   cluster.ocs(RailId{0}).fail_port(cluster.ocs_port(g.ranks[0], 0));
 
   TimeNs second = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     second = r.duration();
   });
   sim.run();
   ASSERT_GT(second, 0) << "the collective must recover onto spare ports";
   // Recovery pays a reconfiguration; afterwards a third run is cached.
   TimeNs third = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     third = r.duration();
   });
   sim.run();

@@ -148,7 +148,7 @@ TEST(StaticRing, CollectivesRunWithoutReconfiguration) {
       mib(16));
   const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, cc,
+  exec.run(g, cc, sched.payload_bytes,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -170,7 +170,7 @@ TEST(StaticRing, NonNeighbourGroupsPayTheTax) {
       mib(32));
   const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, cc,
+  exec.run(g, cc, sched.payload_bytes,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);

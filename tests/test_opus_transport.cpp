@@ -48,7 +48,8 @@ TEST(OpusTransport, RingCollectiveWaitsForCircuitsThenRuns) {
                                      Algorithm::kRing, 4, mib(50));
   const auto cc = collective::compile(sched);
   TimeNs start = -1, end = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     start = r.start;
     end = r.end;
   });
@@ -70,9 +71,11 @@ TEST(OpusTransport, SecondSameGroupCollectiveHitsTheCircuitCache) {
                                      Algorithm::kRing, 4, mib(50));
   const auto cc = collective::compile(sched);
   TimeNs first = -1, second = -1;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
-    exec.run(g, cc, [&](const CollectiveExecutor::Result& r2) {
+    exec.run(g, cc, sched.payload_bytes,
+             [&](const CollectiveExecutor::Result& r2) {
       second = r2.duration();
     });
   });
@@ -96,7 +99,8 @@ TEST(OpusTransport, ScaleUpCollectiveBypassesControlPlane) {
                                      Algorithm::kRing, 4, mib(10));
   const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(transport.controller().stats().requests, 0);
@@ -113,10 +117,12 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   const auto sched = plan_collective(CollectiveType::kAllGather,
                                      Algorithm::kRecursiveDoubling, 8, mib(8));
   const auto cc = collective::compile(sched);
-  EXPECT_TRUE(transport.needs_per_step_preparation(g, *cc));
+  EXPECT_TRUE(
+      transport.needs_per_step_preparation(g, *cc, sched.payload_bytes));
   bool done = false;
   CollectiveExecutor::Result result;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result& r) {
     done = true;
     result = r;
   });
@@ -141,7 +147,8 @@ TEST(OpusTransport, RingBeatsRecursiveDoublingOnCircuits) {
         plan_collective(CollectiveType::kAllGather, algo, 8, mib(1));
     const auto cc = collective::compile(sched);
     TimeNs duration = -1;
-    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, sched.payload_bytes,
+             [&](const CollectiveExecutor::Result& r) {
       duration = r.duration();
     });
     sim.run();
@@ -165,12 +172,57 @@ TEST(OpusTransport, MgmtOffloadSkipsCircuitsForSmallCollectives) {
                                      Algorithm::kRing, 4, kib(4));
   const auto cc = collective::compile(sched);
   bool done = false;
-  exec.run(g, cc, [&](const CollectiveExecutor::Result&) { done = true; });
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
   EXPECT_EQ(transport.controller().stats().requests, 0);
   EXPECT_GT(cluster.bytes_on_route(net::Cluster::Route::kMgmt), 0);
   EXPECT_EQ(cluster.bytes_on_route(net::Cluster::Route::kRail), 0);
+}
+
+// One compiled shape serves runs of every payload, so the offload decision
+// follows each run's payload, never the one the shape was compiled from.
+TEST(OpusTransport, MgmtOffloadFollowsEachRunsPayload) {
+  const Bytes small = kib(32);
+  const Bytes large = kib(256);
+  for (const bool small_first : {true, false}) {
+    SCOPED_TRACE(small_first ? "small run first" : "large run first");
+    sim::Simulator sim;
+    net::ClusterConfig ncfg = photonic_cfg(4, 2, 2);
+    ncfg.mgmt_bw = Bandwidth::gbps(50);
+    net::Cluster cluster(sim, ncfg);
+    OpusTransport::Options opts;
+    opts.mgmt_offload_threshold = kib(64);
+    OpusTransport transport(sim, cluster, opts);
+    CollectiveExecutor exec(sim, transport);
+    const CommGroup g = rail_group(cluster, 0, 4);
+    const Bytes first = small_first ? small : large;
+    const Bytes second = small_first ? large : small;
+    // Compiled from the first run's plan, as the engine compiles a shape.
+    const auto cc = collective::compile(plan_collective(
+        CollectiveType::kAllReduce, Algorithm::kRing, 4, first));
+    for (const Bytes payload : {first, second}) {
+      using Route = net::Cluster::Route;
+      const Bytes mgmt_before = cluster.bytes_on_route(Route::kMgmt);
+      const Bytes rail_before = cluster.bytes_on_route(Route::kRail);
+      bool done = false;
+      exec.run(g, cc, payload,
+               [&](const CollectiveExecutor::Result&) { done = true; });
+      sim.run();
+      ASSERT_TRUE(done);
+      const Bytes wire = plan_collective(CollectiveType::kAllReduce,
+                                         Algorithm::kRing, 4, payload)
+                             .total_bytes();
+      const bool offloaded = payload == small;
+      EXPECT_EQ(cluster.bytes_on_route(Route::kMgmt) - mgmt_before,
+                offloaded ? wire : 0)
+          << "payload " << payload;
+      EXPECT_EQ(cluster.bytes_on_route(Route::kRail) - rail_before,
+                offloaded ? 0 : wire)
+          << "payload " << payload;
+    }
+  }
 }
 
 TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {
@@ -192,9 +244,9 @@ TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {
                                      Algorithm::kRing, 2, mib(25));
   const auto cc = collective::compile(sched);
   int completions = 0;
-  exec.run(dp, cc, [&](const CollectiveExecutor::Result&) {
+  exec.run(dp, cc, sched.payload_bytes, [&](const CollectiveExecutor::Result&) {
     ++completions;
-    exec.run(pp, cc,
+    exec.run(pp, cc, sched.payload_bytes,
              [&](const CollectiveExecutor::Result&) { ++completions; });
   });
   sim.run();
@@ -218,8 +270,9 @@ TEST(OpusTransport, ProvisioningSpeculatesAfterProfiledPhase) {
 
   auto run_iteration = [&](int index, std::function<void()> next) {
     transport.iteration_started(index);
-    exec.run(dp, cc, [&, next](const CollectiveExecutor::Result&) {
-      exec.run(pp, cc,
+    exec.run(dp, cc, sched.payload_bytes,
+             [&, next](const CollectiveExecutor::Result&) {
+      exec.run(pp, cc, sched.payload_bytes,
                [next](const CollectiveExecutor::Result&) { next(); });
     });
   };

@@ -579,7 +579,8 @@ RotorRun run_rail_collective(bool rotor, collective::CollectiveType type,
   const auto cc = collective::compile(sched);
 
   RotorRun out;
-  exec.run(g, cc, [&](const collective::CollectiveExecutor::Result& res) {
+  exec.run(g, cc, sched.payload_bytes,
+           [&](const collective::CollectiveExecutor::Result& res) {
     out.duration = res.duration();
   });
   sim.run();

@@ -156,7 +156,8 @@ TEST(Rotor, RingAllReduceCompletesButSlowly) {
     g.id = GroupId{1};
     g.dim = collective::ParallelismDim::kDP;
     for (int n = 0; n < 4; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-    exec.run(g, cc, [&](const CollectiveExecutor::Result& r) {
+    exec.run(g, cc, sched.payload_bytes,
+             [&](const CollectiveExecutor::Result& r) {
       rotor_time = r.duration();
     });
     sim.run();

@@ -105,13 +105,14 @@ TEST(TransferAllocations, ExecutorRailTransfersAllocateNothingOnceWarm) {
   for (int n = 0; n < 8; ++n) group.ranks.push_back(GpuId{n});
   // A ring all-reduce over the rail: every transfer is a single-circuit
   // hop to the ring neighbour.
+  const Bytes payload = 8 << 20;
   const auto cc = collective::compile(collective::plan_collective(
       collective::CollectiveType::kAllReduce, collective::Algorithm::kRing, 8,
-      8 << 20));
+      payload));
   int finished = 0;
   const auto batch = [&] {
     for (int k = 0; k < 3; ++k) {
-      exec.run(group, cc, [&finished](const auto&) { ++finished; });
+      exec.run(group, cc, payload, [&finished](const auto&) { ++finished; });
       sim.run();
     }
   };
@@ -121,7 +122,7 @@ TEST(TransferAllocations, ExecutorRailTransfersAllocateNothingOnceWarm) {
   EXPECT_EQ(allocations_during(batch), 0);
   EXPECT_EQ(finished, 9);
   EXPECT_EQ(cluster.network().completed_flow_count() - flows,
-            3 * cc->sched.transfers.size());
+            3 * cc->transfers.size());
   EXPECT_EQ(cluster.bytes_on_route(net::Cluster::Route::kRailMultiHop), 0);
 }
 
