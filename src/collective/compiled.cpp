@@ -21,37 +21,13 @@ void sort_unique(std::vector<std::pair<int, int>>& pairs, std::size_t from) {
   pairs.erase(std::unique(first, pairs.end()), pairs.end());
 }
 
-}  // namespace
-
-std::shared_ptr<const CompiledCollective> compile(
-    const CollectiveSchedule& sched) {
-  auto cc = std::make_shared<CompiledCollective>();
-  cc->n_ranks = sched.n_ranks;
-  cc->n_steps = sched.n_steps;
-  cc->unit_divisor = sched.type == CollectiveType::kAllToAll ? sched.n_ranks
-                     : sched.n_chunks > 0                    ? sched.n_chunks
-                                                             : 1;
-  ensure(cc->unit_divisor >= 1, "AllToAll schedule has no ranks");
-  const Bytes unit = cc->unit_bytes(sched.payload_bytes);
-  const auto n_steps = static_cast<std::size_t>(sched.n_steps);
-  const auto n_ranks = static_cast<std::size_t>(sched.n_ranks);
-  const std::size_t n = sched.transfers.size();
-  cc->transfers.reserve(n);
-  for (const Transfer& t : sched.transfers) {
-    ensure(t.step >= 0 && static_cast<std::size_t>(t.step) < n_steps,
-           "transfer step out of range");
-    ensure(t.src >= 0 && static_cast<std::size_t>(t.src) < n_ranks &&
-               t.dst >= 0 && static_cast<std::size_t>(t.dst) < n_ranks,
-           "transfer rank out of range");
-    const int units = t.chunk_lo >= 0 ? t.chunk_hi - t.chunk_lo
-                      : sched.type == CollectiveType::kAllToAll ? 1
-                                                                : 0;
-    // At most the whole payload, so units * unit cannot overflow.
-    ensure(units >= 0 && units <= cc->unit_divisor && t.bytes == units * unit,
-           "transfer bytes are not a whole number of the schedule's units");
-    cc->transfers.push_back(UnitTransfer{t.step, t.src, t.dst, units});
-  }
+/// Builds every index of a shape whose n_ranks, n_steps, unit_divisor and
+/// transfers are set.
+void build_indexes(CompiledCollective* cc) {
+  const auto n_steps = static_cast<std::size_t>(cc->n_steps);
+  const auto n_ranks = static_cast<std::size_t>(cc->n_ranks);
   const std::vector<UnitTransfer>& transfers = cc->transfers;
+  const std::size_t n = transfers.size();
   auto at = [&](int i) -> const UnitTransfer& {
     return transfers[static_cast<std::size_t>(i)];
   };
@@ -59,6 +35,11 @@ std::shared_ptr<const CompiledCollective> compile(
   // Step index: a counting sort by step keeps each step's indices ascending.
   cc->step_begin.assign(n_steps + 1, 0);
   for (const UnitTransfer& t : transfers) {
+    ensure(t.step >= 0 && static_cast<std::size_t>(t.step) < n_steps,
+           "transfer step out of range");
+    ensure(t.src >= 0 && static_cast<std::size_t>(t.src) < n_ranks &&
+               t.dst >= 0 && static_cast<std::size_t>(t.dst) < n_ranks,
+           "transfer rank out of range");
     ++cc->step_begin[static_cast<std::size_t>(t.step) + 1];
   }
   counts_to_offsets(cc->step_begin);
@@ -71,36 +52,43 @@ std::shared_ptr<const CompiledCollective> compile(
           static_cast<int>(i);
     }
   }
+  int widest_step = 0;
+  for (std::size_t s = 0; s < n_steps; ++s) {
+    widest_step =
+        std::max(widest_step, cc->step_begin[s + 1] - cc->step_begin[s]);
+  }
 
   // Dependency graph. Step s-1 is indexed by src and by dst rank (singly
-  // linked lists threaded through src_next/dst_next), so each step-s
-  // transfer visits exactly the transfers it depends on. The edges are
-  // walked twice, to count and then to fill; visiting t in ascending order
-  // keeps every dependents row ascending.
+  // linked lists threaded through src_next/dst_next, which are indexed by
+  // position within step s-1), so each step-s transfer visits exactly the
+  // transfers it depends on. The edges are walked twice, to count and then
+  // to fill; visiting t in ascending order keeps every dependents row
+  // ascending.
   {
     std::vector<int> src_head(n_ranks, -1);
     std::vector<int> dst_head(n_ranks, -1);
-    std::vector<int> src_next(n, -1);
-    std::vector<int> dst_next(n, -1);
+    std::vector<int> src_next(static_cast<std::size_t>(widest_step), -1);
+    std::vector<int> dst_next(static_cast<std::size_t>(widest_step), -1);
     auto for_each_dependency = [&](auto&& visit) {  // visit(p, t)
       for (std::size_t s = 1; s < n_steps; ++s) {
         const auto prev = cc->step(static_cast<int>(s - 1));
-        for (int p : prev) {
-          const auto src = static_cast<std::size_t>(at(p).src);
-          const auto dst = static_cast<std::size_t>(at(p).dst);
-          src_next[static_cast<std::size_t>(p)] = src_head[src];
-          src_head[src] = p;
-          dst_next[static_cast<std::size_t>(p)] = dst_head[dst];
-          dst_head[dst] = p;
+        for (std::size_t j = 0; j < prev.size(); ++j) {
+          const auto src = static_cast<std::size_t>(at(prev[j]).src);
+          const auto dst = static_cast<std::size_t>(at(prev[j]).dst);
+          src_next[j] = src_head[src];
+          src_head[src] = static_cast<int>(j);
+          dst_next[j] = dst_head[dst];
+          dst_head[dst] = static_cast<int>(j);
         }
         for (int t : cc->step(static_cast<int>(s))) {
           const int r = at(t).src;
-          for (int p = src_head[static_cast<std::size_t>(r)]; p >= 0;
-               p = src_next[static_cast<std::size_t>(p)]) {
-            visit(p, t);
+          for (int j = src_head[static_cast<std::size_t>(r)]; j >= 0;
+               j = src_next[static_cast<std::size_t>(j)]) {
+            visit(prev[static_cast<std::size_t>(j)], t);
           }
-          for (int p = dst_head[static_cast<std::size_t>(r)]; p >= 0;
-               p = dst_next[static_cast<std::size_t>(p)]) {
+          for (int j = dst_head[static_cast<std::size_t>(r)]; j >= 0;
+               j = dst_next[static_cast<std::size_t>(j)]) {
+            const int p = prev[static_cast<std::size_t>(j)];
             // A self-transfer (p.src == p.dst == r) was visited via src_head.
             if (at(p).src != r) visit(p, t);
           }
@@ -119,11 +107,15 @@ std::shared_ptr<const CompiledCollective> compile(
     });
     counts_to_offsets(cc->dep_begin);
     cc->dep_list.resize(static_cast<std::size_t>(cc->dep_begin.back()));
-    std::vector<int> cursor(cc->dep_begin.begin(), cc->dep_begin.end() - 1);
+    // dep_begin[p] is row p's fill cursor; once filled it holds row p's end,
+    // which is row p+1's begin, so shifting it one place restores it.
     for_each_dependency([&](int p, int t) {
       cc->dep_list[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(p)]++)] = t;
+          cc->dep_begin[static_cast<std::size_t>(p)]++)] = t;
     });
+    std::copy_backward(cc->dep_begin.begin(), cc->dep_begin.end() - 1,
+                       cc->dep_begin.end());
+    cc->dep_begin.front() = 0;
   }
 
   // Peer pairs per step (a row equal to the previous step's is shared), then
@@ -155,6 +147,60 @@ std::shared_ptr<const CompiledCollective> compile(
   cc->peer_pairs = cc->step_pairs;
   sort_unique(cc->peer_pairs, 0);
   cc->peer_pairs.shrink_to_fit();
+}
+
+/// Collects a planned shape straight into its UnitTransfers.
+class UnitSink final : public ShapeSink {
+ public:
+  UnitSink(CompiledCollective& cc, CollectiveType type)
+      : cc_(cc), type_(type) {}
+
+  void begin(int n_steps, int n_chunks, std::size_t n_transfers) override {
+    cc_.n_steps = n_steps;
+    cc_.unit_divisor = unit_divisor(type_, cc_.n_ranks, n_chunks);
+    cc_.transfers.reserve(n_transfers);
+  }
+  void transfer(int step, int src, int dst, int chunk_lo, int chunk_hi,
+                bool) override {
+    cc_.transfers.push_back(UnitTransfer{
+        step, src, dst, transfer_units(type_, chunk_lo, chunk_hi)});
+  }
+
+ private:
+  CompiledCollective& cc_;
+  CollectiveType type_;
+};
+
+}  // namespace
+
+std::shared_ptr<const CompiledCollective> compile(CollectiveType type,
+                                                  Algorithm algo,
+                                                  int n_ranks) {
+  auto cc = std::make_shared<CompiledCollective>();
+  cc->n_ranks = n_ranks;
+  UnitSink sink(*cc, type);
+  plan_shape(type, algo, n_ranks, sink);
+  build_indexes(cc.get());
+  return cc;
+}
+
+std::shared_ptr<const CompiledCollective> compile(
+    const CollectiveSchedule& sched) {
+  auto cc = std::make_shared<CompiledCollective>();
+  cc->n_ranks = sched.n_ranks;
+  cc->n_steps = sched.n_steps;
+  cc->unit_divisor = unit_divisor(sched.type, sched.n_ranks, sched.n_chunks);
+  ensure(cc->unit_divisor >= 1, "AllToAll schedule has no ranks");
+  const Bytes unit = cc->unit_bytes(sched.payload_bytes);
+  cc->transfers.reserve(sched.transfers.size());
+  for (const Transfer& t : sched.transfers) {
+    const int units = transfer_units(sched.type, t.chunk_lo, t.chunk_hi);
+    // At most the whole payload, so units * unit cannot overflow.
+    ensure(units >= 0 && units <= cc->unit_divisor && t.bytes == units * unit,
+           "transfer bytes are not a whole number of the schedule's units");
+    cc->transfers.push_back(UnitTransfer{t.step, t.src, t.dst, units});
+  }
+  build_indexes(cc.get());
   return cc;
 }
 

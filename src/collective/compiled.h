@@ -1,15 +1,17 @@
-// Compiled collectives: the byte-free shape of a schedule plus everything
+// Compiled collectives: the byte-free shape of a collective plus everything
 // derived from it that the executor and the transports read on every launch.
 //
 // A training iteration repeats the same collectives every iteration, so the
 // derived indexes are built once by compile() and shared, immutable, by every
 // run of that collective shape (IterationEngine caches one per (type,
-// algorithm, group size)). The shape holds no payload: every planner transfer
-// moves a whole number of units, unit(P) = ceil(P / unit_divisor), so a
-// transfer stores its unit count and each run prices it from its own payload.
-// Indexes are flat arrays, not vectors of vectors, so a 512-rank ring costs a
-// few allocations rather than one per transfer. Most are CSR: the entries of
-// row i are list[begin[i] .. begin[i+1]).
+// algorithm, group size)). compile(type, algo, n_ranks) collects the
+// planner's transfers straight into the shape, so no CollectiveSchedule is
+// built on the way. The shape holds no payload: by the planner's pricing
+// rule every transfer moves a whole number of units, unit(P) = ceil(P /
+// unit_divisor), so a transfer stores its unit count and each run prices it
+// from its own payload. Indexes are flat arrays, not vectors of vectors, so
+// a 512-rank ring costs a few allocations rather than one per transfer. Most
+// are CSR: the entries of row i are list[begin[i] .. begin[i+1]).
 #pragma once
 
 #include <memory>
@@ -17,6 +19,7 @@
 #include <utility>
 #include <vector>
 
+#include "collective/planner.h"
 #include "collective/schedule.h"
 
 namespace opus::collective {
@@ -27,6 +30,8 @@ struct UnitTransfer {
   int src = 0;
   int dst = 0;
   int units = 0;
+
+  friend bool operator==(const UnitTransfer&, const UnitTransfer&) = default;
 };
 
 struct CompiledCollective {
@@ -36,15 +41,15 @@ struct CompiledCollective {
   /// schedules (ring, recursive, direct AllGather), n_ranks for AllToAll
   /// slices, 1 for payload-wide transfers and for Barrier.
   Bytes unit_divisor = 1;
-  /// The schedule's transfers in planner order (indices match it).
+  /// The transfers in planner order (indices match plan_collective's).
   std::vector<UnitTransfer> transfers;
 
   /// Bytes one unit carries in a run of `payload` bytes.
   Bytes unit_bytes(Bytes payload) const {
-    return (payload + unit_divisor - 1) / unit_divisor;
+    return collective::unit_bytes(payload, unit_divisor);
   }
 
-  /// Step index: transfer indices of step s, ascending. Equals the compiled
+  /// Step index: transfer indices of step s, ascending. Equals the planned
   /// schedule's transfers_by_step()[s].
   std::vector<int> step_begin;  ///< n_steps + 1 offsets into step_order
   std::vector<int> step_order;
@@ -93,12 +98,17 @@ struct CompiledCollective {
   }
 };
 
-/// Builds the shape of `sched` and every index of it. Throws InvariantError
-/// on a transfer whose step or rank is out of range, whose unit count
-/// exceeds unit_divisor, or whose bytes are not its unit count times
-/// unit(sched.payload_bytes): a chunk-tracked transfer is chunk_hi -
-/// chunk_lo units, an untracked AllToAll slice 1, an untracked transfer of
-/// any other type (a Barrier token) 0.
+/// Plans the shape of `type` over `n_ranks` using `algo` (plan_shape) and
+/// builds every index of it. Throws like plan_shape.
+std::shared_ptr<const CompiledCollective> compile(CollectiveType type,
+                                                  Algorithm algo,
+                                                  int n_ranks);
+
+/// Builds the shape of a hand-built or planned `sched` and every index of
+/// it. Throws InvariantError on a transfer whose step or rank is out of
+/// range, or whose bytes break the pricing rule: its unit count
+/// (transfer_units) must be at most unit_divisor and its bytes that count
+/// times unit(sched.payload_bytes).
 std::shared_ptr<const CompiledCollective> compile(
     const CollectiveSchedule& sched);
 

@@ -50,8 +50,8 @@ class CollectiveExecutor {
     TimeNs duration() const { return end - start; }
   };
 
-  /// Runs `cc` over `group` with a payload of `payload` bytes (in
-  /// plan_collective's payload semantics): transfer i sends
+  /// Runs `cc` over `group` with a payload of `payload` bytes (P in the
+  /// planner's pricing rule, planner.h): transfer i sends
   /// cc->transfers[i].units x cc->unit_bytes(payload) bytes, exactly the
   /// bytes plan_collective(..., payload) gives it, and every transport hook
   /// sees this payload. `on_complete(result)` fires when every transfer has

@@ -1,9 +1,8 @@
 #include "collective/planner.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
-#include <utility>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -89,343 +88,231 @@ void finalize(CollectiveSchedule& s) {
   s.max_distinct_peers = max_distinct;
 }
 
-CollectiveSchedule make(CollectiveType type, Algorithm algo, int n,
-                        Bytes payload, int n_steps, int n_chunks) {
-  CollectiveSchedule s;
-  s.type = type;
-  s.algo = algo;
-  s.n_ranks = n;
-  s.payload_bytes = payload;
-  s.n_steps = n_steps;
-  s.n_chunks = n_chunks;
-  return s;
+std::size_t count(int a, int b = 1) {
+  return static_cast<std::size_t>(a) * static_cast<std::size_t>(b);
 }
 
-Bytes chunk_bytes(Bytes payload, int n) {
-  // Ceil-divide so rounding never makes a schedule claim less traffic than
-  // the payload requires.
-  return (payload + n - 1) / n;
-}
+// Every planner below runs on n >= 2 ranks (plan_shape answers one rank
+// itself). It announces its shape to `out`, then emits its transfers in
+// ascending step order.
 
 // ---- Ring family ---------------------------------------------------------
 
-CollectiveSchedule ring_reduce_scatter(int n, Bytes payload) {
-  auto s = make(CollectiveType::kReduceScatter, Algorithm::kRing, n, payload,
-                n - 1, n);
-  s.transfers.reserve(static_cast<std::size_t>(n) * (n - 1));
-  const Bytes cb = chunk_bytes(payload, n);
-  for (int step = 0; step < n - 1; ++step) {
-    for (int r = 0; r < n; ++r) {
-      const int chunk = ((r - step) % n + n) % n;
-      s.transfers.push_back(
-          Transfer{step, r, (r + 1) % n, cb, chunk, chunk + 1, true});
-    }
-  }
-  finalize(s);
-  return s;
-}
-
-CollectiveSchedule ring_all_gather(int n, Bytes payload) {
-  auto s = make(CollectiveType::kAllGather, Algorithm::kRing, n, payload,
-                n - 1, n);
-  s.transfers.reserve(static_cast<std::size_t>(n) * (n - 1));
-  const Bytes cb = chunk_bytes(payload, n);
-  for (int step = 0; step < n - 1; ++step) {
-    for (int r = 0; r < n; ++r) {
-      const int chunk = ((r - step) % n + n) % n;
-      s.transfers.push_back(
-          Transfer{step, r, (r + 1) % n, cb, chunk, chunk + 1, false});
-    }
-  }
-  finalize(s);
-  return s;
-}
-
-CollectiveSchedule ring_all_reduce(int n, Bytes payload) {
-  auto s = make(CollectiveType::kAllReduce, Algorithm::kRing, n, payload,
-                2 * (n - 1), n);
-  s.transfers.reserve(static_cast<std::size_t>(n) * 2 * (n - 1));
-  const Bytes cb = chunk_bytes(payload, n);
-  // Phase 1: reduce-scatter. After it, rank r owns chunk (r+1)%n complete.
-  for (int step = 0; step < n - 1; ++step) {
-    for (int r = 0; r < n; ++r) {
-      const int chunk = ((r - step) % n + n) % n;
-      s.transfers.push_back(
-          Transfer{step, r, (r + 1) % n, cb, chunk, chunk + 1, true});
-    }
-  }
-  // Phase 2: all-gather of the reduced chunks.
+/// n-1 steps from `first_step` in which every rank r passes one chunk to
+/// r+1: chunk (r + shift - t) mod n at step first_step + t.
+void ring_pass(int n, int first_step, int shift, bool reduce_op,
+               ShapeSink& out) {
   for (int t = 0; t < n - 1; ++t) {
-    const int step = n - 1 + t;
     for (int r = 0; r < n; ++r) {
-      const int chunk = ((r + 1 - t) % n + n) % n;
-      s.transfers.push_back(
-          Transfer{step, r, (r + 1) % n, cb, chunk, chunk + 1, false});
+      const int chunk = ((r + shift - t) % n + n) % n;
+      out.transfer(first_step + t, r, (r + 1) % n, chunk, chunk + 1,
+                   reduce_op);
     }
   }
-  finalize(s);
-  return s;
+}
+
+void ring_reduce_scatter(int n, ShapeSink& out) {
+  out.begin(n - 1, n, count(n, n - 1));
+  ring_pass(n, 0, 0, true, out);
+}
+
+void ring_all_gather(int n, ShapeSink& out) {
+  out.begin(n - 1, n, count(n, n - 1));
+  ring_pass(n, 0, 0, false, out);
+}
+
+void ring_all_reduce(int n, ShapeSink& out) {
+  out.begin(2 * (n - 1), n, count(n, 2 * (n - 1)));
+  // Phase 1: reduce-scatter. After it, rank r owns chunk (r+1)%n complete.
+  ring_pass(n, 0, 0, true, out);
+  // Phase 2: all-gather of the reduced chunks.
+  ring_pass(n, n - 1, 1, false, out);
 }
 
 /// Pipeline broadcast/reduce along the ring (full payload hops rank to rank).
-CollectiveSchedule ring_broadcast(int n, Bytes payload) {
-  auto s = make(CollectiveType::kBroadcast, Algorithm::kRing, n, payload,
-                n - 1, 1);
+void ring_broadcast(int n, ShapeSink& out) {
+  out.begin(n - 1, 1, count(n - 1));
   for (int step = 0; step < n - 1; ++step) {
-    s.transfers.push_back(Transfer{step, step, step + 1, payload, 0, 1, false});
+    out.transfer(step, step, step + 1, 0, 1, false);
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule ring_reduce(int n, Bytes payload) {
+void ring_reduce(int n, ShapeSink& out) {
   // Contributions accumulate toward rank 0: n-1 -> n-2 -> ... -> 0.
-  auto s =
-      make(CollectiveType::kReduce, Algorithm::kRing, n, payload, n - 1, 1);
+  out.begin(n - 1, 1, count(n - 1));
   for (int step = 0; step < n - 1; ++step) {
     const int src = n - 1 - step;
-    s.transfers.push_back(Transfer{step, src, src - 1, payload, 0, 1, true});
+    out.transfer(step, src, src - 1, 0, 1, true);
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule ring_barrier(int n) {
+void ring_barrier(int n, ShapeSink& out) {
   // Two token passes around the ring: 2(n-1) zero-byte hops.
-  auto s = make(CollectiveType::kBarrier, Algorithm::kRing, n, 0,
-                2 * (n - 1), 0);
+  out.begin(2 * (n - 1), 0, count(2 * (n - 1)));
   for (int step = 0; step < 2 * (n - 1); ++step) {
     const int src = step % n;
-    s.transfers.push_back(Transfer{step, src, (src + 1) % n, 0, -1, -1, false});
+    out.transfer(step, src, (src + 1) % n, -1, -1, false);
   }
-  finalize(s);
-  return s;
 }
 
 // ---- Logarithmic family ---------------------------------------------------
 
-CollectiveSchedule recursive_doubling_all_gather(int n, Bytes payload) {
-  ensure(is_power_of_two(n), "recursive doubling requires power-of-two ranks");
-  const int steps = ceil_log2(n);
-  auto s = make(CollectiveType::kAllGather, Algorithm::kRecursiveDoubling, n,
-                payload, steps, n);
-  const Bytes cb = chunk_bytes(payload, n);
-  for (int step = 0; step < steps; ++step) {
-    const int block = 1 << step;
+/// log2(n) steps from `first_step` of recursive doubling on a power-of-two
+/// group whose rank r starts owning chunk r: at the step with distance d,
+/// each rank swaps its aligned block of d chunks with rank r ^ d.
+void recursive_doubling(int n, int first_step, ShapeSink& out) {
+  for (int step = 0, d = 1; d < n; ++step, d <<= 1) {
     for (int r = 0; r < n; ++r) {
-      const int partner = r ^ block;
-      const int lo = r & ~(block - 1);
-      s.transfers.push_back(Transfer{step, r, partner, cb * block, lo,
-                                     lo + block, false});
+      const int lo = r & ~(d - 1);
+      out.transfer(first_step + step, r, r ^ d, lo, lo + d, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule recursive_halving_doubling_all_reduce(int n,
-                                                         Bytes payload) {
-  ensure(is_power_of_two(n),
-         "recursive halving-doubling requires power-of-two ranks");
+void recursive_doubling_all_gather(int n, ShapeSink& out) {
+  const int steps = ceil_log2(n);
+  out.begin(steps, n, count(n, steps));
+  recursive_doubling(n, 0, out);
+}
+
+void recursive_halving_doubling_all_reduce(int n, ShapeSink& out) {
   const int logn = ceil_log2(n);
-  auto s = make(CollectiveType::kAllReduce,
-                Algorithm::kRecursiveHalvingDoubling, n, payload, 2 * logn, n);
-  const Bytes cb = chunk_bytes(payload, n);
-  // Reduce-scatter by recursive halving. Track each rank's active block.
-  std::vector<int> lo(static_cast<std::size_t>(n), 0);
-  std::vector<int> size(static_cast<std::size_t>(n), n);
-  for (int step = 0; step < logn; ++step) {
-    const int d = n >> (step + 1);
-    std::vector<int> nlo = lo;
-    std::vector<int> nsize = size;
+  out.begin(2 * logn, n, count(n, 2 * logn));
+  // Reduce-scatter by recursive halving: at the step with distance d, rank
+  // r's active block is its aligned block of 2d chunks; it keeps the half
+  // holding chunk r and sends the other half to r ^ d. It ends owning
+  // chunk r, which the all-gather then doubles back.
+  for (int step = 0, d = n / 2; d >= 1; ++step, d /= 2) {
     for (int r = 0; r < n; ++r) {
-      const int partner = r ^ d;
-      const auto ri = static_cast<std::size_t>(r);
-      const int half = size[ri] / 2;
-      int send_lo;
-      if ((r & d) != 0) {
-        // Keep the upper half of the active block, send the lower half.
-        send_lo = lo[ri];
-        nlo[ri] = lo[ri] + half;
-      } else {
-        send_lo = lo[ri] + half;
-        nlo[ri] = lo[ri];
-      }
-      nsize[ri] = half;
-      s.transfers.push_back(Transfer{step, r, partner, cb * half, send_lo,
-                                     send_lo + half, true});
-    }
-    lo = nlo;
-    size = nsize;
-  }
-  // All-gather by recursive doubling (mirror order).
-  for (int step = 0; step < logn; ++step) {
-    const int d = 1 << step;
-    for (int r = 0; r < n; ++r) {
-      const int partner = r ^ d;
-      const auto ri = static_cast<std::size_t>(r);
-      s.transfers.push_back(Transfer{logn + step, r, partner,
-                                     cb * size[ri], lo[ri], lo[ri] + size[ri],
-                                     false});
-      // Blocks merge pairwise; both ranks end the step with the union.
-    }
-    for (int r = 0; r < n; ++r) {
-      // The union of a block with its partner's block is the enclosing
-      // aligned block of twice the size.
-      const auto ri = static_cast<std::size_t>(r);
-      lo[ri] = lo[ri] / (size[ri] * 2) * (size[ri] * 2);
-      size[ri] *= 2;
+      const int lo = r & ~(2 * d - 1);
+      const int send_lo = (r & d) != 0 ? lo : lo + d;
+      out.transfer(step, r, r ^ d, send_lo, send_lo + d, true);
     }
   }
-  finalize(s);
-  return s;
+  recursive_doubling(n, logn, out);
 }
 
-CollectiveSchedule dissemination_barrier(int n) {
+void dissemination_barrier(int n, ShapeSink& out) {
   const int steps = ceil_log2(n);
-  auto s = make(CollectiveType::kBarrier, Algorithm::kRecursiveDoubling, n, 0,
-                std::max(steps, 1), 0);
-  if (n == 1) {
-    finalize(s);
-    return s;
-  }
+  out.begin(steps, 0, count(n, steps));
   for (int step = 0; step < steps; ++step) {
     const int d = 1 << step;
     for (int r = 0; r < n; ++r) {
-      s.transfers.push_back(
-          Transfer{step, r, (r + d) % n, 0, -1, -1, false});
+      out.transfer(step, r, (r + d) % n, -1, -1, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule binomial_tree_broadcast(int n, Bytes payload) {
-  const int steps = ceil_log2(n);
-  auto s = make(CollectiveType::kBroadcast, Algorithm::kBinomialTree, n,
-                payload, std::max(steps, 1), 1);
-  for (int step = 0; step < steps; ++step) {
-    const int d = 1 << step;
-    for (int r = 0; r < d; ++r) {
-      if (r + d < n) {
-        s.transfers.push_back(
-            Transfer{step, r, r + d, payload, 0, 1, false});
-      }
+/// Binomial-tree broadcast from rank 0 over ceil_log2(n) steps from
+/// `first_step`: at the step with distance d, ranks below d send to r + d.
+void tree_broadcast(int n, int first_step, ShapeSink& out) {
+  for (int step = 0, d = 1; d < n; ++step, d <<= 1) {
+    for (int r = 0; r < d && r + d < n; ++r) {
+      out.transfer(first_step + step, r, r + d, 0, 1, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule binomial_tree_reduce(int n, Bytes payload) {
+/// The mirror image: a binomial-tree reduce to rank 0 from step 0.
+void tree_reduce(int n, ShapeSink& out) {
   const int steps = ceil_log2(n);
-  auto s = make(CollectiveType::kReduce, Algorithm::kBinomialTree, n, payload,
-                std::max(steps, 1), 1);
   for (int step = 0; step < steps; ++step) {
     const int d = 1 << (steps - 1 - step);
-    for (int r = 0; r < d; ++r) {
-      if (r + d < n) {
-        s.transfers.push_back(
-            Transfer{step, r + d, r, payload, 0, 1, true});
-      }
+    for (int r = 0; r < d && r + d < n; ++r) {
+      out.transfer(step, r + d, r, 0, 1, true);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule binomial_tree_all_reduce(int n, Bytes payload) {
+void binomial_tree_broadcast(int n, ShapeSink& out) {
+  out.begin(ceil_log2(n), 1, count(n - 1));
+  tree_broadcast(n, 0, out);
+}
+
+void binomial_tree_reduce(int n, ShapeSink& out) {
+  out.begin(ceil_log2(n), 1, count(n - 1));
+  tree_reduce(n, out);
+}
+
+void binomial_tree_all_reduce(int n, ShapeSink& out) {
   // Reduce to rank 0, then broadcast from rank 0.
-  auto reduce = binomial_tree_reduce(n, payload);
-  auto bcast = binomial_tree_broadcast(n, payload);
-  auto s = make(CollectiveType::kAllReduce, Algorithm::kBinomialTree, n,
-                payload, reduce.n_steps + bcast.n_steps, 1);
-  s.transfers = reduce.transfers;
-  for (Transfer t : bcast.transfers) {
-    t.step += reduce.n_steps;
-    s.transfers.push_back(t);
-  }
-  finalize(s);
-  return s;
+  const int steps = ceil_log2(n);
+  out.begin(2 * steps, 1, count(n - 1, 2));
+  tree_reduce(n, out);
+  tree_broadcast(n, steps, out);
 }
 
 // ---- AllToAll -------------------------------------------------------------
 
-CollectiveSchedule pairwise_all_to_all(int n, Bytes payload) {
-  auto s = make(CollectiveType::kAllToAll, Algorithm::kPairwise, n, payload,
-                n - 1, 0);
-  const Bytes slice = chunk_bytes(payload, n);
+void pairwise_all_to_all(int n, ShapeSink& out) {
+  out.begin(n - 1, 0, count(n, n - 1));
   for (int step = 0; step < n - 1; ++step) {
     for (int r = 0; r < n; ++r) {
-      s.transfers.push_back(
-          Transfer{step, r, (r + step + 1) % n, slice, -1, -1, false});
+      out.transfer(step, r, (r + step + 1) % n, -1, -1, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule direct_all_to_all(int n, Bytes payload) {
-  auto s = make(CollectiveType::kAllToAll, Algorithm::kDirect, n, payload, 1,
-                0);
-  const Bytes slice = chunk_bytes(payload, n);
+// ---- Direct (single-step fan-out) -----------------------------------------
+
+void direct_all_to_all(int n, ShapeSink& out) {
+  out.begin(1, 0, count(n, n - 1));
   for (int r = 0; r < n; ++r) {
     for (int d = 0; d < n; ++d) {
-      if (d == r) continue;
-      s.transfers.push_back(Transfer{0, r, d, slice, -1, -1, false});
+      if (d != r) out.transfer(0, r, d, -1, -1, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule direct_all_gather(int n, Bytes payload) {
-  auto s =
-      make(CollectiveType::kAllGather, Algorithm::kDirect, n, payload, 1, n);
-  const Bytes cb = chunk_bytes(payload, n);
+void direct_all_gather(int n, ShapeSink& out) {
+  out.begin(1, n, count(n, n - 1));
   for (int r = 0; r < n; ++r) {
     for (int d = 0; d < n; ++d) {
-      if (d == r) continue;
-      s.transfers.push_back(Transfer{0, r, d, cb, r, r + 1, false});
+      if (d != r) out.transfer(0, r, d, r, r + 1, false);
     }
   }
-  finalize(s);
-  return s;
 }
 
-CollectiveSchedule direct_broadcast(int n, Bytes payload) {
-  auto s =
-      make(CollectiveType::kBroadcast, Algorithm::kDirect, n, payload, 1, 1);
-  for (int d = 1; d < n; ++d) {
-    s.transfers.push_back(Transfer{0, 0, d, payload, 0, 1, false});
+void direct_broadcast(int n, ShapeSink& out) {
+  out.begin(1, 1, count(n - 1));
+  for (int d = 1; d < n; ++d) out.transfer(0, 0, d, 0, 1, false);
+}
+
+void direct_reduce(int n, ShapeSink& out) {
+  out.begin(1, 1, count(n - 1));
+  for (int r = 1; r < n; ++r) out.transfer(0, r, 0, 0, 1, true);
+}
+
+void send_recv(ShapeSink& out) {
+  out.begin(1, 1, 1);
+  out.transfer(0, 0, 1, 0, 1, false);
+}
+
+/// Collects a planned shape as full Transfers priced at `payload`.
+class ScheduleSink final : public ShapeSink {
+ public:
+  ScheduleSink(CollectiveSchedule& s, Bytes payload)
+      : s_(s), payload_(payload) {}
+
+  void begin(int n_steps, int n_chunks, std::size_t n_transfers) override {
+    s_.n_steps = n_steps;
+    s_.n_chunks = n_chunks;
+    unit_ = unit_bytes(payload_, unit_divisor(s_.type, s_.n_ranks, n_chunks));
+    s_.transfers.reserve(n_transfers);
   }
-  finalize(s);
-  return s;
-}
-
-CollectiveSchedule direct_reduce(int n, Bytes payload) {
-  auto s = make(CollectiveType::kReduce, Algorithm::kDirect, n, payload, 1, 1);
-  for (int r = 1; r < n; ++r) {
-    s.transfers.push_back(Transfer{0, r, 0, payload, 0, 1, true});
+  void transfer(int step, int src, int dst, int chunk_lo, int chunk_hi,
+                bool reduce_op) override {
+    s_.transfers.push_back(
+        Transfer{step, src, dst,
+                 transfer_units(s_.type, chunk_lo, chunk_hi) * unit_,
+                 chunk_lo, chunk_hi, reduce_op});
   }
-  finalize(s);
-  return s;
-}
 
-CollectiveSchedule send_recv(Bytes payload) {
-  auto s = make(CollectiveType::kSendRecv, Algorithm::kDirect, 2, payload, 1,
-                1);
-  s.transfers.push_back(Transfer{0, 0, 1, payload, 0, 1, false});
-  finalize(s);
-  return s;
-}
-
-CollectiveSchedule empty_schedule(CollectiveType type, Algorithm algo,
-                                  Bytes payload) {
-  auto s = make(type, algo, 1, payload, 0, 1);
-  finalize(s);
-  return s;
-}
+ private:
+  CollectiveSchedule& s_;
+  Bytes payload_;
+  Bytes unit_ = 0;
+};
 
 }  // namespace
 
@@ -458,50 +345,76 @@ bool algorithm_supports(CollectiveType type, Algorithm algo, int n_ranks) {
   return false;
 }
 
-CollectiveSchedule plan_collective(CollectiveType type, Algorithm algo,
-                                   int n_ranks, Bytes payload_bytes) {
+void plan_shape(CollectiveType type, Algorithm algo, int n_ranks,
+                ShapeSink& out) {
   ensure(n_ranks >= 1, "collective requires at least one rank");
-  ensure(payload_bytes >= 0, "payload must be non-negative");
   ensure(algorithm_supports(type, algo, n_ranks),
          std::string("algorithm ") + to_string(algo) + " cannot implement " +
              to_string(type) + " on " + std::to_string(n_ranks) + " ranks");
-  if (n_ranks == 1) return empty_schedule(type, algo, payload_bytes);
-
+  const int n = n_ranks;
+  if (n == 1) {
+    out.begin(0, 1, 0);  // nothing moves
+    return;
+  }
   switch (type) {
     case CollectiveType::kAllReduce:
-      if (algo == Algorithm::kRing) return ring_all_reduce(n_ranks, payload_bytes);
+      if (algo == Algorithm::kRing) return ring_all_reduce(n, out);
       if (algo == Algorithm::kBinomialTree)
-        return binomial_tree_all_reduce(n_ranks, payload_bytes);
-      return recursive_halving_doubling_all_reduce(n_ranks, payload_bytes);
+        return binomial_tree_all_reduce(n, out);
+      return recursive_halving_doubling_all_reduce(n, out);
     case CollectiveType::kAllGather:
-      if (algo == Algorithm::kRing) return ring_all_gather(n_ranks, payload_bytes);
-      if (algo == Algorithm::kDirect)
-        return direct_all_gather(n_ranks, payload_bytes);
-      return recursive_doubling_all_gather(n_ranks, payload_bytes);
+      if (algo == Algorithm::kRing) return ring_all_gather(n, out);
+      if (algo == Algorithm::kDirect) return direct_all_gather(n, out);
+      return recursive_doubling_all_gather(n, out);
     case CollectiveType::kReduceScatter:
-      return ring_reduce_scatter(n_ranks, payload_bytes);
+      return ring_reduce_scatter(n, out);
     case CollectiveType::kAllToAll:
-      return algo == Algorithm::kPairwise
-                 ? pairwise_all_to_all(n_ranks, payload_bytes)
-                 : direct_all_to_all(n_ranks, payload_bytes);
+      return algo == Algorithm::kPairwise ? pairwise_all_to_all(n, out)
+                                          : direct_all_to_all(n, out);
     case CollectiveType::kBroadcast:
-      if (algo == Algorithm::kRing) return ring_broadcast(n_ranks, payload_bytes);
+      if (algo == Algorithm::kRing) return ring_broadcast(n, out);
       if (algo == Algorithm::kBinomialTree)
-        return binomial_tree_broadcast(n_ranks, payload_bytes);
-      return direct_broadcast(n_ranks, payload_bytes);
+        return binomial_tree_broadcast(n, out);
+      return direct_broadcast(n, out);
     case CollectiveType::kReduce:
-      if (algo == Algorithm::kRing) return ring_reduce(n_ranks, payload_bytes);
-      if (algo == Algorithm::kBinomialTree)
-        return binomial_tree_reduce(n_ranks, payload_bytes);
-      return direct_reduce(n_ranks, payload_bytes);
+      if (algo == Algorithm::kRing) return ring_reduce(n, out);
+      if (algo == Algorithm::kBinomialTree) return binomial_tree_reduce(n, out);
+      return direct_reduce(n, out);
     case CollectiveType::kSendRecv:
-      return send_recv(payload_bytes);
+      return send_recv(out);
     case CollectiveType::kBarrier:
-      return algo == Algorithm::kRing ? ring_barrier(n_ranks)
-                                      : dissemination_barrier(n_ranks);
+      return algo == Algorithm::kRing ? ring_barrier(n, out)
+                                      : dissemination_barrier(n, out);
   }
-  ensure(false, "plan_collective: unhandled collective type");
-  return {};
+  ensure(false, "plan_shape: unhandled collective type");
+}
+
+Bytes unit_divisor(CollectiveType type, int n_ranks, int n_chunks) {
+  return type == CollectiveType::kAllToAll ? n_ranks
+         : n_chunks > 0                    ? n_chunks
+                                           : 1;
+}
+
+int transfer_units(CollectiveType type, int chunk_lo, int chunk_hi) {
+  return chunk_lo >= 0                         ? chunk_hi - chunk_lo
+         : type == CollectiveType::kAllToAll ? 1
+                                             : 0;
+}
+
+CollectiveSchedule plan_collective(CollectiveType type, Algorithm algo,
+                                   int n_ranks, Bytes payload_bytes) {
+  ensure(payload_bytes >= 0, "payload must be non-negative");
+  CollectiveSchedule s;
+  s.type = type;
+  s.algo = algo;
+  s.n_ranks = n_ranks;
+  // Barrier tokens carry no payload; a one-rank plan records its payload.
+  s.payload_bytes =
+      type == CollectiveType::kBarrier && n_ranks > 1 ? 0 : payload_bytes;
+  ScheduleSink sink(s, payload_bytes);
+  plan_shape(type, algo, n_ranks, sink);
+  finalize(s);
+  return s;
 }
 
 Algorithm choose_algorithm(CollectiveType type, int n_ranks,

@@ -1,29 +1,68 @@
 // Collective schedule planners: one function per (type, algorithm) pair, plus
 // an NCCL-style automatic algorithm chooser that honours the physical degree
 // constraint of circuit-switched fabrics (constraint C1).
+//
+// A planner emits a byte-free shape: which ranks send which chunks at which
+// step. Bytes come from one pricing rule, so a shape is planned once and
+// priced at any payload.
 #pragma once
+
+#include <cstddef>
 
 #include "collective/schedule.h"
 #include "common/units.h"
 
 namespace opus::collective {
 
-/// Plans a collective of `type` over `n_ranks` using `algo`.
-///
-/// Payload semantics (`payload_bytes`):
-///  - AllReduce:      per-rank buffer size (each rank contributes and
-///                    receives `payload_bytes`).
-///  - AllGather:      total gathered size; each rank contributes
-///                    payload/n and ends with the full payload.
-///  - ReduceScatter:  per-rank input size; each rank ends with payload/n.
-///  - AllToAll:       per-rank send total; each rank sends payload/n to
-///                    every other rank.
-///  - Broadcast/Reduce: buffer size (root rank 0).
-///  - SendRecv:       bytes moved from rank 0 to rank 1 of the group view.
-///  - Barrier:        ignored (zero-byte token passing).
-///
-/// Throws InvariantError for invalid combinations (e.g. recursive doubling
-/// on a non-power-of-two group).
+/// Receives a planned shape: begin() once, then every transfer in ascending
+/// step order. plan_collective() collects full Transfers from it, compile()
+/// collects UnitTransfers.
+class ShapeSink {
+ public:
+  /// `n_chunks` is the verifier's chunk space; `n_transfers` is the exact
+  /// number of transfer() calls that follow.
+  virtual void begin(int n_steps, int n_chunks, std::size_t n_transfers) = 0;
+  /// One transfer moving chunks [chunk_lo, chunk_hi) of the chunk space
+  /// (-1, -1: untracked, e.g. an AllToAll slice or a Barrier token).
+  virtual void transfer(int step, int src, int dst, int chunk_lo, int chunk_hi,
+                        bool reduce_op) = 0;
+
+ protected:
+  ~ShapeSink() = default;
+};
+
+/// Plans the shape of a collective of `type` over `n_ranks` using `algo`
+/// into `sink`. Throws InvariantError for invalid combinations (e.g.
+/// recursive doubling on a non-power-of-two group).
+void plan_shape(CollectiveType type, Algorithm algo, int n_ranks,
+                ShapeSink& sink);
+
+/// The pricing rule. Of a P-byte payload, a transfer of u units carries
+/// u x unit_bytes(P, d), where d = unit_divisor(type, n_ranks, n_chunks):
+///  - AllReduce:      P is the per-rank buffer size (each rank contributes
+///                    and receives P); ring and recursive schedules move
+///                    chunks of ceil(P/n), the binomial tree the whole P.
+///  - AllGather:      P is the total gathered size; each rank contributes
+///                    a chunk of ceil(P/n) and ends with the full payload.
+///  - ReduceScatter:  P is the per-rank input size; each rank ends with a
+///                    chunk of ceil(P/n).
+///  - AllToAll:       P is the per-rank send total; each rank sends a slice
+///                    of ceil(P/n) to every other rank.
+///  - Broadcast/Reduce: P is the buffer size (root rank 0).
+///  - SendRecv:       P bytes move from rank 0 to rank 1 of the group view.
+///  - Barrier:        P is ignored (zero-byte token passing).
+/// Ceil division means rounding never claims less traffic than P requires.
+Bytes unit_divisor(CollectiveType type, int n_ranks, int n_chunks);
+/// Units of a transfer: chunk_hi - chunk_lo when chunk-tracked, 1 for an
+/// untracked AllToAll slice, 0 for any other untracked transfer (a token).
+int transfer_units(CollectiveType type, int chunk_lo, int chunk_hi);
+inline Bytes unit_bytes(Bytes payload, Bytes divisor) {
+  return (payload + divisor - 1) / divisor;
+}
+
+/// Plans a collective of `type` over `n_ranks` using `algo` and prices it at
+/// `payload_bytes` by the rule above. Throws like plan_shape, and on a
+/// negative payload.
 CollectiveSchedule plan_collective(CollectiveType type, Algorithm algo,
                                    int n_ranks, Bytes payload_bytes);
 

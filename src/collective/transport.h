@@ -8,7 +8,7 @@
 // the run's CompiledCollective, so a transport reads the schedule's step
 // index and peer pairs instead of re-deriving them per launch. The compiled
 // shape is shared by runs of every payload, so the preparation hooks also
-// receive the run's payload (plan_collective's payload semantics). Only send()
+// receive the run's payload (P in the planner's pricing rule). Only send()
 // is required: the preparation hooks default to "ready at once, no
 // per-step preparation", which suits every fabric whose wiring does not
 // follow demand (packet rails, a rotor, a static ring).

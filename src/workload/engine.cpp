@@ -236,10 +236,11 @@ void IterationEngine::start_collective(const Op& op) {
     const CollectiveKey key{op.ctype, algo, group.size()};
     auto it = compiled_.find(key);
     if (it == compiled_.end()) {
-      // This launch's payload only plans the shape: compile() keeps no bytes.
+      // The shape is planned without bytes; every run prices it from its
+      // own payload.
       it = compiled_
-               .emplace(key, collective::compile(collective::plan_collective(
-                                 op.ctype, algo, group.size(), op.payload)))
+               .emplace(key,
+                        collective::compile(op.ctype, algo, group.size()))
                .first;
     }
     executor_.run(group, it->second, op.payload,

@@ -8,8 +8,9 @@
 // compute span is recorded into the TraceRecorder.
 //
 // Collective cache: an iteration repeats the same collectives, so each
-// distinct (type, algorithm, group size, bytes) is planned and compiled once,
-// on its first launch, and every later launch shares the immutable result.
+// distinct shape (type, algorithm, group size) is compiled once, straight
+// from the planner, on its first launch, and every later launch of any
+// payload shares the immutable result.
 // The cache belongs to the engine (one per tenant or sweep thread), and
 // compiling lazily keeps the work out of tenant setup.
 //

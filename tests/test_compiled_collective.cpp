@@ -1,9 +1,11 @@
 // compile() equivalence: every index a CompiledCollective holds must equal
 // the straightforward derivation it replaces — the step grouping of
 // transfers_by_step(), the all-pairs adjacent-step dependency rule, and the
-// std::set-based peer pairs — for every planner the chooser can reach. And
-// shape pricing: one byte-free shape, priced from a run's payload, sends
-// exactly the bytes the planner gives every transfer at that payload.
+// std::set-based peer pairs — for every planner the chooser can reach. A
+// shape compiled straight from the planner must equal the shape compiled
+// from its planned schedule. And shape pricing: one byte-free shape, priced
+// from a run's payload, sends exactly the bytes the planner gives every
+// transfer at that payload.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -171,6 +173,51 @@ TEST(CompiledCollective, ShapePricingMatchesThePlannerAtEveryPayload) {
     ++shapes;
   }
   EXPECT_EQ(shapes, 1090);
+}
+
+// compile(type, algo, n) collects the planner's transfers without a
+// schedule; it must build the very shape compile(plan_collective(...))
+// builds, whatever payload the schedule was priced at.
+TEST(CompiledCollective,
+     ShapeCompileEqualsScheduleCompileForEverySupportedShape) {
+  int shapes = 0;
+  for (const PlanShape& p : supported_plans(70)) {
+    const auto shape = compile(p.type, p.algo, p.n_ranks);
+    SCOPED_TRACE(std::string(to_string(p.type)) + "/" + to_string(p.algo) +
+                 " n=" + std::to_string(p.n_ranks));
+    // The planner announces its exact transfer count up front.
+    EXPECT_EQ(shape->transfers.capacity(), shape->transfers.size());
+    for (const Bytes payload : {Bytes{0}, Bytes{kMiB + 3}}) {
+      const auto ref =
+          compile(plan_collective(p.type, p.algo, p.n_ranks, payload));
+      EXPECT_EQ(shape->n_ranks, ref->n_ranks);
+      EXPECT_EQ(shape->n_steps, ref->n_steps);
+      EXPECT_EQ(shape->unit_divisor, ref->unit_divisor);
+      EXPECT_EQ(shape->transfers, ref->transfers);
+      EXPECT_EQ(shape->step_begin, ref->step_begin);
+      EXPECT_EQ(shape->step_order, ref->step_order);
+      EXPECT_EQ(shape->dep_begin, ref->dep_begin);
+      EXPECT_EQ(shape->dep_list, ref->dep_list);
+      EXPECT_EQ(shape->initial_deps, ref->initial_deps);
+      EXPECT_EQ(shape->peer_pairs, ref->peer_pairs);
+      EXPECT_EQ(shape->step_pair_begin, ref->step_pair_begin);
+      EXPECT_EQ(shape->step_pair_end, ref->step_pair_end);
+      EXPECT_EQ(shape->step_pairs, ref->step_pairs);
+    }
+    ++shapes;
+  }
+  EXPECT_EQ(shapes, 1090);
+}
+
+TEST(CompiledCollective, ShapeCompileRejectsWhatThePlannerRejects) {
+  EXPECT_THROW(
+      compile(CollectiveType::kAllReduce, Algorithm::kRecursiveHalvingDoubling,
+              6),
+      InvariantError);
+  EXPECT_THROW(compile(CollectiveType::kSendRecv, Algorithm::kDirect, 3),
+               InvariantError);
+  EXPECT_THROW(compile(CollectiveType::kBarrier, Algorithm::kRing, 0),
+               InvariantError);
 }
 
 TEST(CompiledCollective, RejectsBytesThatBreakTheUnitRule) {

@@ -2,7 +2,8 @@
 // transfer allocates nothing — through the collective executor, a direct
 // circuit, parallel striped circuits, multi-hop ring forwarding and the
 // rotor's two-hop forwarding. Also pins the fluid network's delivery-slab
-// behaviour (pending deliveries, aborted zero-byte flows, slot reuse).
+// behaviour (pending deliveries, aborted zero-byte flows, slot reuse), and
+// bounds the largest block compiling a collective shape asks for.
 //
 // This binary replaces the global operator new/delete with counters that
 // forward to malloc/free, so sanitizer builds still see every block.
@@ -10,9 +11,11 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
+#include "collective/compiled.h"
 #include "collective/executor.h"
 #include "collective/planner.h"
 #include "collective/transport.h"
@@ -23,9 +26,14 @@
 
 namespace {
 std::atomic<long long> g_allocations{0};
+std::atomic<std::size_t> g_largest_block{0};
 
 void* counted_malloc(std::size_t n) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t largest = g_largest_block.load(std::memory_order_relaxed);
+  while (n > largest && !g_largest_block.compare_exchange_weak(
+                            largest, n, std::memory_order_relaxed)) {
+  }
   return std::malloc(n == 0 ? 1 : n);
 }
 
@@ -68,6 +76,14 @@ long long allocations_during(F&& f) {
   const long long before = g_allocations.load(std::memory_order_relaxed);
   f();
   return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// The largest block requested while `f` runs.
+template <class F>
+std::size_t largest_block_during(F&& f) {
+  g_largest_block.store(0, std::memory_order_relaxed);
+  f();
+  return g_largest_block.load(std::memory_order_relaxed);
 }
 
 net::ClusterConfig photonic_cfg(int nodes) {
@@ -212,6 +228,25 @@ TEST(TransferAllocations, RotorTwoHopForwardsAllocateNothingOnceWarm) {
   EXPECT_EQ(cluster.bytes_on_route(net::Cluster::Route::kRailMultiHop) -
                 forwarded,
             4 * 20'000);
+}
+
+// ---------------------------------------------------------------------------
+// Compiling a collective shape.
+// ---------------------------------------------------------------------------
+
+// Compiling a shape straight from the planner builds no CollectiveSchedule
+// (40 bytes a transfer) on the way: its largest block is the 16-byte-a-
+// transfer UnitTransfer array itself. The 256-rank ring AllReduce is the
+// largest shape the benchmark's 512-node cells compile.
+TEST(TransferAllocations, ShapeCompileRequestsNoBlockLargerThanItsTransfers) {
+  std::shared_ptr<const collective::CompiledCollective> cc;
+  const std::size_t largest = largest_block_during([&] {
+    cc = collective::compile(collective::CollectiveType::kAllReduce,
+                             collective::Algorithm::kRing, 256);
+  });
+  ASSERT_EQ(cc->transfers.size(), 256u * 2 * 255);
+  EXPECT_LE(largest,
+            cc->transfers.size() * sizeof(collective::UnitTransfer));
 }
 
 // ---------------------------------------------------------------------------
