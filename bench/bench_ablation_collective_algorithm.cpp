@@ -36,10 +36,9 @@ TimeNs run_collective(net::FabricKind kind, CollectiveType type, Algorithm algo,
   group.id = GroupId{1};
   group.dim = ParallelismDim::kDP;
   for (int n = 0; n < 8; ++n) group.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-  const auto sched = plan_collective(type, algo, 8, payload);
-  const auto cc = compile(sched);
+  const auto cc = compile(type, algo, 8);
   TimeNs duration = -1;
-  exec.run(group, cc, sched.payload_bytes,
+  exec.run(group, cc, payload,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   return duration;

@@ -54,10 +54,9 @@ TimeNs run_collective(bool rotor, int nodes, TimeNs ocs_delay,
   g.dim = ParallelismDim::kDP;
   for (int n = 0; n < nodes; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto algo = choose_algorithm(type, nodes, payload, 2);
-  const auto sched = plan_collective(type, algo, nodes, payload);
-  const auto cc = compile(sched);
+  const auto cc = compile(type, algo, nodes);
   TimeNs duration = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });

@@ -347,53 +347,39 @@ void BM_MetricsCounterIncrement(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsCounterIncrement)->Arg(0)->Arg(1);
 
-// Ring planning and compiling: the 256-rank groups of the 512-node Table-3
-// cell plan and compile ReduceScatter, AllGather and AllReduce rings of
-// 65,280-130,560 transfers. items/s = transfers.
-void plan_ring(benchmark::State& state, collective::CollectiveType type) {
+// Ring compiling: the 256-rank groups of the 512-node Table-3 cell compile
+// ReduceScatter, AllGather and AllReduce rings of 65,280-130,560 transfers
+// straight from the planner. items/s = transfers.
+void compile_ring(benchmark::State& state, collective::CollectiveType type) {
   const auto n = static_cast<int>(state.range(0));
   std::size_t transfers = 0;
   for (auto _ : state) {
-    const auto s = collective::plan_collective(
-        type, collective::Algorithm::kRing, n, gib(1));
-    transfers = s.transfers.size();
-    benchmark::DoNotOptimize(s.max_distinct_peers);
+    const auto cc = collective::compile(type, collective::Algorithm::kRing, n);
+    transfers = cc->transfers.size();
+    benchmark::DoNotOptimize(cc);
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(transfers));
 }
-void BM_PlanRingReduceScatter(benchmark::State& state) {
-  plan_ring(state, collective::CollectiveType::kReduceScatter);
+void BM_CompileRingReduceScatter(benchmark::State& state) {
+  compile_ring(state, collective::CollectiveType::kReduceScatter);
 }
-void BM_PlanRingAllGather(benchmark::State& state) {
-  plan_ring(state, collective::CollectiveType::kAllGather);
+void BM_CompileRingAllGather(benchmark::State& state) {
+  compile_ring(state, collective::CollectiveType::kAllGather);
 }
-void BM_PlanRingAllReduce(benchmark::State& state) {
-  plan_ring(state, collective::CollectiveType::kAllReduce);
-}
-BENCHMARK(BM_PlanRingReduceScatter)->Arg(256);
-BENCHMARK(BM_PlanRingAllGather)->Arg(256);
-BENCHMARK(BM_PlanRingAllReduce)->Arg(8)->Arg(64)->Arg(256)->Arg(512);
-
 void BM_CompileRingAllReduce(benchmark::State& state) {
-  const auto sched = collective::plan_collective(
-      collective::CollectiveType::kAllReduce, collective::Algorithm::kRing,
-      static_cast<int>(state.range(0)), gib(1));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(collective::compile(sched));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(sched.transfers.size()));
+  compile_ring(state, collective::CollectiveType::kAllReduce);
 }
-BENCHMARK(BM_CompileRingAllReduce)->Arg(256);
+BENCHMARK(BM_CompileRingReduceScatter)->Arg(256);
+BENCHMARK(BM_CompileRingAllGather)->Arg(256);
+BENCHMARK(BM_CompileRingAllReduce)->Arg(8)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_VerifyRingAllReduce(benchmark::State& state) {
   const auto n = static_cast<int>(state.range(0));
-  const auto sched = collective::plan_collective(
-      collective::CollectiveType::kAllReduce, collective::Algorithm::kRing, n,
-      gib(1));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(collective::verify_schedule(sched));
+    benchmark::DoNotOptimize(collective::verify_shape(
+        collective::CollectiveType::kAllReduce, collective::Algorithm::kRing,
+        n));
   }
 }
 BENCHMARK(BM_VerifyRingAllReduce)->Arg(8)->Arg(32)->Arg(64);

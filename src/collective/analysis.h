@@ -1,4 +1,4 @@
-// Analytic alpha-beta cost model for collective schedules.
+// Analytic alpha-beta cost model for compiled collectives.
 //
 // Used to cross-check the simulator (tests) and to reason about the
 // latency/bandwidth tradeoff that motivates constraint C1: ring algorithms
@@ -7,7 +7,7 @@
 // hold simultaneously.
 #pragma once
 
-#include "collective/schedule.h"
+#include "collective/compiled.h"
 #include "common/units.h"
 
 namespace opus::collective {
@@ -19,21 +19,24 @@ struct AlphaBeta {
   Bandwidth bw = Bandwidth::gbps(400);
 };
 
-/// Step-synchronous critical-path estimate: sum over steps of
-/// (alpha + largest transfer in the step / bw). Exact for ring pipelines on
-/// dedicated circuits and for step-synchronous execution.
-TimeNs predicted_time(const CollectiveSchedule& sched, AlphaBeta cost);
+/// Step-synchronous critical-path estimate of a run of `cc` at `payload`
+/// bytes: sum over steps of (alpha + largest transfer in the step / bw),
+/// where a transfer of u units sends u x cc.unit_bytes(payload). Exact for
+/// ring pipelines on dedicated circuits and for step-synchronous execution.
+TimeNs predicted_time(const CompiledCollective& cc, Bytes payload,
+                      AlphaBeta cost);
 
 /// Same, but adds `reconfig` once per step whose peer set differs from the
 /// previous step's — the penalty a circuit fabric pays for running a
 /// peer-changing (logarithmic or pairwise) algorithm (C1).
-TimeNs predicted_time_with_reconfig(const CollectiveSchedule& sched,
-                                    AlphaBeta cost, TimeNs reconfig);
+TimeNs predicted_time_with_reconfig(const CompiledCollective& cc,
+                                    Bytes payload, AlphaBeta cost,
+                                    TimeNs reconfig);
 
 /// Number of steps whose (src,dst) peer-pair set differs from the previous
 /// step's (the first step counts if it has any transfer): how many circuit
 /// reconfigurations a static-port fabric would need to run this schedule
 /// when the whole peer graph does not fit the NIC port budget.
-int peer_changing_steps(const CollectiveSchedule& sched);
+int peer_changing_steps(const CompiledCollective& cc);
 
 }  // namespace opus::collective

@@ -24,6 +24,8 @@ void sort_unique(std::vector<std::pair<int, int>>& pairs, std::size_t from) {
 /// Builds every index of a shape whose n_ranks, n_steps, unit_divisor and
 /// transfers are set.
 void build_indexes(CompiledCollective* cc) {
+  ensure(cc->n_ranks >= 0 && cc->n_steps >= 0 && cc->unit_divisor >= 1,
+         "shape sizes out of range");
   const auto n_steps = static_cast<std::size_t>(cc->n_steps);
   const auto n_ranks = static_cast<std::size_t>(cc->n_ranks);
   const std::vector<UnitTransfer>& transfers = cc->transfers;
@@ -40,6 +42,10 @@ void build_indexes(CompiledCollective* cc) {
     ensure(t.src >= 0 && static_cast<std::size_t>(t.src) < n_ranks &&
                t.dst >= 0 && static_cast<std::size_t>(t.dst) < n_ranks,
            "transfer rank out of range");
+    // At most the whole payload, so a run's units x unit bytes cannot
+    // overflow.
+    ensure(t.units >= 0 && t.units <= cc->unit_divisor,
+           "transfer units out of range");
     ++cc->step_begin[static_cast<std::size_t>(t.step) + 1];
   }
   counts_to_offsets(cc->step_begin);
@@ -120,6 +126,7 @@ void build_indexes(CompiledCollective* cc) {
 
   // Peer pairs per step (a row equal to the previous step's is shared), then
   // over the whole schedule.
+  cc->step_pairs.clear();
   cc->step_pair_begin.assign(n_steps, 0);
   cc->step_pair_end.assign(n_steps, 0);
   for (std::size_t s = 0; s < n_steps; ++s) {
@@ -176,30 +183,15 @@ class UnitSink final : public ShapeSink {
 std::shared_ptr<const CompiledCollective> compile(CollectiveType type,
                                                   Algorithm algo,
                                                   int n_ranks) {
-  auto cc = std::make_shared<CompiledCollective>();
-  cc->n_ranks = n_ranks;
-  UnitSink sink(*cc, type);
+  CompiledCollective shape;
+  shape.n_ranks = n_ranks;
+  UnitSink sink(shape, type);
   plan_shape(type, algo, n_ranks, sink);
-  build_indexes(cc.get());
-  return cc;
+  return index(std::move(shape));
 }
 
-std::shared_ptr<const CompiledCollective> compile(
-    const CollectiveSchedule& sched) {
-  auto cc = std::make_shared<CompiledCollective>();
-  cc->n_ranks = sched.n_ranks;
-  cc->n_steps = sched.n_steps;
-  cc->unit_divisor = unit_divisor(sched.type, sched.n_ranks, sched.n_chunks);
-  ensure(cc->unit_divisor >= 1, "AllToAll schedule has no ranks");
-  const Bytes unit = cc->unit_bytes(sched.payload_bytes);
-  cc->transfers.reserve(sched.transfers.size());
-  for (const Transfer& t : sched.transfers) {
-    const int units = transfer_units(sched.type, t.chunk_lo, t.chunk_hi);
-    // At most the whole payload, so units * unit cannot overflow.
-    ensure(units >= 0 && units <= cc->unit_divisor && t.bytes == units * unit,
-           "transfer bytes are not a whole number of the schedule's units");
-    cc->transfers.push_back(UnitTransfer{t.step, t.src, t.dst, units});
-  }
+std::shared_ptr<const CompiledCollective> index(CompiledCollective shape) {
+  auto cc = std::make_shared<CompiledCollective>(std::move(shape));
   build_indexes(cc.get());
   return cc;
 }

@@ -5,8 +5,8 @@
 // derived indexes are built once by compile() and shared, immutable, by every
 // run of that collective shape (IterationEngine caches one per (type,
 // algorithm, group size)). compile(type, algo, n_ranks) collects the
-// planner's transfers straight into the shape, so no CollectiveSchedule is
-// built on the way. The shape holds no payload: by the planner's pricing
+// planner's transfers straight into the shape; index() indexes a hand-built
+// one. The shape holds no payload: by the planner's pricing
 // rule every transfer moves a whole number of units, unit(P) = ceil(P /
 // unit_divisor), so a transfer stores its unit count and each run prices it
 // from its own payload. Indexes are flat arrays, not vectors of vectors, so
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "collective/planner.h"
-#include "collective/schedule.h"
 
 namespace opus::collective {
 
@@ -41,7 +40,7 @@ struct CompiledCollective {
   /// schedules (ring, recursive, direct AllGather), n_ranks for AllToAll
   /// slices, 1 for payload-wide transfers and for Barrier.
   Bytes unit_divisor = 1;
-  /// The transfers in planner order (indices match plan_collective's).
+  /// The transfers in the order the planner emitted them.
   std::vector<UnitTransfer> transfers;
 
   /// Bytes one unit carries in a run of `payload` bytes.
@@ -49,8 +48,7 @@ struct CompiledCollective {
     return collective::unit_bytes(payload, unit_divisor);
   }
 
-  /// Step index: transfer indices of step s, ascending. Equals the planned
-  /// schedule's transfers_by_step()[s].
+  /// Step index: transfer indices of step s, ascending.
   std::vector<int> step_begin;  ///< n_steps + 1 offsets into step_order
   std::vector<int> step_order;
 
@@ -104,12 +102,10 @@ std::shared_ptr<const CompiledCollective> compile(CollectiveType type,
                                                   Algorithm algo,
                                                   int n_ranks);
 
-/// Builds the shape of a hand-built or planned `sched` and every index of
-/// it. Throws InvariantError on a transfer whose step or rank is out of
-/// range, or whose bytes break the pricing rule: its unit count
-/// (transfer_units) must be at most unit_divisor and its bytes that count
-/// times unit(sched.payload_bytes).
-std::shared_ptr<const CompiledCollective> compile(
-    const CollectiveSchedule& sched);
+/// Builds every index of a shape whose n_ranks, n_steps, unit_divisor and
+/// transfers are filled in (compile() fills them from the planner). Throws
+/// InvariantError on a transfer whose step, rank or unit count is out of
+/// range.
+std::shared_ptr<const CompiledCollective> index(CompiledCollective shape);
 
 }  // namespace opus::collective

@@ -52,14 +52,14 @@ class CollectiveExecutor {
 
   /// Runs `cc` over `group` with a payload of `payload` bytes (P in the
   /// planner's pricing rule, planner.h): transfer i sends
-  /// cc->transfers[i].units x cc->unit_bytes(payload) bytes, exactly the
-  /// bytes plan_collective(..., payload) gives it, and every transport hook
-  /// sees this payload. `on_complete(result)` fires when every transfer has
-  /// delivered. Multiple collectives (on different groups) may
-  /// be in flight concurrently on one executor. Step-synchronous schedules
-  /// (those needing per-step circuit preparation) are serialized per group,
-  /// like same-communicator collectives on one NCCL stream — their per-step
-  /// reconfigurations must not interleave.
+  /// cc->transfers[i].units x cc->unit_bytes(payload) bytes, and every
+  /// transport hook sees this payload. `on_complete(result)` fires when
+  /// every transfer has delivered. Multiple collectives (on different
+  /// groups) may be in flight concurrently on one executor.
+  /// Step-synchronous schedules (those needing per-step circuit
+  /// preparation) are serialized per group, like same-communicator
+  /// collectives on one NCCL stream — their per-step reconfigurations must
+  /// not interleave.
   void run(const CommGroup& group,
            std::shared_ptr<const CompiledCollective> cc, Bytes payload,
            std::function<void(const Result&)> on_complete);

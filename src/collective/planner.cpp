@@ -1,9 +1,7 @@
 #include "collective/planner.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
-#include <vector>
 
 #include "common/error.h"
 
@@ -20,72 +18,6 @@ int ceil_log2(int n) {
     ++bits;
   }
   return bits;
-}
-
-/// Computes max_peers_per_step and max_distinct_peers from the transfers
-/// in time linear in their count. Each transfer gives two (step, peer)
-/// entries, one per endpoint; the planners emit transfers in step order, so
-/// a counting sort by rank lists every rank's entries grouped by step, and
-/// per-peer stamps count each distinct peer once per (rank, step) group and
-/// once per rank.
-void finalize(CollectiveSchedule& s) {
-  const auto n_ranks = static_cast<std::size_t>(s.n_ranks);
-  const std::vector<Transfer>& transfers = s.transfers;
-  auto index = [](int i) { return static_cast<std::size_t>(i); };
-
-  struct Entry {
-    int step;
-    int peer;
-  };
-  std::vector<int> rank_begin(n_ranks + 1, 0);
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    const Transfer& t = transfers[i];
-    ensure(i == 0 || transfers[i - 1].step <= t.step,
-           "planner transfers must ascend by step");
-    ++rank_begin[index(t.src) + 1];
-    ++rank_begin[index(t.dst) + 1];
-  }
-  std::partial_sum(rank_begin.begin(), rank_begin.end(), rank_begin.begin());
-  std::vector<Entry> entries(2 * transfers.size());
-  {
-    std::vector<int> cursor(rank_begin.begin(), rank_begin.end() - 1);
-    for (const Transfer& t : transfers) {
-      entries[index(cursor[index(t.src)]++)] = Entry{t.step, t.dst};
-      entries[index(cursor[index(t.dst)]++)] = Entry{t.step, t.src};
-    }
-  }
-
-  // seen_rank[p]: the rank that last counted peer p; seen_group[p]: the
-  // (rank, step) group that last counted it.
-  std::vector<int> seen_rank(n_ranks, -1);
-  std::vector<int> seen_group(n_ranks, -1);
-  int group = -1;
-  int max_step_peers = 0;
-  int max_distinct = 0;
-  for (std::size_t r = 0; r < n_ranks; ++r) {
-    int step = -1;
-    int step_peers = 0;
-    int distinct = 0;
-    for (int e = rank_begin[r]; e < rank_begin[r + 1]; ++e) {
-      const Entry& entry = entries[index(e)];
-      const auto peer = index(entry.peer);
-      if (entry.step != step) {
-        step = entry.step;
-        step_peers = 0;
-        ++group;
-      }
-      if (seen_group[peer] != group) {
-        seen_group[peer] = group;
-        max_step_peers = std::max(max_step_peers, ++step_peers);
-      }
-      if (seen_rank[peer] != static_cast<int>(r)) {
-        seen_rank[peer] = static_cast<int>(r);
-        max_distinct = std::max(max_distinct, ++distinct);
-      }
-    }
-  }
-  s.max_peers_per_step = max_step_peers;
-  s.max_distinct_peers = max_distinct;
 }
 
 std::size_t count(int a, int b = 1) {
@@ -288,32 +220,6 @@ void send_recv(ShapeSink& out) {
   out.transfer(0, 0, 1, 0, 1, false);
 }
 
-/// Collects a planned shape as full Transfers priced at `payload`.
-class ScheduleSink final : public ShapeSink {
- public:
-  ScheduleSink(CollectiveSchedule& s, Bytes payload)
-      : s_(s), payload_(payload) {}
-
-  void begin(int n_steps, int n_chunks, std::size_t n_transfers) override {
-    s_.n_steps = n_steps;
-    s_.n_chunks = n_chunks;
-    unit_ = unit_bytes(payload_, unit_divisor(s_.type, s_.n_ranks, n_chunks));
-    s_.transfers.reserve(n_transfers);
-  }
-  void transfer(int step, int src, int dst, int chunk_lo, int chunk_hi,
-                bool reduce_op) override {
-    s_.transfers.push_back(
-        Transfer{step, src, dst,
-                 transfer_units(s_.type, chunk_lo, chunk_hi) * unit_,
-                 chunk_lo, chunk_hi, reduce_op});
-  }
-
- private:
-  CollectiveSchedule& s_;
-  Bytes payload_;
-  Bytes unit_ = 0;
-};
-
 }  // namespace
 
 bool algorithm_supports(CollectiveType type, Algorithm algo, int n_ranks) {
@@ -401,22 +307,6 @@ int transfer_units(CollectiveType type, int chunk_lo, int chunk_hi) {
                                              : 0;
 }
 
-CollectiveSchedule plan_collective(CollectiveType type, Algorithm algo,
-                                   int n_ranks, Bytes payload_bytes) {
-  ensure(payload_bytes >= 0, "payload must be non-negative");
-  CollectiveSchedule s;
-  s.type = type;
-  s.algo = algo;
-  s.n_ranks = n_ranks;
-  // Barrier tokens carry no payload; a one-rank plan records its payload.
-  s.payload_bytes =
-      type == CollectiveType::kBarrier && n_ranks > 1 ? 0 : payload_bytes;
-  ScheduleSink sink(s, payload_bytes);
-  plan_shape(type, algo, n_ranks, sink);
-  finalize(s);
-  return s;
-}
-
 Algorithm choose_algorithm(CollectiveType type, int n_ranks,
                            Bytes payload_bytes, int max_degree) {
   const bool unconstrained = max_degree <= 0;
@@ -450,10 +340,6 @@ Algorithm choose_algorithm(CollectiveType type, int n_ranks,
       return log_algos_fit ? Algorithm::kRecursiveDoubling : Algorithm::kRing;
   }
   return Algorithm::kRing;
-}
-
-int static_circuit_ports_needed(const CollectiveSchedule& sched) {
-  return sched.max_distinct_peers;
 }
 
 }  // namespace opus::collective

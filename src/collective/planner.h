@@ -15,8 +15,8 @@
 namespace opus::collective {
 
 /// Receives a planned shape: begin() once, then every transfer in ascending
-/// step order. plan_collective() collects full Transfers from it, compile()
-/// collects UnitTransfers.
+/// step order. compile() collects UnitTransfers from it (compiled.h); the
+/// ShapeVerifier checks the collective's postcondition (verifier.h).
 class ShapeSink {
  public:
   /// `n_chunks` is the verifier's chunk space; `n_transfers` is the exact
@@ -60,12 +60,6 @@ inline Bytes unit_bytes(Bytes payload, Bytes divisor) {
   return (payload + divisor - 1) / divisor;
 }
 
-/// Plans a collective of `type` over `n_ranks` using `algo` and prices it at
-/// `payload_bytes` by the rule above. Throws like plan_shape, and on a
-/// negative payload.
-CollectiveSchedule plan_collective(CollectiveType type, Algorithm algo,
-                                   int n_ranks, Bytes payload_bytes);
-
 /// True iff `algo` can implement `type` on `n_ranks` at all.
 bool algorithm_supports(CollectiveType type, Algorithm algo, int n_ranks);
 
@@ -78,10 +72,5 @@ bool algorithm_supports(CollectiveType type, Algorithm algo, int n_ranks);
 /// `max_degree <= 0` means unconstrained (electrical rail).
 Algorithm choose_algorithm(CollectiveType type, int n_ranks,
                            Bytes payload_bytes, int max_degree);
-
-/// The smallest number of NIC ports a rank needs so the whole schedule can be
-/// wired as static circuits (no per-step reconfiguration): the number of
-/// distinct peers of the busiest rank.
-int static_circuit_ports_needed(const CollectiveSchedule& sched);
 
 }  // namespace opus::collective

@@ -1,7 +1,6 @@
 #include "collective/schedule.h"
 
 #include "collective/comm_group.h"
-#include "common/error.h"
 
 namespace opus::collective {
 
@@ -41,22 +40,6 @@ const char* to_string(Algorithm algo) {
     case Algorithm::kDirect: return "Direct";
   }
   return "?";
-}
-
-std::vector<std::vector<int>> CollectiveSchedule::transfers_by_step() const {
-  std::vector<std::vector<int>> by_step(static_cast<std::size_t>(n_steps));
-  for (std::size_t i = 0; i < transfers.size(); ++i) {
-    const int s = transfers[i].step;
-    ensure(s >= 0 && s < n_steps, "transfer step out of range");
-    by_step[static_cast<std::size_t>(s)].push_back(static_cast<int>(i));
-  }
-  return by_step;
-}
-
-Bytes CollectiveSchedule::total_bytes() const {
-  Bytes total = 0;
-  for (const Transfer& t : transfers) total += t.bytes;
-  return total;
 }
 
 }  // namespace opus::collective

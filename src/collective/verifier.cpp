@@ -1,123 +1,119 @@
 #include "collective/verifier.h"
 
-#include <cstdint>
-#include <set>
+#include <algorithm>
 #include <sstream>
-#include <vector>
 
 #include "common/error.h"
 
 namespace opus::collective {
 namespace {
 
-/// Per-rank, per-chunk contribution counts: state[r][c][k] = how many times
-/// rank k's input for chunk c is included in rank r's buffer for chunk c.
-class ContributionModel {
- public:
-  ContributionModel(int n_ranks, int n_chunks)
-      : n_(n_ranks),
-        chunks_(n_chunks),
-        state_(static_cast<std::size_t>(n_ranks) *
-                   static_cast<std::size_t>(n_chunks) *
-                   static_cast<std::size_t>(n_ranks),
-               0) {}
+VerifyReport fail(const std::string& msg) { return VerifyReport{false, msg}; }
 
-  std::uint16_t& at(std::vector<std::uint16_t>& s, int r, int c, int k) const {
-    return s[(static_cast<std::size_t>(r) * static_cast<std::size_t>(chunks_) +
-              static_cast<std::size_t>(c)) *
-                 static_cast<std::size_t>(n_) +
-             static_cast<std::size_t>(k)];
-  }
-  std::uint16_t get(const std::vector<std::uint16_t>& s, int r, int c,
-                    int k) const {
-    return s[(static_cast<std::size_t>(r) * static_cast<std::size_t>(chunks_) +
-              static_cast<std::size_t>(c)) *
-                 static_cast<std::size_t>(n_) +
-             static_cast<std::size_t>(k)];
-  }
+}  // namespace
 
-  void seed_own_input_all_chunks() {
-    for (int r = 0; r < n_; ++r)
-      for (int c = 0; c < chunks_; ++c) at(state_, r, c, r) = 1;
-  }
-  void seed_own_chunk_only() {
-    for (int r = 0; r < n_ && r < chunks_; ++r) at(state_, r, r, r) = 1;
-  }
-  void seed_root_only() { at(state_, 0, 0, 0) = 1; }
+ShapeVerifier::ShapeVerifier(CollectiveType type, int n_ranks)
+    : type_(type), n_(n_ranks) {
+  ensure(n_ranks >= 1, "verify_shape: empty group");
+  ensure(n_ranks <= 256,
+         "verify_shape: model limited to 256 ranks (O(n^3) memory)");
+}
 
-  /// Applies one step's transfers with snapshot (pre-step read) semantics.
-  void apply_step(const CollectiveSchedule& sched,
-                  const std::vector<int>& indices) {
-    const std::vector<std::uint16_t> before = state_;
-    for (int ti : indices) {
-      const Transfer& t = sched.transfers[static_cast<std::size_t>(ti)];
-      if (t.chunk_lo < 0) continue;  // untracked transfer
-      for (int raw = t.chunk_lo; raw < t.chunk_hi; ++raw) {
-        const int c = ((raw % chunks_) + chunks_) % chunks_;
-        for (int k = 0; k < n_; ++k) {
-          const std::uint16_t incoming = get(before, t.src, c, k);
-          if (t.reduce_op) {
-            at(state_, t.dst, c, k) =
-                static_cast<std::uint16_t>(at(state_, t.dst, c, k) + incoming);
-          } else {
-            at(state_, t.dst, c, k) = incoming;
-          }
-        }
+void ShapeVerifier::begin(int n_steps, int n_chunks, std::size_t) {
+  const bool one_chunk = type_ == CollectiveType::kAllToAll ||
+                         type_ == CollectiveType::kBarrier;
+  n_steps_ = n_steps;
+  chunks_ = one_chunk ? 1 : n_chunks;
+  ensure(chunks_ >= 1, "verify_shape: empty chunk space");
+  const auto n = static_cast<std::size_t>(n_);
+  state_.assign(n * static_cast<std::size_t>(chunks_) * n, 0);
+  switch (type_) {
+    case CollectiveType::kAllGather:  // each rank holds its own chunk
+      for (int r = 0; r < n_ && r < chunks_; ++r) state_[cell(r, r, r)] = 1;
+      break;
+    case CollectiveType::kBroadcast:  // the root holds the data
+    case CollectiveType::kSendRecv:
+      state_[cell(0, 0, 0)] = 1;
+      break;
+    default:  // each rank holds its own input for every chunk
+      for (int r = 0; r < n_; ++r)
+        for (int c = 0; c < chunks_; ++c) state_[cell(r, c, r)] = 1;
+  }
+}
+
+void ShapeVerifier::transfer(int step, int src, int dst, int chunk_lo,
+                             int chunk_hi, bool reduce_op) {
+  ensure(step >= step_, "planner transfers must ascend by step");
+  ensure(step < n_steps_, "transfer step out of range");
+  ensure(src >= 0 && src < n_ && dst >= 0 && dst < n_,
+         "transfer rank out of range");
+  if (step != step_) {
+    apply_step();
+    step_ = step;
+  }
+  pending_.push_back(Pending{src, dst, chunk_lo, chunk_hi, reduce_op});
+}
+
+void ShapeVerifier::apply_step() {
+  if (pending_.empty()) return;
+  before_ = state_;
+  for (const Pending& t : pending_) {
+    if (type_ == CollectiveType::kAllToAll) {
+      ++state_[cell(t.dst, 0, t.src)];  // one slice from t.src
+      continue;
+    }
+    if (type_ == CollectiveType::kBarrier) {  // dst observes what src had
+      for (int k = 0; k < n_; ++k) {
+        state_[cell(t.dst, 0, k)] =
+            std::max(state_[cell(t.dst, 0, k)], before_[cell(t.src, 0, k)]);
+      }
+      continue;
+    }
+    if (t.chunk_lo < 0) continue;  // untracked transfer
+    for (int raw = t.chunk_lo; raw < t.chunk_hi; ++raw) {
+      const int c = ((raw % chunks_) + chunks_) % chunks_;
+      for (int k = 0; k < n_; ++k) {
+        const std::uint16_t incoming = before_[cell(t.src, c, k)];
+        std::uint16_t& held = state_[cell(t.dst, c, k)];
+        held = t.reduce_op ? static_cast<std::uint16_t>(held + incoming)
+                           : incoming;
       }
     }
   }
+  pending_.clear();
+}
 
-  bool chunk_complete(int r, int c) const {
-    for (int k = 0; k < n_; ++k)
-      if (get(state_, r, c, k) != 1) return false;
-    return true;
-  }
-  bool chunk_is_exactly(int r, int c, int origin) const {
-    for (int k = 0; k < n_; ++k)
-      if (get(state_, r, c, k) != (k == origin ? 1 : 0)) return false;
-    return true;
-  }
+std::size_t ShapeVerifier::cell(int rank, int chunk, int origin) const {
+  return (static_cast<std::size_t>(rank) * static_cast<std::size_t>(chunks_) +
+          static_cast<std::size_t>(chunk)) *
+             static_cast<std::size_t>(n_) +
+         static_cast<std::size_t>(origin);
+}
 
- private:
-  int n_;
-  int chunks_;
-  std::vector<std::uint16_t> state_;
-};
+bool ShapeVerifier::complete(int rank, int chunk) const {
+  for (int k = 0; k < n_; ++k)
+    if (state_[cell(rank, chunk, k)] != 1) return false;
+  return true;
+}
 
-VerifyReport fail(const std::string& msg) { return VerifyReport{false, msg}; }
+bool ShapeVerifier::exactly(int rank, int chunk, int origin) const {
+  for (int k = 0; k < n_; ++k)
+    if (state_[cell(rank, chunk, k)] != (k == origin ? 1 : 0)) return false;
+  return true;
+}
 
-VerifyReport verify_chunked(const CollectiveSchedule& sched) {
-  const int n = sched.n_ranks;
-  const int chunks = sched.n_chunks;
-  ContributionModel model(n, chunks);
-
-  switch (sched.type) {
-    case CollectiveType::kAllReduce:
-    case CollectiveType::kReduceScatter:
-    case CollectiveType::kReduce:
-      model.seed_own_input_all_chunks();
-      break;
-    case CollectiveType::kAllGather:
-      model.seed_own_chunk_only();
-      break;
-    case CollectiveType::kBroadcast:
-    case CollectiveType::kSendRecv:
-      model.seed_root_only();
-      break;
-    default:
-      return fail("verify_chunked: unsupported type");
-  }
-
-  for (const auto& step : sched.transfers_by_step()) {
-    model.apply_step(sched, step);
-  }
-
+VerifyReport ShapeVerifier::report() {
+  ensure(chunks_ >= 1, "verify_shape: no shape was planned");
+  apply_step();
+  if (n_ == 1) return {};
+  const int n = n_;
+  const int chunks = chunks_;
   std::ostringstream err;
-  switch (sched.type) {
+  switch (type_) {
     case CollectiveType::kAllReduce:
       for (int r = 0; r < n; ++r)
         for (int c = 0; c < chunks; ++c)
-          if (!model.chunk_complete(r, c)) {
+          if (!complete(r, c)) {
             err << "AllReduce: rank " << r << " chunk " << c
                 << " is not a complete exactly-once reduction";
             return fail(err.str());
@@ -128,7 +124,7 @@ VerifyReport verify_chunked(const CollectiveSchedule& sched) {
       // must own at least one completely reduced chunk.
       for (int c = 0; c < chunks; ++c) {
         bool found = false;
-        for (int r = 0; r < n && !found; ++r) found = model.chunk_complete(r, c);
+        for (int r = 0; r < n && !found; ++r) found = complete(r, c);
         if (!found) {
           err << "ReduceScatter: chunk " << c << " never fully reduced";
           return fail(err.str());
@@ -136,8 +132,7 @@ VerifyReport verify_chunked(const CollectiveSchedule& sched) {
       }
       for (int r = 0; r < n; ++r) {
         bool found = false;
-        for (int c = 0; c < chunks && !found; ++c)
-          found = model.chunk_complete(r, c);
+        for (int c = 0; c < chunks && !found; ++c) found = complete(r, c);
         if (!found) {
           err << "ReduceScatter: rank " << r << " owns no reduced chunk";
           return fail(err.str());
@@ -148,7 +143,7 @@ VerifyReport verify_chunked(const CollectiveSchedule& sched) {
     case CollectiveType::kAllGather:
       for (int r = 0; r < n; ++r)
         for (int c = 0; c < chunks; ++c)
-          if (!model.chunk_is_exactly(r, c, c)) {
+          if (!exactly(r, c, c)) {
             err << "AllGather: rank " << r << " chunk " << c
                 << " does not hold rank " << c << "'s input";
             return fail(err.str());
@@ -156,91 +151,50 @@ VerifyReport verify_chunked(const CollectiveSchedule& sched) {
       return {};
     case CollectiveType::kReduce:
       for (int c = 0; c < chunks; ++c)
-        if (!model.chunk_complete(0, c)) {
+        if (!complete(0, c)) {
           err << "Reduce: root chunk " << c << " incomplete";
           return fail(err.str());
         }
       return {};
     case CollectiveType::kBroadcast:
       for (int r = 0; r < n; ++r)
-        if (!model.chunk_is_exactly(r, 0, 0)) {
+        if (!exactly(r, 0, 0)) {
           err << "Broadcast: rank " << r << " missing root data";
           return fail(err.str());
         }
       return {};
     case CollectiveType::kSendRecv:
-      if (!model.chunk_is_exactly(1, 0, 0)) {
+      if (!exactly(1, 0, 0)) {
         return fail("SendRecv: receiver missing sender data");
       }
       return {};
-    default:
-      return fail("verify_chunked: unsupported type");
-  }
-}
-
-VerifyReport verify_all_to_all(const CollectiveSchedule& sched) {
-  const int n = sched.n_ranks;
-  // counts[dst][src] = how many slices dst received from src.
-  std::vector<std::vector<int>> counts(static_cast<std::size_t>(n),
-                                       std::vector<int>(n, 0));
-  for (const Transfer& t : sched.transfers) {
-    ++counts[static_cast<std::size_t>(t.dst)][static_cast<std::size_t>(t.src)];
-  }
-  std::ostringstream err;
-  for (int d = 0; d < n; ++d) {
-    for (int s = 0; s < n; ++s) {
-      const int expected = (s == d) ? 0 : 1;
-      if (counts[static_cast<std::size_t>(d)][static_cast<std::size_t>(s)] !=
-          expected) {
-        err << "AllToAll: rank " << d << " received "
-            << counts[static_cast<std::size_t>(d)][static_cast<std::size_t>(s)]
-            << " slices from rank " << s << " (expected " << expected << ")";
-        return fail(err.str());
-      }
-    }
-  }
-  return {};
-}
-
-VerifyReport verify_barrier(const CollectiveSchedule& sched) {
-  const int n = sched.n_ranks;
-  // know[r] = set of ranks whose arrival r has causally observed.
-  std::vector<std::set<int>> know(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) know[static_cast<std::size_t>(r)].insert(r);
-  for (const auto& step : sched.transfers_by_step()) {
-    const auto before = know;
-    for (int ti : step) {
-      const Transfer& t = sched.transfers[static_cast<std::size_t>(ti)];
-      const auto& src_know = before[static_cast<std::size_t>(t.src)];
-      know[static_cast<std::size_t>(t.dst)].insert(src_know.begin(),
-                                                   src_know.end());
-    }
-  }
-  for (int r = 0; r < n; ++r) {
-    if (static_cast<int>(know[static_cast<std::size_t>(r)].size()) != n) {
-      std::ostringstream err;
-      err << "Barrier: rank " << r << " has not observed all ranks";
-      return fail(err.str());
-    }
-  }
-  return {};
-}
-
-}  // namespace
-
-VerifyReport verify_schedule(const CollectiveSchedule& sched) {
-  ensure(sched.n_ranks >= 1, "verify_schedule: empty group");
-  ensure(sched.n_ranks <= 256,
-         "verify_schedule: model limited to 256 ranks (O(n^3) memory)");
-  if (sched.n_ranks == 1) return {};
-  switch (sched.type) {
     case CollectiveType::kAllToAll:
-      return verify_all_to_all(sched);
+      // Each rank holds its own slice and one from every other rank.
+      for (int d = 0; d < n; ++d)
+        for (int s = 0; s < n; ++s)
+          if (state_[cell(d, 0, s)] != 1) {
+            err << "AllToAll: rank " << d << " received "
+                << state_[cell(d, 0, s)] - (s == d ? 1 : 0)
+                << " slices from rank " << s << " (expected "
+                << (s == d ? 0 : 1) << ")";
+            return fail(err.str());
+          }
+      return {};
     case CollectiveType::kBarrier:
-      return verify_barrier(sched);
-    default:
-      return verify_chunked(sched);
+      for (int r = 0; r < n; ++r)
+        if (!complete(r, 0)) {
+          err << "Barrier: rank " << r << " has not observed all ranks";
+          return fail(err.str());
+        }
+      return {};
   }
+  return fail("verify_shape: unsupported type");
+}
+
+VerifyReport verify_shape(CollectiveType type, Algorithm algo, int n_ranks) {
+  ShapeVerifier verifier(type, n_ranks);
+  plan_shape(type, algo, n_ranks, verifier);
+  return verifier.report();
 }
 
 }  // namespace opus::collective

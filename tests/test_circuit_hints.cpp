@@ -43,9 +43,9 @@ struct HintFixture {
 };
 
 TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(25));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(25);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
 
   // Without a hint: the collective pays the 20 ms reconfiguration.
   TimeNs cold = -1;
@@ -53,7 +53,7 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     HintFixture f;
     CollectiveExecutor exec(f.sim, f.transport);
     const CommGroup g = f.group(0);
-    exec.run(g, cc, sched.payload_bytes,
+    exec.run(g, cc, payload,
              [&](const CollectiveExecutor::Result& r) {
       cold = r.duration();
     });
@@ -68,7 +68,7 @@ TEST(CircuitHints, HintHidesFirstIterationReconfiguration) {
     const CommGroup g = f.group(0);
     ASSERT_TRUE(f.transport.hint_collective(g, *cc));
     f.sim.schedule_after(msecs(50), [&] {  // compute happens meanwhile
-      exec.run(g, cc, sched.payload_bytes,
+      exec.run(g, cc, payload,
                [&](const CollectiveExecutor::Result& r) {
         hinted = r.duration();
       });
@@ -88,9 +88,8 @@ TEST(CircuitHints, ScaleUpGroupsNeedNoHint) {
   g.id = GroupId{5};
   g.dim = ParallelismDim::kTP;
   g.ranks = {GpuId{0}, GpuId{1}};  // same node
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 2, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   EXPECT_TRUE(f.transport.hint_collective(g, *cc));
   EXPECT_EQ(f.transport.controller().stats().requests, 0);
 }
@@ -107,9 +106,8 @@ TEST(CircuitHints, PeerChangingSchedulesAreRejected) {
   big.id = GroupId{9};
   big.dim = ParallelismDim::kDP;
   for (int n = 0; n < 8; ++n) big.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-  const auto rd8 = collective::plan_collective(
-      CollectiveType::kAllGather, Algorithm::kRecursiveDoubling, 8, mib(1));
-  const auto rd8_cc = collective::compile(rd8);
+  const auto rd8_cc = collective::compile(CollectiveType::kAllGather,
+                                          Algorithm::kRecursiveDoubling, 8);
   EXPECT_FALSE(transport.hint_collective(big, *rd8_cc))
       << "3 distinct peers never fit 2 ports as a static layout (C1)";
 }
@@ -120,11 +118,11 @@ TEST(CircuitHints, HintedCircuitsYieldToActiveGroups) {
   HintFixture f;
   CollectiveExecutor exec(f.sim, f.transport);
   const CommGroup dp = f.group(0);
-  const auto big = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 4, gib(1));
-  const auto big_cc = collective::compile(big);
+  const Bytes big_payload = gib(1);
+  const auto big_cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   bool dp_done = false;
-  exec.run(dp, big_cc, big.payload_bytes,
+  exec.run(dp, big_cc, big_payload,
            [&](const CollectiveExecutor::Result&) { dp_done = true; });
   f.sim.run_until(msecs(30));  // circuits up, transfers in flight
 
@@ -132,9 +130,8 @@ TEST(CircuitHints, HintedCircuitsYieldToActiveGroups) {
   pp.id = GroupId{77};
   pp.dim = ParallelismDim::kPP;
   pp.ranks = {f.cluster.gpu_at(NodeId{0}, 0), f.cluster.gpu_at(NodeId{2}, 0)};
-  const auto pair = collective::plan_collective(
-      CollectiveType::kSendRecv, Algorithm::kDirect, 2, mib(1));
-  const auto pair_cc = collective::compile(pair);
+  const auto pair_cc =
+      collective::compile(CollectiveType::kSendRecv, Algorithm::kDirect, 2);
   EXPECT_TRUE(f.transport.hint_collective(pp, *pair_cc));
   f.sim.run_until(msecs(40));
   EXPECT_FALSE(dp_done) << "the big AllReduce is still moving";

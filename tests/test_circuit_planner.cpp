@@ -39,9 +39,8 @@ TEST(CircuitPlanner, PairGroupStripesBothPorts) {
   net::Cluster cluster(sim, photonic_cfg(4, 4, 2));
   CircuitPlanner planner(cluster);
   const CommGroup g = rail_group(cluster, 0, {0, 1});
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 2, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->size(), 1u);
@@ -55,9 +54,8 @@ TEST(CircuitPlanner, RingUsesTwoPortsPerMember) {
   net::Cluster cluster(sim, photonic_cfg(4, 4, 2));
   CircuitPlanner planner(cluster);
   const CommGroup g = rail_group(cluster, 1, {0, 1, 2, 3});
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   ASSERT_EQ(plan->size(), 1u);
@@ -76,9 +74,8 @@ TEST(CircuitPlanner, FourPortNicDoublesRingBandwidth) {
   net::Cluster cluster(sim, photonic_cfg(4, 4, 4));
   CircuitPlanner planner(cluster);
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   EXPECT_EQ((*plan)[0].circuits.size(), 8u);  // striped x2
@@ -90,15 +87,13 @@ TEST(CircuitPlanner, OnePortNicCannotHoldARing) {
   net::Cluster cluster(sim, photonic_cfg(4, 4, 1));
   CircuitPlanner planner(cluster);
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
   // A pair still works.
   const CommGroup pair = rail_group(cluster, 0, {0, 1});
-  const auto pair_sched = plan_collective(CollectiveType::kAllReduce,
-                                          Algorithm::kRing, 2, mib(1));
-  const auto pair_cc = collective::compile(pair_sched);
+  const auto pair_cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   EXPECT_TRUE(planner.plan_static(pair, *pair_cc).has_value());
 }
 
@@ -109,12 +104,11 @@ TEST(CircuitPlanner, RecursiveDoublingNotStaticallyWirable) {
   CircuitPlanner planner(cluster);
   const CommGroup g =
       rail_group(cluster, 0, {0, 1, 2, 3, 4, 5, 6, 7});
-  const auto sched = plan_collective(CollectiveType::kAllGather,
-                                     Algorithm::kRecursiveDoubling, 8, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc = collective::compile(CollectiveType::kAllGather,
+                                      Algorithm::kRecursiveDoubling, 8);
   EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
   // Each individual step IS wirable: one peer per rank.
-  for (int step = 0; step < sched.n_steps; ++step) {
+  for (int step = 0; step < cc->n_steps; ++step) {
     const auto plan = planner.plan_step(g, *cc, step);
     ASSERT_EQ(plan.size(), 1u);
     // 4 pairs x 2-port striping.
@@ -137,9 +131,8 @@ TEST(CircuitPlanner, ScaleUpPairsNeedNoCircuits) {
   g.id = GroupId{7};
   g.dim = ParallelismDim::kTP;
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};  // one node
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   EXPECT_TRUE(plan->empty());
@@ -156,9 +149,8 @@ TEST(CircuitPlanner, CrossRankGroupLowersToPxnBridgeCircuits) {
   g.id = GroupId{8};
   g.dim = ParallelismDim::kDP;
   g.ranks = {GpuId{0}, GpuId{5}};
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 2, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   const auto plan = planner.plan_static(g, *cc);
   ASSERT_TRUE(plan.has_value());
   std::set<int> rails;
@@ -172,9 +164,8 @@ TEST(CircuitPlanner, PlanStepRejectsOverCommittedStep) {
   net::Cluster cluster(sim, photonic_cfg(4, 2, 2));
   CircuitPlanner planner(cluster);
   const CommGroup g = rail_group(cluster, 0, {0, 1, 2, 3});
-  const auto sched = plan_collective(CollectiveType::kAllToAll,
-                                     Algorithm::kDirect, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllToAll, Algorithm::kDirect, 4);
   EXPECT_THROW(planner.plan_step(g, *cc, 0), InvariantError);
 }
 
@@ -190,9 +181,8 @@ TEST_P(RingPlanSweep, RingLayoutsRespectPortBudgets) {
   std::vector<int> node_ids(static_cast<std::size_t>(nodes));
   for (int i = 0; i < nodes; ++i) node_ids[static_cast<std::size_t>(i)] = i;
   const CommGroup g = rail_group(cluster, 0, node_ids);
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, nodes, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, nodes);
   const auto plan = planner.plan_static(g, *cc);
   const bool wirable = nodes == 2 || ports >= 2;
   EXPECT_EQ(plan.has_value(), wirable);

@@ -45,12 +45,10 @@ TEST(Executor, RingAllReduceMatchesAlphaBetaOnElectricalRail) {
 
   const CommGroup group = rail_group(cluster, 0, 4);
   const Bytes payload = mib(64);
-  const auto sched =
-      plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 4, payload);
-  const auto cc = compile(sched);
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
 
   TimeNs duration = -1;
-  exec.run(group, cc, sched.payload_bytes,
+  exec.run(group, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
@@ -59,7 +57,7 @@ TEST(Executor, RingAllReduceMatchesAlphaBetaOnElectricalRail) {
   // Ring over an uncongested electrical rail: per-step alpha = rail latency
   // + switch hop; beta = 400G.
   const AlphaBeta cost{usecs(3), Bandwidth::gbps(400)};
-  const TimeNs expected = predicted_time(sched, cost);
+  const TimeNs expected = predicted_time(*cc, payload, cost);
   EXPECT_NEAR(static_cast<double>(duration), static_cast<double>(expected),
               static_cast<double>(expected) * 0.01)
       << "pipelined ring must match the analytic schedule time";
@@ -74,19 +72,18 @@ TEST(Executor, ScaleUpAllReduceUsesNvlink) {
   g.id = GroupId{2};
   g.dim = ParallelismDim::kTP;
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(96));
-  const auto cc = compile(sched);
+  const Bytes payload = mib(96);
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   TimeNs duration = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     duration = r.duration();
   });
   sim.run();
   const AlphaBeta cost{usecs(2), Bandwidth::gbps(2400)};
   EXPECT_NEAR(static_cast<double>(duration),
-              static_cast<double>(predicted_time(sched, cost)),
-              static_cast<double>(predicted_time(sched, cost)) * 0.01);
+              static_cast<double>(predicted_time(*cc, payload, cost)),
+              static_cast<double>(predicted_time(*cc, payload, cost)) * 0.01);
 }
 
 TEST(Executor, EmptyGroupCompletesImmediately) {
@@ -97,11 +94,10 @@ TEST(Executor, EmptyGroupCompletesImmediately) {
   CommGroup g;
   g.id = GroupId{3};
   g.ranks = {GpuId{0}};
-  const auto sched =
-      plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 1, 100);
-  const auto cc = compile(sched);
+  const Bytes payload = 100;
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 1);
   bool done = false;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -117,13 +113,12 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
   const CommGroup g0 = rail_group(cluster, 0, 4);
   CommGroup g1 = rail_group(cluster, 1, 4);
   g1.id = GroupId{9};
-  const auto sched = plan_collective(CollectiveType::kAllGather,
-                                     Algorithm::kRing, 4, mib(64));
-  const auto cc = compile(sched);
+  const Bytes payload = mib(64);
+  const auto cc = compile(CollectiveType::kAllGather, Algorithm::kRing, 4);
   TimeNs d0 = -1, d1 = -1;
-  exec.run(g0, cc, sched.payload_bytes,
+  exec.run(g0, cc, payload,
            [&](const CollectiveExecutor::Result& r) { d0 = r.duration(); });
-  exec.run(g1, cc, sched.payload_bytes,
+  exec.run(g1, cc, payload,
            [&](const CollectiveExecutor::Result& r) { d1 = r.duration(); });
   sim.run();
   EXPECT_EQ(d0, d1);
@@ -133,7 +128,7 @@ TEST(Executor, ConcurrentDisjointGroupsDoNotInterfere) {
   DirectTransport transport2(cluster2);
   CollectiveExecutor exec2(sim2, transport2);
   TimeNs solo = -1;
-  exec2.run(rail_group(cluster2, 0, 4), cc, sched.payload_bytes,
+  exec2.run(rail_group(cluster2, 0, 4), cc, payload,
             [&](const CollectiveExecutor::Result& r) { solo = r.duration(); });
   sim2.run();
   EXPECT_EQ(d0, solo) << "disjoint rails must not share bandwidth";
@@ -145,10 +140,9 @@ TEST(Executor, GroupSizeMismatchThrows) {
   DirectTransport transport(cluster);
   CollectiveExecutor exec(sim, transport);
   const CommGroup g = rail_group(cluster, 0, 4);  // 4 ranks
-  const auto sched =
-      plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 8, 100);
-  const auto cc = compile(sched);
-  EXPECT_THROW(exec.run(g, cc, sched.payload_bytes, nullptr), InvariantError);
+  const Bytes payload = 100;
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 8);
+  EXPECT_THROW(exec.run(g, cc, payload, nullptr), InvariantError);
 }
 
 // Step-synchronous transport shim: forces barrier semantics so the test can
@@ -184,9 +178,8 @@ class StepSyncTransport final : public Transport {
 };
 
 TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(64));
-  const auto cc = compile(sched);
+  const Bytes payload = mib(64);
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   TimeNs pipelined = -1, stepped = -1;
   {
     sim::Simulator sim;
@@ -194,7 +187,7 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
     DirectTransport t(cluster);
     CollectiveExecutor exec(sim, t);
     exec.run(
-        rail_group(cluster, 0, 4), cc, sched.payload_bytes,
+        rail_group(cluster, 0, 4), cc, payload,
         [&](const CollectiveExecutor::Result& r) { pipelined = r.duration(); });
     sim.run();
   }
@@ -204,10 +197,10 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
     StepSyncTransport t(cluster);
     CollectiveExecutor exec(sim, t);
     exec.run(
-        rail_group(cluster, 0, 4), cc, sched.payload_bytes,
+        rail_group(cluster, 0, 4), cc, payload,
         [&](const CollectiveExecutor::Result& r) { stepped = r.duration(); });
     sim.run();
-    EXPECT_EQ(t.steps_prepared, sched.n_steps);
+    EXPECT_EQ(t.steps_prepared, cc->n_steps);
   }
   // With per-rank pipelining the ring is as fast as the barrier version on
   // a symmetric fabric; it must never be slower.
@@ -220,8 +213,7 @@ TEST(Executor, StepSynchronousRunsOnOneGroupQueueBehindEachOther) {
   StepSyncTransport t(cluster);
   CollectiveExecutor exec(sim, t);
   const CommGroup g = rail_group(cluster, 0, 4);
-  const auto cc = compile(plan_collective(CollectiveType::kAllReduce,
-                                          Algorithm::kRing, 4, mib(16)));
+  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   std::vector<CollectiveExecutor::Result> results;
   for (int i = 0; i < 2; ++i) {
     exec.run(g, cc, mib(16), [&](const CollectiveExecutor::Result& r) {
@@ -251,9 +243,7 @@ TEST(Executor, QueuedRunsOfOneShapeSendTheirOwnPayloads) {
   // One shape, three runs started together: the second and third queue
   // behind the first and must still send their own bytes.
   const Bytes payloads[] = {mib(16), kib(5) + 1, 0};
-  const auto cc = compile(
-      plan_collective(CollectiveType::kAllGather, Algorithm::kRing, 4,
-                      payloads[0]));
+  const auto cc = compile(CollectiveType::kAllGather, Algorithm::kRing, 4);
   int completed = 0;
   for (const Bytes payload : payloads) {
     exec.run(g, cc, payload,
@@ -267,15 +257,12 @@ TEST(Executor, QueuedRunsOfOneShapeSendTheirOwnPayloads) {
   ASSERT_EQ(t.sent.size(), 3 * n_transfers);
   for (std::size_t r = 0; r < 3; ++r) {
     SCOPED_TRACE("run " + std::to_string(r));
-    const auto plan = plan_collective(CollectiveType::kAllGather,
-                                      Algorithm::kRing, 4, payloads[r]);
     for (std::size_t s = 0; s < n_steps; ++s) {
       EXPECT_EQ(t.step_payloads[r * n_steps + s], payloads[r]);
     }
-    // Step-synchronous runs launch each step's transfers in index order, so
-    // the run's sends are its plan's transfers in order.
+    // Every send of a 4-rank ring AllGather is one chunk of ceil(P/4).
     for (std::size_t i = 0; i < n_transfers; ++i) {
-      EXPECT_EQ(t.sent[r * n_transfers + i], plan.transfers[i].bytes);
+      EXPECT_EQ(t.sent[r * n_transfers + i], (payloads[r] + 3) / 4);
     }
   }
 }
@@ -296,10 +283,10 @@ TEST_P(ExecutorSweep, CompletesWithPositiveDuration) {
   net::Cluster cluster(sim, electrical_cfg(nodes, 2));
   DirectTransport transport(cluster);
   CollectiveExecutor exec(sim, transport);
-  const auto sched = plan_collective(type, algo, nodes, mib(8));
-  const auto cc = compile(sched);
+  const Bytes payload = mib(8);
+  const auto cc = compile(type, algo, nodes);
   TimeNs duration = -1;
-  exec.run(rail_group(cluster, 0, nodes), cc, sched.payload_bytes,
+  exec.run(rail_group(cluster, 0, nodes), cc, payload,
            [&](const CollectiveExecutor::Result& r) { duration = r.duration(); });
   sim.run();
   ASSERT_GE(duration, 0) << "collective did not complete";

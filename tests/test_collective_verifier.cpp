@@ -1,16 +1,20 @@
-// Symbolic verification of collective schedules: every planner output must
-// satisfy its collective's postcondition, and corrupted schedules must be
-// rejected (missing transfers, double-counted reductions, wrong chunks).
+// Symbolic verification of collective shapes: every planner output must
+// satisfy its collective's postcondition, and corrupted shapes must be
+// rejected (missing transfers, double-counted reductions, wrong chunks,
+// steps out of order).
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include "collective/planner.h"
 #include "collective/verifier.h"
 #include "common/error.h"
+#include "supported_plans.h"
 
 namespace opus::collective {
 namespace {
-
-constexpr Bytes kPayload = 1 << 20;
 
 struct VerifyCase {
   CollectiveType type;
@@ -22,8 +26,7 @@ class VerifierSweep : public ::testing::TestWithParam<VerifyCase> {};
 
 TEST_P(VerifierSweep, PlannedSchedulesVerify) {
   const auto& [type, algo, n] = GetParam();
-  const auto s = plan_collective(type, algo, n, kPayload);
-  const auto report = verify_schedule(s);
+  const auto report = verify_shape(type, algo, n);
   EXPECT_TRUE(report.ok) << to_string(type) << "/" << to_string(algo) << "/n="
                          << n << ": " << report.error;
 }
@@ -70,85 +73,173 @@ INSTANTIATE_TEST_SUITE_P(
         VerifyCase{CollectiveType::kBarrier, Algorithm::kRecursiveDoubling,
                    10}));
 
-// ---- negative cases: the verifier must catch broken schedules -------------
+// Every supported (type, algorithm, group size) up to 70 ranks verifies.
+TEST(Verifier, EverySupportedShapeVerifies) {
+  int shapes = 0;
+  for (const PlanShape& p : supported_plans(70)) {
+    const auto report = verify_shape(p.type, p.algo, p.n_ranks);
+    ASSERT_TRUE(report.ok) << to_string(p.type) << "/" << to_string(p.algo)
+                           << " n=" << p.n_ranks << ": " << report.error;
+    ++shapes;
+  }
+  EXPECT_EQ(shapes, 1090);
+}
+
+// ---- negative cases: the verifier must catch broken shapes ----------------
+
+/// One transfer as a planner emits it.
+struct Emit {
+  int step;
+  int src;
+  int dst;
+  int chunk_lo;
+  int chunk_hi;
+  bool reduce_op;
+};
+
+/// Forwards a planned shape to a verifier, replacing transfer i (of n) by
+/// the transfers `edit` returns: none drops it, two duplicate it.
+class EditingSink final : public ShapeSink {
+ public:
+  using Edit = std::function<std::vector<Emit>(std::size_t i, std::size_t n,
+                                               Emit e)>;
+  EditingSink(ShapeSink& out, Edit edit) : out_(out), edit_(std::move(edit)) {}
+
+  void begin(int n_steps, int n_chunks, std::size_t n_transfers) override {
+    n_ = n_transfers;
+    out_.begin(n_steps, n_chunks, n_transfers);
+  }
+  void transfer(int step, int src, int dst, int chunk_lo, int chunk_hi,
+                bool reduce_op) override {
+    const Emit e{step, src, dst, chunk_lo, chunk_hi, reduce_op};
+    for (const Emit& f : edit_(i_++, n_, e)) {
+      out_.transfer(f.step, f.src, f.dst, f.chunk_lo, f.chunk_hi,
+                    f.reduce_op);
+    }
+  }
+
+ private:
+  ShapeSink& out_;
+  Edit edit_;
+  std::size_t i_ = 0;
+  std::size_t n_ = 0;
+};
+
+VerifyReport verify_edited(CollectiveType type, Algorithm algo, int n,
+                           EditingSink::Edit edit) {
+  ShapeVerifier verifier(type, n);
+  EditingSink sink(verifier, std::move(edit));
+  plan_shape(type, algo, n, sink);
+  return verifier.report();
+}
+
+/// Edits only transfer `at`.
+EditingSink::Edit edit_one(std::size_t at, std::function<void(Emit&)> edit) {
+  return [at, edit = std::move(edit)](std::size_t i, std::size_t, Emit e) {
+    if (i == at) edit(e);
+    return std::vector<Emit>{e};
+  };
+}
+
+std::vector<Emit> drop_last(std::size_t i, std::size_t n, Emit e) {
+  return i + 1 == n ? std::vector<Emit>{} : std::vector<Emit>{e};
+}
 
 TEST(VerifierNegative, MissingTransferFailsAllReduce) {
-  auto s = plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 4,
-                           kPayload);
-  s.transfers.pop_back();
-  EXPECT_FALSE(verify_schedule(s).ok);
+  EXPECT_FALSE(
+      verify_edited(CollectiveType::kAllReduce, Algorithm::kRing, 4, drop_last)
+          .ok);
 }
 
 TEST(VerifierNegative, DoubleCountedReductionIsCaught) {
-  auto s = plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 4,
-                           kPayload);
-  // Flip one all-gather-phase copy into a reduce: the receiver now adds an
-  // already-complete chunk to its own partial sum -> contribution counted
-  // twice. Set semantics would miss this; exact counting must not.
-  for (auto& t : s.transfers) {
-    if (t.step >= s.n_ranks - 1) {
-      t.reduce_op = true;
-      break;
-    }
-  }
-  EXPECT_FALSE(verify_schedule(s).ok);
+  // Flip the first all-gather-phase copy (transfer n(n-1) = 12, at step
+  // n-1 = 3) into a reduce: the receiver now adds an already-complete chunk
+  // to its own partial sum -> contribution counted twice. Set semantics
+  // would miss this; exact counting must not.
+  EXPECT_FALSE(verify_edited(CollectiveType::kAllReduce, Algorithm::kRing, 4,
+                             edit_one(12, [](Emit& e) {
+                               ASSERT_EQ(e.step, 3);
+                               e.reduce_op = true;
+                             }))
+                   .ok);
 }
 
 TEST(VerifierNegative, WrongChunkFailsAllGather) {
-  auto s = plan_collective(CollectiveType::kAllGather, Algorithm::kRing, 4,
-                           kPayload);
-  s.transfers[0].chunk_lo = (s.transfers[0].chunk_lo + 1) % 4;
-  s.transfers[0].chunk_hi = s.transfers[0].chunk_lo + 1;
-  EXPECT_FALSE(verify_schedule(s).ok);
+  EXPECT_FALSE(verify_edited(CollectiveType::kAllGather, Algorithm::kRing, 4,
+                             edit_one(0, [](Emit& e) {
+                               e.chunk_lo = (e.chunk_lo + 1) % 4;
+                               e.chunk_hi = e.chunk_lo + 1;
+                             }))
+                   .ok);
 }
 
 TEST(VerifierNegative, DroppedBarrierEdgeIsCaught) {
-  auto s = plan_collective(CollectiveType::kBarrier,
-                           Algorithm::kRecursiveDoubling, 8, 0);
-  s.transfers.pop_back();
-  EXPECT_FALSE(verify_schedule(s).ok);
+  EXPECT_FALSE(verify_edited(CollectiveType::kBarrier,
+                             Algorithm::kRecursiveDoubling, 8, drop_last)
+                   .ok);
 }
 
 TEST(VerifierNegative, DuplicateAllToAllSliceIsCaught) {
-  auto s = plan_collective(CollectiveType::kAllToAll, Algorithm::kPairwise, 4,
-                           kPayload);
-  s.transfers.push_back(s.transfers.front());
-  EXPECT_FALSE(verify_schedule(s).ok);
+  EXPECT_FALSE(verify_edited(CollectiveType::kAllToAll, Algorithm::kPairwise,
+                             4,
+                             [](std::size_t i, std::size_t, Emit e) {
+                               return i == 0 ? std::vector<Emit>{e, e}
+                                             : std::vector<Emit>{e};
+                             })
+                   .ok);
 }
 
 TEST(VerifierNegative, RewiredReduceTreeStillVerifies) {
   // Rerouting (4 -> 0) to (4 -> 1) keeps the reduction correct: rank 4's
   // contribution reaches the root through rank 1's later send. The verifier
   // is semantic, not structural, so this must PASS.
-  auto s = plan_collective(CollectiveType::kReduce, Algorithm::kBinomialTree,
-                           8, kPayload);
-  ASSERT_EQ(s.transfers[0].src, 4);
-  ASSERT_EQ(s.transfers[0].dst, 0);
-  s.transfers[0].dst = 1;
-  EXPECT_TRUE(verify_schedule(s).ok);
+  EXPECT_TRUE(verify_edited(CollectiveType::kReduce, Algorithm::kBinomialTree,
+                            8, edit_one(0, [](Emit& e) {
+                              ASSERT_EQ(e.src, 4);
+                              ASSERT_EQ(e.dst, 0);
+                              e.dst = 1;
+                            }))
+                  .ok);
 }
 
 TEST(VerifierNegative, WrongSourceFailsReduce) {
   // Replacing sender 4 with sender 5 double-counts rank 5's contribution
   // and drops rank 4's entirely.
-  auto s = plan_collective(CollectiveType::kReduce, Algorithm::kBinomialTree,
-                           8, kPayload);
-  ASSERT_EQ(s.transfers[0].src, 4);
-  s.transfers[0].src = 5;
-  EXPECT_FALSE(verify_schedule(s).ok);
+  EXPECT_FALSE(verify_edited(CollectiveType::kReduce,
+                             Algorithm::kBinomialTree, 8,
+                             edit_one(0, [](Emit& e) {
+                               ASSERT_EQ(e.src, 4);
+                               e.src = 5;
+                             }))
+                   .ok);
+}
+
+TEST(VerifierNegative, SameStepRelayIsCaught) {
+  // A ring broadcast on 3 ranks relays 0 -> 1 at step 0 and 1 -> 2 at step
+  // 1. Moved into step 0, the relay reads rank 1 before the step, when it
+  // holds nothing yet: rank 2 never gets the data.
+  EXPECT_FALSE(verify_edited(CollectiveType::kBroadcast, Algorithm::kRing, 3,
+                             edit_one(1, [](Emit& e) { e.step = 0; }))
+                   .ok);
+}
+
+TEST(VerifierNegative, StepOutOfOrderIsRejected) {
+  // The verifier applies one buffered step at a time, so a transfer that
+  // arrives after a later step's would be applied in the wrong snapshot.
+  EXPECT_THROW(verify_edited(CollectiveType::kAllReduce, Algorithm::kRing, 4,
+                             edit_one(0, [](Emit& e) { e.step = 1; })),
+               InvariantError);
 }
 
 TEST(Verifier, SingleRankAlwaysOk) {
-  const auto s =
-      plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 1, 100);
-  EXPECT_TRUE(verify_schedule(s).ok);
+  EXPECT_TRUE(verify_shape(CollectiveType::kAllReduce, Algorithm::kRing, 1).ok);
 }
 
 TEST(Verifier, RejectsOversizedGroups) {
-  auto s = plan_collective(CollectiveType::kAllReduce, Algorithm::kRing, 4,
-                           kPayload);
-  s.n_ranks = 10'000;
-  EXPECT_THROW(verify_schedule(s), InvariantError);
+  EXPECT_THROW(ShapeVerifier(CollectiveType::kAllReduce, 10'000),
+               InvariantError);
+  EXPECT_THROW(verify_shape(CollectiveType::kAllReduce, Algorithm::kRing, 257),
+               InvariantError);
 }
 
 }  // namespace

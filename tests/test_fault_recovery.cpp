@@ -72,9 +72,8 @@ TEST(FaultRecovery, PlannerRoutesAroundFailedPorts) {
   g.id = GroupId{1};
   g.dim = collective::ParallelismDim::kDP;
   g.ranks = {c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{1}, 0)};
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 2, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   const auto before = planner.plan_static(g, *cc);
   ASSERT_TRUE(before.has_value());
   EXPECT_EQ((*before)[0].circuits.size(), 4u);
@@ -102,9 +101,8 @@ TEST(FaultRecovery, RingBecomesUnwirableWithoutSparePorts) {
   g.id = GroupId{1};
   g.dim = collective::ParallelismDim::kDP;
   for (int n = 0; n < 4; ++n) g.ranks.push_back(c.gpu_at(NodeId{n}, 0));
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(1));
-  const auto cc = collective::compile(sched);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   ASSERT_TRUE(planner.plan_static(g, *cc).has_value());
   c.ocs(RailId{0}).fail_port(c.ocs_port(g.ranks[1], 0));
   EXPECT_FALSE(planner.plan_static(g, *cc).has_value());
@@ -208,12 +206,12 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   g.id = GroupId{1};
   g.dim = collective::ParallelismDim::kDP;
   for (int n = 0; n < 4; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(16));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(16);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
 
   TimeNs first = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
   });
@@ -224,7 +222,7 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   cluster.ocs(RailId{0}).fail_port(cluster.ocs_port(g.ranks[0], 0));
 
   TimeNs second = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     second = r.duration();
   });
@@ -232,7 +230,7 @@ TEST(FaultRecovery, CollectiveSurvivesFailureBetweenRuns) {
   ASSERT_GT(second, 0) << "the collective must recover onto spare ports";
   // Recovery pays a reconfiguration; afterwards a third run is cached.
   TimeNs third = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     third = r.duration();
   });

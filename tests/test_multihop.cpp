@@ -143,12 +143,11 @@ TEST(StaticRing, CollectivesRunWithoutReconfiguration) {
   g.id = GroupId{1};
   g.dim = collective::ParallelismDim::kDP;
   for (int n = 0; n < 4; ++n) g.ranks.push_back(c.gpu_at(NodeId{n}, 0));
-  const auto sched = collective::plan_collective(
-      collective::CollectiveType::kAllReduce, collective::Algorithm::kRing, 4,
-      mib(16));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(16);
+  const auto cc = collective::compile(collective::CollectiveType::kAllReduce,
+                                      collective::Algorithm::kRing, 4);
   bool done = false;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -165,12 +164,11 @@ TEST(StaticRing, NonNeighbourGroupsPayTheTax) {
   g.id = GroupId{2};
   g.dim = collective::ParallelismDim::kPP;
   g.ranks = {c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{2}, 0)};
-  const auto sched = collective::plan_collective(
-      collective::CollectiveType::kSendRecv, collective::Algorithm::kDirect, 2,
-      mib(32));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(32);
+  const auto cc = collective::compile(collective::CollectiveType::kSendRecv,
+                                      collective::Algorithm::kDirect, 2);
   bool done = false;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const collective::CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);

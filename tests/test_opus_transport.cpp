@@ -44,11 +44,11 @@ TEST(OpusTransport, RingCollectiveWaitsForCircuitsThenRuns) {
   OpusTransport transport(sim, cluster);
   CollectiveExecutor exec(sim, transport);
   const CommGroup g = rail_group(cluster, 0, 4);
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(50));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(50);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   TimeNs start = -1, end = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     start = r.start;
     end = r.end;
@@ -67,14 +67,14 @@ TEST(OpusTransport, SecondSameGroupCollectiveHitsTheCircuitCache) {
   OpusTransport transport(sim, cluster);
   CollectiveExecutor exec(sim, transport);
   const CommGroup g = rail_group(cluster, 0, 4);
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(50));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(50);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   TimeNs first = -1, second = -1;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     first = r.duration();
-    exec.run(g, cc, sched.payload_bytes,
+    exec.run(g, cc, payload,
              [&](const CollectiveExecutor::Result& r2) {
       second = r2.duration();
     });
@@ -95,11 +95,11 @@ TEST(OpusTransport, ScaleUpCollectiveBypassesControlPlane) {
   g.id = GroupId{1};
   g.dim = ParallelismDim::kTP;
   g.ranks = {GpuId{0}, GpuId{1}, GpuId{2}, GpuId{3}};
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(10));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(10);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   bool done = false;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -114,14 +114,13 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   CollectiveExecutor exec(sim, transport);
   const CommGroup g = rail_group(cluster, 0, 8);
   // Recursive doubling on 8 nodes: 3 steps, 3 distinct peers > 2 ports (C1).
-  const auto sched = plan_collective(CollectiveType::kAllGather,
-                                     Algorithm::kRecursiveDoubling, 8, mib(8));
-  const auto cc = collective::compile(sched);
-  EXPECT_TRUE(
-      transport.needs_per_step_preparation(g, *cc, sched.payload_bytes));
+  const Bytes payload = mib(8);
+  const auto cc = collective::compile(CollectiveType::kAllGather,
+                                      Algorithm::kRecursiveDoubling, 8);
+  EXPECT_TRUE(transport.needs_per_step_preparation(g, *cc, payload));
   bool done = false;
   CollectiveExecutor::Result result;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result& r) {
     done = true;
     result = r;
@@ -129,7 +128,7 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   sim.run();
   ASSERT_TRUE(done);
   EXPECT_TRUE(result.step_synchronous);
-  EXPECT_EQ(cluster.total_ocs_reconfigurations(), sched.n_steps)
+  EXPECT_EQ(cluster.total_ocs_reconfigurations(), cc->n_steps)
       << "every peer change pays a reconfiguration on circuits (C1)";
   EXPECT_GT(result.duration(), 3 * msecs(10));
 }
@@ -143,11 +142,10 @@ TEST(OpusTransport, RingBeatsRecursiveDoublingOnCircuits) {
     OpusTransport transport(sim, cluster);
     CollectiveExecutor exec(sim, transport);
     const CommGroup g = rail_group(cluster, 0, 8);
-    const auto sched =
-        plan_collective(CollectiveType::kAllGather, algo, 8, mib(1));
-    const auto cc = collective::compile(sched);
+    const Bytes payload = mib(1);
+    const auto cc = collective::compile(CollectiveType::kAllGather, algo, 8);
     TimeNs duration = -1;
-    exec.run(g, cc, sched.payload_bytes,
+    exec.run(g, cc, payload,
              [&](const CollectiveExecutor::Result& r) {
       duration = r.duration();
     });
@@ -168,11 +166,11 @@ TEST(OpusTransport, MgmtOffloadSkipsCircuitsForSmallCollectives) {
   OpusTransport transport(sim, cluster, opts);
   CollectiveExecutor exec(sim, transport);
   const CommGroup g = rail_group(cluster, 0, 4);
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, kib(4));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = kib(4);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   bool done = false;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const CollectiveExecutor::Result&) { done = true; });
   sim.run();
   EXPECT_TRUE(done);
@@ -199,9 +197,9 @@ TEST(OpusTransport, MgmtOffloadFollowsEachRunsPayload) {
     const CommGroup g = rail_group(cluster, 0, 4);
     const Bytes first = small_first ? small : large;
     const Bytes second = small_first ? large : small;
-    // Compiled from the first run's plan, as the engine compiles a shape.
-    const auto cc = collective::compile(plan_collective(
-        CollectiveType::kAllReduce, Algorithm::kRing, 4, first));
+    // One compiled shape serves both runs, as in the engine.
+    const auto cc =
+        collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
     for (const Bytes payload : {first, second}) {
       using Route = net::Cluster::Route;
       const Bytes mgmt_before = cluster.bytes_on_route(Route::kMgmt);
@@ -211,9 +209,8 @@ TEST(OpusTransport, MgmtOffloadFollowsEachRunsPayload) {
                [&](const CollectiveExecutor::Result&) { done = true; });
       sim.run();
       ASSERT_TRUE(done);
-      const Bytes wire = plan_collective(CollectiveType::kAllReduce,
-                                         Algorithm::kRing, 4, payload)
-                             .total_bytes();
+      // A 4-rank ring AllReduce sends 2n(n-1) chunks of ceil(P/n).
+      const Bytes wire = 2 * 4 * 3 * ((payload + 3) / 4);
       const bool offloaded = payload == small;
       EXPECT_EQ(cluster.bytes_on_route(Route::kMgmt) - mgmt_before,
                 offloaded ? wire : 0)
@@ -240,13 +237,13 @@ TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {
   pp.id = GroupId{2};
   pp.dim = ParallelismDim::kPP;
   pp.ranks = {cluster.gpu_at(NodeId{0}, 0), cluster.gpu_at(NodeId{2}, 0)};
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 2, mib(25));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(25);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 2);
   int completions = 0;
-  exec.run(dp, cc, sched.payload_bytes, [&](const CollectiveExecutor::Result&) {
+  exec.run(dp, cc, payload, [&](const CollectiveExecutor::Result&) {
     ++completions;
-    exec.run(pp, cc, sched.payload_bytes,
+    exec.run(pp, cc, payload,
              [&](const CollectiveExecutor::Result&) { ++completions; });
   });
   sim.run();
@@ -264,15 +261,15 @@ TEST(OpusTransport, ProvisioningSpeculatesAfterProfiledPhase) {
   CommGroup dp = rail_group(cluster, 0, 4, ParallelismDim::kDP);
   CommGroup pp = rail_group(cluster, 1, 4, ParallelismDim::kPP);
   pp.id = GroupId{200};
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(25));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(25);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
 
   auto run_iteration = [&](int index, std::function<void()> next) {
     transport.iteration_started(index);
-    exec.run(dp, cc, sched.payload_bytes,
+    exec.run(dp, cc, payload,
              [&, next](const CollectiveExecutor::Result&) {
-      exec.run(pp, cc, sched.payload_bytes,
+      exec.run(pp, cc, payload,
                [next](const CollectiveExecutor::Result&) { next(); });
     });
   };
@@ -286,10 +283,10 @@ TEST(OpusTransport, ProvisioningSpeculatesAfterProfiledPhase) {
 }
 
 TEST(OpusTransport, CollectiveDataIsVerifiableEndToEnd) {
-  // The schedule that actually ran on circuits satisfies its postcondition.
-  const auto sched = plan_collective(CollectiveType::kAllReduce,
-                                     Algorithm::kRing, 4, mib(16));
-  EXPECT_TRUE(collective::verify_schedule(sched).ok);
+  // The shape that actually ran on circuits satisfies its postcondition.
+  EXPECT_TRUE(
+      collective::verify_shape(CollectiveType::kAllReduce, Algorithm::kRing, 4)
+          .ok);
 }
 
 TEST(OpusTransport, RequiresPhotonicCluster) {

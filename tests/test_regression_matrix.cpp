@@ -575,11 +575,10 @@ RotorRun run_rail_collective(bool rotor, collective::CollectiveType type,
   for (int n = 0; n < nodes; ++n)
     g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
   const auto algo = collective::choose_algorithm(type, nodes, payload, 2);
-  const auto sched = collective::plan_collective(type, algo, nodes, payload);
-  const auto cc = collective::compile(sched);
+  const auto cc = collective::compile(type, algo, nodes);
 
   RotorRun out;
-  exec.run(g, cc, sched.payload_bytes,
+  exec.run(g, cc, payload,
            [&](const collective::CollectiveExecutor::Result& res) {
     out.duration = res.duration();
   });

@@ -141,9 +141,9 @@ TEST(Rotor, RingAllReduceCompletesButSlowly) {
   // The §3 claim: oblivious rotation serves ML collectives poorly. A ring
   // AllReduce's neighbour transfers only run when the rotor happens to
   // connect them, so the collective stretches across many slots.
-  const auto sched = collective::plan_collective(
-      CollectiveType::kAllReduce, Algorithm::kRing, 4, mib(8));
-  const auto cc = collective::compile(sched);
+  const Bytes payload = mib(8);
+  const auto cc =
+      collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
   TimeNs rotor_time = -1;
   {
     sim::Simulator sim;
@@ -156,7 +156,7 @@ TEST(Rotor, RingAllReduceCompletesButSlowly) {
     g.id = GroupId{1};
     g.dim = collective::ParallelismDim::kDP;
     for (int n = 0; n < 4; ++n) g.ranks.push_back(cluster.gpu_at(NodeId{n}, 0));
-    exec.run(g, cc, sched.payload_bytes,
+    exec.run(g, cc, payload,
              [&](const CollectiveExecutor::Result& r) {
       rotor_time = r.duration();
     });

@@ -122,9 +122,8 @@ TEST(TransferAllocations, ExecutorRailTransfersAllocateNothingOnceWarm) {
   // A ring all-reduce over the rail: every transfer is a single-circuit
   // hop to the ring neighbour.
   const Bytes payload = 8 << 20;
-  const auto cc = collective::compile(collective::plan_collective(
-      collective::CollectiveType::kAllReduce, collective::Algorithm::kRing, 8,
-      payload));
+  const auto cc = collective::compile(collective::CollectiveType::kAllReduce,
+                                      collective::Algorithm::kRing, 8);
   int finished = 0;
   const auto batch = [&] {
     for (int k = 0; k < 3; ++k) {
@@ -234,9 +233,9 @@ TEST(TransferAllocations, RotorTwoHopForwardsAllocateNothingOnceWarm) {
 // Compiling a collective shape.
 // ---------------------------------------------------------------------------
 
-// Compiling a shape straight from the planner builds no CollectiveSchedule
-// (40 bytes a transfer) on the way: its largest block is the 16-byte-a-
-// transfer UnitTransfer array itself. The 256-rank ring AllReduce is the
+// Compiling a shape straight from the planner builds no larger copy of it on
+// the way: its largest block is the 16-byte-a-transfer UnitTransfer array
+// itself. The 256-rank ring AllReduce is the
 // largest shape the benchmark's 512-node cells compile.
 TEST(TransferAllocations, ShapeCompileRequestsNoBlockLargerThanItsTransfers) {
   std::shared_ptr<const collective::CompiledCollective> cc;
