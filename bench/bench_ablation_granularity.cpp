@@ -39,7 +39,7 @@ int main() {
       workload::ComputeModel compute(cfg.gpu, cfg.mfu,
                                      cfg.activation_recompute);
       const auto dag = workload::build_training_iteration(
-          cfg.model, cfg.parallelism, mapper, compute);
+          cfg.model, cfg.parallelism, mapper, compute, cfg.nvlink_bw);
       core::OpusTransport::Options topts;
       topts.provisioning = true;
       topts.controller.fine_grained = fine;

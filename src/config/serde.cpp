@@ -462,23 +462,14 @@ struct Schema<fleet::FleetConfig> {
 
 // ---- the generic reader and writer -----------------------------------------
 
-/// Members deliberately left out of a struct's table.
-template <class T>
-constexpr std::size_t kUnexposed = 0;
-// IterationOptions::nvlink_bw: core::build_tenant overwrites it with
-// ExperimentConfig::nvlink_bw, so the experiment-level key is the one knob
-// (see the field's comment in workload/iteration.h).
-template <>
-constexpr std::size_t kUnexposed<workload::IterationOptions> = 1;
-
 /// Calls `fn` on every field of T's table, in table order. The pin: adding
-/// a struct member without a table entry (or an unexposed-member note)
-/// fails the build, so no knob can silently go orphan.
+/// a struct member without a table entry fails the build, so no knob can
+/// silently go orphan.
 template <class T, class Fn>
 void for_each_field(Fn&& fn) {
   constexpr std::size_t entries =
       std::tuple_size_v<decltype(Schema<T>::fields)>;
-  static_assert(entries + kUnexposed<T> == field_count<T>,
+  static_assert(entries == field_count<T>,
                 "config struct changed: add the new member to its field "
                 "table (or remove the entry of a deleted one)");
   std::apply([&](const auto&... f) { (fn(f), ...); }, Schema<T>::fields);

@@ -101,24 +101,19 @@ void OpusController::execute(Job job) {
     }
     auto& sw = cluster_.ocs(rc.rail);
     // A layout planned (or queued) before a port failure may still name the
-    // failed port; drop those circuits and wire the survivors — the
-    // transport's next re-plan routes around the hole properly. (Claiming
-    // ownership of the failed port above is harmless: it carries no circuit.)
-    std::vector<net::CircuitRequest> circuits = rc.circuits;
-    if (sw.failed_port_count() > 0) {
-      std::erase_if(circuits, [&sw](const net::CircuitRequest& c) {
-        return sw.failed(c.a) || sw.failed(c.b);
-      });
-    }
-    if (sw.satisfied(circuits)) continue;
+    // failed port; the OCS drops those circuits and wires the survivors —
+    // the transport's next re-plan routes around the hole properly.
+    // (Claiming ownership of the failed port above is harmless: it carries
+    // no circuit.)
+    if (sw.satisfied(rc.circuits)) continue;
     // Ports this reconfiguration steals from other groups go back to free.
-    for (PortId p : sw.touched_ports(circuits)) {
+    for (PortId p : sw.touched_ports(rc.circuits)) {
       auto& o = owners[static_cast<std::size_t>(p.value())];
       if (o != job.group) o = GroupId{};
     }
     any_reconfig = true;
     ++*remaining;
-    sw.reconfigure(circuits, [this, remaining, requested_at, ack] {
+    sw.reconfigure(rc.circuits, [this, remaining, requested_at, ack] {
       if (--*remaining == 0) {
         finish(requested_at, *ack);
         pump();  // darkness cleared; queued jobs may proceed

@@ -85,10 +85,9 @@ Tenant build_tenant(sim::Simulator& sim, net::Cluster& cluster,
   workload::RankMapper mapper(config.parallelism, config.gpus_per_node);
   workload::ComputeModel compute(config.gpu, config.mfu,
                                  config.activation_recompute);
-  workload::IterationOptions iter_opts = config.iteration;
-  iter_opts.nvlink_bw = config.nvlink_bw;
   tenant.dag = workload::build_training_iteration(
-      config.model, config.parallelism, mapper, compute, iter_opts);
+      config.model, config.parallelism, mapper, compute, config.nvlink_bw,
+      config.iteration);
   workload::offset_dag_gpus(tenant.dag,
                             span.first * config.gpus_per_node);
 
@@ -199,9 +198,9 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     // state-changing reconfiguration of one rail OCS — so the per-rail OCS
     // stats must sum to the rotation tally (pinned by test_rotor.cpp).
     // Fault churn breaks the 1:1 mapping legitimately: a rotation into
-    // failed ports widens to a generic reconfiguration (or none at all when
-    // no circuit survives), and repairs/resplices reconfigure without a
-    // rotation — so the invariant only holds fault-free.
+    // failed ports may reconfigure nothing when no circuit survives, and a
+    // one-round span re-wires its torn matching without a rotation — so
+    // the invariant only holds fault-free.
     ensure(config.faults.enabled ||
                result.ocs_reconfigurations == result.rotor_rotations,
            "rotor: summed per-rail OCS reconfigurations diverge from the "

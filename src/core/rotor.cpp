@@ -88,21 +88,15 @@ void RotorTransport::rotate(int rail) {
   state.drain_pending = false;
   if (stopped_) return;
   const int next = (state.round + 1) % n_rounds_;
-  if (next == state.round) {
-    // One-round span (2 nodes): the only matching is already up. Rotating
-    // would re-request identical circuits — an OCS no-op — so count nothing
-    // and keep the rotation tally equal to the switch's reconfiguration
-    // stats; just release anything the guard band parked.
-    flush_waiting(rail);
-    start_round(rail);
-    return;
-  }
   state.rotating = true;
-  ++rotations_;
-  // Each round's matching is registered with the rail OCS once (its fluid
-  // links pinned for cycle-long reuse); every replay then runs the OCS's
-  // one reconfiguration transaction over the pre-resolved circuit list —
-  // one dark interval, one completion event, no per-rotation copy or hash.
+  // A one-round span (2 nodes) re-requests its only matching: while it is
+  // live the OCS acks at once and counts nothing, so only a real rotation
+  // is tallied; after churn the replay re-wires what a repair left down.
+  if (n_rounds_ > 1) ++rotations_;
+  // Each round's matching is registered with the rail OCS once; every
+  // replay then runs the OCS's one reconfiguration transaction over the
+  // pre-resolved circuit list — one dark interval, one completion event,
+  // no per-rotation copy or hash.
   auto& sw = cluster_.ocs(RailId{rail});
   auto& slot = state.round_batch[static_cast<std::size_t>(next)];
   if (slot < 0) {

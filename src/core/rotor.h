@@ -64,10 +64,12 @@ class RotorTransport final : public collective::Transport {
 
   /// Rounds completed across all rails (diagnostics). Every counted
   /// rotation issues exactly one state-changing OCS reconfiguration, so for
-  /// a single-tenant rotor fabric this equals the summed per-rail
-  /// OCS-reconfiguration stats (a 1-round span freezes instead of
-  /// re-wiring its only matching and counts nothing). 64-bit, matching the
-  /// OCS Stats counters: 4k-node runs overflow 32 bits.
+  /// a fault-free single-tenant rotor fabric this equals the summed
+  /// per-rail OCS-reconfiguration stats. A 1-round span re-requests its
+  /// only matching and counts nothing: while the matching is live the OCS
+  /// acks at once, and after churn the request re-wires the circuits a
+  /// repair does not restore. 64-bit, matching the OCS Stats counters:
+  /// 4k-node runs overflow 32 bits.
   std::int64_t rotations() const { return rotations_; }
   /// Sends that had to wait for their matching.
   std::int64_t deferred_sends() const { return deferred_; }
@@ -114,7 +116,9 @@ class RotorTransport final : public collective::Transport {
     /// replays the same matching every cycle, so each round's circuit set is
     /// registered with the rail OCS once — round 0 at construction, before
     /// it is wired, the others on their first rotation — and every rotation
-    /// replays it through reconfigure_batch.
+    /// replays it through reconfigure_batch, which also re-wires any circuit
+    /// of the matching that a port failure tore down (a one-round span
+    /// replays round 0 onto itself).
     std::vector<net::OpticalCircuitSwitch::BatchId> round_batch;
   };
 

@@ -40,11 +40,12 @@ StaticRingTransport::StaticRingTransport(net::Cluster& cluster,
 }
 
 void StaticRingTransport::resplice() {
-  // Re-issue the original ring wiring: force_circuits skips any circuit
-  // whose endpoint is still failed, so this restores exactly the segments
-  // whose ports have been repaired. Re-forcing an already-live pair tears
-  // and re-establishes the same instantaneous link — traffic on other
-  // segments is untouched.
+  // Re-issue the original ring wiring. A segment with a still-failed
+  // endpoint counts as satisfied and force_circuits skips it (the OCS's one
+  // failed-port rule), so this restores exactly the segments whose ports
+  // have been repaired. Re-forcing an already-live pair tears and
+  // re-establishes the same instantaneous link — traffic on other segments
+  // is untouched.
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
     const auto& circuits = ring_circuits_[static_cast<std::size_t>(rail)];
     if (!cluster_.ocs(RailId{rail}).satisfied(circuits)) {

@@ -7,6 +7,7 @@
 #include <numeric>
 
 #include "common/error.h"
+#include "common/profile.h"
 #include "common/units.h"
 #include "core/rotor.h"
 
@@ -218,6 +219,11 @@ struct Driver {
 
 FleetResult run_fleet(const FleetConfig& cfg) {
   ensure(cfg.n_nodes >= 1, "fleet: cluster needs at least one node");
+  // The baseline sweep shards by job id under fleet.use_shard; sharding it
+  // by cell index would leave baselines missing from a full-timeline table.
+  ensure(!cfg.baseline_sweep.use_shard,
+         "fleet: baseline_sweep.use_shard is not supported; set "
+         "fleet.use_shard to shard a fleet timeline");
   const std::vector<JobSpec> specs =
       generate_arrivals(cfg.arrivals, cfg.base.gpus_per_node);
 
@@ -244,9 +250,10 @@ FleetResult run_fleet(const FleetConfig& cfg) {
   }
 
   if (cfg.isolated_baselines) {
-    obs::SelfProfiler::Scope sweep_prof(
-        telemetry != nullptr ? telemetry->profiler() : nullptr,
-        "fleet.baseline_sweep");
+    obs::SelfProfiler* prof =
+        telemetry != nullptr ? telemetry->profiler() : nullptr;
+    ProfileScope sweep_prof(
+        prof, prof != nullptr ? prof->phase("fleet.baseline_sweep") : -1);
     std::vector<core::ExperimentConfig> cells;
     std::vector<std::size_t> cell_jobs;
     for (const JobSpec& spec : specs) {

@@ -45,7 +45,8 @@ struct FleetConfig {
   /// byte-conservation baselines. Off: slowdown/isolated fields stay 0.
   bool isolated_baselines = true;
   /// Thread pool for the isolated-baseline sweep (the fleet run itself is
-  /// one simulator and always single-threaded).
+  /// one simulator and always single-threaded). Its use_shard must stay
+  /// off — run_fleet rejects it: sharding a fleet is `use_shard` below.
   core::SweepOptions baseline_sweep;
   /// Opt into process-level *timeline* sharding (OPUS_SWEEP_SHARD=i/N):
   /// every shard simulates the full shared-cluster timeline (tenants

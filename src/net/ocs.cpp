@@ -210,7 +210,8 @@ bool OpticalCircuitSwitch::satisfied(
     const std::vector<CircuitRequest>& circuits) const {
   return std::all_of(circuits.begin(), circuits.end(),
                      [this](const CircuitRequest& c) {
-                       return connected(c.a, c.b);
+                       return connected(c.a, c.b) || failed(c.a) ||
+                              failed(c.b);
                      });
 }
 
@@ -221,6 +222,7 @@ std::vector<PortId> OpticalCircuitSwitch::touched_ports(
   for (const CircuitRequest& c : circuits) {
     check_port(c.a);
     check_port(c.b);
+    if (failed(c.a) || failed(c.b)) continue;  // the transaction drops it
     list.push_back({c.a.value(), c.b.value()});
   }
   std::vector<PortId> out;
@@ -305,8 +307,6 @@ std::vector<OpticalCircuitSwitch::Circuit> OpticalCircuitSwitch::validated(
     check_port(c.a);
     check_port(c.b);
     ensure(c.a != c.b, "OCS circuit cannot loop a port to itself");
-    ensure(port_owner(c.a) == port_owner(c.b),
-           "OCS circuit may not cross port ownership (tenant isolation)");
     for (const PortId p : {c.a, c.b}) {
       auto& s = stamp_[static_cast<std::size_t>(p.value())];
       if (s == stamp) {
@@ -322,20 +322,34 @@ std::vector<OpticalCircuitSwitch::Circuit> OpticalCircuitSwitch::validated(
 void OpticalCircuitSwitch::reconfigure(
     const std::vector<CircuitRequest>& circuits,
     std::function<void()> on_done) {
-  auto list = std::make_shared<std::vector<Circuit>>(
-      validated(circuits, "OCS reconfigure"));
-  for (const Circuit& c : *list) {
-    ensure(!failed_[static_cast<std::size_t>(c.a)] &&
-               !failed_[static_cast<std::size_t>(c.b)],
-           "OCS reconfigure: circuit requests a failed port");
-  }
-  transact(std::move(list), std::move(on_done));
+  transact(std::make_shared<const std::vector<Circuit>>(
+               validated(circuits, "OCS reconfigure")),
+           std::move(on_done));
 }
 
 void OpticalCircuitSwitch::transact(CircuitList circuits,
                                     std::function<void()> on_done) {
+  // Ownership may have been reassigned since a batch was registered (fleet
+  // tenants), so it is checked here, on every request.
+  if (owned_ports_ > 0) {
+    for (const Circuit& c : *circuits) {
+      ensure(owner_[static_cast<std::size_t>(c.a)] ==
+                 owner_[static_cast<std::size_t>(c.b)],
+             "OCS circuit may not cross port ownership (tenant isolation)");
+    }
+  }
+  // A failed port is never wired: its circuits are dropped and stay down
+  // until the owner re-requests them after the repair.
+  if (failed_ports_ > 0) {
+    auto survivors = std::make_shared<std::vector<Circuit>>(*circuits);
+    std::erase_if(*survivors, [this](const Circuit& c) {
+      return failed_[static_cast<std::size_t>(c.a)] ||
+             failed_[static_cast<std::size_t>(c.b)];
+    });
+    circuits = std::move(survivors);
+  }
   std::vector<std::int32_t> touched = touched_by(*circuits);
-  if (touched.empty()) {  // every circuit already live
+  if (touched.empty()) {  // every remaining circuit already live
     if (on_done) on_done();
     return;
   }
@@ -424,24 +438,7 @@ void OpticalCircuitSwitch::reconfigure_batch(BatchId batch,
   ProfileScope prof(profile_sink_, profile_phase_batch_);
   ensure(batch >= 0 && batch < static_cast<BatchId>(batches_.size()),
          "OCS reconfigure_batch: unknown batch");
-  CircuitList circuits = batches_[static_cast<std::size_t>(batch)];
-  // Ownership may have been reassigned since registration (fleet tenants).
-  if (owned_ports_ > 0) {
-    for (const Circuit& c : *circuits) {
-      ensure(owner_[static_cast<std::size_t>(c.a)] ==
-                 owner_[static_cast<std::size_t>(c.b)],
-             "OCS circuit may not cross port ownership (tenant isolation)");
-    }
-  }
-  if (failed_ports_ > 0) {
-    auto survivors = std::make_shared<std::vector<Circuit>>(*circuits);
-    std::erase_if(*survivors, [this](const Circuit& c) {
-      return failed_[static_cast<std::size_t>(c.a)] ||
-             failed_[static_cast<std::size_t>(c.b)];
-    });
-    circuits = std::move(survivors);
-  }
-  transact(std::move(circuits), std::move(on_done));
+  transact(batches_[static_cast<std::size_t>(batch)], std::move(on_done));
 }
 
 }  // namespace opus::net

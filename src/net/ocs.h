@@ -160,7 +160,7 @@ class OpticalCircuitSwitch {
   }
 
   /// Fails a port mid-run (fiber cut / transceiver death): its circuit is
-  /// torn down and no future circuit may use it until repair_port. Traffic
+  /// torn down and no request wires it until repair_port. Traffic
   /// on the dying circuit is handed to the flow rescuer (set_flow_rescuer)
   /// or aborted outright, and a failure mid-reconfiguration simply marks
   /// the port so the completion skips re-establishing its circuit.
@@ -198,6 +198,8 @@ class OpticalCircuitSwitch {
 
   /// True iff every requested circuit is already established and live —
   /// the idempotence fast-path used by the Opus controller's config cache.
+  /// A circuit with a failed endpoint counts as satisfied: a request would
+  /// drop it (see reconfigure).
   bool satisfied(const std::vector<CircuitRequest>& circuits) const;
 
   /// Requests a reconfiguration establishing every circuit in `circuits`.
@@ -207,11 +209,16 @@ class OpticalCircuitSwitch {
   /// dark for reconfig_delay, after which the new circuits are live and
   /// `on_done` fires.
   ///
+  /// A circuit with a failed endpoint is dropped from the request: a failed
+  /// port is never wired, touched or darkened, and its circuit stays down
+  /// until the owner requests it again after the repair.
+  ///
   /// Preconditions (enforced): no touched port is already dark (callers must
   /// serialize overlapping requests — the Opus controller does), no port
-  /// appears twice in `circuits`, and no touched circuit is carrying traffic.
-  /// If `circuits` is already satisfied, `on_done` fires immediately (same
-  /// timestamp) and no reconfiguration is counted.
+  /// appears twice in `circuits`, every circuit joins two ports of one
+  /// owner, and no touched circuit is carrying traffic. If `circuits` is
+  /// already satisfied, `on_done` fires immediately (same timestamp) and no
+  /// reconfiguration is counted.
   void reconfigure(const std::vector<CircuitRequest>& circuits,
                    std::function<void()> on_done);
 
@@ -220,18 +227,18 @@ class OpticalCircuitSwitch {
   /// never returned.
   using BatchId = int;
 
-  /// Validates `circuits` (same rules as reconfigure, except that failed
-  /// ports are allowed) and stores them: the batch is just this validated
-  /// circuit list. It creates no fluid links — a circuit rides its ports'
-  /// own transmit links whichever peer it connects.
+  /// Checks ports, self-loops and duplicate ports of `circuits` and stores
+  /// them: the batch is just this circuit list. It creates no fluid links —
+  /// a circuit rides its ports' own transmit links whichever peer it
+  /// connects.
   BatchId register_batch(const std::vector<CircuitRequest>& circuits);
 
-  /// reconfigure() over a registered batch's circuits, minus any circuit
-  /// with a failed endpoint (those stay down until the owner re-wires).
-  /// The same transaction runs: only the ports the batch retargets go
-  /// dark, and circuits of the batch that are already live keep carrying
-  /// traffic. The batch's circuit list is shared with the completion event,
-  /// so a replay copies and hashes nothing.
+  /// reconfigure() over a registered batch's circuits: the same transaction
+  /// runs, under the same failed-port and ownership rules. Only the ports
+  /// the batch retargets go dark, and circuits of the batch that are
+  /// already live keep carrying traffic. With no failed port the batch's
+  /// circuit list is shared with the completion event, so a replay copies
+  /// and hashes nothing.
   void reconfigure_batch(BatchId batch, std::function<void()> on_done);
 
   /// Instantly establishes circuits with no dark period. Intended for t=0
@@ -243,8 +250,8 @@ class OpticalCircuitSwitch {
   void force_circuits(const std::vector<CircuitRequest>& circuits);
 
   /// Ports a reconfiguration request would touch (both endpoints of every
-  /// circuit not already live, plus their current peers), in no particular
-  /// order.
+  /// circuit neither already live nor with a failed endpoint, plus their
+  /// current peers), in no particular order.
   std::vector<PortId> touched_ports(
       const std::vector<CircuitRequest>& circuits) const;
 
@@ -265,20 +272,22 @@ class OpticalCircuitSwitch {
   void check_port(PortId p) const;
   /// dark(p) without the port-validity check (hot paths index directly).
   bool is_dark(std::size_t i) const { return dark_[i]; }
-  /// Checks ports, self-loops, ownership and duplicate ports (`op` names
-  /// the caller in the error) and returns the circuits.
+  /// Checks ports, self-loops and duplicate ports (`op` names the caller
+  /// in the error) and returns the circuits.
   std::vector<Circuit> validated(const std::vector<CircuitRequest>& circuits,
                                  const char* op);
   /// The ports a transaction over `circuits` touches, in first-touch order,
   /// deduplicated by stamping them with a fresh epoch (no hash or sort).
   std::vector<std::int32_t> touched_by(
       const std::vector<Circuit>& circuits) const;
-  /// The one reconfiguration transaction: checks that no touched port is
-  /// dark or carrying traffic, tears the touched circuits down, darkens the
-  /// touched ports for reconfig_delay and charges their dark time, then
-  /// (re-)establishes every circuit without a failed endpoint in one
-  /// completion event. Acks at once, counting nothing, when every circuit
-  /// is already live.
+  /// The one reconfiguration transaction and the one place its rules live:
+  /// checks that every circuit stays within one port owner, drops circuits
+  /// with a failed endpoint, checks that no touched port is dark or
+  /// carrying traffic, tears the touched circuits down, darkens the touched
+  /// ports for reconfig_delay and charges their dark time, then
+  /// (re-)establishes every remaining circuit whose ports did not fail in
+  /// the meantime in one completion event. Acks at once, counting nothing,
+  /// when every remaining circuit is already live.
   void transact(CircuitList circuits, std::function<void()> on_done);
   /// Fires every registered waiter whose port set is now fully undark.
   void pump_undark_waiters();

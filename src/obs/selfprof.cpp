@@ -22,23 +22,6 @@ void SelfProfiler::record(int phase_id, std::int64_t wall_ns) {
   p.total_ns += wall_ns;
 }
 
-SelfProfiler::Scope::Scope(SelfProfiler* profiler, const char* name)
-    : profiler_(profiler) {
-  if (profiler_ != nullptr) {
-    phase_ = profiler_->phase(name);
-    start_ = std::chrono::steady_clock::now();
-  }
-}
-
-SelfProfiler::Scope::~Scope() {
-  if (profiler_ != nullptr) {
-    const auto elapsed = std::chrono::steady_clock::now() - start_;
-    profiler_->record(
-        phase_,
-        std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed).count());
-  }
-}
-
 std::int64_t SelfProfiler::calls(int phase_id) const {
   ensure(phase_id >= 0 && static_cast<std::size_t>(phase_id) < phases_.size(),
          "selfprof: unknown phase id");

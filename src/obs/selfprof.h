@@ -9,7 +9,6 @@
 // worker threads never touch the fleet profiler).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,22 +25,6 @@ class SelfProfiler : public ProfileSink {
 
   /// Accumulates one invocation's inclusive wall time.
   void record(int phase_id, std::int64_t wall_ns) override;
-
-  /// RAII scope for call sites that hold the profiler itself (core/fleet
-  /// layers). A null profiler makes the scope a no-op; the destructor
-  /// records, so timing survives exceptions thrown inside the scope.
-  class Scope {
-   public:
-    Scope(SelfProfiler* profiler, const char* name);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    SelfProfiler* profiler_;
-    int phase_ = -1;
-    std::chrono::steady_clock::time_point start_;
-  };
 
   std::size_t phase_count() const { return phases_.size(); }
   std::int64_t calls(int phase_id) const;

@@ -74,11 +74,12 @@ class DagBuilder {
  public:
   DagBuilder(const ModelConfig& model, const ParallelismConfig& par,
              const RankMapper& mapper, const ComputeModel& compute,
-             const IterationOptions& opt)
+             Bandwidth nvlink_bw, const IterationOptions& opt)
       : model_(model),
         par_(par),
         mapper_(mapper),
         compute_(compute),
+        nvlink_bw_(nvlink_bw),
         opt_(opt),
         vol_(model, par) {}
 
@@ -163,6 +164,7 @@ class DagBuilder {
   const ParallelismConfig& par_;
   const RankMapper& mapper_;
   const ComputeModel& compute_;
+  Bandwidth nvlink_bw_;
   const IterationOptions& opt_;
   CommVolumeModel vol_;
 
@@ -224,7 +226,7 @@ void DagBuilder::create_compute_and_pp() {
 
   const TimeNs tp_folded =
       opt_.simulate_tp_comm ? 0
-                            : compute_.layer_tp_comm(model_, par_, opt_.nvlink_bw);
+                            : compute_.layer_tp_comm(model_, par_, nvlink_bw_);
   const TimeNs fwd_t = compute_.layer_fwd(model_, par_) + tp_folded;
   const TimeNs bwd_t = compute_.layer_bwd(model_, par_) + tp_folded;
   // Output head on the last stage (vocab projection is a large matmul).
@@ -686,8 +688,9 @@ IterationDag build_training_iteration(const ModelConfig& model,
                                       const ParallelismConfig& par,
                                       const RankMapper& mapper,
                                       const ComputeModel& compute,
+                                      Bandwidth nvlink_bw,
                                       const IterationOptions& options) {
-  DagBuilder builder(model, par, mapper, compute, options);
+  DagBuilder builder(model, par, mapper, compute, nvlink_bw, options);
   return builder.build();
 }
 

@@ -92,12 +92,6 @@ struct IterationOptions {
   /// Simulate MoE expert-parallel AllToAll per layer (requires ep > 1 and an
   /// MoE model).
   bool simulate_ep_comm = true;
-  /// Scale-up bandwidth used for folded TP communication time. NOTE: only
-  /// authoritative when IterationOptions is used standalone —
-  /// core::build_tenant overwrites it with ExperimentConfig::nvlink_bw so
-  /// the experiment has exactly one scale-up-bandwidth knob (config/serde
-  /// therefore does not expose this field; set the experiment-level one).
-  Bandwidth nvlink_bw = Bandwidth::gbps(2400);
 
   /// Field-wise equality (config/serde skips fields equal to the default).
   friend bool operator==(const IterationOptions&,
@@ -105,11 +99,14 @@ struct IterationOptions {
 };
 
 /// Builds the DAG of one training iteration. `mapper` supplies the groups;
-/// the returned DAG owns copies of every group it references.
+/// the returned DAG owns copies of every group it references. `nvlink_bw`
+/// is the scale-up bandwidth that prices folded TP communication (the
+/// experiment's ExperimentConfig::nvlink_bw, the same the cluster uses).
 IterationDag build_training_iteration(const ModelConfig& model,
                                       const ParallelismConfig& par,
                                       const RankMapper& mapper,
                                       const ComputeModel& compute,
+                                      Bandwidth nvlink_bw,
                                       const IterationOptions& options = {});
 
 /// Number of layers hosted by pipeline stage `s` when `n_layers` does not

@@ -21,7 +21,8 @@ struct EngineFixture {
         cluster(sim, cluster_cfg(p)),
         mapper(par, cluster.gpus_per_node()),
         compute(GpuSpec::a100(), 0.35, true),
-        dag(build_training_iteration(model, par, mapper, compute)),
+        dag(build_training_iteration(model, par, mapper, compute,
+                                     cluster.config().nvlink_bw)),
         transport(cluster),
         engine(sim, cluster, transport, &recorder, opts) {}
 
@@ -215,7 +216,8 @@ TEST(Engine, TraceRecordsScaleOutAndScaleUpSeparately) {
   IterationOptions opts;
   opts.simulate_tp_comm = true;
   EngineFixture f(p, ModelConfig::test_tiny());
-  f.dag = build_training_iteration(f.model, p, f.mapper, f.compute, opts);
+  f.dag = build_training_iteration(f.model, p, f.mapper, f.compute,
+                                   f.cluster.config().nvlink_bw, opts);
   f.engine.run_to_completion(f.dag, 1);
   bool saw_scale_up = false;
   bool saw_scale_out = false;

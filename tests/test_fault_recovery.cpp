@@ -36,8 +36,14 @@ TEST(FaultRecovery, FailPortTearsCircuitAndBlocksReuse) {
   EXPECT_FALSE(sw.connected(PortId{0}, PortId{2}));
   EXPECT_FALSE(sw.peer(PortId{2}).has_value());
   EXPECT_EQ(sw.failed_port_count(), 1);
-  EXPECT_THROW(sw.reconfigure({{PortId{0}, PortId{2}}}, nullptr),
-               InvariantError);
+  // A request naming the failed port acks without wiring or darkening it.
+  bool acked = false;
+  sw.reconfigure({{PortId{0}, PortId{2}}}, [&] { acked = true; });
+  EXPECT_TRUE(acked) << "a request of only failed circuits is satisfied";
+  sim.run();
+  EXPECT_FALSE(sw.peer(PortId{0}).has_value());
+  EXPECT_EQ(sw.port_dark_time(PortId{0}), 0);
+  EXPECT_EQ(sw.stats().reconfigurations, 0);
   // The surviving ports still work.
   sw.reconfigure({{PortId{1}, PortId{3}}}, nullptr);
   sim.run();

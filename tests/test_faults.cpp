@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.h"
+#include "config/presets.h"
 #include "core/experiment.h"
 #include "core/faults.h"
 #include "fleet/fleet.h"
@@ -299,6 +300,24 @@ TEST(ChurnFleet, DisconnectingFailuresForceCheckpointedReplacement) {
   }
   EXPECT_GT(replacements, 0)
       << "this churn rate must disconnect at least one placed node";
+}
+
+TEST(ChurnFleet, RotorChurnFleetCompletesEveryJob) {
+  // The full-size rotor churn cell at arrivals seed 1002, faults seed 2:
+  // a 2-node sub-rotor loses its only matching to a failure that a repair
+  // does not restore, and must re-wire it for its waiting sends to launch.
+  fleet::FleetConfig cfg = config::fleet_churn_cell(
+      net::FabricKind::kRotor, /*churn=*/true, /*smoke=*/false);
+  cfg.arrivals.seed = 1002;
+  cfg.base.faults.seed = 2;
+  const fleet::FleetResult result = fleet::run_fleet(cfg);
+  ASSERT_FALSE(result.jobs.empty());
+  for (const auto& jr : result.jobs) {
+    if (jr.rejected) continue;
+    EXPECT_EQ(jr.iteration_times.size(),
+              static_cast<std::size_t>(jr.spec.iterations))
+        << "job " << jr.spec.id;
+  }
 }
 
 TEST(ChurnFleet, FaultFreeFleetReportsFullAvailability) {

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 
 #include "common/error.h"
 #include "core/static_ring.h"
@@ -356,6 +357,29 @@ TEST(FleetScenario, OversizedJobIsRejectedAndTheRestComplete) {
   EXPECT_EQ(rejected, result.rejected_jobs);
   EXPECT_GT(result.rejected_jobs, 0) << "the giant shape must appear";
   EXPECT_LT(result.rejected_jobs, 12);
+}
+
+TEST(FleetScenario, BaselineSweepShardingIsRejected) {
+  // Sharding the baseline sweep by cell index would drop baselines from a
+  // table that still covers the whole timeline; fleet.use_shard is the
+  // supported way to split a fleet. The sweep's thread count stays allowed.
+  fleet::FleetConfig cfg = scenario_config(net::FabricKind::kElectrical, 4, 4);
+  cfg.baseline_sweep.use_shard = true;
+  try {
+    fleet::run_fleet(cfg);
+    ADD_FAILURE() << "baseline_sweep.use_shard must be rejected";
+  } catch (const InvariantError& e) {
+    EXPECT_NE(std::string(e.what()).find("fleet.use_shard"),
+              std::string::npos)
+        << e.what();
+  }
+  cfg.baseline_sweep.use_shard = false;
+  cfg.baseline_sweep.threads = 2;
+  const fleet::FleetResult result = fleet::run_fleet(cfg);
+  for (const auto& jr : result.jobs) {
+    if (jr.rejected) continue;
+    EXPECT_GT(jr.isolated_time, 0) << "job " << jr.spec.id;
+  }
 }
 
 TEST(FleetScenario, SlowdownStatsAndPolicyDivergence) {

@@ -19,7 +19,8 @@ struct DagFixture {
         model(std::move(m)),
         mapper(par, gpn(p)),
         compute(GpuSpec::a100(), 0.35, true),
-        dag(build_training_iteration(model, par, mapper, compute, opts)) {}
+        dag(build_training_iteration(model, par, mapper, compute,
+                                     Bandwidth::gbps(2400), opts)) {}
 
   static int gpn(const ParallelismConfig& p) {
     return std::min(p.tp * p.cp, p.world_size());

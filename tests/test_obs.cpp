@@ -212,12 +212,12 @@ TEST(ChromeTrace, TwoIdenticalBuildsDumpIdenticalBytes) {
 
 TEST(SelfProfiler, NestedScopesRecordBothPhases) {
   obs::SelfProfiler prof;
-  {
-    obs::SelfProfiler::Scope outer(&prof, "outer");
-    obs::SelfProfiler::Scope inner(&prof, "inner");
-  }
   const int outer = prof.phase("outer");
   const int inner = prof.phase("inner");
+  {
+    ProfileScope outer_scope(&prof, outer);
+    ProfileScope inner_scope(&prof, inner);
+  }
   ASSERT_EQ(prof.phase_count(), 2u);
   EXPECT_EQ(prof.calls(outer), 1);
   EXPECT_EQ(prof.calls(inner), 1);
@@ -227,18 +227,18 @@ TEST(SelfProfiler, NestedScopesRecordBothPhases) {
 
 TEST(SelfProfiler, ScopeRecordsWhenAnExceptionUnwinds) {
   obs::SelfProfiler prof;
+  const int throwing = prof.phase("throwing");
   EXPECT_THROW(
       {
-        obs::SelfProfiler::Scope scope(&prof, "throwing");
+        ProfileScope scope(&prof, throwing);
         throw std::runtime_error("boom");
       },
       std::runtime_error);
-  EXPECT_EQ(prof.calls(prof.phase("throwing")), 1);
+  EXPECT_EQ(prof.calls(throwing), 1);
 }
 
 TEST(SelfProfiler, NullProfilerScopeIsANoOp) {
-  obs::SelfProfiler::Scope scope(nullptr, "ignored");
-  ProfileScope raw(nullptr, -1);  // the hot-path flavor, also null-safe
+  ProfileScope scope(nullptr, -1);  // a null sink records nothing
 }
 
 TEST(SelfProfiler, ReportListsPhasesInFirstUseOrder) {

@@ -2,6 +2,9 @@
 // dark periods, fine-grained (per-port) switching, and safety invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/error.h"
 #include "net/ocs.h"
 #include "sim/simulator.h"
@@ -437,6 +440,56 @@ TEST_F(OcsTest, DarkAccountingInvariantHoldsAcrossMixedOperations) {
   sim.run();
   check();
   EXPECT_GT(sw.stats().cumulative_port_dark_ns, 0);
+}
+
+TEST_F(OcsTest, FailedEndpointIsDroppedByEveryRequestAndQuery) {
+  // One rule for every entry point: a circuit with a failed endpoint is
+  // satisfied, touches nothing and is never wired; the rest of the request
+  // still runs.
+  sw.force_circuits({{PortId{2}, PortId{4}}});
+  sw.fail_port(PortId{0});
+  const std::vector<CircuitRequest> request = {{PortId{0}, PortId{2}},
+                                               {PortId{1}, PortId{3}}};
+  EXPECT_FALSE(sw.satisfied(request));
+  EXPECT_TRUE(sw.satisfied({{PortId{0}, PortId{2}}}));
+  auto touched = sw.touched_ports(request);
+  std::sort(touched.begin(), touched.end());
+  EXPECT_EQ(touched, (std::vector<PortId>{PortId{1}, PortId{3}}))
+      << "the dropped circuit must not darken port 2's live peer";
+  sw.reconfigure(request, nullptr);
+  EXPECT_TRUE(sw.connected(PortId{2}, PortId{4}));
+  sim.run();
+  EXPECT_TRUE(sw.connected(PortId{1}, PortId{3}));
+  EXPECT_FALSE(sw.peer(PortId{0}).has_value());
+  EXPECT_EQ(sw.port_dark_time(PortId{0}), 0);
+  EXPECT_EQ(sw.stats().circuits_established, 1);
+
+  const auto batch = sw.register_batch(request);
+  sw.reconfigure_batch(batch, nullptr);  // only the failed circuit is off
+  EXPECT_EQ(sw.dark_port_count(), 0);
+  sw.repair_port(PortId{0});
+  EXPECT_FALSE(sw.satisfied(request));
+  sw.reconfigure_batch(batch, nullptr);  // the repaired circuit re-wires
+  sim.run();
+  EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
+  EXPECT_FALSE(sw.peer(PortId{4}).has_value());
+  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
+}
+
+TEST_F(OcsTest, EveryRequestChecksPortOwnership) {
+  // Ownership is checked when a request runs, not when a batch registers:
+  // a batch registered before the ports were carved out for two tenants
+  // may no longer join them.
+  const auto batch = sw.register_batch({{PortId{0}, PortId{1}}});
+  sw.set_port_owner(PortId{0}, 0);
+  sw.set_port_owner(PortId{1}, 1);
+  EXPECT_THROW(sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr),
+               InvariantError);
+  EXPECT_THROW(sw.reconfigure_batch(batch, nullptr), InvariantError);
+  sw.set_port_owner(PortId{1}, 0);
+  sw.reconfigure_batch(batch, nullptr);
+  sim.run();
+  EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
 }
 
 // Parameterized: the dark period must equal the configured delay for any

@@ -270,6 +270,49 @@ TEST(Rotor, OneRoundSpanNeverCountsPhantomRotations) {
   EXPECT_EQ(cluster.total_ocs_dark_time(), 0);
 }
 
+TEST(Rotor, OneRoundSpanRewiresItsMatchingAfterAPortRepair) {
+  // A port failure tears the 2-node span's only circuit mid-transfer, and
+  // the repair does not restore it: the owner must re-wire. The one-round
+  // rotor re-requests its matching, so the rescued transfer and the send
+  // queued behind the failure both deliver and the event queue drains.
+  sim::Simulator sim;
+  net::ClusterConfig cfg = rotor_cfg(2);
+  cfg.nic_ports = 1;  // the failed port is the pair's only path
+  net::Cluster cluster(sim, cfg);
+  cluster.set_fault_tolerant(true);
+  RotorTransport::Options opts;
+  opts.slot_time = usecs(50);
+  RotorTransport rotor(sim, cluster, opts);
+  CommGroup g;
+  g.id = GroupId{1};
+  const GpuId src = cluster.gpu_at(NodeId{0}, 0);
+  const GpuId dst = cluster.gpu_at(NodeId{1}, 0);
+  int done = 0;
+  // 25 MB at 400 Gb/s = 0.5 ms: the failure lands mid-transfer.
+  rotor.send(g, src, dst, 25'000'000, [&] { ++done; });
+  sim.schedule_at(usecs(100), [&] {
+    cluster.fail_nic_port(NodeId{0}, 0, 0);
+    rotor.poke();
+    rotor.send(g, src, dst, 1'000'000, [&] { ++done; });
+  });
+  sim.schedule_at(msecs(2), [&] {
+    cluster.repair_nic_port(NodeId{0}, 0, 0);
+    rotor.poke();
+  });
+  // Bounded first, so a rotor that never re-wires fails here instead of
+  // re-arming its slot timer forever.
+  sim.run_until(secs(1));
+  ASSERT_EQ(sim.pending_events(), 0u) << "the slot timer must go idle";
+  sim.run();
+  EXPECT_EQ(done, 2) << "no send may stay waiting";
+  EXPECT_EQ(cluster.parked_transfer_count(), 0);
+  EXPECT_EQ(rotor.rotations(), 0) << "a one-round span never rotates";
+  EXPECT_EQ(cluster.ocs(RailId{0}).stats().reconfigurations, 1)
+      << "exactly one replay re-wires the torn circuit";
+  EXPECT_TRUE(cluster.ocs(RailId{0}).connected(cluster.ocs_port(src, 0),
+                                               cluster.ocs_port(dst, 0)));
+}
+
 TEST(Rotor, EveryQueuedSendEventuallyLaunches) {
   // Liveness audit of the rail state machine: sends issued in every rail
   // state — live, frozen-idle (the slot clock must re-arm), and

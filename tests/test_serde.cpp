@@ -27,7 +27,7 @@ using json::Value;
 static_assert(field_count<workload::ModelConfig> == 13);
 static_assert(field_count<workload::ParallelismConfig> == 8);
 static_assert(field_count<workload::GpuSpec> == 3);
-static_assert(field_count<workload::IterationOptions> == 5);
+static_assert(field_count<workload::IterationOptions> == 4);
 static_assert(field_count<workload::IterationEngine::Options> == 3);
 static_assert(field_count<core::FaultConfig> == 6);
 static_assert(field_count<obs::TelemetryConfig> == 5);
