@@ -177,7 +177,7 @@ void BM_FluidChurnResolve(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulator sim;
     net::FluidNetwork net(sim);
-    net::OpticalCircuitSwitch sw(sim, net, kPorts, Bandwidth::gbps(400), 0,
+    net::OpticalCircuitSwitch sw(sim, net, kPorts, Bandwidth::gbps(400),
                                  usecs(1), "churn");
     for (int r = 0; r < rounds; ++r) {
       const auto circuits = net::round_robin_circuits(kPorts, r);
@@ -256,7 +256,7 @@ void BM_OcsBatchRotation(benchmark::State& state) {
   constexpr int kRounds = 64;
   sim::Simulator sim;
   net::FluidNetwork net(sim);
-  net::OpticalCircuitSwitch sw(sim, net, kPorts, Bandwidth::gbps(400), 0,
+  net::OpticalCircuitSwitch sw(sim, net, kPorts, Bandwidth::gbps(400),
                                usecs(1), "rot");
   std::vector<net::OpticalCircuitSwitch::BatchId> rounds;
   for (int r = 0; r < kRounds; ++r) {
@@ -277,7 +277,7 @@ void BM_OcsReconfigure(benchmark::State& state) {
     sim::Simulator sim;
     net::FluidNetwork net(sim);
     net::OpticalCircuitSwitch sw(sim, net, 576, Bandwidth::gbps(200),
-                                 usecs(2), msecs(25), "bench");
+                                 msecs(25), "bench");
     std::vector<net::CircuitRequest> circuits;
     for (int p = 0; p + 1 < 576; p += 2) {
       circuits.push_back({PortId{p}, PortId{p + 1}});

@@ -23,26 +23,18 @@ OpusTransport::OpusTransport(sim::Simulator& sim, net::Cluster& cluster,
       });
 }
 
-bool OpusTransport::needs_circuits(const collective::CommGroup& group) const {
-  if (group.ranks.size() < 2) return false;
-  const NodeId node = cluster_.node_of(group.ranks.front());
-  for (GpuId g : group.ranks) {
-    if (cluster_.node_of(g) != node) return true;
-  }
-  return false;  // scale-up only (TP/CP inside the node)
-}
-
 bool OpusTransport::offload_to_mgmt(const collective::CommGroup& group,
                                     Bytes payload) const {
   return options_.mgmt_offload_threshold > 0 && cluster_.has_mgmt_network() &&
-         needs_circuits(group) && payload <= options_.mgmt_offload_threshold;
+         cluster_.spans_nodes(group.ranks) &&
+         payload <= options_.mgmt_offload_threshold;
 }
 
 void OpusTransport::prepare_collective(
     const collective::CommGroup& group,
     const collective::CompiledCollective& cc, Bytes payload,
     std::function<void()> ready) {
-  if (!needs_circuits(group)) {
+  if (!cluster_.spans_nodes(group.ranks)) {
     ready();
     return;
   }
@@ -76,7 +68,7 @@ void OpusTransport::prepare_collective(
 bool OpusTransport::needs_per_step_preparation(
     const collective::CommGroup& group,
     const collective::CompiledCollective& cc, Bytes payload) const {
-  if (!needs_circuits(group)) return false;
+  if (!cluster_.spans_nodes(group.ranks)) return false;
   if (offload_to_mgmt(group, payload)) return false;
   return !planner_.plan_static(group, cc).has_value();
 }
@@ -85,7 +77,7 @@ void OpusTransport::prepare_step(const collective::CommGroup& group,
                                  const collective::CompiledCollective& cc,
                                  Bytes payload, int step,
                                  std::function<void()> ready) {
-  if (!needs_circuits(group) || offload_to_mgmt(group, payload)) {
+  if (!cluster_.spans_nodes(group.ranks) || offload_to_mgmt(group, payload)) {
     ready();
     return;
   }
@@ -107,7 +99,7 @@ void OpusTransport::collective_finished(
     const collective::CommGroup& group,
     const collective::CompiledCollective& cc) {
   (void)cc;
-  if (!needs_circuits(group)) return;
+  if (!cluster_.spans_nodes(group.ranks)) return;
   if (mgmt_mode_.contains(group.id)) return;
   controller_->group_activity(group.id, -1);
   shim_->on_finished(group.dim);
@@ -120,7 +112,7 @@ void OpusTransport::iteration_started(int index) {
 bool OpusTransport::hint_collective(
     const collective::CommGroup& group,
     const collective::CompiledCollective& cc) {
-  if (!needs_circuits(group)) return true;  // nothing to provision
+  if (!cluster_.spans_nodes(group.ranks)) return true;  // nothing to provision
   const auto layout = planner_.plan_static(group, cc);
   if (!layout.has_value()) return false;
   controller_->request(group.id, *layout, {});  // ahead-of-demand, no waiter

@@ -78,7 +78,6 @@ class OpusTransport final : public collective::Transport {
   const OpusShim& shim() const { return *shim_; }
 
  private:
-  bool needs_circuits(const collective::CommGroup& group) const;
   bool offload_to_mgmt(const collective::CommGroup& group, Bytes payload) const;
 
   sim::Simulator& sim_;

@@ -7,9 +7,8 @@ namespace opus::core {
 StaticRingTransport::StaticRingTransport(net::Cluster& cluster,
                                          net::NodeSpan span)
     : cluster_(cluster) {
-  ensure(cluster_.photonic(), "StaticRingTransport requires photonic rails");
-  ensure(cluster_.config().allow_rail_multihop,
-         "StaticRingTransport requires rail multi-hop forwarding");
+  ensure(cluster_.fabric() == net::FabricKind::kStaticRing,
+         "StaticRingTransport requires a static-ring fabric");
   ensure(span.first >= 0 && span.count >= 2 &&
              span.end() <= cluster_.n_nodes(),
          "StaticRingTransport: span must cover >= 2 nodes of the cluster");

@@ -10,9 +10,8 @@
 // bench_ablation_static_topology.
 //
 // Select it end-to-end with FabricKind::kStaticRing in ExperimentConfig
-// (the cluster then force-enables rail multi-hop forwarding); this class
-// wires the rings at construction and routes sends straight through the
-// cluster.
+// (the fabric that forwards without a hop limit); this class wires the
+// rings at construction and routes sends straight through the cluster.
 #pragma once
 
 #include "collective/transport.h"
@@ -22,8 +21,8 @@ namespace opus::core {
 
 class StaticRingTransport final : public collective::Transport {
  public:
-  /// Wires each rail into a ring at time zero. Requires a photonic cluster
-  /// with allow_rail_multihop enabled and at least 2 NIC ports (ring degree).
+  /// Wires each rail into a ring at time zero. Requires a kStaticRing
+  /// cluster and at least 2 NIC ports (ring degree).
   /// The span-taking overload rings only the nodes of `span` — a tenant's
   /// pre-job topology on a shared fleet cluster; rings of distinct tenants
   /// are disjoint, so multi-hop forwarding never leaves the span.

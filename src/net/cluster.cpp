@@ -39,24 +39,21 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
          "NIC supports 1, 2, or 4 logical ports (ConnectX-7 configurations)");
   ensure(cfg_.nic_total_bw.positive(), "NIC bandwidth must be positive");
   ensure(cfg_.nvlink_bw.positive(), "NVLink bandwidth must be positive");
-  ensure(cfg_.max_multihop_hops >= 0, "multi-hop cap must be non-negative");
 
-  // Fabric normalization: a fixed ring can only serve non-neighbours by
-  // forwarding, and a rotor whose ports spread across matchings forwards
-  // over the connected union instead of waiting (capped at RotorNet's
-  // direct-or-two-hop routing unless the caller chose otherwise).
+  // Forwarding follows from the fabric: a fixed ring can only serve
+  // non-neighbours by forwarding around it, and a rotor whose ports spread
+  // across matchings forwards over the connected union instead of waiting
+  // (RotorNet's direct-or-two-hop routing). Opus reconfigures instead.
   if (cfg_.fabric == FabricKind::kStaticRing) {
-    cfg_.allow_rail_multihop = true;
+    forwarding_ = Forwarding::kAnyHops;
   }
   if (cfg_.fabric == FabricKind::kRotor) {
     ensure(cfg_.n_nodes >= 2, "a rotor fabric needs at least two nodes");
     ensure(cfg_.rotor_port_spread >= 1, "rotor port spread must be >= 1");
     cfg_.rotor_port_spread =
-        std::min({cfg_.rotor_port_spread, cfg_.nic_ports, rotor_rounds()});
-    if (cfg_.rotor_port_spread > 1) {
-      cfg_.allow_rail_multihop = true;
-      if (cfg_.max_multihop_hops == 0) cfg_.max_multihop_hops = 2;
-    }
+        std::min({cfg_.rotor_port_spread, cfg_.nic_ports,
+                  rotor_rounds_for(cfg_.n_nodes)});
+    if (cfg_.rotor_port_spread > 1) forwarding_ = Forwarding::kTwoHop;
   } else {
     cfg_.rotor_port_spread = 1;
   }
@@ -74,7 +71,7 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
     for (int r = 0; r < rails; ++r) {
       rail_ocs_.push_back(std::make_unique<OpticalCircuitSwitch>(
           sim_, net_, cfg_.n_nodes * cfg_.nic_ports, cfg_.port_bw(),
-          cfg_.rail_latency, cfg_.ocs_reconfig_delay,
+          cfg_.ocs_reconfig_delay,
           "rail" + std::to_string(r)));
       // Fault plumbing: traffic on a circuit killed mid-run is rescued here
       // (no-op abort when fault tolerance is off), and every topology change
@@ -87,13 +84,13 @@ Cluster::Cluster(sim::Simulator& sim, ClusterConfig cfg)
     rail_electrical_.reserve(static_cast<std::size_t>(rails));
     for (int r = 0; r < rails; ++r) {
       rail_electrical_.push_back(std::make_unique<ElectricalSwitch>(
-          net_, cfg_.n_nodes, cfg_.nic_total_bw, cfg_.electrical_hop_latency));
+          net_, cfg_.n_nodes, cfg_.nic_total_bw, kElectricalHopLatency));
     }
   }
 
   if (cfg_.mgmt_bw.positive()) {
     mgmt_ = std::make_unique<ElectricalSwitch>(net_, n, cfg_.mgmt_bw,
-                                               cfg_.mgmt_latency);
+                                               kMgmtLatency);
   }
 }
 
@@ -157,16 +154,6 @@ TimeNs Cluster::total_ocs_dark_time() const {
     total += ocs(RailId{r}).stats().cumulative_port_dark_ns;
   }
   return total;
-}
-
-int Cluster::rotor_rounds() const {
-  ensure(cfg_.fabric == FabricKind::kRotor, "rotor_rounds: not a rotor fabric");
-  return rotor_rounds_for(cfg_.n_nodes);
-}
-
-std::vector<CircuitRequest> Cluster::rotor_matching_circuits(RailId rail,
-                                                             int round) const {
-  return rotor_matching_circuits(rail, round, NodeSpan{0, cfg_.n_nodes});
 }
 
 std::vector<CircuitRequest> Cluster::rotor_matching_circuits(
@@ -325,11 +312,13 @@ Cluster::Route Cluster::route_for(GpuId src, GpuId dst) const {
   return Route::kPxn;
 }
 
-// The three circuit-reachability scans below are the rotor transport's inner
-// loop (every send and every post-rotation flush walks them per NIC port),
-// so they run on raw index arithmetic and the OCS's check-free live_peer()
-// instead of the PortId/GpuId wrapper accessors — same predicate, no
-// per-port ensure or optional traffic.
+// The circuit-reachability scans below — live_circuit_links,
+// has_live_circuit and the route search — are the rotor transport's inner
+// loop (every send and every post-rotation flush walks them per NIC port)
+// and the static ring's forwarding search, so they run on raw index
+// arithmetic and the OCS's check-free live_peer() instead of the
+// PortId/GpuId wrapper accessors — same predicate, no per-port ensure or
+// optional traffic.
 
 int Cluster::live_circuit_links(GpuId src, GpuId dst,
                                 std::array<LinkId, kMaxNicPorts>& out) const {
@@ -361,28 +350,92 @@ bool Cluster::has_live_circuit(GpuId src, GpuId dst) const {
   return false;
 }
 
-GpuId Cluster::two_hop_via(GpuId src, GpuId dst) const {
-  const auto& sw = ocs(rail_of(src));
-  const int rank = src.value() % cfg_.gpus_per_node;
-  const int base = (src.value() / cfg_.gpus_per_node) * cfg_.nic_ports;
-  for (int p = 0; p < cfg_.nic_ports; ++p) {
-    const std::int32_t q = sw.live_peer(base + p);
-    if (q < 0) continue;
-    const GpuId via{q / cfg_.nic_ports * cfg_.gpus_per_node + rank};
-    if (via == dst || via == src) continue;
-    if (has_live_circuit(via, dst)) return via;
+bool Cluster::find_route(GpuId src, GpuId dst, Forwarding reach,
+                         std::vector<GpuId>* path) const {
+  if (path != nullptr) path->clear();
+  if (has_live_circuit(src, dst)) {
+    if (path != nullptr) path->assign({src, dst});
+    return true;
   }
-  return GpuId{};
+  if (reach == Forwarding::kNone) return false;
+  const auto& sw = ocs(rail_of(src));
+  const int ports = cfg_.nic_ports;
+  const int gpn = cfg_.gpus_per_node;
+  const int rank = src.value() % gpn;
+  if (reach == Forwarding::kTwoHop) {
+    // The first intermediate in NIC-port order (the order a BFS discovers
+    // it in) with live circuits src -> via -> dst.
+    const int base = (src.value() / gpn) * ports;
+    for (int p = 0; p < ports; ++p) {
+      const std::int32_t q = sw.live_peer(base + p);
+      if (q < 0) continue;
+      const GpuId via{q / ports * gpn + rank};
+      if (!has_live_circuit(via, dst)) continue;
+      if (path != nullptr) path->assign({src, via, dst});
+      return true;
+    }
+    return false;
+  }
+  // BFS over nodes through live circuits. Visited state lives in
+  // epoch-stamped scratch arrays (allocated on the first BFS, so fabrics
+  // that never take this path pay nothing) — per query the search touches
+  // only reached nodes, not O(n).
+  const int n = cfg_.n_nodes;
+  if (bfs_prev_.size() != static_cast<std::size_t>(n)) {
+    bfs_prev_.assign(static_cast<std::size_t>(n), -2);
+    bfs_epoch_.assign(static_cast<std::size_t>(n), 0);
+  }
+  const std::uint64_t epoch = ++bfs_epoch_counter_;
+  const auto visited = [&](int node) {
+    return bfs_epoch_[static_cast<std::size_t>(node)] == epoch;
+  };
+  const auto visit = [&](int node, int from) {
+    bfs_epoch_[static_cast<std::size_t>(node)] = epoch;
+    bfs_prev_[static_cast<std::size_t>(node)] = from;
+    bfs_queue_.push_back(node);
+  };
+  bfs_queue_.clear();
+  visit(src.value() / gpn, -1);
+  const int target = dst.value() / gpn;
+  for (std::size_t next = 0; next < bfs_queue_.size() && !visited(target);
+       ++next) {
+    const int node = bfs_queue_[next];
+    for (int p = 0; p < ports; ++p) {
+      const std::int32_t q = sw.live_peer(node * ports + p);
+      if (q >= 0 && !visited(q / ports)) visit(q / ports, node);
+    }
+  }
+  if (!visited(target)) return false;
+  if (path != nullptr) {
+    for (int node = target; node != -1;
+         node = bfs_prev_[static_cast<std::size_t>(node)]) {
+      path->push_back(GpuId{node * gpn + rank});
+    }
+    std::reverse(path->begin(), path->end());
+  }
+  return true;
 }
 
 bool Cluster::rail_path_available(GpuId src, GpuId dst) const {
   ensure(local_rank(src) == local_rank(dst),
          "rail_path_available: GPUs are on different rails");
-  if (!photonic()) return true;
-  if (has_live_circuit(src, dst)) return true;
-  if (!cfg_.allow_rail_multihop) return false;
-  if (cfg_.max_multihop_hops == 2) return two_hop_via(src, dst).valid();
-  return bfs_reaches(src, dst);
+  return !photonic() || find_route(src, dst, forwarding_, nullptr);
+}
+
+void Cluster::rail_multihop_path(GpuId src, GpuId dst,
+                                 std::vector<GpuId>& path) const {
+  ensure(photonic(), "rail_multihop_path: cluster has electrical rails");
+  ensure(local_rank(src) == local_rank(dst),
+         "rail_multihop_path: GPUs are on different rails");
+  find_route(src, dst,
+             forwarding_ == Forwarding::kTwoHop ? Forwarding::kTwoHop
+                                                : Forwarding::kAnyHops,
+             &path);
+}
+
+bool Cluster::spans_nodes(std::span<const GpuId> gpus) const {
+  return std::any_of(gpus.begin(), gpus.end(),
+                     [&](GpuId g) { return !same_node(g, gpus.front()); });
 }
 
 void Cluster::account(Route r, GpuId src, Bytes bytes) {
@@ -412,92 +465,18 @@ LinkId Cluster::nvl_out(GpuId g) {
 void Cluster::transfer_scale_up(GpuId src, GpuId dst, Bytes bytes,
                                 std::function<void()> on_complete) {
   account(Route::kScaleUp, src, bytes);
-  net_.start_flow({nvl_out(src), nvl_in(dst)}, bytes, cfg_.nvlink_latency,
+  net_.start_flow({nvl_out(src), nvl_in(dst)}, bytes, kNvlinkLatency,
                   std::move(on_complete));
-}
-
-bool Cluster::bfs_reaches(GpuId src, GpuId dst) const {
-  const RailId rail = rail_of(src);
-  const auto& sw = ocs(rail);
-  // BFS over nodes through live circuits, depth-limited when the fabric
-  // caps forwarding. Visited state lives in epoch-stamped scratch arrays
-  // (allocated on the first BFS, so fabrics that never take this path pay
-  // nothing) — per query the search touches only reached nodes, not O(n).
-  // The queue holds one level after another: [next, level_end) is the
-  // frontier being expanded.
-  const int n = cfg_.n_nodes;
-  if (bfs_prev_.size() != static_cast<std::size_t>(n)) {
-    bfs_prev_.assign(static_cast<std::size_t>(n), -2);
-    bfs_epoch_.assign(static_cast<std::size_t>(n), 0);
-  }
-  const std::uint64_t epoch = ++bfs_epoch_counter_;
-  const auto visited = [&](int node) {
-    return bfs_epoch_[static_cast<std::size_t>(node)] == epoch;
-  };
-  const auto visit = [&](int node, int from) {
-    bfs_epoch_[static_cast<std::size_t>(node)] = epoch;
-    bfs_prev_[static_cast<std::size_t>(node)] = from;
-    bfs_queue_.push_back(node);
-  };
-  bfs_queue_.clear();
-  visit(node_of(src).value(), -1);
-  const int target = node_of(dst).value();
-  int depth = 0;
-  std::size_t next = 0;
-  while (next < bfs_queue_.size() && !visited(target)) {
-    if (cfg_.max_multihop_hops > 0 && ++depth > cfg_.max_multihop_hops) {
-      return false;
-    }
-    for (const std::size_t level_end = bfs_queue_.size(); next < level_end;
-         ++next) {
-      const int node = bfs_queue_[next];
-      const GpuId g = gpu_at(NodeId{node}, rail.value());
-      for (int p = 0; p < cfg_.nic_ports; ++p) {
-        const PortId port = ocs_port(g, p);
-        const auto peer = sw.peer(port);
-        if (!peer || !sw.connected(port, *peer)) continue;
-        const int peer_node = peer->value() / cfg_.nic_ports;
-        if (!visited(peer_node)) visit(peer_node, node);
-      }
-    }
-  }
-  return visited(target);
-}
-
-void Cluster::rail_multihop_path(GpuId src, GpuId dst,
-                                 std::vector<GpuId>& path) const {
-  ensure(photonic(), "rail_multihop_path: cluster has electrical rails");
-  ensure(local_rank(src) == local_rank(dst),
-         "rail_multihop_path: GPUs are on different rails");
-  path.clear();
-  if (cfg_.max_multihop_hops == 2) {
-    // Capped-forwarding fast path (the rotor): no O(n_nodes) BFS state.
-    if (has_live_circuit(src, dst)) {
-      path.assign({src, dst});
-      return;
-    }
-    const GpuId via = two_hop_via(src, dst);
-    if (via.valid()) path.assign({src, via, dst});
-    return;
-  }
-  if (!bfs_reaches(src, dst)) return;
-  const int rail = local_rank(src);
-  for (int node = node_of(dst).value(); node != -1;
-       node = bfs_prev_[static_cast<std::size_t>(node)]) {
-    path.push_back(gpu_at(NodeId{node}, rail));
-  }
-  std::reverse(path.begin(), path.end());
 }
 
 void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
                             std::function<void()> on_complete) {
-  if (photonic() && cfg_.allow_rail_multihop && !has_live_circuit(src, dst)) {
+  if (forwarding_ != Forwarding::kNone && !has_live_circuit(src, dst)) {
     // No direct circuit: forward store-and-forward through intermediate
     // same-rail GPUs over live circuits (§5). Every hop charges kRail, which
     // exposes the bandwidth tax.
     const std::uint32_t c = route_cursor(src, dst);
-    const std::size_t path_len = cursors_[c].path.size();
-    if (path_len < 2) {
+    if (cursors_[c].path.empty()) {
       cursors_.release(c);
       ensure(fault_tolerant_,
              "photonic rail transfer: destination unreachable through live "
@@ -510,11 +489,8 @@ void Cluster::transfer_rail(GpuId src, GpuId dst, Bytes bytes,
       return;
     }
     account(Route::kRailMultiHop, src, bytes);
-    if (path_len > 2) {
-      start_forward(c, bytes, false, std::move(on_complete));
-      return;
-    }
-    cursors_.release(c);
+    start_forward(c, bytes, false, std::move(on_complete));
+    return;
   }
   send_hop(src, dst, bytes, false, std::move(on_complete));
 }
@@ -527,7 +503,7 @@ void Cluster::send_hop(GpuId src, GpuId dst, Bytes bytes, bool charged,
         *rail_electrical_[static_cast<std::size_t>(local_rank(src))];
     net_.start_flow({sw.uplink(node_of(src).value()),
                      sw.downlink(node_of(dst).value())},
-                    bytes, cfg_.rail_latency + sw.hop_latency(),
+                    bytes, kRailLatency + sw.hop_latency(),
                     std::move(done));
     return;
   }
@@ -566,7 +542,7 @@ void Cluster::stripe_done(std::uint32_t s) {
 void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
                                  Bytes bytes, std::function<void()> done) {
   if (!fault_tolerant_) {
-    net_.start_flow({link}, bytes, cfg_.rail_latency, std::move(done));
+    net_.start_flow({link}, bytes, kRailLatency, std::move(done));
     return;
   }
   // Registered so a mid-flight circuit failure can rescue the remaining
@@ -576,9 +552,9 @@ void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
   // (even zero-byte flows deliver via a scheduled event).
   auto key = std::make_shared<std::uint64_t>(0);
   const FlowId f =
-      net_.start_flow({link}, bytes, cfg_.rail_latency, [this, key] {
+      net_.start_flow({link}, bytes, kRailLatency, [this, key] {
         // A missing entry means abort_span_traffic dropped the hop while its
-        // delivery waited out rail_latency: an evicted hop never delivers.
+        // delivery waited out kRailLatency: an evicted hop never delivers.
         const auto entry = rescuable_.extract(*key);
         if (entry && entry.mapped().done) entry.mapped().done();
         // A completed flow frees its circuit: that is exactly the moment a
@@ -597,8 +573,7 @@ std::uint32_t Cluster::route_cursor(GpuId src, GpuId dst) {
   // Sized once for the longest path the fabric allows, so a reused slot
   // never regrows its buffer whatever path it held before.
   path.reserve(static_cast<std::size_t>(
-      cfg_.max_multihop_hops > 0 ? cfg_.max_multihop_hops + 1
-                                 : cfg_.n_nodes));
+      forwarding_ == Forwarding::kTwoHop ? 3 : cfg_.n_nodes));
   rail_multihop_path(src, dst, path);
   return c;
 }
@@ -913,7 +888,7 @@ void Cluster::transfer_mgmt(GpuId src, GpuId dst, Bytes bytes,
   ensure(mgmt_ != nullptr, "management network is not enabled");
   ensure(src != dst, "mgmt transfer requires distinct endpoints");
   account(Route::kMgmt, src, bytes);
-  // mgmt_latency is the end-to-end host-network latency (stored as the
+  // kMgmtLatency is the end-to-end host-network latency (stored as the
   // switch's hop latency at construction).
   net_.start_flow({mgmt_->uplink(src.value()), mgmt_->downlink(dst.value())},
                   bytes, mgmt_->hop_latency(), std::move(on_complete));

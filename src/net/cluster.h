@@ -16,15 +16,19 @@
 // round-robin matchings obliviously. The Cluster performs no pre-job wiring
 // (each transport wires its own node span: core::RotorTransport the rotor's
 // round-0 matchings, core::StaticRingTransport the ring's circuits), so
-// rails light up on first traffic; it normalizes the multi-hop forwarding
-// settings each fabric depends on — callers select a FabricKind and get a
-// consistent cluster.
+// rails light up on first traffic. Forwarding is a property of the fabric,
+// which the Cluster derives rather than reads from its config: a photonic
+// hop with no direct circuit forwards over the rail's live circuits never
+// on Opus (it reconfigures instead) or a classic rotor, over at most two
+// hops on a rotor with rotor_port_spread >= 2, and arbitrarily far around a
+// static ring. Callers select a FabricKind and get a consistent cluster.
 #pragma once
 
 #include <array>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -99,6 +103,16 @@ struct NicFault {
   bool failed = true;  ///< false = repair
 };
 
+/// Fixed link latencies (no experiment varies them).
+/// Scale-up (NVLink) hop.
+inline constexpr TimeNs kNvlinkLatency = usecs(2);
+/// Propagation + transceiver latency of a rail path (no OEO for photonic).
+inline constexpr TimeNs kRailLatency = usecs(2);
+/// Extra per-traversal latency of an electrical rail switch (OEO + ASIC).
+inline constexpr TimeNs kElectricalHopLatency = usecs(1);
+/// End-to-end latency of the host management network.
+inline constexpr TimeNs kMgmtLatency = usecs(10);
+
 struct ClusterConfig {
   int n_nodes = 4;
   int gpus_per_node = 4;  ///< size of the scale-up domain == number of rails
@@ -109,12 +123,6 @@ struct ClusterConfig {
 
   /// Scale-up interconnect: per-GPU injection/ejection bandwidth.
   Bandwidth nvlink_bw = Bandwidth::gbps(2400);  // NVLink3 ~300 GB/s per GPU
-  TimeNs nvlink_latency = usecs(2);
-
-  /// Propagation + transceiver latency of a rail path (no OEO for photonic).
-  TimeNs rail_latency = usecs(2);
-  /// Extra per-traversal latency of an electrical rail switch (OEO + ASIC).
-  TimeNs electrical_hop_latency = usecs(1);
 
   FabricKind fabric = FabricKind::kOpusPhotonic;
   /// OCS technology reconfiguration latency (Table 3).
@@ -123,31 +131,15 @@ struct ClusterConfig {
   /// Optional host-based packet network for small/bursty traffic offload
   /// (paper §5). Zero bandwidth disables it.
   Bandwidth mgmt_bw = Bandwidth::gbps(0);
-  TimeNs mgmt_latency = usecs(10);
-
-  /// Photonic rails only: when no direct circuit exists, forward through
-  /// intermediate GPUs of the same rail over live circuits (§5
-  /// "multi-hopping through connected GPUs in the same rail"). Each hop is
-  /// store-and-forward — the latency and bandwidth tax the paper warns
-  /// about. Off by default for Opus (it reconfigures instead); the Cluster
-  /// constructor force-enables it for kStaticRing (a fixed ring cannot
-  /// serve non-neighbours any other way) and for kRotor when the port
-  /// spread makes forwarding paths exist (see rotor_port_spread).
-  bool allow_rail_multihop = false;
-
-  /// Longest multi-hop forwarding path, in rail hops (0 = unbounded). The
-  /// rotor caps this at 2 (RotorNet-style direct-or-two-hop routing); the
-  /// static ring forwards arbitrarily far around the ring.
-  int max_multihop_hops = 0;
 
   /// kRotor only: how many consecutive round-robin matchings are striped
   /// across the NIC ports. 1 (classic) points every port of a node at the
   /// same peer, so the live topology is a perfect matching and traffic
   /// waits for its round. 2+ puts matching `round + p` on port `p`, so the
   /// live topology is a union of matchings — connected — and non-matched
-  /// pairs can forward over at most max_multihop_hops hops instead of
-  /// waiting (RotorNet's direct-or-Valiant routing). Clamped to nic_ports
-  /// and to the number of rotor rounds.
+  /// pairs forward over at most two hops instead of waiting (RotorNet's
+  /// direct-or-Valiant routing). Clamped to nic_ports and to the number of
+  /// rotor rounds.
   int rotor_port_spread = 1;
 
   Bandwidth port_bw() const { return nic_total_bw / nic_ports; }
@@ -177,6 +169,9 @@ class Cluster {
   RailId rail_of(GpuId g) const { return RailId{local_rank(g)}; }
   GpuId gpu_at(NodeId n, int local) const;
   bool same_node(GpuId a, GpuId b) const { return node_of(a) == node_of(b); }
+  /// True iff `gpus` sit on more than one node, so traffic among them
+  /// needs the scale-out rails (a group within one node rides NVLink).
+  bool spans_nodes(std::span<const GpuId> gpus) const;
 
   /// The OCS port of `g`'s NIC port `p` on g's rail OCS.
   PortId ocs_port(GpuId g, int nic_port) const;
@@ -202,21 +197,15 @@ class Cluster {
   }
   bool has_mgmt_network() const { return mgmt_ != nullptr; }
 
-  /// kRotor: length of the rotation cycle — the n-1 (even n) or n (odd n)
-  /// circle-method rounds that together connect every node pair once.
-  int rotor_rounds() const;
-  /// kRotor: the circuit layout of rotation round `round` on `rail`. NIC
-  /// port p carries matching `round + (p % rotor_port_spread)`, so a spread
-  /// of 1 reproduces the classic single-matching rotor and a spread of 2+
-  /// keeps the rail connected for bounded multi-hop forwarding. The
+  /// kRotor: the circuit layout of rotation round `round` on `rail` over
+  /// just the nodes of `span` (a tenant sub-rotor; matching ids are relative
+  /// to span.first). NIC port p carries matching `round + (p %
+  /// rotor_port_spread)`, so a spread of 1 reproduces the classic
+  /// single-matching rotor and a spread of 2+ keeps the rail connected for
+  /// two-hop forwarding. The port spread is re-clamped to the span's own
+  /// cycle length, so a 2-node tenant degrades to the classic
+  /// single-matching rotor even when the fleet-wide spread is 2. The
   /// RotorTransport wires round 0 over its span and drives the rotation.
-  std::vector<CircuitRequest> rotor_matching_circuits(RailId rail,
-                                                      int round) const;
-  /// Span-scoped variant: the matchings of rotation round `round` over just
-  /// the nodes of `span` (a tenant sub-rotor; matching ids are relative to
-  /// span.first). The port spread is re-clamped to the span's own cycle
-  /// length, so a 2-node tenant degrades to the classic single-matching
-  /// rotor even when the fleet-wide spread is 2.
   std::vector<CircuitRequest> rotor_matching_circuits(RailId rail, int round,
                                                       NodeSpan span) const;
 
@@ -261,20 +250,18 @@ class Cluster {
   Route route_for(GpuId src, GpuId dst) const;
 
   /// True iff a rail hop src -> dst can currently carry traffic: always for
-  /// electrical rails; for photonic, some circuit from src to dst is live.
+  /// electrical rails; for photonic, a live circuit connects them or the
+  /// fabric forwards (see the fabric contract above) and a path of live
+  /// circuits within its reach does.
   bool rail_path_available(GpuId src, GpuId dst) const;
 
   /// Photonic: shortest path of same-rail GPUs from src to dst over live
   /// circuits (src and dst included), written into `path` (whose buffer is
-  /// reused). Empty when unreachable within max_multihop_hops rail hops
-  /// (0 = unbounded).
+  /// reused); empty when unreachable. The reach is the one a rescued hop
+  /// gets: two rail hops on a forwarding rotor, unbounded on every other
+  /// photonic fabric (in-flight bytes cannot wait for a reconfiguration).
   void rail_multihop_path(GpuId src, GpuId dst,
                           std::vector<GpuId>& path) const;
-  std::vector<GpuId> rail_multihop_path(GpuId src, GpuId dst) const {
-    std::vector<GpuId> path;
-    rail_multihop_path(src, dst, path);
-    return path;
-  }
 
   /// Moves `bytes` from src to dst; `on_complete` fires at delivery.
   /// Photonic rail hops require a live circuit (InvariantError otherwise) —
@@ -427,15 +414,17 @@ class Cluster {
                          std::array<LinkId, kMaxNicPorts>& out) const;
   /// Allocation-free: true iff some live circuit connects src -> dst.
   bool has_live_circuit(GpuId src, GpuId dst) const;
-  /// Depth-limited BFS over live circuits from src's node; true iff dst's
-  /// node is reached. Leaves the predecessor chain in bfs_prev_.
-  bool bfs_reaches(GpuId src, GpuId dst) const;
-  /// Two-hop fast path (max_multihop_hops == 2): the first intermediate GPU
-  /// (deterministic NIC-port order, matching the BFS discovery order) with
-  /// live circuits src -> via -> dst; invalid id when none. The rotor's
-  /// send/flush scans hit this on every waiting send, so it must not
-  /// allocate.
-  GpuId two_hop_via(GpuId src, GpuId dst) const;
+  /// How far a photonic hop with no direct circuit may forward.
+  enum class Forwarding { kNone, kTwoHop, kAnyHops };
+  /// The one route search behind rail_path_available and
+  /// rail_multihop_path: true iff dst is reachable from src over live
+  /// circuits of their rail within `reach` rail hops. When `path` is
+  /// non-null it receives the shortest such path (src and dst included;
+  /// among equals the one first discovered in NIC-port order) or is left
+  /// empty. The two-hop walk is the rotor's per-send scan and allocates
+  /// nothing; the unbounded BFS keeps its scratch in bfs_*.
+  bool find_route(GpuId src, GpuId dst, Forwarding reach,
+                  std::vector<GpuId>* path) const;
   void account(Route r, GpuId src, Bytes bytes);
   void check_span(NodeSpan span) const;
 
@@ -461,6 +450,10 @@ class Cluster {
 
   sim::Simulator& sim_;
   ClusterConfig cfg_;
+  /// The fabric's forwarding rule (derived in the constructor): kAnyHops
+  /// for a static ring, kTwoHop for a rotor with a port spread of 2+,
+  /// kNone otherwise.
+  Forwarding forwarding_ = Forwarding::kNone;
   FluidNetwork net_;
   // Scale-up: per-GPU injection/ejection links into the node's NVSwitch,
   // invalid until first use (see nvl_in/nvl_out).
@@ -479,9 +472,9 @@ class Cluster {
   std::vector<TenantSpan> tenant_spans_;  // sorted by span.first
   std::uint64_t tenant_generation_ = 0;
   std::unordered_map<int, std::array<Bytes, 6>> tenant_route_bytes_;
-  // Epoch-stamped BFS scratch for the unbounded multi-hop path search (the
-  // static ring's general case; sized lazily on first use so fabrics that
-  // never BFS — electrical, Opus, the two-hop rotor — allocate nothing).
+  // Epoch-stamped BFS scratch for the unbounded route search (the static
+  // ring, and rescued hops elsewhere; sized lazily on first use so fabrics that
+  // never BFS — electrical, the two-hop rotor — allocate nothing).
   mutable std::vector<std::int32_t> bfs_prev_;
   mutable std::vector<std::uint64_t> bfs_epoch_;
   mutable std::uint64_t bfs_epoch_counter_ = 0;

@@ -38,13 +38,11 @@ std::vector<CircuitRequest> round_robin_circuits(int n_ports, int round) {
 OpticalCircuitSwitch::OpticalCircuitSwitch(sim::Simulator& sim,
                                            FluidNetwork& net, int n_ports,
                                            Bandwidth port_bw,
-                                           TimeNs circuit_latency,
                                            TimeNs reconfig_delay,
                                            std::string name)
     : sim_(sim),
       net_(net),
       port_bw_(port_bw),
-      circuit_latency_(circuit_latency),
       reconfig_delay_(reconfig_delay),
       name_(std::move(name)),
       peer_(static_cast<std::size_t>(n_ports), -1),

@@ -92,15 +92,14 @@ class OpticalCircuitSwitch {
   };
 
   /// `port_bw` is the per-direction bandwidth of a circuit (the NIC port
-  /// rate); `circuit_latency` is the end-to-end propagation latency of an
-  /// established circuit (fiber + transceivers, no OEO in the middle).
+  /// rate). A circuit's propagation latency is not the switch's: whoever
+  /// starts a flow over it puts the latency on the flow.
   OpticalCircuitSwitch(sim::Simulator& sim, FluidNetwork& net, int n_ports,
-                       Bandwidth port_bw, TimeNs circuit_latency,
-                       TimeNs reconfig_delay, std::string name = {});
+                       Bandwidth port_bw, TimeNs reconfig_delay,
+                       std::string name = {});
 
   int n_ports() const { return static_cast<int>(peer_.size()); }
   Bandwidth port_bandwidth() const { return port_bw_; }
-  TimeNs circuit_latency() const { return circuit_latency_; }
   TimeNs reconfig_delay() const { return reconfig_delay_; }
   void set_reconfig_delay(TimeNs d);
 
@@ -301,7 +300,6 @@ class OpticalCircuitSwitch {
   sim::Simulator& sim_;
   FluidNetwork& net_;
   Bandwidth port_bw_;
-  TimeNs circuit_latency_;
   TimeNs reconfig_delay_;
   std::string name_;
   std::vector<std::int32_t> peer_;  // -1 = unconnected

@@ -1,7 +1,5 @@
 #include "workload/engine.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/rng.h"
 
@@ -212,16 +210,8 @@ void IterationEngine::gpu_finished_part(int gpu, OpId id) {
 
 int IterationEngine::degree_budget(const collective::CommGroup& group) const {
   if (!cluster_.photonic()) return 0;
-  if (!group_is_scale_out(group)) return 0;  // NVLink: full connectivity
+  if (!cluster_.spans_nodes(group.ranks)) return 0;  // NVLink: full mesh
   return cluster_.config().nic_ports;
-}
-
-bool IterationEngine::group_is_scale_out(
-    const collective::CommGroup& group) const {
-  if (group.ranks.size() < 2) return false;
-  const NodeId node = cluster_.node_of(group.ranks.front());
-  return std::any_of(group.ranks.begin(), group.ranks.end(),
-                     [&](GpuId g) { return cluster_.node_of(g) != node; });
 }
 
 void IterationEngine::start_collective(const Op& op) {
@@ -266,7 +256,7 @@ void IterationEngine::start_collective(const Op& op) {
                           : payload;
         rec.t_issue = issue;
         rec.t_end = result.end;
-        rec.scale_out = group_is_scale_out(group);
+        rec.scale_out = cluster_.spans_nodes(group.ranks);
         if (rec.scale_out) {
           // Rail-local groups carry their traffic on the members' rail.
           const int local =

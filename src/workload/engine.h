@@ -105,7 +105,6 @@ class IterationEngine {
   /// 0 (unconstrained) on scale-up or electrical rails; nic_ports on
   /// photonic rails.
   int degree_budget(const collective::CommGroup& group) const;
-  bool group_is_scale_out(const collective::CommGroup& group) const;
 
   sim::Simulator& sim_;
   net::Cluster& cluster_;

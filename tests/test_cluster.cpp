@@ -104,6 +104,62 @@ TEST(ClusterTransfer, PhotonicRailRequiresCircuit) {
   EXPECT_EQ(done, msecs(1) + usecs(2));
 }
 
+/// Wires rail 0 into a ring of circuits: node n's port 0 to node n+1's
+/// port 1.
+void wire_rail0_ring(Cluster& c) {
+  std::vector<CircuitRequest> ring;
+  for (int n = 0; n < c.n_nodes(); ++n) {
+    ring.push_back({c.ocs_port(c.gpu_at(NodeId{n}, 0), 0),
+                    c.ocs_port(c.gpu_at(NodeId{(n + 1) % c.n_nodes()}, 0), 1)});
+  }
+  c.ocs(RailId{0}).force_circuits(ring);
+}
+
+TEST(Cluster, ForwardingRuleFollowsTheFabric) {
+  // One 8-node ring of circuits, three rules: Opus never forwards (it
+  // reconfigures instead), a static ring forwards any distance around the
+  // ring, and a rotor with a port spread of 2 forwards direct-or-two-hop.
+  ClusterConfig cfg = base_config(FabricKind::kOpusPhotonic);
+  cfg.n_nodes = 8;
+  cfg.rotor_port_spread = 2;
+  const auto gpu = [](const Cluster& c, int node) {
+    return c.gpu_at(NodeId{node}, 0);
+  };
+  {
+    sim::Simulator sim;
+    Cluster opus(sim, cfg);
+    wire_rail0_ring(opus);
+    EXPECT_FALSE(opus.rail_path_available(gpu(opus, 0), gpu(opus, 2)));
+    EXPECT_THROW(opus.transfer(gpu(opus, 0), gpu(opus, 2), 1000, nullptr),
+                 InvariantError);
+    // A rescued hop still forwards: in-flight bytes cannot wait.
+    std::vector<GpuId> path;
+    opus.rail_multihop_path(gpu(opus, 0), gpu(opus, 2), path);
+    EXPECT_EQ(path.size(), 3u);
+  }
+  {
+    sim::Simulator sim;
+    cfg.fabric = FabricKind::kStaticRing;
+    Cluster ring(sim, cfg);
+    wire_rail0_ring(ring);
+    EXPECT_TRUE(ring.rail_path_available(gpu(ring, 0), gpu(ring, 4)));
+    std::vector<GpuId> path;
+    ring.rail_multihop_path(gpu(ring, 0), gpu(ring, 4), path);
+    EXPECT_EQ(path.size(), 5u);
+  }
+  {
+    sim::Simulator sim;
+    cfg.fabric = FabricKind::kRotor;
+    Cluster rotor(sim, cfg);
+    wire_rail0_ring(rotor);
+    EXPECT_TRUE(rotor.rail_path_available(gpu(rotor, 0), gpu(rotor, 2)));
+    EXPECT_FALSE(rotor.rail_path_available(gpu(rotor, 0), gpu(rotor, 3)));
+    std::vector<GpuId> path;
+    rotor.rail_multihop_path(gpu(rotor, 0), gpu(rotor, 3), path);
+    EXPECT_TRUE(path.empty()) << "a rescued hop keeps the two-hop cap";
+  }
+}
+
 TEST(ClusterTransfer, PhotonicStripesAcrossParallelCircuits) {
   sim::Simulator sim;
   Cluster c(sim, base_config(FabricKind::kOpusPhotonic));

@@ -21,8 +21,6 @@ net::ClusterConfig electrical_cfg(int nodes, int gpn) {
   cfg.gpus_per_node = gpn;
   cfg.fabric = net::FabricKind::kElectrical;
   cfg.nic_total_bw = Bandwidth::gbps(400);
-  cfg.rail_latency = usecs(2);
-  cfg.electrical_hop_latency = usecs(1);
   return cfg;
 }
 

@@ -345,7 +345,7 @@ TEST_F(FluidEdgeTest, SpanAbortKillsPendingZeroByteTransfers) {
 
 TEST_F(FluidEdgeTest, SpanAbortInsideRailLatencyDoesNotDeliver) {
   // A drained circuit flow frees its fluid slot but delivers only after
-  // rail_latency, through a plain event abort_flow cannot cancel. An
+  // kRailLatency, through a plain event abort_flow cannot cancel. An
   // eviction inside that window must drop the hop without delivering it.
   Cluster c(sim, [] {
     ClusterConfig cfg;
@@ -361,10 +361,10 @@ TEST_F(FluidEdgeTest, SpanAbortInsideRailLatencyDoesNotDeliver) {
   int done = 0;
   c.transfer(c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{1}, 0), mib(1),
              [&] { ++done; });
-  ASSERT_GT(c.config().rail_latency, 1);
+  static_assert(kRailLatency > 1);
   sim.run_until(transfer_time(mib(1), c.config().port_bw()) + 1);
   ASSERT_EQ(c.network().active_flow_count(), 0u) << "the flow has drained";
-  ASSERT_EQ(done, 0) << "its delivery still waits out rail_latency";
+  ASSERT_EQ(done, 0) << "its delivery still waits out kRailLatency";
   c.abort_span_traffic({0, 2});
   sim.run();
   EXPECT_EQ(done, 0) << "an evicted hop must not deliver";

@@ -15,9 +15,14 @@ net::ClusterConfig multihop_cfg(int nodes) {
   cfg.n_nodes = nodes;
   cfg.gpus_per_node = 2;
   cfg.nic_ports = 2;
-  cfg.fabric = net::FabricKind::kOpusPhotonic;
-  cfg.allow_rail_multihop = true;
+  cfg.fabric = net::FabricKind::kStaticRing;
   return cfg;
+}
+
+std::vector<GpuId> path_between(const net::Cluster& c, GpuId src, GpuId dst) {
+  std::vector<GpuId> path;
+  c.rail_multihop_path(src, dst, path);
+  return path;
 }
 
 void wire_ring(net::Cluster& c, int rail) {
@@ -35,8 +40,8 @@ TEST(MultiHop, PathFollowsLiveCircuits) {
   net::Cluster c(sim, multihop_cfg(4));
   wire_ring(c, 0);
   // Nodes 0 and 2 are not ring neighbours: shortest path has 2 hops.
-  const auto path = c.rail_multihop_path(c.gpu_at(NodeId{0}, 0),
-                                         c.gpu_at(NodeId{2}, 0));
+  const auto path =
+      path_between(c, c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{2}, 0));
   ASSERT_EQ(path.size(), 3u);
   EXPECT_EQ(path.front(), c.gpu_at(NodeId{0}, 0));
   EXPECT_EQ(path.back(), c.gpu_at(NodeId{2}, 0));
@@ -47,9 +52,8 @@ TEST(MultiHop, PathFollowsLiveCircuits) {
 TEST(MultiHop, UnreachableWithoutCircuits) {
   sim::Simulator sim;
   net::Cluster c(sim, multihop_cfg(4));
-  EXPECT_TRUE(c.rail_multihop_path(c.gpu_at(NodeId{0}, 0),
-                                   c.gpu_at(NodeId{2}, 0))
-                  .empty());
+  EXPECT_TRUE(
+      path_between(c, c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{2}, 0)).empty());
   EXPECT_THROW(
       c.transfer(c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{2}, 0), 100, nullptr),
       InvariantError);
@@ -116,8 +120,8 @@ TEST(MultiHop, BfsFindsShortestDirection) {
   net::Cluster c(sim, multihop_cfg(8));
   wire_ring(c, 0);
   // 0 -> 6 is 2 hops backwards around the ring, not 6 forwards.
-  const auto path = c.rail_multihop_path(c.gpu_at(NodeId{0}, 0),
-                                         c.gpu_at(NodeId{6}, 0));
+  const auto path =
+      path_between(c, c.gpu_at(NodeId{0}, 0), c.gpu_at(NodeId{6}, 0));
   EXPECT_EQ(path.size(), 3u);
 }
 
@@ -176,10 +180,10 @@ TEST(StaticRing, NonNeighbourGroupsPayTheTax) {
   EXPECT_EQ(c.bytes_on_route(net::Cluster::Route::kRail), 2 * mib(32));
 }
 
-TEST(StaticRing, RequiresMultihopCluster) {
+TEST(StaticRing, RejectsOpusCluster) {
   sim::Simulator sim;
   net::ClusterConfig cfg = multihop_cfg(4);
-  cfg.allow_rail_multihop = false;
+  cfg.fabric = net::FabricKind::kOpusPhotonic;
   net::Cluster c(sim, cfg);
   EXPECT_THROW(core::StaticRingTransport{c}, InvariantError);
 }

@@ -16,7 +16,7 @@ constexpr Bandwidth k200G = Bandwidth::gbps(200);
 
 class OcsTest : public ::testing::Test {
  protected:
-  OcsTest() : net(sim), sw(sim, net, 8, k200G, usecs(2), msecs(15), "t") {}
+  OcsTest() : net(sim), sw(sim, net, 8, k200G, msecs(15), "t") {}
   sim::Simulator sim;
   FluidNetwork net;
   OpticalCircuitSwitch sw;
@@ -136,7 +136,7 @@ TEST_F(OcsTest, StatsAccumulate) {
 }
 
 TEST_F(OcsTest, ZeroDelayReconfigCompletesAtSameTimestamp) {
-  OpticalCircuitSwitch fast(sim, net, 4, k200G, 0, 0, "fast");
+  OpticalCircuitSwitch fast(sim, net, 4, k200G, 0, "fast");
   bool done = false;
   fast.reconfigure({{PortId{0}, PortId{1}}}, [&] { done = true; });
   EXPECT_FALSE(done);  // still event-driven, no synchronous reentrancy
@@ -499,7 +499,7 @@ class DarkPeriodSweep : public ::testing::TestWithParam<TimeNs> {};
 TEST_P(DarkPeriodSweep, DarknessLastsExactlyTheReconfigDelay) {
   sim::Simulator sim;
   FluidNetwork net(sim);
-  OpticalCircuitSwitch sw(sim, net, 4, k200G, 0, GetParam(), "p");
+  OpticalCircuitSwitch sw(sim, net, 4, k200G, GetParam(), "p");
   TimeNs up_at = -1;
   sw.reconfigure({{PortId{0}, PortId{1}}}, [&] { up_at = sim.now(); });
   sim.run();

@@ -189,8 +189,6 @@ TEST(Rotor, PortSpreadEnablesTwoHopForwarding) {
   net::ClusterConfig cfg = rotor_cfg(4);
   cfg.rotor_port_spread = 2;
   net::Cluster cluster(sim, cfg);
-  ASSERT_TRUE(cluster.config().allow_rail_multihop);
-  ASSERT_EQ(cluster.config().max_multihop_hops, 2);
   RotorTransport rotor(sim, cluster);
   // Round 0 matchings for 4 nodes: port 0 carries round 0 = (0,3),(1,2)
   // and port 1 carries round 1 = (1,3),(0,2). Every pair is within two
@@ -211,7 +209,9 @@ TEST(Rotor, PortSpreadEnablesTwoHopForwarding) {
   g.id = GroupId{1};
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{1}, 0);
-  ASSERT_EQ(cluster.rail_multihop_path(src, dst).size(), 3u);
+  std::vector<GpuId> path;
+  cluster.rail_multihop_path(src, dst, path);
+  ASSERT_EQ(path.size(), 3u);
   TimeNs done = -1;
   rotor.send(g, src, dst, 1000, [&] { done = sim.now(); });
   sim.run_until(usecs(500));

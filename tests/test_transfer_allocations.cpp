@@ -92,7 +92,6 @@ net::ClusterConfig photonic_cfg(int nodes) {
   cfg.gpus_per_node = 1;
   cfg.nic_ports = 2;
   cfg.fabric = net::FabricKind::kOpusPhotonic;
-  cfg.rail_latency = usecs(2);
   return cfg;
 }
 
@@ -112,7 +111,7 @@ void wire_ring(net::Cluster& c) {
 TEST(TransferAllocations, ExecutorRailTransfersAllocateNothingOnceWarm) {
   sim::Simulator sim;
   net::Cluster cluster(sim, photonic_cfg(8));
-  ASSERT_GT(cluster.config().rail_latency, 0);
+  static_assert(net::kRailLatency > 0);
   wire_ring(cluster);
   collective::DirectTransport transport(cluster);
   collective::CollectiveExecutor exec(sim, transport);
@@ -167,10 +166,12 @@ TEST(TransferAllocations, StripedTransfersAllocateNothingOnceWarm) {
 TEST(TransferAllocations, MultiHopRingForwardsAllocateNothingOnceWarm) {
   sim::Simulator sim;
   net::ClusterConfig cfg = photonic_cfg(8);
-  cfg.allow_rail_multihop = true;
+  cfg.fabric = net::FabricKind::kStaticRing;
   net::Cluster cluster(sim, cfg);
   wire_ring(cluster);
-  ASSERT_EQ(cluster.rail_multihop_path(GpuId{0}, GpuId{4}).size(), 5u);
+  std::vector<GpuId> path;
+  cluster.rail_multihop_path(GpuId{0}, GpuId{4}, path);
+  ASSERT_EQ(path.size(), 5u);
   int delivered = 0;
   const auto batch = [&] {
     for (int n = 0; n < 8; ++n) {
@@ -203,8 +204,11 @@ TEST(TransferAllocations, RotorTwoHopForwardsAllocateNothingOnceWarm) {
   core::RotorTransport rotor(sim, cluster);
   // Round 0 puts (0,3),(1,2) on port 0 and (1,3),(0,2) on port 1, so the
   // pairs (0,1) and (2,3) are two live hops apart.
-  ASSERT_EQ(cluster.rail_multihop_path(GpuId{0}, GpuId{1}).size(), 3u);
-  ASSERT_EQ(cluster.rail_multihop_path(GpuId{2}, GpuId{3}).size(), 3u);
+  std::vector<GpuId> path;
+  cluster.rail_multihop_path(GpuId{0}, GpuId{1}, path);
+  ASSERT_EQ(path.size(), 3u);
+  cluster.rail_multihop_path(GpuId{2}, GpuId{3}, path);
+  ASSERT_EQ(path.size(), 3u);
   CommGroup group;
   group.id = GroupId{1};
   int delivered = 0;
