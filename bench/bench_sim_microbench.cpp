@@ -243,34 +243,34 @@ void BM_EngineEventScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineEventScaling)->Arg(64)->Arg(256)->Arg(512);
 
-// Batched rotor rotation on a 512-port OCS: every iteration replays a
-// pre-registered perfect matching through the switch's one reconfiguration
-// transaction — one dark interval, one completion event, O(ports) array
-// work over the ports' own transmit links, no sort, hash or list copy per
-// rotation. Per-rotation cost must stay flat however many rotations have
+// Rotor rotation on a 512-port OCS: every iteration requests the next of 64
+// precomputed perfect matchings through reconfigure(), the switch's one
+// reconfiguration transaction — one dark interval, one completion event,
+// O(ports) array work over the ports' own transmit links, no sort or hash
+// per rotation. Per-rotation cost must stay flat however many rotations have
 // already run (the rotor perf ceiling: per-rotation work that grows with
 // lifetime circuit churn made the 512-node matrix cell scale with it).
 // items/s = circuits established.
-void BM_OcsBatchRotation(benchmark::State& state) {
+void BM_OcsRotation(benchmark::State& state) {
   constexpr int kPorts = 512;
   constexpr int kRounds = 64;
   sim::Simulator sim;
   net::FluidNetwork net(sim);
   net::OpticalCircuitSwitch sw(sim, net, kPorts, Bandwidth::gbps(400),
                                usecs(1), "rot");
-  std::vector<net::OpticalCircuitSwitch::BatchId> rounds;
+  std::vector<std::vector<net::CircuitRequest>> rounds;
   for (int r = 0; r < kRounds; ++r) {
-    rounds.push_back(sw.register_batch(net::round_robin_circuits(kPorts, r)));
+    rounds.push_back(net::round_robin_circuits(kPorts, r));
   }
   int r = 0;
   for (auto _ : state) {
-    sw.reconfigure_batch(rounds[static_cast<std::size_t>(r)], nullptr);
+    sw.reconfigure(rounds[static_cast<std::size_t>(r)], nullptr);
     sim.run();
     r = (r + 1) % kRounds;
   }
   state.SetItemsProcessed(state.iterations() * (kPorts / 2));
 }
-BENCHMARK(BM_OcsBatchRotation);
+BENCHMARK(BM_OcsRotation);
 
 void BM_OcsReconfigure(benchmark::State& state) {
   for (auto _ : state) {

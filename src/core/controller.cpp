@@ -93,7 +93,7 @@ void OpusController::execute(Job job) {
   auto requested_at = job.requested_at;
   auto ack = std::make_shared<std::function<void()>>(std::move(job.on_ack));
 
-  for (const RailCircuits& rc : job.layout) {
+  for (RailCircuits& rc : job.layout) {
     auto& owners = owner_[static_cast<std::size_t>(rc.rail.value())];
     for (const net::CircuitRequest& c : rc.circuits) {
       owners[static_cast<std::size_t>(c.a.value())] = job.group;
@@ -113,12 +113,13 @@ void OpusController::execute(Job job) {
     }
     any_reconfig = true;
     ++*remaining;
-    sw.reconfigure(rc.circuits, [this, remaining, requested_at, ack] {
-      if (--*remaining == 0) {
-        finish(requested_at, *ack);
-        pump();  // darkness cleared; queued jobs may proceed
-      }
-    });
+    sw.reconfigure(std::move(rc.circuits),
+                   [this, remaining, requested_at, ack] {
+                     if (--*remaining == 0) {
+                       finish(requested_at, *ack);
+                       pump();  // darkness cleared; queued jobs may proceed
+                     }
+                   });
   }
 
   if (any_reconfig) {

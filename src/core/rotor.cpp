@@ -15,13 +15,9 @@ RotorTransport::RotorTransport(sim::Simulator& sim, net::Cluster& cluster,
   rails_.resize(static_cast<std::size_t>(cluster_.n_rails()));
   // The cluster performs no pre-job wiring: each rotor wires its own span's
   // round-0 matchings here, instantly — pre-job setup.
+  const auto circuits = cluster_.rotor_matching_circuits(0, span_);
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
-    RailState& state = rails_[static_cast<std::size_t>(rail)];
-    state.round_batch.assign(static_cast<std::size_t>(n_rounds_), -1);
     auto& sw = cluster_.ocs(RailId{rail});
-    const auto circuits =
-        cluster_.rotor_matching_circuits(RailId{rail}, 0, span_);
-    state.round_batch[0] = sw.register_batch(circuits);
     if (!sw.satisfied(circuits)) sw.force_circuits(circuits);
   }
   for (int rail = 0; rail < cluster_.n_rails(); ++rail) {
@@ -91,25 +87,20 @@ void RotorTransport::rotate(int rail) {
   state.rotating = true;
   // A one-round span (2 nodes) re-requests its only matching: while it is
   // live the OCS acks at once and counts nothing, so only a real rotation
-  // is tallied; after churn the replay re-wires what a repair left down.
+  // is tallied; after churn the request re-wires what a repair left down.
   if (n_rounds_ > 1) ++rotations_;
-  // Each round's matching is registered with the rail OCS once; every
-  // replay then runs the OCS's one reconfiguration transaction over the
-  // pre-resolved circuit list — one dark interval, one completion event,
-  // no per-rotation copy or hash.
+  // The matching is a closed-form function of (span, round): compute it and
+  // move it into the OCS's one reconfiguration — one dark interval, one
+  // completion event.
   auto& sw = cluster_.ocs(RailId{rail});
-  auto& slot = state.round_batch[static_cast<std::size_t>(next)];
-  if (slot < 0) {
-    slot = sw.register_batch(
-        cluster_.rotor_matching_circuits(RailId{rail}, next, span_));
-  }
-  sw.reconfigure_batch(slot, [this, rail, next] {
-    RailState& st = rails_[static_cast<std::size_t>(rail)];
-    st.rotating = false;
-    st.round = next;
-    flush_waiting(rail);
-    start_round(rail);
-  });
+  sw.reconfigure(cluster_.rotor_matching_circuits(next, span_),
+                 [this, rail, next] {
+                   RailState& st = rails_[static_cast<std::size_t>(rail)];
+                   st.rotating = false;
+                   st.round = next;
+                   flush_waiting(rail);
+                   start_round(rail);
+                 });
 }
 
 bool RotorTransport::pair_connected_now(GpuId src, GpuId dst) const {

@@ -112,14 +112,6 @@ class RotorTransport final : public collective::Transport {
     bool timer_armed = false;
     /// Sends waiting for their matching, in arrival order.
     std::vector<PendingSend> waiting;
-    /// Per-round OCS batch handles (-1 = not yet registered). A rotation
-    /// replays the same matching every cycle, so each round's circuit set is
-    /// registered with the rail OCS once — round 0 at construction, before
-    /// it is wired, the others on their first rotation — and every rotation
-    /// replays it through reconfigure_batch, which also re-wires any circuit
-    /// of the matching that a port failure tore down (a one-round span
-    /// replays round 0 onto itself).
-    std::vector<net::OpticalCircuitSwitch::BatchId> round_batch;
   };
 
   void start_round(int rail);

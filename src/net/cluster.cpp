@@ -157,24 +157,26 @@ TimeNs Cluster::total_ocs_dark_time() const {
 }
 
 std::vector<CircuitRequest> Cluster::rotor_matching_circuits(
-    RailId rail, int round, NodeSpan span) const {
+    int round, NodeSpan span) const {
   ensure(cfg_.fabric == FabricKind::kRotor,
          "rotor_matching_circuits: not a rotor fabric");
-  ensure(rail.valid() && rail.value() < n_rails(), "invalid rail");
   check_span(span);
   ensure(span.count >= 2, "a rotor span needs at least two nodes");
   const int rounds = rotor_rounds_for(span.count);
   ensure(round >= 0 && round < rounds, "invalid rotor round");
   // A small span's cycle may be shorter than the fleet-wide spread.
   const int spread = std::min(cfg_.rotor_port_spread, rounds);
+  const int ports = cfg_.nic_ports;
   std::vector<CircuitRequest> circuits;
-  for (int p = 0; p < cfg_.nic_ports; ++p) {
-    const int m = (round + p % spread) % rounds;
-    for (const auto& [a, b] : round_robin_matching(span.count, m)) {
-      const GpuId ga = gpu_at(NodeId{span.first + a}, rail.value());
-      const GpuId gb = gpu_at(NodeId{span.first + b}, rail.value());
-      circuits.push_back({ocs_port(ga, p), ocs_port(gb, p)});
-    }
+  circuits.reserve(static_cast<std::size_t>(ports * (span.count / 2)));
+  for (int p = 0; p < ports; ++p) {
+    // OCS port of (node, NIC port p) is node * nic_ports + p on every rail.
+    round_robin_matching(span.count, (round + p % spread) % rounds,
+                         [&](int a, int b) {
+                           circuits.push_back(
+                               {PortId{(span.first + a) * ports + p},
+                                PortId{(span.first + b) * ports + p}});
+                         });
   }
   return circuits;
 }

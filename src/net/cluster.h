@@ -197,16 +197,18 @@ class Cluster {
   }
   bool has_mgmt_network() const { return mgmt_ != nullptr; }
 
-  /// kRotor: the circuit layout of rotation round `round` on `rail` over
-  /// just the nodes of `span` (a tenant sub-rotor; matching ids are relative
-  /// to span.first). NIC port p carries matching `round + (p %
-  /// rotor_port_spread)`, so a spread of 1 reproduces the classic
-  /// single-matching rotor and a spread of 2+ keeps the rail connected for
-  /// two-hop forwarding. The port spread is re-clamped to the span's own
-  /// cycle length, so a 2-node tenant degrades to the classic
+  /// kRotor: the circuit layout of rotation round `round` over just the
+  /// nodes of `span` (a tenant sub-rotor; matching ids are relative to
+  /// span.first). The same layout serves every rail, since a node's OCS
+  /// ports are numbered alike on each. NIC port p carries matching `(round
+  /// + p % rotor_port_spread) mod rounds`, so a spread of 1 reproduces the
+  /// classic single-matching rotor and a spread of 2+ keeps the rail
+  /// connected for two-hop forwarding. The port spread is re-clamped to the
+  /// span's own cycle length, so a 2-node tenant degrades to the classic
   /// single-matching rotor even when the fleet-wide spread is 2. The
-  /// RotorTransport wires round 0 over its span and drives the rotation.
-  std::vector<CircuitRequest> rotor_matching_circuits(RailId rail, int round,
+  /// RotorTransport wires round 0 over its span and computes every later
+  /// round on each rotation.
+  std::vector<CircuitRequest> rotor_matching_circuits(int round,
                                                       NodeSpan span) const;
 
   // ---- multi-tenant node ownership (the fleet layer) ----------------------

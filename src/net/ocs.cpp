@@ -6,32 +6,13 @@
 
 namespace opus::net {
 
-std::vector<std::pair<int, int>> round_robin_matching(int n, int round) {
-  ensure(n >= 2, "round_robin_matching requires at least two ids");
-  ensure(round >= 0, "round_robin_matching: round must be non-negative");
-  // Circle method round-robin tournament. For odd n a virtual id (== n)
-  // gives its partner a bye.
-  const int m = n % 2 == 0 ? n : n + 1;
-  std::vector<std::pair<int, int>> pairs;
-  pairs.reserve(static_cast<std::size_t>(m / 2));
-  auto emit = [&](int a, int b) {
-    if (a < n && b < n) pairs.emplace_back(a, b);
-  };
-  // Fix id m-1; rotate the rest.
-  emit(round % (m - 1), m - 1);
-  for (int i = 1; i < m / 2; ++i) {
-    emit((round + i) % (m - 1), (round - i + (m - 1)) % (m - 1));
-  }
-  return pairs;
-}
-
 std::vector<CircuitRequest> round_robin_circuits(int n_ports, int round) {
   ensure(n_ports % 2 == 0, "round_robin_circuits requires an even port count");
   std::vector<CircuitRequest> circuits;
   circuits.reserve(static_cast<std::size_t>(n_ports / 2));
-  for (const auto& [a, b] : round_robin_matching(n_ports, round)) {
+  round_robin_matching(n_ports, round, [&](int a, int b) {
     circuits.push_back({PortId{a}, PortId{b}});
-  }
+  });
   return circuits;
 }
 
@@ -215,21 +196,17 @@ bool OpticalCircuitSwitch::satisfied(
 
 std::vector<PortId> OpticalCircuitSwitch::touched_ports(
     const std::vector<CircuitRequest>& circuits) const {
-  std::vector<Circuit> list;
-  list.reserve(circuits.size());
   for (const CircuitRequest& c : circuits) {
     check_port(c.a);
     check_port(c.b);
-    if (failed(c.a) || failed(c.b)) continue;  // the transaction drops it
-    list.push_back({c.a.value(), c.b.value()});
   }
   std::vector<PortId> out;
-  for (const std::int32_t p : touched_by(list)) out.push_back(PortId{p});
+  for (const std::int32_t p : touched_by(circuits)) out.push_back(PortId{p});
   return out;
 }
 
 std::vector<std::int32_t> OpticalCircuitSwitch::touched_by(
-    const std::vector<Circuit>& circuits) const {
+    const std::vector<CircuitRequest>& circuits) const {
   const std::uint64_t stamp = ++epoch_;
   std::vector<std::int32_t> out;
   out.reserve(2 * circuits.size());
@@ -240,9 +217,11 @@ std::vector<std::int32_t> OpticalCircuitSwitch::touched_by(
       out.push_back(p);
     }
   };
-  for (const Circuit& c : circuits) {
-    if (live_peer(c.a) == c.b) continue;  // already live: untouched
-    for (const std::int32_t p : {c.a, c.b}) {
+  for (const CircuitRequest& c : circuits) {
+    // The transaction drops a circuit with a failed endpoint.
+    if (failed_ports_ > 0 && has_failed_endpoint(c)) continue;
+    if (live_peer(c.a.value()) == c.b.value()) continue;  // already live
+    for (const std::int32_t p : {c.a.value(), c.b.value()}) {
       touch(p);
       const auto old = peer_[static_cast<std::size_t>(p)];
       if (old >= 0) touch(old);
@@ -296,57 +275,42 @@ void OpticalCircuitSwitch::force_circuits(
   if (topology_listener_) topology_listener_();
 }
 
-std::vector<OpticalCircuitSwitch::Circuit> OpticalCircuitSwitch::validated(
-    const std::vector<CircuitRequest>& circuits, const char* op) {
+void OpticalCircuitSwitch::reconfigure(std::vector<CircuitRequest> circuits,
+                                       std::function<void()> on_done) {
+  ProfileScope prof(profile_sink_, profile_phase_);
   const std::uint64_t stamp = ++epoch_;
-  std::vector<Circuit> out;
-  out.reserve(circuits.size());
   for (const CircuitRequest& c : circuits) {
     check_port(c.a);
     check_port(c.b);
     ensure(c.a != c.b, "OCS circuit cannot loop a port to itself");
     for (const PortId p : {c.a, c.b}) {
       auto& s = stamp_[static_cast<std::size_t>(p.value())];
-      if (s == stamp) {
-        ensure(false, std::string(op) + ": port appears in two circuits");
-      }
+      ensure(s != stamp, "OCS reconfigure: port appears in two circuits");
       s = stamp;
     }
-    out.push_back({c.a.value(), c.b.value()});
   }
-  return out;
+  transact(std::move(circuits), std::move(on_done));
 }
 
-void OpticalCircuitSwitch::reconfigure(
-    const std::vector<CircuitRequest>& circuits,
-    std::function<void()> on_done) {
-  transact(std::make_shared<const std::vector<Circuit>>(
-               validated(circuits, "OCS reconfigure")),
-           std::move(on_done));
-}
-
-void OpticalCircuitSwitch::transact(CircuitList circuits,
+void OpticalCircuitSwitch::transact(std::vector<CircuitRequest> circuits,
                                     std::function<void()> on_done) {
-  // Ownership may have been reassigned since a batch was registered (fleet
-  // tenants), so it is checked here, on every request.
+  // Ownership may have been reassigned since the caller planned the list
+  // (fleet tenants), so it is checked here, on every request.
   if (owned_ports_ > 0) {
-    for (const Circuit& c : *circuits) {
-      ensure(owner_[static_cast<std::size_t>(c.a)] ==
-                 owner_[static_cast<std::size_t>(c.b)],
+    for (const CircuitRequest& c : circuits) {
+      ensure(owner_[static_cast<std::size_t>(c.a.value())] ==
+                 owner_[static_cast<std::size_t>(c.b.value())],
              "OCS circuit may not cross port ownership (tenant isolation)");
     }
   }
   // A failed port is never wired: its circuits are dropped and stay down
   // until the owner re-requests them after the repair.
   if (failed_ports_ > 0) {
-    auto survivors = std::make_shared<std::vector<Circuit>>(*circuits);
-    std::erase_if(*survivors, [this](const Circuit& c) {
-      return failed_[static_cast<std::size_t>(c.a)] ||
-             failed_[static_cast<std::size_t>(c.b)];
+    std::erase_if(circuits, [this](const CircuitRequest& c) {
+      return has_failed_endpoint(c);
     });
-    circuits = std::move(survivors);
   }
-  std::vector<std::int32_t> touched = touched_by(*circuits);
+  std::vector<std::int32_t> touched = touched_by(circuits);
   if (touched.empty()) {  // every remaining circuit already live
     if (on_done) on_done();
     return;
@@ -387,7 +351,7 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
   const auto n_touched = static_cast<int>(touched.size());
   dark_ports_ += n_touched;
   ++stats_.reconfigurations;
-  stats_.circuits_established += static_cast<std::int64_t>(circuits->size());
+  stats_.circuits_established += static_cast<std::int64_t>(circuits.size());
   stats_.cumulative_port_dark_ns += delay * n_touched;
   if (observer_ != nullptr) {
     observer_->on_dark_interval(n_touched, sim_.now(), delay);
@@ -400,15 +364,12 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
       dark_[static_cast<std::size_t>(p)] = false;
     }
     dark_ports_ -= static_cast<int>(touched.size());
-    for (const Circuit& c : *circuits) {
+    for (const CircuitRequest& c : circuits) {
       // A port that failed during the dark window stays down: its circuit
       // is skipped (the peer comes up unconnected and re-wires on the
       // owner's next request).
-      if (failed_[static_cast<std::size_t>(c.a)] ||
-          failed_[static_cast<std::size_t>(c.b)]) {
-        continue;
-      }
-      connect(c.a, c.b);
+      if (has_failed_endpoint(c)) continue;
+      connect(c.a.value(), c.b.value());
     }
     if (cb) cb();
     if (topology_listener_) topology_listener_();
@@ -416,27 +377,9 @@ void OpticalCircuitSwitch::transact(CircuitList circuits,
   });
 }
 
-OpticalCircuitSwitch::BatchId OpticalCircuitSwitch::register_batch(
-    const std::vector<CircuitRequest>& circuits) {
-  ensure(!circuits.empty(), "OCS register_batch: empty circuit set");
-  batches_.push_back(std::make_shared<const std::vector<Circuit>>(
-      validated(circuits, "OCS register_batch")));
-  return static_cast<BatchId>(batches_.size()) - 1;
-}
-
 void OpticalCircuitSwitch::set_profile_sink(ProfileSink* sink) {
   profile_sink_ = sink;
-  if (sink != nullptr) {
-    profile_phase_batch_ = sink->phase("ocs.reconfigure_batch");
-  }
-}
-
-void OpticalCircuitSwitch::reconfigure_batch(BatchId batch,
-                                             std::function<void()> on_done) {
-  ProfileScope prof(profile_sink_, profile_phase_batch_);
-  ensure(batch >= 0 && batch < static_cast<BatchId>(batches_.size()),
-         "OCS reconfigure_batch: unknown batch");
-  transact(batches_[static_cast<std::size_t>(batch)], std::move(on_done));
+  if (sink != nullptr) profile_phase_ = sink->phase("ocs.reconfigure_batch");
 }
 
 }  // namespace opus::net

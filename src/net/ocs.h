@@ -12,12 +12,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/error.h"
 #include "common/ids.h"
 #include "common/profile.h"
 #include "common/units.h"
@@ -33,10 +33,32 @@ struct CircuitRequest {
 };
 
 /// Circle-method round-robin tournament matching over ids 0..n-1: round `r`
-/// pairs every id exactly once (odd n: one id sits the round out). Shared by
-/// the rotor transport's rotation schedule and the churn benchmarks/tests,
-/// so they all exercise the same matching sequence.
-std::vector<std::pair<int, int>> round_robin_matching(int n, int round);
+/// pairs every id exactly once (odd n: one id sits the round out). Calls
+/// `emit(a, b)` once per pair, so the rotor can write a rotation's circuits
+/// straight into one reserved list. Shared by the rotor transport's
+/// rotation schedule and the churn benchmarks/tests, so they all exercise
+/// the same matching sequence.
+template <typename Emit>
+void round_robin_matching(int n, int round, Emit&& emit) {
+  ensure(n >= 2, "round_robin_matching requires at least two ids");
+  ensure(round >= 0, "round_robin_matching: round must be non-negative");
+  // For odd n a virtual id (== n) gives its partner a bye.
+  const int m = n % 2 == 0 ? n : n + 1;
+  const int k = m - 1;  // ids on the rotating circle
+  const auto pair = [&](int a, int b) {
+    if (a < n && b < n) emit(a, b);
+  };
+  // Fix id k; pair the rest across the circle: pair i is
+  // ((round + i) mod k, (round - i) mod k), walked without dividing.
+  int a = round % k;
+  int b = a;
+  pair(a, k);
+  for (int i = 1; i < m / 2; ++i) {
+    a = a + 1 == k ? 0 : a + 1;
+    b = b == 0 ? k - 1 : b - 1;
+    pair(a, b);
+  }
+}
 
 /// The same matching expressed as OCS circuit requests (even `n_ports`).
 std::vector<CircuitRequest> round_robin_circuits(int n_ports, int round);
@@ -44,10 +66,10 @@ std::vector<CircuitRequest> round_robin_circuits(int n_ports, int round);
 /// Observer of circuit lifecycle and dark intervals (telemetry's
 /// chrome-trace tracks). Notifications are read-only and fire on the cold
 /// reconfiguration paths; a null observer costs one branch per event. Every
-/// reconfiguration, generic or batched, emits circuit down once per
-/// torn-down unordered port pair (ascending port order), one dark interval
-/// with its full touched-port count, and circuit up once per requested
-/// circuit at completion (request order; a requested circuit that stayed
+/// reconfiguration emits circuit down once per torn-down unordered port
+/// pair (ascending port order), one dark interval with its full
+/// touched-port count, and circuit up once per requested circuit at
+/// completion (request order; a requested circuit that stayed
 /// live is reported up again).
 class OcsObserver {
  public:
@@ -71,7 +93,7 @@ class OcsObserver {
 class OpticalCircuitSwitch {
  public:
   struct Stats {
-    /// reconfigure() and reconfigure_batch() calls that changed state.
+    /// reconfigure() calls that changed state.
     /// 64-bit: a 4k-node rotor performs enough rotations that the derived
     /// counters (circuits_established grows ~2k per rotation) overflow 32
     /// bits well inside one run.
@@ -85,9 +107,9 @@ class OpticalCircuitSwitch {
     /// lifetime, so no link is ever retired. Kept only because the benchmark
     /// harness still reads it.
     std::int64_t links_retired = 0;
-    /// Never incremented: batched and generic reconfigurations share one
-    /// transaction, so nothing falls back. Kept only because the benchmark
-    /// harness still reads it.
+    /// Never incremented: reconfigure() is the one reconfiguration path, so
+    /// nothing falls back. Kept only because the benchmark harness still
+    /// reads it.
     std::int64_t batch_fallbacks = 0;
   };
 
@@ -179,7 +201,9 @@ class OpticalCircuitSwitch {
   /// Telemetry observer (null = disabled, the default).
   void set_observer(OcsObserver* observer) { observer_ = observer; }
 
-  /// Opt-in wall-clock sink timing each batch replay (obs self-profiling).
+  /// Opt-in wall-clock sink timing each reconfigure() call (obs
+  /// self-profiling; the phase keeps its historical name
+  /// "ocs.reconfigure_batch", which the benchmark harness reads).
   void set_profile_sink(ProfileSink* sink);
 
   /// Called whenever port-level connectivity changes outside a caller's own
@@ -212,33 +236,20 @@ class OpticalCircuitSwitch {
   /// port is never wired, touched or darkened, and its circuit stays down
   /// until the owner requests it again after the repair.
   ///
-  /// Preconditions (enforced): no touched port is already dark (callers must
-  /// serialize overlapping requests — the Opus controller does), no port
-  /// appears twice in `circuits`, every circuit joins two ports of one
-  /// owner, and no touched circuit is carrying traffic. If `circuits` is
-  /// already satisfied, `on_done` fires immediately (same timestamp) and no
+  /// Preconditions (enforced): every port is in range, no circuit loops a
+  /// port to itself, no port appears twice in `circuits`, every circuit
+  /// joins two ports of one owner, no touched port is already dark (callers
+  /// must serialize overlapping requests — the Opus controller does), and
+  /// no touched circuit is carrying traffic. If `circuits` is already
+  /// satisfied, `on_done` fires immediately (same timestamp) and no
   /// reconfiguration is counted.
-  void reconfigure(const std::vector<CircuitRequest>& circuits,
+  ///
+  /// This is the switch's one dark-period operation: the Opus controller's
+  /// layouts and every rotor rotation come through it. The list is taken by
+  /// value and moved into the completion event, so a caller that builds a
+  /// fresh list (a rotor matching) moves it in and nothing is copied.
+  void reconfigure(std::vector<CircuitRequest> circuits,
                    std::function<void()> on_done);
-
-  // ---- batched rotation transactions ---------------------------------------
-  /// Handle to a pre-registered reconfiguration (a rotor matching). -1 is
-  /// never returned.
-  using BatchId = int;
-
-  /// Checks ports, self-loops and duplicate ports of `circuits` and stores
-  /// them: the batch is just this circuit list. It creates no fluid links —
-  /// a circuit rides its ports' own transmit links whichever peer it
-  /// connects.
-  BatchId register_batch(const std::vector<CircuitRequest>& circuits);
-
-  /// reconfigure() over a registered batch's circuits: the same transaction
-  /// runs, under the same failed-port and ownership rules. Only the ports
-  /// the batch retargets go dark, and circuits of the batch that are
-  /// already live keep carrying traffic. With no failed port the batch's
-  /// circuit list is shared with the completion event, so a replay copies
-  /// and hashes nothing.
-  void reconfigure_batch(BatchId batch, std::function<void()> on_done);
 
   /// Instantly establishes circuits with no dark period. Intended for t=0
   /// initial topology (e.g. a pre-job configuration) and emergency
@@ -261,24 +272,19 @@ class OpticalCircuitSwitch {
   const Stats& stats() const { return stats_; }
 
  private:
-  /// One requested cross-connect between ports `a` and `b`.
-  struct Circuit {
-    std::int32_t a;
-    std::int32_t b;
-  };
-  using CircuitList = std::shared_ptr<const std::vector<Circuit>>;
-
   void check_port(PortId p) const;
   /// dark(p) without the port-validity check (hot paths index directly).
   bool is_dark(std::size_t i) const { return dark_[i]; }
-  /// Checks ports, self-loops and duplicate ports (`op` names the caller
-  /// in the error) and returns the circuits.
-  std::vector<Circuit> validated(const std::vector<CircuitRequest>& circuits,
-                                 const char* op);
+  /// failed(p) of a circuit's either endpoint, without the checks.
+  bool has_failed_endpoint(const CircuitRequest& c) const {
+    return failed_[static_cast<std::size_t>(c.a.value())] ||
+           failed_[static_cast<std::size_t>(c.b.value())];
+  }
   /// The ports a transaction over `circuits` touches, in first-touch order,
   /// deduplicated by stamping them with a fresh epoch (no hash or sort).
+  /// A circuit with a failed endpoint touches nothing.
   std::vector<std::int32_t> touched_by(
-      const std::vector<Circuit>& circuits) const;
+      const std::vector<CircuitRequest>& circuits) const;
   /// The one reconfiguration transaction and the one place its rules live:
   /// checks that every circuit stays within one port owner, drops circuits
   /// with a failed endpoint, checks that no touched port is dark or
@@ -286,8 +292,10 @@ class OpticalCircuitSwitch {
   /// ports for reconfig_delay and charges their dark time, then
   /// (re-)establishes every remaining circuit whose ports did not fail in
   /// the meantime in one completion event. Acks at once, counting nothing,
-  /// when every remaining circuit is already live.
-  void transact(CircuitList circuits, std::function<void()> on_done);
+  /// when every remaining circuit is already live. Drops in place and
+  /// moves `circuits` into the completion event.
+  void transact(std::vector<CircuitRequest> circuits,
+                std::function<void()> on_done);
   /// Fires every registered waiter whose port set is now fully undark.
   void pump_undark_waiters();
   /// Cross-connects a<->b, first creating the transmit link of an endpoint
@@ -316,7 +324,6 @@ class OpticalCircuitSwitch {
   /// without hashing or sorting.
   mutable std::vector<std::uint64_t> stamp_;
   mutable std::uint64_t epoch_ = 0;
-  std::vector<CircuitList> batches_;
   int dark_ports_ = 0;
   int failed_ports_ = 0;
   int owned_ports_ = 0;
@@ -327,7 +334,7 @@ class OpticalCircuitSwitch {
   std::function<void(FlowId)> flow_rescuer_;
   OcsObserver* observer_ = nullptr;
   ProfileSink* profile_sink_ = nullptr;
-  int profile_phase_batch_ = -1;
+  int profile_phase_ = -1;
   Stats stats_;
 };
 

@@ -1,5 +1,5 @@
 // Self-profiling: opt-in wall-clock scoped timers accumulated per named
-// phase (fluid re-solve, OCS batch replay, event-loop drain, fleet
+// phase (fluid re-solve, OCS reconfiguration, event-loop drain, fleet
 // baseline sweep, ...), reported as a per-phase wall-time table.
 //
 // Wall-clock readings stay inside this class and its table report — they

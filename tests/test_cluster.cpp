@@ -2,6 +2,10 @@
 // scale-up, electrical rails, photonic rails, PXN, and the host network.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <utility>
+
 #include "common/error.h"
 #include "net/cluster.h"
 
@@ -157,6 +161,56 @@ TEST(Cluster, ForwardingRuleFollowsTheFabric) {
     std::vector<GpuId> path;
     rotor.rail_multihop_path(gpu(rotor, 0), gpu(rotor, 3), path);
     EXPECT_TRUE(path.empty()) << "a rescued hop keeps the two-hop cap";
+  }
+}
+
+TEST(Cluster, RotorMatchingCoversASubSpan) {
+  // A tenant sub-rotor over nodes 3..8 of a 12-node rotor: 6 nodes cycle
+  // through 5 rounds, and with a spread of 2 NIC port p carries matching
+  // (r + p) mod 5.
+  ClusterConfig cfg = base_config(FabricKind::kRotor);
+  cfg.n_nodes = 12;
+  cfg.rotor_port_spread = 2;
+  sim::Simulator sim;
+  Cluster c(sim, cfg);
+  const NodeSpan span{3, 6};
+  const int rounds = rotor_rounds_for(span.count);
+  ASSERT_EQ(rounds, 5);
+  std::set<std::pair<int, int>> met_on_port0;
+  for (int r = 0; r < rounds; ++r) {
+    const auto circuits = c.rotor_matching_circuits(r, span);
+    ASSERT_EQ(circuits.size(), 6u) << "round " << r;
+    std::set<std::pair<int, int>> expected[2];
+    for (int p = 0; p < 2; ++p) {
+      round_robin_matching(span.count, (r + p) % rounds, [&](int a, int b) {
+        expected[p].insert(std::minmax(a, b));
+      });
+    }
+    for (const CircuitRequest& circuit : circuits) {
+      const int a = circuit.a.value();
+      const int b = circuit.b.value();
+      ASSERT_EQ(a % 2, b % 2) << "a circuit joins the same NIC port";
+      const int port = a % 2;
+      const std::pair<int, int> pair =
+          std::minmax(a / 2 - span.first, b / 2 - span.first);
+      EXPECT_GE(pair.first, 0) << "port of a node outside the span";
+      EXPECT_LT(pair.second, span.count) << "port of a node outside the span";
+      EXPECT_EQ(expected[port].count(pair), 1u)
+          << "round " << r << ", port " << port;
+      if (port == 0) met_on_port0.insert(pair);
+    }
+  }
+  EXPECT_EQ(met_on_port0.size(), 15u)
+      << "one cycle meets every node pair of the span on port 0";
+  EXPECT_THROW(c.rotor_matching_circuits(rounds, span), InvariantError);
+
+  // A 2-node span has a one-round cycle: the spread clamps to 1 and both
+  // ports carry the single matching.
+  const auto pair_span = c.rotor_matching_circuits(0, NodeSpan{3, 2});
+  ASSERT_EQ(pair_span.size(), 2u);
+  for (int p = 0; p < 2; ++p) {
+    EXPECT_EQ(pair_span[static_cast<std::size_t>(p)].a.value(), 3 * 2 + p);
+    EXPECT_EQ(pair_span[static_cast<std::size_t>(p)].b.value(), 4 * 2 + p);
   }
 }
 

@@ -146,18 +146,17 @@ TEST(FaultRecovery, FailureMidReconfigurationSkipsTheDeadEstablish) {
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
 }
 
-TEST(FaultRecovery, BatchRotationWithFailedPortBringsUpOnlySurvivors) {
-  // A pinned (batched) rotor matching whose port died since registration
-  // must bring up the surviving circuits only; once the port is repaired
-  // the same batch applies whole.
+TEST(FaultRecovery, RotationWithFailedPortBringsUpOnlySurvivors) {
+  // A rotor matching whose port died must bring up the surviving circuits
+  // only; once the port is repaired the same matching applies whole.
   sim::Simulator sim;
   net::Cluster c(sim, photonic_cfg(2, 2));
   auto& sw = c.ocs(RailId{0});
-  const auto batch =
-      sw.register_batch({{PortId{0}, PortId{2}}, {PortId{1}, PortId{3}}});
+  const std::vector<net::CircuitRequest> matching = {
+      {PortId{0}, PortId{2}}, {PortId{1}, PortId{3}}};
   sw.fail_port(PortId{1});
   bool acked = false;
-  sw.reconfigure_batch(batch, [&] { acked = true; });
+  sw.reconfigure(matching, [&] { acked = true; });
   sim.run();
   EXPECT_TRUE(acked);
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
@@ -165,12 +164,12 @@ TEST(FaultRecovery, BatchRotationWithFailedPortBringsUpOnlySurvivors) {
 
   sw.repair_port(PortId{1});
   bool again = false;
-  sw.reconfigure_batch(batch, [&] { again = true; });
+  sw.reconfigure(matching, [&] { again = true; });
   sim.run();
   EXPECT_TRUE(again);
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
   EXPECT_TRUE(sw.connected(PortId{1}, PortId{3}))
-      << "a repaired batch port rejoins the pinned matching";
+      << "a repaired port rejoins the matching";
 }
 
 TEST(FaultRecovery, RepairRacingTheReplanRevivesParkedTraffic) {

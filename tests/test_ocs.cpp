@@ -14,6 +14,14 @@ namespace {
 
 constexpr Bandwidth k200G = Bandwidth::gbps(200);
 
+// The per-port breakdown must always sum to the aggregate counter, whichever
+// mix of reconfigurations and forced re-wiring produced it.
+TimeNs summed_port_dark(const OpticalCircuitSwitch& sw) {
+  TimeNs sum = 0;
+  for (int p = 0; p < sw.n_ports(); ++p) sum += sw.port_dark_time(PortId{p});
+  return sum;
+}
+
 class OcsTest : public ::testing::Test {
  protected:
   OcsTest() : net(sim), sw(sim, net, 8, k200G, msecs(15), "t") {}
@@ -51,19 +59,24 @@ TEST_F(OcsTest, SatisfiedRequestAcksWithoutReconfiguring) {
   sw.reconfigure({{PortId{0}, PortId{1}}}, [&] { done = true; });
   EXPECT_TRUE(done) << "idempotent request must ack immediately";
   EXPECT_EQ(sw.stats().reconfigurations, 0);
+  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 0);
 }
 
 TEST_F(OcsTest, RetargetingTearsOldPeerToo) {
   sw.force_circuits({{PortId{0}, PortId{1}}});
-  // Retarget port 0 to port 2: the old peer (port 1) must go dark and end
-  // up unconnected.
+  // Retarget port 0 to port 2: the old peer (port 1), outside the request,
+  // must go dark, be charged its dark time and end up unconnected.
   const auto touched = sw.touched_ports({{PortId{0}, PortId{2}}});
   EXPECT_EQ(touched.size(), 3u);  // ports 0, 1, 2
   sw.reconfigure({{PortId{0}, PortId{2}}}, nullptr);
   EXPECT_TRUE(sw.dark(PortId{1}));
+  EXPECT_EQ(sw.dark_port_count(), 3);
   sim.run();
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
   EXPECT_FALSE(sw.peer(PortId{1}).has_value());
+  EXPECT_EQ(sw.port_dark_time(PortId{1}), msecs(15));
+  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 3 * msecs(15));
+  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
 }
 
 TEST_F(OcsTest, UntouchedCircuitsKeepCarryingTraffic) {
@@ -107,6 +120,15 @@ TEST_F(OcsTest, SelfLoopThrows) {
                InvariantError);
 }
 
+TEST_F(OcsTest, OutOfRangePortThrowsBeforeDarkeningAnything) {
+  EXPECT_THROW(
+      sw.reconfigure({{PortId{0}, PortId{1}}, {PortId{2}, PortId{99}}},
+                     nullptr),
+      InvariantError);
+  EXPECT_EQ(sw.dark_port_count(), 0) << "a rejected request touches nothing";
+  EXPECT_EQ(sw.stats().reconfigurations, 0);
+}
+
 TEST_F(OcsTest, LinkRequiresLiveCircuit) {
   EXPECT_THROW(sw.link(PortId{0}, PortId{1}), InvariantError);
   sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr);
@@ -133,6 +155,7 @@ TEST_F(OcsTest, StatsAccumulate) {
   EXPECT_EQ(sw.stats().circuits_established, 3);
   // First reconfig darkened 4 ports, second 4 (0,1,2,3 via old peers).
   EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 8 * msecs(15));
+  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
 }
 
 TEST_F(OcsTest, ZeroDelayReconfigCompletesAtSameTimestamp) {
@@ -244,52 +267,22 @@ TEST_F(OcsTest, ReconfigurationChurnKeepsOneLinkPerPort) {
   EXPECT_EQ(net.link_count(), 8u);
 }
 
-// ---- batched rotation transactions -----------------------------------------
+// ---- rotations and dark accounting -----------------------------------------
 
-// The per-port breakdown must always sum to the aggregate counter, whichever
-// mix of generic, batched, and forced reconfigurations produced it.
-TimeNs summed_port_dark(const OpticalCircuitSwitch& sw) {
-  TimeNs sum = 0;
-  for (int p = 0; p < sw.n_ports(); ++p) sum += sw.port_dark_time(PortId{p});
-  return sum;
-}
-
-TEST_F(OcsTest, BatchReconfigureMatchesGenericSemantics) {
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
-                                        {PortId{2}, PortId{3}}});
-  bool done = false;
-  sw.reconfigure_batch(batch, [&] { done = true; });
-  for (int p : {0, 1, 2, 3}) EXPECT_TRUE(sw.dark(PortId{p}));
-  EXPECT_FALSE(sw.dark(PortId{4}));
-  EXPECT_FALSE(sw.connected(PortId{0}, PortId{1}));
-  sim.run_until(msecs(14));
-  EXPECT_FALSE(done);
-  sim.run();
-  EXPECT_TRUE(done);
-  EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
-  EXPECT_TRUE(sw.connected(PortId{2}, PortId{3}));
-  for (int p : {0, 1, 2, 3}) {
-    EXPECT_FALSE(sw.dark(PortId{p}));
-    EXPECT_EQ(sw.port_dark_time(PortId{p}), msecs(15));
-  }
-  EXPECT_EQ(sw.stats().reconfigurations, 1);
-  EXPECT_EQ(sw.stats().circuits_established, 2);
-  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 4 * msecs(15));
-  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
-}
-
-TEST_F(OcsTest, BatchRotationsAccrueDeltaDarkAccounting) {
-  // Two matchings over the same four ports, replayed rotor-style. Every
+TEST_F(OcsTest, RotationsAccrueDeltaDarkAccounting) {
+  // Two matchings over the same four ports, requested rotor-style. Every
   // rotation is one reconfiguration and charges each port exactly one
   // reconfig delay, with the aggregate == per-port invariant held
-  // throughout.
-  const auto a = sw.register_batch({{PortId{0}, PortId{1}},
-                                    {PortId{2}, PortId{3}}});
-  const auto b = sw.register_batch({{PortId{0}, PortId{2}},
-                                    {PortId{1}, PortId{3}}});
+  // throughout; each port keeps its fluid link across the replays.
+  const std::vector<CircuitRequest> a = {{PortId{0}, PortId{1}},
+                                         {PortId{2}, PortId{3}}};
+  const std::vector<CircuitRequest> b = {{PortId{0}, PortId{2}},
+                                         {PortId{1}, PortId{3}}};
+  LinkId first;
   for (int rotation = 1; rotation <= 6; ++rotation) {
-    sw.reconfigure_batch(rotation % 2 == 1 ? a : b, nullptr);
+    sw.reconfigure(rotation % 2 == 1 ? a : b, nullptr);
     sim.run();
+    if (rotation == 1) first = sw.link(PortId{0}, PortId{1});
     EXPECT_EQ(sw.stats().reconfigurations, rotation);
     EXPECT_EQ(sw.stats().cumulative_port_dark_ns, rotation * 4 * msecs(15));
     for (int p : {0, 1, 2, 3}) {
@@ -297,104 +290,30 @@ TEST_F(OcsTest, BatchRotationsAccrueDeltaDarkAccounting) {
     }
     EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
   }
-}
-
-TEST_F(OcsTest, BatchReplayKeepsLinkIdentity) {
-  const auto a = sw.register_batch({{PortId{0}, PortId{1}},
-                                    {PortId{2}, PortId{3}}});
-  const auto b = sw.register_batch({{PortId{0}, PortId{2}},
-                                    {PortId{1}, PortId{3}}});
-  sw.reconfigure_batch(a, nullptr);
-  sim.run();
-  const LinkId first = sw.link(PortId{0}, PortId{1});
-  sw.reconfigure_batch(b, nullptr);
-  sim.run();
-  sw.reconfigure_batch(a, nullptr);
+  sw.reconfigure(a, nullptr);
   sim.run();
   EXPECT_EQ(sw.link(PortId{0}, PortId{1}), first)
       << "replayed matchings reuse their ports' fluid links";
-}
-
-TEST_F(OcsTest, BatchAlreadySatisfiedAcksWithoutCounting) {
-  const auto a = sw.register_batch({{PortId{0}, PortId{1}}});
-  sw.reconfigure_batch(a, nullptr);
-  sim.run();
-  bool done = false;
-  sw.reconfigure_batch(a, [&] { done = true; });
-  EXPECT_TRUE(done) << "idempotent batch must ack immediately";
-  EXPECT_EQ(sw.stats().reconfigurations, 1);
-  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 2 * msecs(15));
-}
-
-TEST_F(OcsTest, BatchDarkensDisplacedPeerOutsideTheBatch) {
-  // Port 0 currently pairs with port 4; a batch over {0,1,2,3} touches the
-  // displaced peer too, exactly as reconfigure() would.
-  sw.reconfigure({{PortId{0}, PortId{4}}}, nullptr);
-  sim.run();
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
-                                        {PortId{2}, PortId{3}}});
-  sw.reconfigure_batch(batch, nullptr);
-  EXPECT_TRUE(sw.dark(PortId{4})) << "displaced peer must go dark too";
-  sim.run();
-  EXPECT_FALSE(sw.peer(PortId{4}).has_value());
-  EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
-  EXPECT_EQ(sw.stats().reconfigurations, 2);
-  // 2 ports dark in the first reconfig, 5 (batch's four + port 4) in the
-  // batch.
-  EXPECT_EQ(sw.stats().cumulative_port_dark_ns, 7 * msecs(15));
-  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
-}
-
-TEST_F(OcsTest, BatchOverPortSubsetKeepsPerPortDarkTime) {
-  // Registering a second batch over a *subset* of an earlier batch's ports
-  // must leave every port_dark_time unchanged, and the subset batch charges
-  // only its own ports from then on.
-  const auto a = sw.register_batch({{PortId{0}, PortId{1}},
-                                    {PortId{2}, PortId{3}}});
-  sw.reconfigure_batch(a, nullptr);
-  sim.run();
-  const auto b = sw.register_batch({{PortId{0}, PortId{1}}});
-  for (int p : {0, 1, 2, 3}) {
-    EXPECT_EQ(sw.port_dark_time(PortId{p}), msecs(15))
-        << "registration must not change accrued dark time";
-  }
-  EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
-  // The subset batch keeps accounting correctly on its next transaction.
+  // A request over a subset of the rotated ports charges only its own.
   sw.clear_circuits_on({PortId{0}, PortId{1}});
-  sw.reconfigure_batch(b, nullptr);
+  sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr);
   sim.run();
-  EXPECT_EQ(sw.port_dark_time(PortId{0}), 2 * msecs(15));
-  EXPECT_EQ(sw.port_dark_time(PortId{2}), msecs(15));
+  EXPECT_EQ(sw.port_dark_time(PortId{0}), 8 * msecs(15));
+  EXPECT_EQ(sw.port_dark_time(PortId{2}), 7 * msecs(15));
   EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
 }
 
-TEST_F(OcsTest, BatchRefusesToDarkenTrafficAndInvalidRequests) {
-  EXPECT_THROW(sw.register_batch({{PortId{0}, PortId{0}}}), InvariantError);
-  EXPECT_THROW(sw.register_batch({{PortId{0}, PortId{1}},
-                                  {PortId{1}, PortId{2}}}),
-               InvariantError);
-  EXPECT_THROW(sw.register_batch({{PortId{0}, PortId{99}}}), InvariantError);
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
-                                        {PortId{2}, PortId{3}}});
-  // 0<->2 is a circuit the batch retargets: its traffic blocks the batch.
-  sw.force_circuits({{PortId{0}, PortId{2}}});
-  net.start_flow({sw.link(PortId{0}, PortId{2})}, 25'000'000, 0, nullptr);
-  EXPECT_THROW(sw.reconfigure_batch(batch, nullptr), InvariantError);
-  EXPECT_THROW(sw.reconfigure_batch(batch + 99, nullptr), InvariantError);
-}
-
-TEST_F(OcsTest, BatchLeavesItsLiveCircuitsLitAndDarkensOnlyRetargetedPorts) {
-  // A batch whose circuit 0<->1 is already live retargets only 2 and 3: the
-  // live circuit keeps carrying traffic and is charged no dark time.
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}},
-                                        {PortId{2}, PortId{3}}});
+TEST_F(OcsTest, ReconfigureLeavesLiveCircuitsLitAndDarkensOnlyRetargetedPorts) {
+  // A request whose circuit 0<->1 is already live retargets only 2 and 3:
+  // the live circuit keeps carrying traffic and is charged no dark time.
   sw.force_circuits({{PortId{0}, PortId{1}}});
   TimeNs flow_done = -1;
   // 25 MB at 200 Gb/s = 1 ms, well inside the 15 ms dark window.
   net.start_flow({sw.link(PortId{0}, PortId{1})}, 25'000'000, 0,
                  [&] { flow_done = sim.now(); });
   bool done = false;
-  sw.reconfigure_batch(batch, [&] { done = true; });
+  sw.reconfigure({{PortId{0}, PortId{1}}, {PortId{2}, PortId{3}}},
+                 [&] { done = true; });
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
   EXPECT_TRUE(sw.dark(PortId{2}));
   EXPECT_TRUE(sw.dark(PortId{3}));
@@ -413,7 +332,7 @@ TEST_F(OcsTest, BatchLeavesItsLiveCircuitsLitAndDarkensOnlyRetargetedPorts) {
 }
 
 TEST_F(OcsTest, DarkAccountingInvariantHoldsAcrossMixedOperations) {
-  // Property check over an interleaving of every reconfiguration flavor:
+  // Property check over an interleaving of forced and requested re-wiring:
   // after each step, sum_p port_dark_time(p) == cumulative_port_dark_ns.
   const auto check = [&] {
     EXPECT_EQ(summed_port_dark(sw), sw.stats().cumulative_port_dark_ns);
@@ -423,20 +342,19 @@ TEST_F(OcsTest, DarkAccountingInvariantHoldsAcrossMixedOperations) {
   sw.reconfigure({{PortId{0}, PortId{4}}}, nullptr);
   sim.run();
   check();
-  const auto a = sw.register_batch({{PortId{0}, PortId{1}},
-                                    {PortId{2}, PortId{3}}});
-  sw.reconfigure_batch(a, nullptr);  // also darkens displaced peer 4
+  const std::vector<CircuitRequest> a = {{PortId{0}, PortId{1}},
+                                         {PortId{2}, PortId{3}}};
+  sw.reconfigure(a, nullptr);  // also darkens displaced peer 4
   sim.run();
   check();
-  const auto b = sw.register_batch({{PortId{0}, PortId{2}},
-                                    {PortId{1}, PortId{3}}});
-  sw.reconfigure_batch(b, nullptr);  // a rotation within the batch ports
+  sw.reconfigure({{PortId{0}, PortId{2}}, {PortId{1}, PortId{3}}},
+                 nullptr);  // a rotation within the same ports
   sim.run();
   check();
-  sw.reconfigure({{PortId{4}, PortId{5}}}, nullptr);  // generic, disjoint
+  sw.reconfigure({{PortId{4}, PortId{5}}}, nullptr);  // disjoint
   sim.run();
   check();
-  sw.reconfigure_batch(a, nullptr);  // replay
+  sw.reconfigure(a, nullptr);  // replay
   sim.run();
   check();
   EXPECT_GT(sw.stats().cumulative_port_dark_ns, 0);
@@ -464,12 +382,11 @@ TEST_F(OcsTest, FailedEndpointIsDroppedByEveryRequestAndQuery) {
   EXPECT_EQ(sw.port_dark_time(PortId{0}), 0);
   EXPECT_EQ(sw.stats().circuits_established, 1);
 
-  const auto batch = sw.register_batch(request);
-  sw.reconfigure_batch(batch, nullptr);  // only the failed circuit is off
+  sw.reconfigure(request, nullptr);  // only the failed circuit is off
   EXPECT_EQ(sw.dark_port_count(), 0);
   sw.repair_port(PortId{0});
   EXPECT_FALSE(sw.satisfied(request));
-  sw.reconfigure_batch(batch, nullptr);  // the repaired circuit re-wires
+  sw.reconfigure(request, nullptr);  // the repaired circuit re-wires
   sim.run();
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{2}));
   EXPECT_FALSE(sw.peer(PortId{4}).has_value());
@@ -477,17 +394,15 @@ TEST_F(OcsTest, FailedEndpointIsDroppedByEveryRequestAndQuery) {
 }
 
 TEST_F(OcsTest, EveryRequestChecksPortOwnership) {
-  // Ownership is checked when a request runs, not when a batch registers:
-  // a batch registered before the ports were carved out for two tenants
-  // may no longer join them.
-  const auto batch = sw.register_batch({{PortId{0}, PortId{1}}});
+  // Ownership is checked when a request runs: a list planned before the
+  // ports were carved out for two tenants may no longer join them.
+  const std::vector<CircuitRequest> planned = {{PortId{0}, PortId{1}}};
   sw.set_port_owner(PortId{0}, 0);
   sw.set_port_owner(PortId{1}, 1);
-  EXPECT_THROW(sw.reconfigure({{PortId{0}, PortId{1}}}, nullptr),
-               InvariantError);
-  EXPECT_THROW(sw.reconfigure_batch(batch, nullptr), InvariantError);
+  EXPECT_THROW(sw.reconfigure(planned, nullptr), InvariantError);
+  EXPECT_EQ(sw.dark_port_count(), 0);
   sw.set_port_owner(PortId{1}, 0);
-  sw.reconfigure_batch(batch, nullptr);
+  sw.reconfigure(planned, nullptr);
   sim.run();
   EXPECT_TRUE(sw.connected(PortId{0}, PortId{1}));
 }

@@ -355,7 +355,7 @@ TEST(Rotor, EveryQueuedSendEventuallyLaunches) {
 }
 
 TEST(Rotor, RailDarkAccountingInvariantHoldsAfterRotations) {
-  // After a real rotor workload (batched rotations), each rail switch's
+  // After a real rotor workload (many rotations), each rail switch's
   // per-port dark tallies must still sum to its aggregate counter.
   sim::Simulator sim;
   net::Cluster cluster(sim, rotor_cfg(6));
