@@ -8,6 +8,11 @@
 
 namespace opus::core {
 
+CircuitPlanner::CircuitPlanner(const net::Cluster& cluster,
+                               int pipeline_stages)
+    : cluster_(cluster),
+      pp_stripe_limit_(pipeline_stages > 2 ? 1 : cluster.config().nic_ports) {}
+
 std::vector<CircuitPlanner::RailEdge> CircuitPlanner::lower_edges(
     const collective::CommGroup& group,
     std::span<const std::pair<int, int>> peer_pairs) const {
@@ -36,16 +41,9 @@ std::vector<CircuitPlanner::RailEdge> CircuitPlanner::lower_edges(
   return out;
 }
 
-void CircuitPlanner::set_dim_stripe_limit(collective::ParallelismDim dim,
-                                          int limit) {
-  ensure(limit >= 1, "stripe limit must be >= 1");
-  dim_stripe_limit_[dim] = limit;
-}
-
 int CircuitPlanner::stripe_limit_for(collective::ParallelismDim dim) const {
-  const auto it = dim_stripe_limit_.find(dim);
-  return it == dim_stripe_limit_.end() ? cluster_.config().nic_ports
-                                       : it->second;
+  return dim == collective::ParallelismDim::kPP ? pp_stripe_limit_
+                                                : cluster_.config().nic_ports;
 }
 
 std::optional<std::vector<RailCircuits>> CircuitPlanner::assign_ports(

@@ -15,7 +15,6 @@
 // equal-bandwidth comparison against electrical rails.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <span>
 #include <vector>
@@ -35,14 +34,13 @@ struct RailCircuits {
 
 class CircuitPlanner {
  public:
-  explicit CircuitPlanner(const net::Cluster& cluster) : cluster_(cluster) {}
-
-  /// Caps the striping factor for groups of a parallelism dimension.
-  /// Example: pipeline *pair* groups look like degree-1 edges to the
-  /// planner, but an interior stage of a >2-stage pipeline needs both
-  /// neighbours at once — capping kPP stripes to 1 leaves the second NIC
-  /// port free for the other neighbour's circuit.
-  void set_dim_stripe_limit(collective::ParallelismDim dim, int limit);
+  /// `pipeline_stages` is the job's pipeline depth. Pipeline *pair* groups
+  /// look like degree-1 edges to the planner, but an interior stage of a
+  /// >2-stage pipeline needs both neighbours at once, so there kPP circuits
+  /// are not striped: the second NIC port stays free for the other
+  /// neighbour's circuit.
+  explicit CircuitPlanner(const net::Cluster& cluster,
+                          int pipeline_stages = 2);
 
   /// Static layout holding the whole schedule's peer graph at once, or
   /// nullopt when some endpoint would need more circuits than it has ports.
@@ -82,7 +80,8 @@ class CircuitPlanner {
   int stripe_limit_for(collective::ParallelismDim dim) const;
 
   const net::Cluster& cluster_;
-  std::map<collective::ParallelismDim, int> dim_stripe_limit_;
+  /// Striping cap for kPP groups (every other dimension: the NIC's ports).
+  int pp_stripe_limit_;
 };
 
 }  // namespace opus::core

@@ -146,24 +146,15 @@ void OpusController::request(GroupId group,
   job.requested_at = sim_.now();
 
   // Control-plane RTT before the request reaches the switch; cached
-  // configurations still pay it (the shim->controller->ack path), except
-  // when it is configured to zero.
-  auto enqueue = [this](Job j) {
+  // configurations still pay it (the shim->controller->ack path).
+  sim_.schedule_after(kControlRtt, [this, j = std::move(job)]() mutable {
     if (retired_) {  // retired while the request was on the control RTT
       if (j.on_ack) j.on_ack();
       return;
     }
     queue_.push_back(std::move(j));
     pump();
-  };
-  if (cfg_.control_rtt > 0) {
-    sim_.schedule_after(cfg_.control_rtt,
-                        [this, enqueue, j = std::move(job)]() mutable {
-                          enqueue(std::move(j));
-                        });
-  } else {
-    enqueue(std::move(job));
-  }
+  });
 }
 
 void OpusController::pump() {

@@ -48,9 +48,10 @@ namespace opus::core {
 
 class OpusController {
  public:
+  /// Control-plane round trip (request + ack over the host network).
+  static constexpr TimeNs kControlRtt = usecs(30);
+
   struct Config {
-    /// Control-plane round trip (request + ack over the host network).
-    TimeNs control_rtt = usecs(30);
     /// Fine-grained per-group reconfiguration; when false the whole rail is
     /// one lock (the coarse-grained ablation of §5).
     bool fine_grained = true;

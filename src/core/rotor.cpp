@@ -144,10 +144,9 @@ void RotorTransport::flush_waiting(int rail) {
                 waiting.end());
 }
 
-void RotorTransport::send(const collective::CommGroup& group, GpuId src,
+void RotorTransport::send(const collective::Run& /*run*/, GpuId src,
                           GpuId dst, Bytes bytes,
                           std::function<void()> done) {
-  (void)group;
   ensure(!stopped_, "RotorTransport::send after shutdown");
   if (src == dst || cluster_.same_node(src, dst)) {
     cluster_.transfer(src, dst, bytes, std::move(done));

@@ -59,8 +59,8 @@ class RotorTransport final : public collective::Transport {
 
   // ---- collective::Transport -----------------------------------------------
   // The rotor ignores demand: the default preparation hooks apply.
-  void send(const collective::CommGroup& group, GpuId src, GpuId dst,
-            Bytes bytes, std::function<void()> done) override;
+  void send(const collective::Run& run, GpuId src, GpuId dst, Bytes bytes,
+            std::function<void()> done) override;
 
   /// Rounds completed across all rails (diagnostics). Every counted
   /// rotation issues exactly one state-changing OCS reconfiguration, so for

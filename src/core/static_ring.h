@@ -31,7 +31,7 @@ class StaticRingTransport final : public collective::Transport {
       : StaticRingTransport(cluster, net::NodeSpan{0, cluster.n_nodes()}) {}
 
   // The topology never changes: the default preparation hooks apply.
-  void send(const collective::CommGroup&, GpuId src, GpuId dst, Bytes bytes,
+  void send(const collective::Run&, GpuId src, GpuId dst, Bytes bytes,
             std::function<void()> done) override {
     cluster_.transfer(src, dst, bytes, std::move(done));
   }

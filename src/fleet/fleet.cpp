@@ -121,13 +121,7 @@ struct Driver {
     core::Tenant& tenant = *tenants[static_cast<std::size_t>(i)];
     jr.finish = sim.now();
     lifecycle("finish", i);
-    for (const TimeNs t : tenant.engine->iteration_times()) {
-      jr.iteration_times.push_back(t);
-    }
-    if (tenant.rotor != nullptr) {
-      jr.rotor_rotations += tenant.rotor->rotations();
-      jr.rotor_deferred_sends += tenant.rotor->deferred_sends();
-    }
+    bank_progress(jr, tenant);
     // Stop the tenant's control plane FIRST (synchronously): the very event
     // that completed the job may still trigger a trailing rotor rotation or
     // a speculative Opus request once this callback returns.
@@ -135,13 +129,30 @@ struct Driver {
     cluster.quiesce_span_ports(tenant.span, [this, i] { recycle(i); });
   }
 
-  void recycle(int i) {
-    FleetJobResult& jr = result.jobs[static_cast<std::size_t>(i)];
-    const net::NodeSpan span = jr.placement;
-    if (cluster.photonic()) {
-      jr.dark_time += cluster.ocs_dark_time_in_span(span) -
-                      dark_at_start[static_cast<std::size_t>(i)];
+  /// Banks the tenant's completed iterations (the checkpoint) and its
+  /// rotor counters into the job's result.
+  static void bank_progress(FleetJobResult& jr, const core::Tenant& tenant) {
+    for (const TimeNs t : tenant.engine->iteration_times()) {
+      jr.iteration_times.push_back(t);
     }
+    if (tenant.rotor != nullptr) {
+      jr.rotor_rotations += tenant.rotor->rotations();
+      jr.rotor_deferred_sends += tenant.rotor->deferred_sends();
+    }
+  }
+
+  /// Banks the OCS dark time job `i`'s span accrued since placement.
+  void bank_dark_time(int i) {
+    if (!cluster.photonic()) return;
+    FleetJobResult& jr = result.jobs[static_cast<std::size_t>(i)];
+    jr.dark_time += cluster.ocs_dark_time_in_span(jr.placement) -
+                    dark_at_start[static_cast<std::size_t>(i)];
+  }
+
+  void recycle(int i) {
+    bank_dark_time(i);
+    const net::NodeSpan span =
+        result.jobs[static_cast<std::size_t>(i)].placement;
     cluster.release_tenant(span);
     placement.release(span);
     pump_queue();
@@ -189,19 +200,10 @@ struct Driver {
     // Bank completed iterations (the checkpoint), then hard-stop the tenant:
     // engine callbacks become no-ops, the control plane stops, and every
     // flow touching the span is aborted so no orphaned completion fires.
-    for (const TimeNs t : tenant.engine->iteration_times()) {
-      jr.iteration_times.push_back(t);
-    }
-    if (tenant.rotor != nullptr) {
-      jr.rotor_rotations += tenant.rotor->rotations();
-      jr.rotor_deferred_sends += tenant.rotor->deferred_sends();
-    }
+    bank_progress(jr, tenant);
     tenant.abort(cluster);
     const net::NodeSpan span = jr.placement;
-    if (cluster.photonic()) {
-      jr.dark_time += cluster.ocs_dark_time_in_span(span) -
-                      dark_at_start[static_cast<std::size_t>(i)];
-    }
+    bank_dark_time(i);
     graveyard.push_back(std::move(tenants[static_cast<std::size_t>(i)]));
     cluster.quiesce_span_ports(span, [this, i, span] {
       cluster.release_tenant(span);

@@ -4,4 +4,5 @@
 set_tests_properties(
   "Rotor.OneRoundSpanRewiresItsMatchingAfterAPortRepair"
   "ChurnFleet.RotorChurnFleetCompletesEveryJob"
+  "OpusTransport.StepSynchronousRunsOfOneGroupReconfigureOneAfterAnother"
   PROPERTIES TIMEOUT 60)

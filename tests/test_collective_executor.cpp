@@ -3,6 +3,7 @@
 // and concurrent collectives on disjoint groups must not interfere.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -144,32 +145,29 @@ TEST(Executor, GroupSizeMismatchThrows) {
 }
 
 // Step-synchronous transport shim: forces barrier semantics so the test can
-// compare pipelined vs step-synchronous execution of the same schedule.
+// compare pipelined vs step-synchronous execution of the same schedule. It
+// records what each hook saw under the payload of the run it served.
 class StepSyncTransport final : public Transport {
  public:
   explicit StepSyncTransport(net::Cluster& c) : cluster_(c) {}
-  void prepare_collective(const CommGroup&, const CompiledCollective&, Bytes,
-                          std::function<void()> ready) override {
-    ready();
+  void prepare_collective(const Run&,
+                          std::function<void(bool)> ready) override {
+    ready(true);
   }
-  bool needs_per_step_preparation(const CommGroup&, const CompiledCollective&,
-                                  Bytes) const override {
-    return true;
-  }
-  void prepare_step(const CommGroup&, const CompiledCollective&,
-                    Bytes payload, int, std::function<void()> ready) override {
+  void prepare_step(const Run& run, int,
+                    std::function<void()> ready) override {
     ++steps_prepared;
-    step_payloads.push_back(payload);
+    ++steps_by_payload[run.payload];
     ready();
   }
-  void send(const CommGroup&, GpuId src, GpuId dst, Bytes bytes,
+  void send(const Run& run, GpuId src, GpuId dst, Bytes bytes,
             std::function<void()> done) override {
-    sent.push_back(bytes);
+    sent_by_payload[run.payload].push_back(bytes);
     cluster_.transfer(src, dst, bytes, std::move(done));
   }
   int steps_prepared = 0;
-  std::vector<Bytes> step_payloads;  ///< the payload each prepare_step saw
-  std::vector<Bytes> sent;           ///< every send's bytes, in launch order
+  std::map<Bytes, int> steps_by_payload;  ///< prepare_step calls per run
+  std::map<Bytes, std::vector<Bytes>> sent_by_payload;  ///< sends per run
 
  private:
   net::Cluster& cluster_;
@@ -205,41 +203,14 @@ TEST(Executor, StepSynchronousPreparesEveryStepAndIsSlower) {
   EXPECT_LE(pipelined, stepped);
 }
 
-TEST(Executor, StepSynchronousRunsOnOneGroupQueueBehindEachOther) {
+TEST(Executor, OverlappingRunsOfOneShapeSendTheirOwnPayloads) {
   sim::Simulator sim;
   net::Cluster cluster(sim, electrical_cfg(4, 2));
   StepSyncTransport t(cluster);
   CollectiveExecutor exec(sim, t);
   const CommGroup g = rail_group(cluster, 0, 4);
-  const auto cc = compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
-  std::vector<CollectiveExecutor::Result> results;
-  for (int i = 0; i < 2; ++i) {
-    exec.run(g, cc, mib(16), [&](const CollectiveExecutor::Result& r) {
-      results.push_back(r);
-    });
-  }
-  // The second run is queued: only the first one's step 0 is prepared.
-  EXPECT_EQ(t.steps_prepared, 1);
-  sim.run();
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_TRUE(results[0].step_synchronous);
-  EXPECT_TRUE(results[1].step_synchronous);
-  EXPECT_GT(results[0].end, results[0].start);
-  EXPECT_GE(results[1].start, results[0].end)
-      << "same-group step-synchronous runs must not interleave";
-  EXPECT_GT(results[1].end, results[1].start);
-  EXPECT_EQ(exec.completed(), 2);
-  EXPECT_EQ(t.steps_prepared, 2 * cc->n_steps);
-}
-
-TEST(Executor, QueuedRunsOfOneShapeSendTheirOwnPayloads) {
-  sim::Simulator sim;
-  net::Cluster cluster(sim, electrical_cfg(4, 2));
-  StepSyncTransport t(cluster);
-  CollectiveExecutor exec(sim, t);
-  const CommGroup g = rail_group(cluster, 0, 4);
-  // One shape, three runs started together: the second and third queue
-  // behind the first and must still send their own bytes.
+  // One shape, three runs started together on one group: the transport
+  // holds none back, so they overlap and must still send their own bytes.
   const Bytes payloads[] = {mib(16), kib(5) + 1, 0};
   const auto cc = compile(CollectiveType::kAllGather, Algorithm::kRing, 4);
   int completed = 0;
@@ -247,21 +218,18 @@ TEST(Executor, QueuedRunsOfOneShapeSendTheirOwnPayloads) {
     exec.run(g, cc, payload,
              [&](const CollectiveExecutor::Result&) { ++completed; });
   }
+  EXPECT_EQ(t.steps_prepared, 3) << "every run prepares its step 0 at once";
   sim.run();
   ASSERT_EQ(completed, 3);
-  const auto n_steps = static_cast<std::size_t>(cc->n_steps);
   const std::size_t n_transfers = cc->transfers.size();
-  ASSERT_EQ(t.step_payloads.size(), 3 * n_steps);
-  ASSERT_EQ(t.sent.size(), 3 * n_transfers);
-  for (std::size_t r = 0; r < 3; ++r) {
-    SCOPED_TRACE("run " + std::to_string(r));
-    for (std::size_t s = 0; s < n_steps; ++s) {
-      EXPECT_EQ(t.step_payloads[r * n_steps + s], payloads[r]);
-    }
+  ASSERT_EQ(t.steps_by_payload.size(), 3u);
+  ASSERT_EQ(t.sent_by_payload.size(), 3u);
+  for (const Bytes payload : payloads) {
+    SCOPED_TRACE("payload " + std::to_string(payload));
+    EXPECT_EQ(t.steps_by_payload[payload], cc->n_steps);
     // Every send of a 4-rank ring AllGather is one chunk of ceil(P/4).
-    for (std::size_t i = 0; i < n_transfers; ++i) {
-      EXPECT_EQ(t.sent[r * n_transfers + i], (payloads[r] + 3) / 4);
-    }
+    EXPECT_EQ(t.sent_by_payload[payload],
+              std::vector<Bytes>(n_transfers, (payload + 3) / 4));
   }
 }
 

@@ -252,17 +252,6 @@ TEST(Controller, WaitStatisticsAccumulate) {
   EXPECT_EQ(f.ctrl.stats().max_wait, usecs(30) + msecs(10));
 }
 
-TEST(Controller, ZeroRttConfigSkipsControlDelay) {
-  OpusController::Config cfg;
-  cfg.control_rtt = 0;
-  ControllerFixture f(cfg);
-  TimeNs acked = -1;
-  f.ctrl.request(GroupId{1}, {pair_circuits(f.cluster, 0, 0, 1)},
-                 [&] { acked = f.sim.now(); });
-  f.sim.run();
-  EXPECT_EQ(acked, msecs(10));
-}
-
 TEST(Controller, EmptyLayoutAcksImmediately) {
   ControllerFixture f;
   bool acked = false;

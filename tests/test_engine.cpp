@@ -91,24 +91,17 @@ TEST(Engine, DeterministicAcrossIdenticalRuns) {
 class IterationHookTransport final : public collective::Transport {
  public:
   explicit IterationHookTransport(net::Cluster& cluster) : direct_(cluster) {}
-  void prepare_collective(const collective::CommGroup& group,
-                          const collective::CompiledCollective& cc,
-                          Bytes payload, std::function<void()> ready) override {
-    direct_.prepare_collective(group, cc, payload, std::move(ready));
+  void prepare_collective(const collective::Run& run,
+                          std::function<void(bool)> ready) override {
+    direct_.prepare_collective(run, std::move(ready));
   }
-  bool needs_per_step_preparation(const collective::CommGroup& group,
-                                  const collective::CompiledCollective& cc,
-                                  Bytes payload) const override {
-    return direct_.needs_per_step_preparation(group, cc, payload);
+  void prepare_step(const collective::Run& run, int step,
+                    std::function<void()> ready) override {
+    direct_.prepare_step(run, step, std::move(ready));
   }
-  void prepare_step(const collective::CommGroup& group,
-                    const collective::CompiledCollective& cc, Bytes payload,
-                    int step, std::function<void()> ready) override {
-    direct_.prepare_step(group, cc, payload, step, std::move(ready));
-  }
-  void send(const collective::CommGroup& group, GpuId src, GpuId dst,
-            Bytes bytes, std::function<void()> done) override {
-    direct_.send(group, src, dst, bytes, std::move(done));
+  void send(const collective::Run& run, GpuId src, GpuId dst, Bytes bytes,
+            std::function<void()> done) override {
+    direct_.send(run, src, dst, bytes, std::move(done));
   }
   void iteration_started(int index) override { on_iteration(index); }
 

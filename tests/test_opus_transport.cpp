@@ -3,6 +3,10 @@
 // management-network offload, and provisioning behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "collective/executor.h"
 #include "collective/planner.h"
 #include "collective/verifier.h"
@@ -117,7 +121,6 @@ TEST(OpusTransport, PeerChangingAlgorithmReconfiguresPerStep) {
   const Bytes payload = mib(8);
   const auto cc = collective::compile(CollectiveType::kAllGather,
                                       Algorithm::kRecursiveDoubling, 8);
-  EXPECT_TRUE(transport.needs_per_step_preparation(g, *cc, payload));
   bool done = false;
   CollectiveExecutor::Result result;
   exec.run(g, cc, payload,
@@ -220,6 +223,108 @@ TEST(OpusTransport, MgmtOffloadFollowsEachRunsPayload) {
           << "payload " << payload;
     }
   }
+}
+
+// Two runs of one group in flight at once: each offloads by its own
+// payload, and each undoes only the group activity it added, so the group's
+// ports are free for another group once both finish.
+TEST(OpusTransport, ConcurrentRunsOfOneGroupOffloadByTheirOwnPayload) {
+  using Route = net::Cluster::Route;
+  const Bytes small = kib(32);
+  const Bytes large = kib(256);
+  // A 4-rank ring AllReduce sends 2n(n-1) chunks of ceil(P/n).
+  const auto wire = [](Bytes payload) {
+    return 2 * 4 * 3 * ((payload + 3) / 4);
+  };
+  for (const bool small_first : {true, false}) {
+    SCOPED_TRACE(small_first ? "small run first" : "large run first");
+    sim::Simulator sim;
+    net::ClusterConfig ncfg = photonic_cfg(4, 2, 2);
+    ncfg.mgmt_bw = Bandwidth::gbps(50);
+    net::Cluster cluster(sim, ncfg);
+    OpusTransport::Options opts;
+    opts.mgmt_offload_threshold = kib(64);
+    OpusTransport transport(sim, cluster, opts);
+    CollectiveExecutor exec(sim, transport);
+    const CommGroup g = rail_group(cluster, 0, 4);
+    const auto cc =
+        collective::compile(CollectiveType::kAllReduce, Algorithm::kRing, 4);
+    int done = 0;
+    for (const Bytes payload : {small_first ? small : large,
+                                small_first ? large : small}) {
+      exec.run(g, cc, payload,
+               [&](const CollectiveExecutor::Result&) { ++done; });
+    }
+    sim.run();
+    ASSERT_EQ(done, 2);
+    EXPECT_EQ(cluster.bytes_on_route(Route::kMgmt), wire(small));  // 196,608
+    EXPECT_EQ(cluster.bytes_on_route(Route::kRail), wire(large));  // 1,572,864
+
+    // Another group on the same ports, wired differently: it must preempt
+    // the idle group's circuits.
+    CommGroup other = g;
+    other.id = GroupId{999};
+    std::swap(other.ranks[1], other.ranks[2]);
+    bool other_done = false;
+    exec.run(other, cc, large,
+             [&](const CollectiveExecutor::Result&) { other_done = true; });
+    sim.run();
+    EXPECT_TRUE(other_done)
+        << "a finished run left its group active on the shared ports";
+  }
+}
+
+// Records when each reconfiguration of an OCS starts.
+class DarkStartRecorder final : public net::OcsObserver {
+ public:
+  void on_circuit_up(PortId, PortId, TimeNs) override {}
+  void on_circuit_down(PortId, PortId, TimeNs) override {}
+  void on_dark_interval(int, TimeNs start, TimeNs) override {
+    starts.push_back(start);
+  }
+  std::vector<TimeNs> starts;
+};
+
+// Step-synchronous runs of one group must not interleave their per-step
+// reconfigurations: the second run waits for the first one to finish.
+TEST(OpusTransport, StepSynchronousRunsOfOneGroupReconfigureOneAfterAnother) {
+  // Pairwise AllToAll on 8 nodes: 7 peers > 2 ports, one matching a step.
+  const auto cc = collective::compile(CollectiveType::kAllToAll,
+                                      Algorithm::kPairwise, 8);
+  // Returns each run's result and the start of every reconfiguration of
+  // rail 0, for `runs` runs launched on one group at the same instant.
+  const auto launch = [&](int runs) {
+    sim::Simulator sim;
+    net::Cluster cluster(sim, photonic_cfg(8, 2, 2));
+    DarkStartRecorder recorder;
+    cluster.ocs(RailId{0}).set_observer(&recorder);
+    OpusTransport transport(sim, cluster);
+    CollectiveExecutor exec(sim, transport);
+    const CommGroup g = rail_group(cluster, 0, 8);
+    std::vector<CollectiveExecutor::Result> results;
+    for (int i = 0; i < runs; ++i) {
+      exec.run(g, cc, mib(1), [&](const CollectiveExecutor::Result& r) {
+        results.push_back(r);
+      });
+    }
+    sim.run();
+    return std::pair{results, recorder.starts};
+  };
+  const auto [solo, solo_starts] = launch(1);
+  const auto [results, starts] = launch(2);
+  ASSERT_EQ(solo.size(), 1u);
+  ASSERT_EQ(results.size(), 2u);
+  EXPECT_TRUE(results[0].step_synchronous);
+  EXPECT_TRUE(results[1].step_synchronous);
+  EXPECT_EQ(results[0].end, solo[0].end) << "the first run ran as if alone";
+  EXPECT_LT(results[0].end, results[1].end);
+  ASSERT_GT(solo_starts.size(), 1u) << "the schedule re-wires per step";
+  const auto before_first_end =
+      std::count_if(starts.begin(), starts.end(),
+                    [&](TimeNs t) { return t < results[0].end; });
+  EXPECT_EQ(static_cast<std::size_t>(before_first_end), solo_starts.size())
+      << "the second run re-wired the group's ports before the first ended";
+  EXPECT_GT(starts.size(), solo_starts.size());
 }
 
 TEST(OpusTransport, DifferentGroupsTimeMultiplexTheSamePorts) {

@@ -41,13 +41,13 @@ TEST(Rotor, MatchingsEventuallyServeEveryPair) {
   RotorTransport rotor(sim, cluster, opts);
   int completed = 0;
   int issued = 0;
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   for (int a = 0; a < 6; ++a) {
     for (int b = a + 1; b < 6; ++b) {
       ++issued;
-      rotor.send(g, cluster.gpu_at(NodeId{a}, 0), cluster.gpu_at(NodeId{b}, 0),
-                 1000, [&] { ++completed; });
+      rotor.send(run, cluster.gpu_at(NodeId{a}, 0),
+                 cluster.gpu_at(NodeId{b}, 0), 1000, [&] { ++completed; });
     }
   }
   sim.run();
@@ -87,11 +87,11 @@ TEST(Rotor, SendWaitsForItsMatching) {
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{1}, 0);
   ASSERT_FALSE(cluster.rail_path_available(src, dst));
-  CommGroup g;
-  g.id = GroupId{1};
-  g.ranks = {src, dst};
+  collective::Run run;
+  run.group.id = GroupId{1};
+  run.group.ranks = {src, dst};
   TimeNs done = -1;
-  rotor.send(g, src, dst, 1000, [&] { done = sim.now(); });
+  rotor.send(run, src, dst, 1000, [&] { done = sim.now(); });
   EXPECT_EQ(rotor.deferred_sends(), 1);
   sim.run_until(msecs(10));
   ASSERT_GT(done, 0);
@@ -105,11 +105,11 @@ TEST(Rotor, ConnectedPairSendsImmediately) {
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{3}, 0);  // round-0 matching
   ASSERT_TRUE(cluster.rail_path_available(src, dst));
-  CommGroup g;
-  g.id = GroupId{1};
-  g.ranks = {src, dst};
+  collective::Run run;
+  run.group.id = GroupId{1};
+  run.group.ranks = {src, dst};
   TimeNs done = -1;
-  rotor.send(g, src, dst, 25'000'000, [&] { done = sim.now(); });
+  rotor.send(run, src, dst, 25'000'000, [&] { done = sim.now(); });
   sim.run_until(msecs(5));
   // 25MB at 2x200G striped = 0.5ms + latency, inside the first slot.
   EXPECT_GT(done, 0);
@@ -125,13 +125,13 @@ TEST(Rotor, RotationWaitsForInFlightTransfers) {
   RotorTransport rotor(sim, cluster, opts);
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{3}, 0);
-  CommGroup g;
-  g.id = GroupId{1};
-  g.ranks = {src, dst};
+  collective::Run run;
+  run.group.id = GroupId{1};
+  run.group.ranks = {src, dst};
   // 200 MB at 400G = 4 ms: spans several slots; the rotor must hold the
   // matching (guard band) instead of tearing the live circuit.
   TimeNs done = -1;
-  rotor.send(g, src, dst, 200'000'000, [&] { done = sim.now(); });
+  rotor.send(run, src, dst, 200'000'000, [&] { done = sim.now(); });
   sim.run_until(msecs(20));
   EXPECT_GE(done, msecs(4));
   EXPECT_EQ(cluster.bytes_on_route(net::Cluster::Route::kRail), 200'000'000);
@@ -205,15 +205,15 @@ TEST(Rotor, PortSpreadEnablesTwoHopForwarding) {
   EXPECT_EQ(reachable, 6);
   // (0,1) is in neither live matching: the send completes without a single
   // rotation, paying the multi-hop forwarding tax instead.
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{1}, 0);
   std::vector<GpuId> path;
   cluster.rail_multihop_path(src, dst, path);
   ASSERT_EQ(path.size(), 3u);
   TimeNs done = -1;
-  rotor.send(g, src, dst, 1000, [&] { done = sim.now(); });
+  rotor.send(run, src, dst, 1000, [&] { done = sim.now(); });
   sim.run_until(usecs(500));
   EXPECT_GT(done, 0);
   EXPECT_EQ(rotor.deferred_sends(), 0);
@@ -255,12 +255,12 @@ TEST(Rotor, OneRoundSpanNeverCountsPhantomRotations) {
   RotorTransport::Options opts;
   opts.slot_time = usecs(50);
   RotorTransport rotor(sim, cluster, opts);
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   int done = 0;
   // Enough traffic to outlast several slots.
   for (int i = 0; i < 4; ++i) {
-    rotor.send(g, cluster.gpu_at(NodeId{0}, 0), cluster.gpu_at(NodeId{1}, 0),
+    rotor.send(run, cluster.gpu_at(NodeId{0}, 0), cluster.gpu_at(NodeId{1}, 0),
                25'000'000, [&] { ++done; });
   }
   sim.run();
@@ -283,17 +283,17 @@ TEST(Rotor, OneRoundSpanRewiresItsMatchingAfterAPortRepair) {
   RotorTransport::Options opts;
   opts.slot_time = usecs(50);
   RotorTransport rotor(sim, cluster, opts);
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   const GpuId src = cluster.gpu_at(NodeId{0}, 0);
   const GpuId dst = cluster.gpu_at(NodeId{1}, 0);
   int done = 0;
   // 25 MB at 400 Gb/s = 0.5 ms: the failure lands mid-transfer.
-  rotor.send(g, src, dst, 25'000'000, [&] { ++done; });
+  rotor.send(run, src, dst, 25'000'000, [&] { ++done; });
   sim.schedule_at(usecs(100), [&] {
     cluster.fail_nic_port(NodeId{0}, 0, 0);
     rotor.poke();
-    rotor.send(g, src, dst, 1'000'000, [&] { ++done; });
+    rotor.send(run, src, dst, 1'000'000, [&] { ++done; });
   });
   sim.schedule_at(msecs(2), [&] {
     cluster.repair_nic_port(NodeId{0}, 0, 0);
@@ -324,8 +324,8 @@ TEST(Rotor, EveryQueuedSendEventuallyLaunches) {
   RotorTransport::Options opts;
   opts.slot_time = usecs(100);
   RotorTransport rotor(sim, cluster, opts);
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   int completed = 0;
   int issued = 0;
   const auto blast = [&] {
@@ -333,7 +333,7 @@ TEST(Rotor, EveryQueuedSendEventuallyLaunches) {
       for (int b = 0; b < 6; ++b) {
         if (a == b) continue;
         ++issued;
-        rotor.send(g, cluster.gpu_at(NodeId{a}, a % 2),
+        rotor.send(run, cluster.gpu_at(NodeId{a}, a % 2),
                    cluster.gpu_at(NodeId{b}, a % 2), 50'000,
                    [&] { ++completed; });
       }
@@ -362,14 +362,14 @@ TEST(Rotor, RailDarkAccountingInvariantHoldsAfterRotations) {
   RotorTransport::Options opts;
   opts.slot_time = usecs(100);
   RotorTransport rotor(sim, cluster, opts);
-  CommGroup g;
-  g.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   int completed = 0;
   for (int a = 0; a < 6; ++a) {
     for (int b = 0; b < 6; ++b) {
       if (a == b) continue;
-      rotor.send(g, cluster.gpu_at(NodeId{a}, 0), cluster.gpu_at(NodeId{b}, 0),
-                 100'000, [&] { ++completed; });
+      rotor.send(run, cluster.gpu_at(NodeId{a}, 0),
+                 cluster.gpu_at(NodeId{b}, 0), 100'000, [&] { ++completed; });
     }
   }
   sim.run();

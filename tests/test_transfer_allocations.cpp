@@ -209,13 +209,13 @@ TEST(TransferAllocations, RotorTwoHopForwardsAllocateNothingOnceWarm) {
   ASSERT_EQ(path.size(), 3u);
   cluster.rail_multihop_path(GpuId{2}, GpuId{3}, path);
   ASSERT_EQ(path.size(), 3u);
-  CommGroup group;
-  group.id = GroupId{1};
+  collective::Run run;
+  run.group.id = GroupId{1};
   int delivered = 0;
   const auto batch = [&] {
     for (const auto& [src, dst] :
          {std::pair{0, 1}, std::pair{1, 0}, std::pair{2, 3}, std::pair{3, 2}}) {
-      rotor.send(group, GpuId{src}, GpuId{dst}, 20'000,
+      rotor.send(run, GpuId{src}, GpuId{dst}, 20'000,
                  [&delivered] { ++delivered; });
     }
     sim.run();
