@@ -197,6 +197,35 @@ void BM_FluidChurnResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_FluidChurnResolve)->Arg(4)->Arg(16)->Arg(63);
 
+// Same-instant drain: N equal flows on disjoint links (a collective step on
+// dedicated circuits) drain at one instant and wait out the same rail
+// latency, so one delivery event runs all N callbacks in drain order. Each
+// iteration is one warm round on a kept network: the completion event plus
+// one delivery event, whatever N. `events_per_flow` is the acceptance
+// metric: 2/N here, against (N+1)/N with one delivery event per flow.
+// items/s = flows delivered.
+void BM_FluidSameInstantDrain(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  sim::Simulator sim;
+  net::FluidNetwork net(sim);
+  std::vector<LinkId> links;
+  for (int i = 0; i < n; ++i) links.push_back(net.add_link(Bandwidth::gbps(400)));
+  std::int64_t delivered = 0;
+  const std::uint64_t events_before = sim.events_fired();
+  for (auto _ : state) {
+    for (const LinkId l : links) {
+      net.start_flow({l}, mib(1), usecs(1), [&delivered] { ++delivered; });
+    }
+    sim.run();
+  }
+  benchmark::DoNotOptimize(delivered);
+  state.counters["events_per_flow"] =
+      static_cast<double>(sim.events_fired() - events_before) /
+      static_cast<double>(delivered);
+  state.SetItemsProcessed(delivered);
+}
+BENCHMARK(BM_FluidSameInstantDrain)->Arg(1)->Arg(64)->Arg(512);
+
 // Iteration-engine event scaling: K compute spans chained back to back,
 // each spanning every GPU of an N-node world (the data-parallel
 // per-microbatch shape). The engine coalesces the parts of a span that

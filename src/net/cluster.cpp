@@ -556,7 +556,9 @@ void Cluster::start_circuit_flow(LinkId link, GpuId src, GpuId dst,
   const FlowId f =
       net_.start_flow({link}, bytes, kRailLatency, [this, key] {
         // A missing entry means abort_span_traffic dropped the hop while its
-        // delivery waited out kRailLatency: an evicted hop never delivers.
+        // drained flow waited out kRailLatency in the fluid network's
+        // delivery batch, which abort_flow cannot cancel: an evicted hop
+        // never delivers.
         const auto entry = rescuable_.extract(*key);
         if (entry && entry.mapped().done) entry.mapped().done();
         // A completed flow frees its circuit: that is exactly the moment a

@@ -465,27 +465,46 @@ void FluidNetwork::on_completion_event() {
     }
   }
   mark_dirty();
+  // One delivery event per latency carries that latency's drained flows,
+  // in drain order. A latency-0 callback runs inline and may itself
+  // schedule at T + L, so it closes every open batch: later flows open new
+  // ones behind what it scheduled. Each batch event thus sits where its
+  // first flow's own event would, and the events of one instant fire in
+  // schedule order, so callbacks run in exactly the per-flow order.
   // completed_flow_count() counts at delivery (drain + extra_latency), like
   // the zero-byte path — never ahead of the observable callbacks. A
   // callback never re-enters this handler (it runs only as the completion
   // event), so drained_ is stable while it is walked.
+  open_batches_.clear();
   for (auto& [latency, cb] : drained_) {
-    if (latency > 0) {
-      const std::uint32_t slot = deliveries_.put(std::move(cb));
-      sim_.schedule_after(latency, [this, slot] { deliver(slot); });
-    } else {
+    if (latency == 0) {
+      open_batches_.clear();
       ++completed_;
       if (cb) cb();  // may start new flows; they join this instant's solve
+      continue;
     }
+    auto open = std::find_if(
+        open_batches_.begin(), open_batches_.end(),
+        [latency](const auto& b) { return b.first == latency; });
+    if (open == open_batches_.end()) {
+      const std::uint32_t batch = deliveries_.acquire();
+      sim_.schedule_after(latency, [this, batch] { deliver(batch); });
+      open = open_batches_.insert(open_batches_.end(), {latency, batch});
+    }
+    deliveries_[open->second].push_back(std::move(cb));
   }
 }
 
-void FluidNetwork::deliver(std::uint32_t slot) {
-  // Free the slot before the call, so the callback's own completions can
-  // reuse it.
-  const std::function<void()> cb = deliveries_.take(slot);
-  ++completed_;
-  if (cb) cb();
+void FluidNetwork::deliver(std::uint32_t batch) {
+  // Walked in place: only the completion handler, a separate event, adds
+  // to the slab, so the vector neither moves nor grows under a callback.
+  std::vector<std::function<void()>>& cbs = deliveries_[batch];
+  for (std::function<void()>& cb : cbs) {
+    ++completed_;
+    if (cb) cb();
+  }
+  cbs.clear();  // keeps the buffer for the slot's next batch
+  deliveries_.release(batch);
 }
 
 }  // namespace opus::net

@@ -55,14 +55,22 @@
 // generation/projection mismatch and only flows whose rate actually changed
 // push new entries, so rescheduling after churn never rescans the registry.
 //
+// Drained flows are delivered in batches. The flows that drain at one
+// instant with one extra_latency share a single delivery event, which runs
+// their callbacks in drain order: a collective step's hundreds of equal
+// flows on dedicated circuits cost one event, not one each. The order is
+// the one a per-flow event would give, because the handler closes its open
+// batches whenever a latency-0 callback runs inline (it may schedule at the
+// batches' instant itself).
+//
 // A flow's life allocates nothing once the network is warm. start_flow
 // copies the path into its slot's retained buffer; the completion handler
-// collects drained flows in a retained list; a drained flow whose
-// extra_latency is still to elapse parks its callback in a delivery slab
-// (common/slab.h) and the delivery event captures only the network and the
-// slot index, small enough for std::function to hold inline. Callers keep
-// the same property by passing callbacks that capture at most 16
-// trivially-copyable bytes (a pointer plus an index).
+// collects drained flows in a retained list; a batch's callbacks wait in a
+// slab (common/slab.h) of callback vectors whose buffers are recycled, and
+// the delivery event captures only the network and the slot index, small
+// enough for std::function to hold inline. Callers keep the same property
+// by passing callbacks that capture at most 16 trivially-copyable bytes (a
+// pointer plus an index).
 #pragma once
 
 #include <cstdint>
@@ -113,7 +121,9 @@ class FluidNetwork {
   /// keeps ownership of it and a warm network allocates nothing.
   /// `on_complete` fires once the flow has drained and `extra_latency` has
   /// elapsed (propagation + per-hop fixed latency, applied once); while that
-  /// latency elapses the callback waits in the delivery slab.
+  /// latency elapses the callback waits in the delivery slab, batched with
+  /// the other flows that drained at the same instant with the same latency
+  /// (they run in drain order, in one simulator event).
   /// A zero-byte flow completes after `extra_latency` alone; it stays
   /// flow_active (and abortable) until that delivery.
   FlowId start_flow(std::span<const LinkId> path, Bytes bytes,
@@ -283,8 +293,9 @@ class FluidNetwork {
   /// the single completion event at the heap's earliest valid instant.
   void reschedule_completion_event();
   void on_completion_event();
-  /// Fires the drained flow's callback parked in delivery slot `slot`.
-  void deliver(std::uint32_t slot);
+  /// Runs, in drain order, the callbacks parked in delivery slot `batch`
+  /// (counting each as it runs), then recycles the slot.
+  void deliver(std::uint32_t batch);
 
   sim::Simulator& sim_;
   sim::Simulator::HookId flush_hook_;
@@ -312,8 +323,13 @@ class FluidNetwork {
   /// The completion handler's list of drained flows (latency, callback),
   /// retained across events.
   std::vector<std::pair<TimeNs, std::function<void()>>> drained_;
-  /// Delivery slab: callbacks of drained flows waiting out extra_latency.
-  Slab<std::function<void()>> deliveries_;
+  /// Delivery slab: per (completion instant, latency), the callbacks of
+  /// drained flows waiting out extra_latency, in drain order. A freed
+  /// slot keeps its emptied vector, so a warm network allocates nothing.
+  Slab<std::vector<std::function<void()>>> deliveries_;
+  /// The completion handler's batches still open to later drained flows:
+  /// (latency, delivery slot). Retained across events.
+  std::vector<std::pair<TimeNs, std::uint32_t>> open_batches_;
 
   // Solver scratch, persistent across solves so a re-solve costs O(dirty
   // component footprint), not O(lifetime links). A slot is valid only when

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -257,6 +259,127 @@ TEST(FluidBatching, Table3OpusPresetSolvesFarFewerTimesThanFlowsComplete) {
             net.completed_flow_count() / 10)
       << net.solve_count() << " solves for " << net.completed_flow_count()
       << " flows";
+}
+
+TEST(FluidBatching, Table3OpusPresetFiresFarFewerEventsThanFlowsComplete) {
+  // A collective step's flows drain at one instant with one latency, so
+  // their deliveries share one simulator event. One event per delivered
+  // flow puts the ratio above 1; the 64-node preset's 32-way steps keep it
+  // far below a quarter.
+  const core::ExperimentConfig* cfg =
+      config::find_experiment_preset("table3_opus_64");
+  ASSERT_NE(cfg, nullptr);
+  sim::Simulator sim;
+  Cluster cluster(sim, core::cluster_config_for(*cfg));
+  core::Tenant tenant = core::build_tenant(
+      sim, cluster, *cfg, NodeSpan{0, cluster.n_nodes()});
+  tenant.engine->run_to_completion(tenant.dag, cfg->iterations);
+  const FluidNetwork& net = cluster.network();
+  ASSERT_GT(net.completed_flow_count(), 0u);
+  EXPECT_LT(sim.events_fired(), net.completed_flow_count() / 4)
+      << sim.events_fired() << " events for " << net.completed_flow_count()
+      << " flows";
+}
+
+// ---------------------------------------------------------------------------
+// Delivery order: drained flows reach their callbacks after extra_latency,
+// in drain order, interleaved with other events exactly as the simulator's
+// (time, schedule order) rule would interleave one event per flow.
+// ---------------------------------------------------------------------------
+
+class FluidDelivery : public ::testing::Test {
+ protected:
+  /// One callback or event, as it ran.
+  struct Entry {
+    char who;
+    TimeNs at;
+    std::uint64_t completed;  ///< completed_flow_count() inside the call
+  };
+
+  /// A callback that logs `who`.
+  std::function<void()> logger(char who) {
+    return [this, who] {
+      log.push_back({who, sim.now(), net.completed_flow_count()});
+    };
+  }
+
+  /// A fresh 100 Gb/s link per flow, so equal flows drain together.
+  LinkId link() { return net.add_link(k100G); }
+
+  /// The logged names, in order.
+  std::string order() const {
+    std::string s;
+    for (const Entry& e : log) s += e.who;
+    return s;
+  }
+
+  sim::Simulator sim;
+  FluidNetwork net{sim};
+  std::vector<Entry> log;
+};
+
+// 125 MB at 100 Gb/s drains in 10 ms.
+constexpr Bytes kTenMs = 125'000'000;
+constexpr TimeNs kDrain = msecs(10);
+
+TEST_F(FluidDelivery, EqualFlowsDeliverInSlotOrderCountingEachCall) {
+  for (int i = 0; i < 8; ++i) {
+    net.start_flow({link()}, kTenMs, usecs(3),
+                   logger(static_cast<char>('0' + i)));
+  }
+  sim.run();
+  EXPECT_EQ(order(), "01234567");
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    EXPECT_EQ(log[k].at, kDrain + usecs(3)) << k;
+    EXPECT_EQ(log[k].completed, k + 1) << "counted as each callback runs";
+  }
+  EXPECT_EQ(net.completed_flow_count(), 8u);
+}
+
+TEST_F(FluidDelivery, InlineCallbackSchedulesBetweenDelayedDeliveries) {
+  // A and C wait out L; B has no latency and runs inside the completion
+  // handler, between them in drain order. What B schedules at T + L lands
+  // after A's delivery and before C's.
+  const TimeNs lat = usecs(4);
+  net.start_flow({link()}, kTenMs, lat, logger('A'));
+  net.start_flow({link()}, kTenMs, 0, [this, lat] {
+    logger('B')();
+    sim.schedule_after(lat, logger('X'));
+  });
+  net.start_flow({link()}, kTenMs, lat, logger('C'));
+  sim.run();
+  ASSERT_EQ(order(), "BAXC");
+  EXPECT_EQ(log[0].at, kDrain);
+  for (std::size_t k = 1; k < 4; ++k) EXPECT_EQ(log[k].at, kDrain + lat);
+  EXPECT_EQ(log[1].completed, 2u);
+  EXPECT_EQ(log[3].completed, 3u);
+}
+
+TEST_F(FluidDelivery, EachLatencyDeliversAtItsOwnInstant) {
+  const TimeNs l1 = usecs(6);
+  const TimeNs l2 = usecs(2);
+  net.start_flow({link()}, kTenMs, l1, logger('A'));
+  net.start_flow({link()}, kTenMs, l2, logger('B'));
+  net.start_flow({link()}, kTenMs, l1, logger('C'));
+  sim.run();
+  ASSERT_EQ(order(), "BAC");
+  EXPECT_EQ(log[0].at, kDrain + l2);
+  EXPECT_EQ(log[1].at, kDrain + l1);
+  EXPECT_EQ(log[2].at, kDrain + l1);
+  EXPECT_EQ(log[2].completed, 3u);
+}
+
+TEST_F(FluidDelivery, ZeroDelayEventFromADeliveryRunsAfterItsStretch) {
+  const TimeNs lat = usecs(3);
+  net.start_flow({link()}, kTenMs, lat, [this] {
+    logger('A')();
+    sim.schedule_after(0, logger('Y'));
+  });
+  net.start_flow({link()}, kTenMs, lat, logger('B'));
+  net.start_flow({link()}, kTenMs, lat, logger('C'));
+  sim.run();
+  ASSERT_EQ(order(), "ABCY");
+  EXPECT_EQ(log[3].at, kDrain + lat);
 }
 
 // Property sweep: N equal flows on one link each get capacity/N and all

@@ -2,7 +2,8 @@
 // transfer allocates nothing — through the collective executor, a direct
 // circuit, parallel striped circuits, multi-hop ring forwarding and the
 // rotor's two-hop forwarding. Also pins the fluid network's delivery-slab
-// behaviour (pending deliveries, aborted zero-byte flows, slot reuse), and
+// behaviour (pending deliveries, aborted zero-byte flows, slot reuse, and
+// the recycled buffers of same-instant delivery batches), and
 // bounds the largest block compiling a collective shape asks for.
 //
 // This binary replaces the global operator new/delete with counters that
@@ -326,6 +327,40 @@ TEST(TransferAllocations, DeliverySlotsAreReusedAcrossRounds) {
     }
   }
   EXPECT_EQ(net.completed_flow_count(), 12u);
+}
+
+TEST(TransferAllocations, SameInstantDeliveriesReuseTheirBatchBuffers) {
+  sim::Simulator sim;
+  net::FluidNetwork net(sim);
+  constexpr int kFlows = 64;
+  std::vector<LinkId> links;
+  for (int i = 0; i < kFlows; ++i) links.push_back(net.add_link(k100G));
+  // 64 equal flows on disjoint links drain at one instant and deliver 3 us
+  // later together; a warm round must find every buffer that holds them
+  // waiting from the round before.
+  struct Log {
+    sim::Simulator* sim = nullptr;
+    TimeNs t0 = 0;
+    int delivered = 0;
+    int on_time = 0;
+  } log;
+  log.sim = &sim;
+  const auto round = [&] {
+    log.t0 = sim.now();
+    for (const LinkId l : links) {
+      net.start_flow({l}, 12'500'000, usecs(3), [&log] {
+        ++log.delivered;
+        if (log.sim->now() - log.t0 == msecs(1) + usecs(3)) ++log.on_time;
+      });
+    }
+    sim.run();
+  };
+  round();
+  round();
+  EXPECT_EQ(allocations_during(round), 0);
+  EXPECT_EQ(log.delivered, 3 * kFlows);
+  EXPECT_EQ(log.on_time, 3 * kFlows);
+  EXPECT_EQ(net.completed_flow_count(), 3u * kFlows);
 }
 
 }  // namespace
