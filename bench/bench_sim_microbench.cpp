@@ -358,24 +358,6 @@ void BM_MetricsOverhead(benchmark::State& state) {
 }
 BENCHMARK(BM_MetricsOverhead)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-// Registry hot path in isolation: one Counter::inc is an add through a raw
-// int64 slot resolved at registration — no hashing, no lookup, no virtual
-// call — and an unregistered handle is a single null check. Both must stay
-// within a few ns/op or the "instrument freely" contract breaks.
-void BM_MetricsCounterIncrement(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Counter live = registry.add_counter("bench.live");
-  obs::Counter null_handle;  // default-constructed: the disabled path
-  const bool registered = state.range(0) != 0;
-  obs::Counter& c = registered ? live : null_handle;
-  for (auto _ : state) {
-    c.inc();
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MetricsCounterIncrement)->Arg(0)->Arg(1);
-
 // Ring compiling: the 256-rank groups of the 512-node Table-3 cell compile
 // ReduceScatter, AllGather and AllReduce rings of 65,280-130,560 transfers
 // straight from the planner. items/s = transfers.

@@ -54,6 +54,10 @@ class Slab {
 
   T& operator[](std::uint32_t slot) { return items_[slot]; }
 
+  /// Slots ever acquired, free ones included: walking 0..size() visits
+  /// every occupant.
+  std::size_t size() const { return items_.size(); }
+
  private:
   std::vector<T> items_;
   std::vector<std::uint32_t> free_;

@@ -546,20 +546,6 @@ net::FabricKind fabric_kind_from_token(std::string_view s,
   return kFabric.parse(s, path);
 }
 
-const char* to_token(workload::PipelineSchedule s) {
-  return kSchedule.token(s);
-}
-workload::PipelineSchedule pipeline_schedule_from_token(
-    std::string_view s, const std::string& path) {
-  return kSchedule.parse(s, path);
-}
-
-const char* to_token(fleet::PlacementPolicy p) { return kPolicy.token(p); }
-fleet::PlacementPolicy placement_policy_from_token(std::string_view s,
-                                                   const std::string& path) {
-  return kPolicy.parse(s, path);
-}
-
 // ---- configs ---------------------------------------------------------------
 
 #define OPUS_SERDE_FROM_TABLE(T)                                         \

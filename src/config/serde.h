@@ -85,16 +85,6 @@ const char* to_token(net::FabricKind f);
 net::FabricKind fabric_kind_from_token(std::string_view s,
                                        const std::string& path);
 
-/// "1f1b" | "gpipe".
-const char* to_token(workload::PipelineSchedule s);
-workload::PipelineSchedule pipeline_schedule_from_token(
-    std::string_view s, const std::string& path);
-
-/// "first_fit" | "rail_aware".
-const char* to_token(fleet::PlacementPolicy p);
-fleet::PlacementPolicy placement_policy_from_token(std::string_view s,
-                                                   const std::string& path);
-
 // ---- configs (bidirectional) ------------------------------------------------
 json::Value to_json(const workload::ModelConfig& v,
                     const workload::ModelConfig& defaults = {});

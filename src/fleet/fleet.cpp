@@ -27,7 +27,7 @@ core::ExperimentConfig job_experiment_config(const FleetConfig& cfg,
   // property of the shared fleet, not of the job.
   c.faults = core::FaultConfig{};
   // Telemetry belongs to the shared fleet run: baselines stay instrumentation
-  // -free (also keeps the single-threaded SelfProfiler off the sweep pool).
+  // -free (also keeps the single-threaded Profiler off the sweep pool).
   c.telemetry = obs::TelemetryConfig{};
   return c;
 }
@@ -252,10 +252,9 @@ FleetResult run_fleet(const FleetConfig& cfg) {
   }
 
   if (cfg.isolated_baselines) {
-    obs::SelfProfiler* prof =
-        telemetry != nullptr ? telemetry->profiler() : nullptr;
     ProfileScope sweep_prof(
-        prof, prof != nullptr ? prof->phase("fleet.baseline_sweep") : -1);
+        telemetry != nullptr ? telemetry->profiler() : nullptr,
+        Profiler::kFleetBaselineSweep);
     std::vector<core::ExperimentConfig> cells;
     std::vector<std::size_t> cell_jobs;
     for (const JobSpec& spec : specs) {

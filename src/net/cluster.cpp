@@ -221,7 +221,7 @@ void Cluster::assign_tenant(int tenant, NodeSpan span) {
   ensure(it == tenant_spans_.begin() ||
              std::prev(it)->span.end() <= span.first,
          "assign_tenant: node already owned by another tenant");
-  tenant_spans_.insert(it, TenantSpan{span, tenant, ++tenant_generation_});
+  tenant_spans_.insert(it, TenantSpan{span, tenant});
   if (photonic()) {
     const std::vector<PortId> ports = span_ports(span);
     for (int r = 0; r < n_rails(); ++r) {
@@ -250,7 +250,6 @@ void Cluster::release_tenant(NodeSpan span) {
   ensure(cursor == span.end(),
          "release_tenant: span does not tile onto assigned tenant spans");
   tenant_spans_.erase(first, last);
-  ++tenant_generation_;
   if (photonic()) {
     const std::vector<PortId> ports = span_ports(span);
     for (int r = 0; r < n_rails(); ++r) {

@@ -229,10 +229,6 @@ class Cluster {
   /// *live tenants*, never to cluster size (the memory-proportionality tests
   /// pin this).
   std::size_t tenant_state_entries() const { return tenant_spans_.size(); }
-  /// Generation stamp of the tenant store, bumped by every assign/release.
-  /// A caller holding derived per-span state (cached reachability, port
-  /// sets) revalidates against this instead of subscribing to callbacks.
-  std::uint64_t tenant_state_generation() const { return tenant_generation_; }
   /// Photonic: cumulative dark time summed over the span's OCS ports on all
   /// rails (snapshot before/after a job to get its dark-time share).
   TimeNs ocs_dark_time_in_span(NodeSpan span) const;
@@ -440,12 +436,10 @@ class Cluster {
   /// lane mask.
   void apply_electrical_degrade(NodeId node, int rail);
 
-  /// One entry of the span-indexed tenant store: an owned node range plus
-  /// the store generation at which it was assigned.
+  /// One entry of the span-indexed tenant store: an owned node range.
   struct TenantSpan {
     NodeSpan span;
     int tenant = kNoTenant;
-    std::uint64_t generation = 0;
   };
   /// Entry owning `node`, or nullptr (binary search over the sorted store).
   const TenantSpan* find_tenant_span(int node) const;
@@ -472,7 +466,6 @@ class Cluster {
   // assignment so the single-tenant fast path skips the lookups entirely.
   bool tenant_accounting_ = false;
   std::vector<TenantSpan> tenant_spans_;  // sorted by span.first
-  std::uint64_t tenant_generation_ = 0;
   std::unordered_map<int, std::array<Bytes, 6>> tenant_route_bytes_;
   // Epoch-stamped BFS scratch for the unbounded route search (the static
   // ring, and rescued hops elsewhere; sized lazily on first use so fabrics that

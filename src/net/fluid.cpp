@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/error.h"
+#include "common/profile.h"
 
 namespace opus::net {
 namespace {
@@ -35,6 +36,12 @@ FluidNetwork::FluidNetwork(sim::Simulator& sim)
 FluidNetwork::~FluidNetwork() {
   sim_.remove_instant_hook(flush_hook_);
   if (completion_event_.valid()) sim_.cancel(completion_event_);
+  // Both kinds of delayed delivery capture `this`. A free slot's id has
+  // fired or been cancelled already, and cancelling it is a no-op.
+  for (std::uint32_t b = 0; b < deliveries_.size(); ++b) {
+    sim_.cancel(deliveries_[b].event);
+  }
+  for (const Flow& f : flows_) sim_.cancel(f.latency_event);
 }
 
 LinkId FluidNetwork::add_link(Bandwidth capacity) {
@@ -417,17 +424,10 @@ void FluidNetwork::flush() {
   // clean and returns.
   if (!dirty_) return;
   dirty_ = false;
-  ProfileScope prof(profile_sink_, profile_phase_recompute_);
+  ProfileScope prof(sim_.profiler(), Profiler::kFluidRecompute);
   ++solve_count_;
   solve_max_min();
   reschedule_completion_event();
-}
-
-void FluidNetwork::set_profile_sink(ProfileSink* sink) {
-  profile_sink_ = sink;
-  if (sink != nullptr) {
-    profile_phase_recompute_ = sink->phase("fluid.recompute");
-  }
 }
 
 void FluidNetwork::on_completion_event() {
@@ -488,17 +488,18 @@ void FluidNetwork::on_completion_event() {
         [latency](const auto& b) { return b.first == latency; });
     if (open == open_batches_.end()) {
       const std::uint32_t batch = deliveries_.acquire();
-      sim_.schedule_after(latency, [this, batch] { deliver(batch); });
+      deliveries_[batch].event =
+          sim_.schedule_after(latency, [this, batch] { deliver(batch); });
       open = open_batches_.insert(open_batches_.end(), {latency, batch});
     }
-    deliveries_[open->second].push_back(std::move(cb));
+    deliveries_[open->second].callbacks.push_back(std::move(cb));
   }
 }
 
 void FluidNetwork::deliver(std::uint32_t batch) {
   // Walked in place: only the completion handler, a separate event, adds
   // to the slab, so the vector neither moves nor grows under a callback.
-  std::vector<std::function<void()>>& cbs = deliveries_[batch];
+  std::vector<std::function<void()>>& cbs = deliveries_[batch].callbacks;
   for (std::function<void()>& cb : cbs) {
     ++completed_;
     if (cb) cb();

@@ -66,7 +66,7 @@
 // A flow's life allocates nothing once the network is warm. start_flow
 // copies the path into its slot's retained buffer; the completion handler
 // collects drained flows in a retained list; a batch's callbacks wait in a
-// slab (common/slab.h) of callback vectors whose buffers are recycled, and
+// slab (common/slab.h) of batches whose callback buffers are recycled, and
 // the delivery event captures only the network and the slot index, small
 // enough for std::function to hold inline. Callers keep the same property
 // by passing callbacks that capture at most 16 trivially-copyable bytes (a
@@ -82,7 +82,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "common/profile.h"
 #include "common/slab.h"
 #include "common/units.h"
 #include "sim/simulator.h"
@@ -98,8 +97,10 @@ struct Link {
 class FluidNetwork {
  public:
   explicit FluidNetwork(sim::Simulator& sim);
-  /// Unregisters the flush hook and cancels the completion event, so the
-  /// simulator may keep running after the network is gone.
+  /// Unregisters the flush hook and cancels every pending event of the
+  /// network (the completion event, delivery batches and zero-byte flows'
+  /// latency events), so the simulator may keep running after the network
+  /// is gone.
   ~FluidNetwork();
   FluidNetwork(const FluidNetwork&) = delete;
   FluidNetwork& operator=(const FluidNetwork&) = delete;
@@ -199,10 +200,6 @@ class FluidNetwork {
   std::int64_t frozen_bottleneck_links() const {
     return frozen_bottleneck_links_;
   }
-
-  /// Opt-in wall-clock sink timing each solve (obs self-profiling).
-  /// Null (the default) costs one branch per solve.
-  void set_profile_sink(ProfileSink* sink);
 
  private:
   /// Sentinel projection for flows with no completion in sight (stalled on a
@@ -323,10 +320,15 @@ class FluidNetwork {
   /// The completion handler's list of drained flows (latency, callback),
   /// retained across events.
   std::vector<std::pair<TimeNs, std::function<void()>>> drained_;
-  /// Delivery slab: per (completion instant, latency), the callbacks of
-  /// drained flows waiting out extra_latency, in drain order. A freed
-  /// slot keeps its emptied vector, so a warm network allocates nothing.
-  Slab<std::vector<std::function<void()>>> deliveries_;
+  /// One delivery batch: its event and, in drain order, the callbacks of
+  /// the drained flows that wait out one extra_latency from one instant.
+  struct Delivery {
+    EventId event{};
+    std::vector<std::function<void()>> callbacks;
+  };
+  /// Delivery slab, one slot per pending batch. A freed slot keeps its
+  /// emptied vector, so a warm network allocates nothing.
+  Slab<Delivery> deliveries_;
   /// The completion handler's batches still open to later drained flows:
   /// (latency, delivery slot). Retained across events.
   std::vector<std::pair<TimeNs, std::uint32_t>> open_batches_;
@@ -351,10 +353,6 @@ class FluidNetwork {
   std::int64_t solve_count_ = 0;
   std::int64_t solve_rounds_ = 0;
   std::int64_t frozen_bottleneck_links_ = 0;
-
-  // Opt-in wall-clock profiling of the solve (null = off).
-  ProfileSink* profile_sink_ = nullptr;
-  int profile_phase_recompute_ = -1;
 };
 
 }  // namespace opus::net

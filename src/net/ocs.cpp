@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/profile.h"
 
 namespace opus::net {
 
@@ -277,7 +278,7 @@ void OpticalCircuitSwitch::force_circuits(
 
 void OpticalCircuitSwitch::reconfigure(std::vector<CircuitRequest> circuits,
                                        std::function<void()> on_done) {
-  ProfileScope prof(profile_sink_, profile_phase_);
+  ProfileScope prof(sim_.profiler(), Profiler::kOcsReconfigure);
   const std::uint64_t stamp = ++epoch_;
   for (const CircuitRequest& c : circuits) {
     check_port(c.a);
@@ -375,11 +376,6 @@ void OpticalCircuitSwitch::transact(std::vector<CircuitRequest> circuits,
     if (topology_listener_) topology_listener_();
     pump_undark_waiters();
   });
-}
-
-void OpticalCircuitSwitch::set_profile_sink(ProfileSink* sink) {
-  profile_sink_ = sink;
-  if (sink != nullptr) profile_phase_ = sink->phase("ocs.reconfigure_batch");
 }
 
 }  // namespace opus::net

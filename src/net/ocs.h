@@ -19,7 +19,6 @@
 
 #include "common/error.h"
 #include "common/ids.h"
-#include "common/profile.h"
 #include "common/units.h"
 #include "net/fluid.h"
 #include "sim/simulator.h"
@@ -201,11 +200,6 @@ class OpticalCircuitSwitch {
   /// Telemetry observer (null = disabled, the default).
   void set_observer(OcsObserver* observer) { observer_ = observer; }
 
-  /// Opt-in wall-clock sink timing each reconfigure() call (obs
-  /// self-profiling; the phase keeps its historical name
-  /// "ocs.reconfigure_batch", which the benchmark harness reads).
-  void set_profile_sink(ProfileSink* sink);
-
   /// Called whenever port-level connectivity changes outside a caller's own
   /// request — reconfiguration completions, force_circuits, repair_port —
   /// so the owning layer can retry traffic parked on a dead topology.
@@ -333,8 +327,6 @@ class OpticalCircuitSwitch {
   std::function<void()> topology_listener_;
   std::function<void(FlowId)> flow_rescuer_;
   OcsObserver* observer_ = nullptr;
-  ProfileSink* profile_sink_ = nullptr;
-  int profile_phase_ = -1;
   Stats stats_;
 };
 

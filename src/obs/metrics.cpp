@@ -30,13 +30,6 @@ void MetricsRegistry::check_new_name(const std::string& name) const {
   }
 }
 
-Counter MetricsRegistry::add_counter(const std::string& name) {
-  check_new_name(name);
-  counters_.push_back(0);
-  entries_.push_back({Kind::kCounter, name, counters_.size() - 1});
-  return Counter{&counters_.back()};
-}
-
 void MetricsRegistry::add_gauge(const std::string& name,
                                 std::function<double()> sample) {
   check_new_name(name);
@@ -55,7 +48,7 @@ Histogram MetricsRegistry::add_histogram(const std::string& name) {
 std::vector<std::string> MetricsRegistry::column_names() const {
   std::vector<std::string> names;
   for (const Entry& e : entries_) {
-    if (e.kind != Kind::kHistogram) names.push_back(e.name);
+    if (e.kind == Kind::kGauge) names.push_back(e.name);
   }
   return names;
 }
@@ -63,16 +56,7 @@ std::vector<std::string> MetricsRegistry::column_names() const {
 std::vector<double> MetricsRegistry::sample_columns() const {
   std::vector<double> values;
   for (const Entry& e : entries_) {
-    switch (e.kind) {
-      case Kind::kCounter:
-        values.push_back(static_cast<double>(counters_[e.index]));
-        break;
-      case Kind::kGauge:
-        values.push_back(gauges_[e.index]());
-        break;
-      case Kind::kHistogram:
-        break;
-    }
+    if (e.kind == Kind::kGauge) values.push_back(gauges_[e.index]());
   }
   return values;
 }
@@ -81,9 +65,6 @@ json::Value MetricsRegistry::snapshot_json() const {
   json::Value out = json::Value::object();
   for (const Entry& e : entries_) {
     switch (e.kind) {
-      case Kind::kCounter:
-        out.set(e.name, json::Value(counters_[e.index]));
-        break;
       case Kind::kGauge:
         out.set(e.name, json::Value(gauges_[e.index]()));
         break;

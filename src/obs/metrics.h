@@ -1,13 +1,15 @@
-// Metrics registry: named counters, pull-gauges, and power-of-two
-// histograms registered once per simulation, sampled by the probe and
-// snapshotted into the result document.
+// Metrics registry: named pull-gauges and power-of-two histograms
+// registered once per simulation, sampled by the probe and snapshotted into
+// the result document.
 //
-// Hot-path contract: a Counter update is one add through a raw int64 slot
-// resolved at registration — no hashing, no lookup, no virtual call. Slots
-// live in a deque owned by the registry so handles stay valid for the
-// registry's lifetime. A default-constructed (unregistered) handle is a
-// null slot and every operation on it is a guarded no-op, which is how
-// call sites stay zero-overhead when telemetry is disabled.
+// A gauge reads a layer's own state (its always-on tallies included) when
+// sampled, so the layers keep no telemetry handles. A histogram is recorded
+// through a raw pointer to its data resolved at registration — no hashing,
+// no lookup, no virtual call. The data lives in a deque owned by the
+// registry so handles stay valid for the registry's lifetime. A
+// default-constructed (unregistered) handle is null and recording on it is
+// a guarded no-op, which is how call sites stay zero-overhead when
+// telemetry is disabled.
 #pragma once
 
 #include <array>
@@ -20,25 +22,6 @@
 #include "common/json.h"
 
 namespace opus::obs {
-
-/// Handle to a registered counter. Copyable; null until registered.
-class Counter {
- public:
-  Counter() = default;
-  void inc(std::int64_t delta = 1) {
-    if (slot_ != nullptr) *slot_ += delta;
-  }
-  void set(std::int64_t v) {
-    if (slot_ != nullptr) *slot_ = v;
-  }
-  std::int64_t value() const { return slot_ == nullptr ? 0 : *slot_; }
-  bool registered() const { return slot_ != nullptr; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(std::int64_t* slot) : slot_(slot) {}
-  std::int64_t* slot_ = nullptr;
-};
 
 /// Handle to a registered histogram of non-negative int64 samples. O(1)
 /// record: the bucket index is the sample's bit width, so bucket i holds
@@ -73,25 +56,24 @@ class Histogram {
 /// and series columns are deterministic.
 class MetricsRegistry {
  public:
-  /// Registers a counter; throws common/error on a duplicate name.
-  Counter add_counter(const std::string& name);
-  /// Registers a pull-gauge sampled at snapshot/probe time.
+  /// Registers a pull-gauge sampled at snapshot/probe time; throws
+  /// common/error on an empty or duplicate name (as add_histogram does).
   void add_gauge(const std::string& name, std::function<double()> sample);
   /// Registers a histogram; reported in the JSON snapshot only (a
   /// histogram is not a single series column).
   Histogram add_histogram(const std::string& name);
 
-  /// Counter + gauge names, registration order: the probe's series columns.
+  /// Gauge names, registration order: the probe's series columns.
   std::vector<std::string> column_names() const;
-  /// Current counter values and gauge samples, matching column_names().
+  /// Current gauge samples, matching column_names().
   std::vector<double> sample_columns() const;
 
-  /// Full snapshot: counters as ints, gauges as doubles, histograms as
-  /// {count, sum, min, max, buckets} objects. Key order = registration.
+  /// Full snapshot: gauges as doubles, histograms as {count, sum, min, max,
+  /// buckets} objects. Key order = registration.
   json::Value snapshot_json() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kGauge, kHistogram };
   struct Entry {
     Kind kind;
     std::string name;
@@ -101,7 +83,6 @@ class MetricsRegistry {
   void check_new_name(const std::string& name) const;
 
   std::vector<Entry> entries_;  // registration order
-  std::deque<std::int64_t> counters_;
   std::vector<std::function<double()>> gauges_;
   std::deque<Histogram::Data> histograms_;
 };

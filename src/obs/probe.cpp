@@ -49,19 +49,6 @@ TextTable Series::to_table() const {
 
 std::string Series::to_csv() const { return to_table().to_csv(); }
 
-json::Value Series::to_json() const {
-  json::Value out = json::Value::object();
-  json::Value t = json::Value::array();
-  for (const TimeNs v : times_) t.push_back(json::Value(v));
-  out.set("t_ns", std::move(t));
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    json::Value col = json::Value::array();
-    for (const double v : data_[c]) col.push_back(json::Value(v));
-    out.set(columns_[c], std::move(col));
-  }
-  return out;
-}
-
 Probe::Probe(sim::Simulator& sim, const MetricsRegistry& registry,
              TimeNs interval)
     : sim_(sim),

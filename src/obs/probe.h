@@ -1,7 +1,7 @@
 // Time-series probes: a periodic sim-time sampler driven off the simulator's
-// event queue. Each tick snapshots the metrics registry (counters and
-// gauges, including the derived fabric gauges Telemetry registers) into a
-// columnar in-memory series exportable as CSV/JSON through common/table.
+// event queue. Each tick samples the metrics registry's gauges (the fabric
+// gauges Telemetry registers and any layer's own) into a columnar
+// in-memory series exportable as CSV through common/table.
 //
 // Determinism: samples are sim-time-stamped and read-only, and the probe
 // stops rescheduling itself once it is the only pending event, so enabling
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.h"
 #include "common/table.h"
 #include "common/units.h"
 #include "obs/metrics.h"
@@ -38,7 +37,6 @@ class Series {
   /// the rendered bytes are deterministic.
   TextTable to_table() const;
   std::string to_csv() const;
-  json::Value to_json() const;  ///< columnar: {"t_ns": [...], "<col>": [...]}
 
  private:
   std::vector<std::string> columns_;

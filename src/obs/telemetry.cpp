@@ -85,21 +85,13 @@ struct Telemetry::RailObserver : net::OcsObserver {
 };
 
 Telemetry::Telemetry(TelemetryConfig config) : config_(std::move(config)) {
-  if (config_.self_profile) profiler_ = std::make_unique<SelfProfiler>();
+  if (config_.self_profile) profiler_ = std::make_unique<Profiler>();
 }
 
 Telemetry::~Telemetry() = default;
 
 void Telemetry::attach_fabric(sim::Simulator& sim, net::Cluster& cluster) {
-  if (profiler_ != nullptr) {
-    sim.set_profile_sink(profiler_.get());
-    cluster.network().set_profile_sink(profiler_.get());
-    if (cluster.photonic()) {
-      for (int r = 0; r < cluster.n_rails(); ++r) {
-        cluster.ocs(RailId{r}).set_profile_sink(profiler_.get());
-      }
-    }
-  }
+  if (profiler_ != nullptr) sim.set_profiler(profiler_.get());
 
   if (config_.tracing()) trace_.set_process_name(kFabricPid, "fabric");
   // Rail observers feed both the trace (circuit/dark spans) and the

@@ -3,29 +3,30 @@
 // into a live simulation.
 //
 // Lifecycle: construct from a TelemetryConfig, attach_fabric() after the
-// cluster exists (registers the standard fabric gauges and, when tracing,
-// the per-rail OCS observers), register any layer-specific metrics (the
-// fleet driver adds its own gauges/counters), start_probe() just before the
-// run, and finalize() after the run but BEFORE the simulator/cluster are
-// destroyed — finalize captures the final metrics snapshot and closes open
-// trace spans, after which the hub is self-contained and may outlive the
-// simulation inside an ExperimentResult/FleetResult.
+// cluster exists (registers the standard fabric gauges, installs the
+// per-rail OCS observers when tracing, and hands the profiler to the
+// simulator), register any layer-specific metrics (the fleet driver adds
+// its own gauges), start_probe() just before the run, and finalize() after
+// the run but BEFORE the simulator/cluster are destroyed — finalize
+// captures the final metrics snapshot and closes open trace spans, after
+// which the hub is self-contained and may outlive the simulation inside an
+// ExperimentResult/FleetResult.
 //
 // Determinism contract: everything emitted (series rows, trace events,
 // metrics snapshots) is derived from sim-time and simulation state only —
-// wall-clock readings exist solely inside the opt-in SelfProfiler, whose
-// report is table text, never JSON payload.
+// wall-clock readings exist solely inside the opt-in Profiler
+// (common/profile.h), whose report is table text, never JSON payload.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/profile.h"
 #include "common/units.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
-#include "obs/selfprof.h"
 
 namespace opus::net {
 class Cluster;
@@ -37,6 +38,9 @@ class Simulator;
 }
 
 namespace opus::obs {
+
+/// The self-profiler's historical name; perfbench/cell.cpp names it.
+using SelfProfiler = Profiler;
 
 /// The `"telemetry"` config block (serde: config/serde.cpp, strict keys
 /// {metrics, series_path, chrome_trace_path, sample_interval_ns,
@@ -91,7 +95,7 @@ class Telemetry {
   ChromeTraceWriter& trace() { return trace_; }
   const ChromeTraceWriter& trace() const { return trace_; }
   /// Non-null iff self-profiling is enabled.
-  SelfProfiler* profiler() { return profiler_.get(); }
+  Profiler* profiler() { return profiler_.get(); }
   /// The sampled series; null until start_probe() ran.
   const Series* series() const {
     return probe_ ? &probe_->series() : nullptr;
@@ -103,7 +107,7 @@ class Telemetry {
 
   /// Registers the standard fabric gauges (fluid solver, per-rail OCS,
   /// cluster fault tolerance), installs per-rail OCS observers when
-  /// tracing, and installs profile sinks when self-profiling.
+  /// tracing, and makes the profiler the simulator's when self-profiling.
   void attach_fabric(sim::Simulator& sim, net::Cluster& cluster);
 
   /// Starts the periodic sampler at sim.now(). Call after every metric is
@@ -128,7 +132,7 @@ class Telemetry {
   TelemetryConfig config_;
   MetricsRegistry metrics_;
   ChromeTraceWriter trace_;
-  std::unique_ptr<SelfProfiler> profiler_;
+  std::unique_ptr<Profiler> profiler_;
   std::unique_ptr<Probe> probe_;
   std::vector<std::unique_ptr<RailObserver>> rail_observers_;
   /// Circuit hold times ("ocs.circuit_lifetime_ns"), recorded by the rail

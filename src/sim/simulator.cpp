@@ -126,14 +126,14 @@ bool Simulator::fire_next() {
 }
 
 std::uint64_t Simulator::run() {
-  ProfileScope prof(profile_sink_, profile_phase_run_);
+  ProfileScope prof(profiler_, Profiler::kSimRun);
   std::uint64_t n = 0;
   while (fire_next()) ++n;
   return n;
 }
 
 std::uint64_t Simulator::run_until(TimeNs limit) {
-  ProfileScope prof(profile_sink_, profile_phase_run_);
+  ProfileScope prof(profiler_, Profiler::kSimRun);
   std::uint64_t n = 0;
   while (position() && heap_.front().time <= limit) {
     fire_next();
@@ -141,11 +141,6 @@ std::uint64_t Simulator::run_until(TimeNs limit) {
   }
   if (now_ < limit) now_ = limit;
   return n;
-}
-
-void Simulator::set_profile_sink(ProfileSink* sink) {
-  profile_sink_ = sink;
-  if (sink != nullptr) profile_phase_run_ = sink->phase("sim.run");
 }
 
 std::uint64_t Simulator::run_steps(std::uint64_t max_events) {

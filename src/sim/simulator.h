@@ -128,9 +128,12 @@ class Simulator {
   /// Total events fired since construction.
   std::uint64_t events_fired() const { return fired_; }
 
-  /// Opt-in wall-clock sink timing the run()/run_until drain loops (obs
-  /// self-profiling). Null (the default) costs one branch per drain.
-  void set_profile_sink(ProfileSink* sink);
+  /// The run's opt-in wall-clock profiler (obs self-profiling), timing the
+  /// run()/run_until drains here and, through this accessor, the layers
+  /// that hold this simulator. Null (the default) costs one branch per
+  /// timed scope.
+  Profiler* profiler() const { return profiler_; }
+  void set_profiler(Profiler* profiler) { profiler_ = profiler; }
 
  private:
   static constexpr std::uint32_t kNoSlot =
@@ -203,8 +206,7 @@ class Simulator {
   /// of a hook that is running) and the pending requests in request order.
   std::deque<InstantHook> hooks_;
   std::vector<HookId> hook_queue_;
-  ProfileSink* profile_sink_ = nullptr;
-  int profile_phase_run_ = -1;
+  Profiler* profiler_ = nullptr;
 };
 
 }  // namespace opus::sim

@@ -382,6 +382,25 @@ TEST_F(FluidDelivery, ZeroDelayEventFromADeliveryRunsAfterItsStretch) {
   EXPECT_EQ(log[3].at, kDrain + lat);
 }
 
+TEST_F(FluidDelivery, DestroyedNetworkDeliversNothing) {
+  // The simulator may keep running after a network is gone: neither a
+  // drained flow's delivery batch nor a zero-byte flow's latency event may
+  // fire into it.
+  bool delivered = false;
+  {
+    FluidNetwork doomed(sim);
+    doomed.start_flow({doomed.add_link(k100G)}, kTenMs, usecs(5),
+                      [&delivered] { delivered = true; });
+    sim.run_until(kDrain);  // drained: the callback waits out its latency
+    ASSERT_EQ(doomed.active_flow_count(), 0u);
+    ASSERT_EQ(doomed.completed_flow_count(), 0u);
+    doomed.start_flow({}, 0, usecs(5), [&delivered] { delivered = true; });
+  }
+  sim.run();
+  EXPECT_FALSE(delivered);
+  EXPECT_EQ(sim.now(), kDrain);  // both events were cancelled
+}
+
 // Property sweep: N equal flows on one link each get capacity/N and all
 // finish at N x solo time.
 class FairShareSweep : public ::testing::TestWithParam<int> {};

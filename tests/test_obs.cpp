@@ -1,6 +1,7 @@
-// src/obs: metrics registry slot semantics, probe interval sampling,
-// chrome-trace JSON parse-back, self-profiler nesting/exception safety, the
-// telemetry config's serde contract, and the rail observer's circuit spans.
+// src/obs: metrics registry semantics, probe interval sampling, chrome-trace
+// JSON parse-back, self-profiler nesting/exception safety and the phases
+// each layer records through a run, the telemetry config's serde contract,
+// and the rail observer's circuit spans.
 #include <algorithm>
 #include <stdexcept>
 #include <string>
@@ -11,13 +12,15 @@
 
 #include "common/error.h"
 #include "common/json.h"
+#include "common/profile.h"
 #include "config/serde.h"
+#include "core/experiment.h"
+#include "fleet/fleet.h"
 #include "net/cluster.h"
 #include "net/ocs.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/probe.h"
-#include "obs/selfprof.h"
 #include "obs/telemetry.h"
 #include "sim/simulator.h"
 
@@ -26,33 +29,7 @@ namespace {
 
 // ---- metrics registry ------------------------------------------------------
 
-TEST(Metrics, CounterWritesThroughStableSlot) {
-  obs::MetricsRegistry registry;
-  obs::Counter c = registry.add_counter("flows");
-  EXPECT_TRUE(c.registered());
-  c.inc();
-  c.inc(41);
-  EXPECT_EQ(c.value(), 42);
-
-  // Handles are copies of the slot pointer: both views see the same cell,
-  // and later registrations never invalidate earlier handles.
-  obs::Counter copy = c;
-  registry.add_counter("other");
-  copy.inc(8);
-  EXPECT_EQ(c.value(), 50);
-
-  const json::Value snap = registry.snapshot_json();
-  EXPECT_EQ(snap.find("flows")->as_int(), 50);
-  EXPECT_EQ(snap.find("other")->as_int(), 0);
-}
-
 TEST(Metrics, UnregisteredHandlesAreGuardedNoOps) {
-  obs::Counter c;
-  EXPECT_FALSE(c.registered());
-  c.inc();
-  c.set(7);
-  EXPECT_EQ(c.value(), 0);
-
   obs::Histogram h;
   EXPECT_FALSE(h.registered());
   h.record(123);
@@ -61,19 +38,20 @@ TEST(Metrics, UnregisteredHandlesAreGuardedNoOps) {
 
 TEST(Metrics, DuplicateOrEmptyRegistrationThrows) {
   obs::MetricsRegistry registry;
-  registry.add_counter("x");
-  EXPECT_THROW(registry.add_counter("x"), InvariantError);
+  registry.add_gauge("x", [] { return 0.0; });
   EXPECT_THROW(registry.add_gauge("x", [] { return 0.0; }), InvariantError);
   EXPECT_THROW(registry.add_histogram("x"), InvariantError);
-  EXPECT_THROW(registry.add_counter(""), InvariantError);
+  registry.add_histogram("h");
+  EXPECT_THROW(registry.add_gauge("h", [] { return 0.0; }), InvariantError);
+  EXPECT_THROW(registry.add_gauge("", [] { return 0.0; }), InvariantError);
+  EXPECT_THROW(registry.add_histogram(""), InvariantError);
 }
 
 TEST(Metrics, ColumnsAreRegistrationOrderAndSkipHistograms) {
   obs::MetricsRegistry registry;
-  obs::Counter a = registry.add_counter("a");
+  registry.add_gauge("a", [] { return 3.0; });
   registry.add_histogram("hist");
   registry.add_gauge("b", [] { return 2.5; });
-  a.inc(3);
 
   const std::vector<std::string> cols = registry.column_names();
   ASSERT_EQ(cols, (std::vector<std::string>{"a", "b"}));
@@ -114,8 +92,9 @@ TEST(Metrics, HistogramBucketsByBitWidth) {
 TEST(Probe, SamplesEveryIntervalPlusAtMostOneTrailing) {
   sim::Simulator sim;
   obs::MetricsRegistry registry;
-  obs::Counter events = registry.add_counter("events");
-  sim.schedule_at(350, [&events] { events.inc(); });
+  int events = 0;
+  registry.add_gauge("events", [&events] { return events; });
+  sim.schedule_at(350, [&events] { ++events; });
 
   obs::Probe probe(sim, registry, 100);
   probe.start();
@@ -136,7 +115,7 @@ TEST(Probe, SamplesEveryIntervalPlusAtMostOneTrailing) {
 TEST(Probe, EmptySimulationGetsExactlyTwoSamples) {
   sim::Simulator sim;
   obs::MetricsRegistry registry;
-  registry.add_counter("c");
+  registry.add_gauge("g", [] { return 0.0; });
   obs::Probe probe(sim, registry, msecs(1));
   probe.start();  // samples at t=0 and schedules one unconditional tick
   sim.run();
@@ -211,14 +190,17 @@ TEST(ChromeTrace, TwoIdenticalBuildsDumpIdenticalBytes) {
 // ---- self-profiler ---------------------------------------------------------
 
 TEST(SelfProfiler, NestedScopesRecordBothPhases) {
-  obs::SelfProfiler prof;
+  Profiler prof;
   const int outer = prof.phase("outer");
   const int inner = prof.phase("inner");
+  // Other names register after the built-in phases, once each.
+  EXPECT_EQ(outer, Profiler::kBuiltinCount);
+  EXPECT_EQ(inner, Profiler::kBuiltinCount + 1);
+  EXPECT_EQ(prof.phase("outer"), outer);
   {
     ProfileScope outer_scope(&prof, outer);
     ProfileScope inner_scope(&prof, inner);
   }
-  ASSERT_EQ(prof.phase_count(), 2u);
   EXPECT_EQ(prof.calls(outer), 1);
   EXPECT_EQ(prof.calls(inner), 1);
   // Inclusive timing: the outer scope covers the inner one.
@@ -226,7 +208,7 @@ TEST(SelfProfiler, NestedScopesRecordBothPhases) {
 }
 
 TEST(SelfProfiler, ScopeRecordsWhenAnExceptionUnwinds) {
-  obs::SelfProfiler prof;
+  Profiler prof;
   const int throwing = prof.phase("throwing");
   EXPECT_THROW(
       {
@@ -238,19 +220,85 @@ TEST(SelfProfiler, ScopeRecordsWhenAnExceptionUnwinds) {
 }
 
 TEST(SelfProfiler, NullProfilerScopeIsANoOp) {
-  ProfileScope scope(nullptr, -1);  // a null sink records nothing
+  ProfileScope scope(nullptr, -1);  // a null profiler records nothing
 }
 
 TEST(SelfProfiler, ReportListsPhasesInFirstUseOrder) {
-  obs::SelfProfiler prof;
+  // Built-in phases keep their fixed ids and names; the report lists the
+  // phases that recorded, in id order (never-called built-ins are left out).
+  Profiler prof;
+  EXPECT_EQ(prof.phase("fleet.baseline_sweep"), Profiler::kFleetBaselineSweep);
+  EXPECT_EQ(prof.phase("sim.run"), Profiler::kSimRun);
+  EXPECT_EQ(prof.phase("fluid.recompute"), Profiler::kFluidRecompute);
+  EXPECT_EQ(prof.phase("ocs.reconfigure_batch"), Profiler::kOcsReconfigure);
   prof.record(prof.phase("b"), 2000);
   prof.record(prof.phase("a"), 1000);
   prof.record(prof.phase("b"), 4000);
+  prof.record(Profiler::kSimRun, 500);
   const TextTable table = prof.report();
-  ASSERT_EQ(table.row_count(), 2u);
+  ASSERT_EQ(table.row_count(), 3u);
   const std::string csv = table.to_csv();
   EXPECT_EQ(csv.substr(0, csv.find('\n')), "phase,calls,total_ms,mean_us");
+  EXPECT_LT(csv.find("sim.run,1"), csv.find("b,2"));
   EXPECT_LT(csv.find("b,2"), csv.find("a,1"));
+  EXPECT_EQ(csv.find("fluid.recompute"), std::string::npos);
+}
+
+TEST(Telemetry, SelfProfileTimesEveryLayerPhase) {
+  // Every timed layer records through the one profiler the telemetry hub
+  // hands to the simulator: one sim.run drain per experiment, one
+  // fluid.recompute per solve, one ocs.reconfigure_batch per OCS
+  // reconfiguration (fault-free, so every request re-wires), and none on
+  // the fabrics without a reconfiguring OCS.
+  for (net::FabricKind kind : net::kAllFabrics) {
+    SCOPED_TRACE(net::fabric_name(kind));
+    core::ExperimentConfig cfg;
+    cfg.model = workload::ModelConfig::test_tiny();
+    cfg.model.n_layers = 8;
+    cfg.parallelism.tp = 4;
+    cfg.parallelism.dp = 2;
+    cfg.parallelism.pp = 2;
+    cfg.parallelism.n_microbatches = 4;
+    cfg.parallelism.microbatch_size = 1;
+    cfg.gpus_per_node = 4;
+    cfg.iterations = 3;
+    cfg.fabric = kind;
+    cfg.ocs_reconfig_delay = msecs(1);
+    cfg.telemetry.metrics = true;
+    cfg.telemetry.self_profile = true;
+    const core::ExperimentResult r = core::run_experiment(cfg);
+    ASSERT_NE(r.telemetry, nullptr);
+    const Profiler& prof = *r.telemetry->profiler();
+    EXPECT_EQ(prof.calls(Profiler::kSimRun), 1);
+    const json::Value* solves =
+        r.telemetry->final_metrics().find("fluid.solves");
+    ASSERT_NE(solves, nullptr);
+    EXPECT_GT(prof.calls(Profiler::kFluidRecompute), 0);
+    EXPECT_EQ(prof.calls(Profiler::kFluidRecompute),
+              static_cast<std::int64_t>(solves->as_double()));
+    const bool reconfigures = kind == net::FabricKind::kOpusPhotonic ||
+                              kind == net::FabricKind::kRotor;
+    EXPECT_EQ(prof.calls(Profiler::kOcsReconfigure),
+              reconfigures ? r.ocs_reconfigurations : 0);
+    EXPECT_EQ(r.ocs_reconfigurations > 0, reconfigures);
+    EXPECT_EQ(prof.calls(Profiler::kFleetBaselineSweep), 0);
+  }
+
+  fleet::FleetConfig fleet_cfg;
+  fleet_cfg.n_nodes = 8;
+  fleet_cfg.base.fabric = net::FabricKind::kOpusPhotonic;
+  fleet_cfg.base.gpus_per_node = 4;
+  fleet_cfg.base.ocs_reconfig_delay = usecs(100);
+  fleet_cfg.base.telemetry.self_profile = true;
+  fleet_cfg.arrivals.n_jobs = 3;
+  fleet_cfg.arrivals.iterations = 2;
+  ASSERT_TRUE(fleet_cfg.isolated_baselines);
+  const fleet::FleetResult fr = fleet::run_fleet(fleet_cfg);
+  ASSERT_NE(fr.telemetry, nullptr);
+  const Profiler& prof = *fr.telemetry->profiler();
+  EXPECT_EQ(prof.calls(Profiler::kFleetBaselineSweep), 1);
+  EXPECT_GT(prof.calls(Profiler::kSimRun), 0);
+  EXPECT_GT(prof.calls(Profiler::kFluidRecompute), 0);
 }
 
 // ---- telemetry config serde ------------------------------------------------
